@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch, dnls, nlse, scan, tightbinding, wannier
-from .errors import Error
-from .potential import free_potential, make_potential, tunneling_action
+from .potential import free_potential, tunneling_action
 
 REFERENCE_LADDER = (0.25, 0.2, 0.16, 0.125, 0.1)
 REFERENCE_ETAS = (0.0, -0.5, -1.0, -2.0, -3.0, -5.0, -8.0, -12.0, -20.0,
@@ -57,7 +56,7 @@ class Context:
         self.jobs = jobs
         self.workdir = workdir
         self._spec = None
-        self._agmon = None
+        self._s0 = None
         self._bundles = {}
         self._ladder_states = None
         self._reports = {}
@@ -72,19 +71,16 @@ class Context:
         return self._spec
 
     @property
-    def agmon(self):
-        if self._agmon is None:
-            self._agmon = tunneling_action(self.spec)
-        return self._agmon
-
-    @property
     def s0(self):
-        return self.agmon.s0
+        if self._s0 is None:
+            self._s0 = tunneling_action(self.spec).s0
+        return self._s0
 
     def bundle(self, hbar: float) -> scan.PipelineBundle:
         if hbar not in self._bundles:
             self._bundles[hbar] = scan.build_pipeline(
-                self.spec, hbar, self.cfg.numerics(), self.cfg.sigma, self.agmon)
+                self.spec, hbar, self.cfg.numerics(), self.cfg.sigma,
+                jobs=self.jobs)
         return self._bundles[hbar]
 
     @property

@@ -16,9 +16,7 @@ import logging
 import os
 import sys
 
-import numpy as np
-
-from . import bloch, dnls, nlse, scan, tightbinding, wannier
+from . import bloch, dnls, scan, tightbinding, wannier
 from .errors import ConfigError, Error, NonConvergenceError, SolverError
 from .potential import PotentialSpec, make_potential, tunneling_action
 
@@ -29,7 +27,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -274,35 +272,22 @@ class BundleCache:
 
 
 def _pipeline_bundles(cfg: RunConfig, cache: BundleCache | None, jobs: int = 1):
-    """Build (or load from cache) one PipelineBundle per ladder hbar."""
+    """One PipelineBundle per ladder hbar, with bands and basis cached."""
     spec = cfg.potential()
-    agmon = tunneling_action(spec)
     bundles = {}
     for hb in cfg.hbar_ladder:
         key = config_hash(cfg, hb)
         bd = cache.load_bands(key) if cache else None
-        cached = bd is not None
-        if bd is None:
-            fc = bloch.FloquetConfig(hbar=hb, n_pw=cfg.n_pw, n_kappa=cfg.n_kappa,
-                                     n_bands=cfg.n_bands)
-            bd = wannier.fix_gauge(bloch.solve_bands(spec, fc, jobs=jobs))
-            if cache:
-                cache.store_bands(key, bd)
         wb = cache.load_basis(key) if cache else None
-        if wb is None:
-            wb = wannier.build_orthonormal_basis(bd, spec, cfg.cells,
-                                                 cfg.points_per_cell,
-                                                 cfg.lowdin_band)
-            if cache:
-                cache.store_basis(key, wb)
-        from .operators import PeriodicDomain
-        dom = PeriodicDomain(spec, hb, cfg.cells, cfg.points_per_cell)
-        tbp = tightbinding.extract_params(wb, spec, hb, sigma=cfg.sigma, bd=bd)
-        m = bloch.band_metrics(bd, 1)
-        bundles[hb] = scan.PipelineBundle(
-            spec=spec, hbar=hb, bd=bd, wb=wb, dom=dom, tbp=tbp, agmon=agmon,
-            width1=m["width"], gap1=m["gap_above"])
-        log.info("pipeline hbar=%g %s", hb, "(cached bands)" if cached else "")
+        bun = scan.build_pipeline(spec, hb, cfg.numerics(), cfg.sigma,
+                                  bd=bd, wb=wb, jobs=jobs)
+        if cache and bd is None:
+            cache.store_bands(key, bun.bd)
+        if cache and wb is None:
+            cache.store_basis(key, bun.wb)
+        bundles[hb] = bun
+        log.info("pipeline hbar=%g %s", hb,
+                 "(cached bands)" if bd is not None else "")
     return bundles
 
 
@@ -317,9 +302,7 @@ def cmd_bands(cfg: RunConfig, args) -> int:
         key = config_hash(cfg, hb)
         bd = cache.load_bands(key)
         if bd is None:
-            fc = bloch.FloquetConfig(hbar=hb, n_pw=cfg.n_pw, n_kappa=cfg.n_kappa,
-                                     n_bands=cfg.n_bands)
-            bd = wannier.fix_gauge(bloch.solve_bands(spec, fc))
+            bd = scan.gauged_bands(spec, hb, cfg.numerics(), jobs=args.jobs)
             cache.store_bands(key, bd)
         else:
             print(f"bands hbar={hb:g}: served from cache")
@@ -332,7 +315,7 @@ def cmd_bands(cfg: RunConfig, args) -> int:
 
 def cmd_wannier(cfg: RunConfig, args) -> int:
     cache = BundleCache(args.cache or cfg.cache_dir)
-    bundles = _pipeline_bundles(cfg, cache)
+    bundles = _pipeline_bundles(cfg, cache, jobs=args.jobs)
     os.makedirs(cfg.output_dir, exist_ok=True)
     for hb, bun in bundles.items():
         out = os.path.join(cfg.output_dir, f"wannier_h{hb:g}.csv")
@@ -348,7 +331,7 @@ def cmd_wannier(cfg: RunConfig, args) -> int:
 
 def cmd_params(cfg: RunConfig, args) -> int:
     cache = BundleCache(args.cache or cfg.cache_dir)
-    bundles = _pipeline_bundles(cfg, cache)
+    bundles = _pipeline_bundles(cfg, cache, jobs=args.jobs)
     os.makedirs(cfg.output_dir, exist_ok=True)
     s0 = tunneling_action(cfg.potential()).s0
     rows = []
@@ -398,19 +381,15 @@ def cmd_dnls(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_reconstruct(cfg: RunConfig, args) -> int:
+def cmd_scan(cfg: RunConfig, args) -> int:
     cache = BundleCache(args.cache or cfg.cache_dir)
-    bundles = _pipeline_bundles(cfg, cache)
+    bundles = _pipeline_bundles(cfg, cache, jobs=args.jobs)
     report = scan.run_sweep(cfg.plan(), bundles=bundles, jobs=args.jobs)
     for path in report.written:
         print(f"wrote {path}")
     if report.gaps:
         print(f"{len(report.gaps)} sweep points failed; see fits.json gaps")
     return EXIT_OK
-
-
-def cmd_scan(cfg: RunConfig, args) -> int:
-    return cmd_reconstruct(cfg, args)
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
@@ -450,7 +429,6 @@ _COMMANDS = {
     "wannier": cmd_wannier,
     "params": cmd_params,
     "dnls": cmd_dnls,
-    "reconstruct": cmd_reconstruct,
     "scan": cmd_scan,
     "verify": cmd_verify,
 }

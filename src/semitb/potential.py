@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -275,20 +275,29 @@ def agmon_distance(spec: PotentialSpec, x: float, y: float) -> float:
     return total
 
 
-def tunneling_action(spec: PotentialSpec, grid: np.ndarray | None = None) -> AgmonData:
-    """Compute the adjacent-well action s0 and tabulate d(x, x0) on a grid.
+def action_profile(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
+    """Action distance d(x0, x) from the central well to every point of x.
 
-    The tabulation uses exact periodicity: the action from x0 to x0 + k*a
-    is k*s0, so only the in-cell remainder is integrated per point.
+    Writing x = x0 + m*a + r with 0 <= r < a, the signed action from x0 is
+    m*s0 + d(x0, x0 + r) by the exact period additivity
+    d(x0, x0 + k*a) = k*s0, and d is its absolute value.  Only the in-cell
+    offsets r are integrated, once per distinct offset, so a grid
+    commensurate with the cell costs one quadrature per point of a cell.
     """
+    a, x0 = spec.a, spec.x0
+    rel = np.asarray(x, dtype=float) - x0
+    m = np.floor(rel / a)
+    offsets, inverse = np.unique(rel - m * a, return_inverse=True)
+    arm = np.array([agmon_distance(spec, x0, x0 + r) for r in offsets])
+    s0 = agmon_distance(spec, x0, x0 + a)
+    return np.abs(m * s0 + arm[inverse])
+
+
+def tunneling_action(spec: PotentialSpec, grid: np.ndarray | None = None) -> AgmonData:
+    """Compute the adjacent-well action s0 and tabulate d(x, x0) on a grid."""
     s0 = agmon_distance(spec, spec.x0, spec.x0 + spec.a)
     if grid is None:
         grid = np.linspace(spec.x0 - 4 * spec.a, spec.x0 + 4 * spec.a, 513)
     grid = np.asarray(grid, dtype=float)
-    d = np.empty_like(grid)
-    for i, xi in enumerate(grid):
-        # nearest well on the x0 side of xi, so the remainder stays in one cell
-        k = math.trunc((xi - spec.x0) / spec.a)
-        anchor = spec.x0 + k * spec.a
-        d[i] = abs(k) * s0 + agmon_distance(spec, anchor, xi)
-    return AgmonData(s0=s0, x=grid, d=d, a=spec.a, x0=spec.x0)
+    return AgmonData(s0=s0, x=grid, d=action_profile(spec, grid), a=spec.a,
+                     x0=spec.x0)

@@ -22,7 +22,7 @@ from . import dnls, nlse, tightbinding
 from .bloch import BandData, FloquetConfig, band_metrics, solve_bands
 from .errors import Error, SolverError, TailFitError
 from .operators import PeriodicDomain
-from .potential import AgmonData, PotentialSpec, tunneling_action
+from .potential import PotentialSpec, tunneling_action
 from .wannier import WannierBasis, basis_diagnostics, build_orthonormal_basis, fix_gauge
 
 log = logging.getLogger(__name__)
@@ -108,28 +108,38 @@ class PipelineBundle:
     wb: WannierBasis
     dom: PeriodicDomain
     tbp: tightbinding.TBParams
-    agmon: AgmonData
     width1: float
     gap1: float
 
 
-def build_pipeline(spec: PotentialSpec, hbar: float, numerics: Numerics,
-                   sigma: float, agmon: AgmonData | None = None,
-                   tail_window: tuple = (1e-10, 1e-3),
-                   jobs: int = 1) -> PipelineBundle:
+def gauged_bands(spec: PotentialSpec, hbar: float, numerics: Numerics,
+                 jobs: int = 1) -> BandData:
+    """Floquet bands at hbar with the first-band gauge fixed."""
     cfg = FloquetConfig(hbar=hbar, n_pw=numerics.n_pw, n_kappa=numerics.n_kappa,
                         n_bands=numerics.n_bands)
-    bd = fix_gauge(solve_bands(spec, cfg, jobs=jobs))
-    wb = build_orthonormal_basis(bd, spec, numerics.cells,
-                                 numerics.points_per_cell, numerics.lowdin_band,
-                                 tail_window=tail_window)
+    return fix_gauge(solve_bands(spec, cfg, jobs=jobs))
+
+
+def build_pipeline(spec: PotentialSpec, hbar: float, numerics: Numerics,
+                   sigma: float, bd: BandData | None = None,
+                   wb: WannierBasis | None = None,
+                   tail_window: tuple = (1e-10, 1e-3),
+                   jobs: int = 1) -> PipelineBundle:
+    """Build the bundle at one hbar, reusing the bands and basis passed in.
+
+    bd must be gauge fixed (as `gauged_bands` returns it); whatever the
+    caller does not pass is built here, the band solve on `jobs` threads.
+    """
+    if bd is None:
+        bd = gauged_bands(spec, hbar, numerics, jobs=jobs)
     dom = PeriodicDomain(spec, hbar, numerics.cells, numerics.points_per_cell)
-    tbp = tightbinding.extract_params(wb, spec, hbar, sigma=sigma, bd=bd)
-    if agmon is None:
-        agmon = tunneling_action(spec, grid=wb.x)
+    if wb is None:
+        wb = build_orthonormal_basis(bd, dom, numerics.lowdin_band,
+                                     tail_window=tail_window)
+    tbp = tightbinding.extract_params(wb, dom, sigma=sigma, bd=bd)
     m = band_metrics(bd, 1)
     return PipelineBundle(spec=spec, hbar=hbar, bd=bd, wb=wb, dom=dom, tbp=tbp,
-                          agmon=agmon, width1=m["width"], gap1=m["gap_above"])
+                          width1=m["width"], gap1=m["gap_above"])
 
 
 @dataclass
@@ -197,31 +207,28 @@ def run_sweep(plan: SweepPlan, bundles: dict | None = None,
     parallel when jobs > 1.
     """
     spec = plan.spec
-    agmon = tunneling_action(spec)
-    s0 = agmon.s0
+    s0 = tunneling_action(spec).s0
 
     ladder = [float(h) for h in plan.hbar_ladder]
     bundles = dict(bundles or {})
     missing = [h for h in ladder if h not in bundles]
     if missing:
+        def build(h):
+            return build_pipeline(spec, h, plan.numerics, plan.sigma,
+                                  tail_window=plan.fit_window)
+
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                built = list(pool.map(
-                    lambda h: build_pipeline(spec, h, plan.numerics, plan.sigma,
-                                             agmon, tail_window=plan.fit_window),
-                    missing))
+                built = list(pool.map(build, missing))
         else:
-            built = [build_pipeline(spec, h, plan.numerics, plan.sigma, agmon,
-                                    tail_window=plan.fit_window)
-                     for h in missing]
+            built = [build(h) for h in missing]
         bundles.update({b.hbar: b for b in built})
 
     lattice_states, turning = _dnls_ladder(plan)
     if turning:
         log.warning("continuation hit a turning point; ladder incomplete")
 
-    eta_order = sorted(plan.eta_values, key=lambda e: (-abs(e), e))
-    dnls_rows = []
+    dnls_rows, transition_rows = [], []
     for eta in sorted(lattice_states, key=lambda e: (-abs(e), e)):
         s = lattice_states[eta]
         try:
@@ -230,6 +237,9 @@ def run_sweep(plan: SweepPlan, bundles: dict | None = None,
             tau = None
         dnls_rows.append([s.eta, s.e, s.residual_norm, s.participation, tau]
                          + [float(v) for v in s.f])
+        transition_rows.append([s.eta, s.e, s.participation, tau])
+
+    eta_order = sorted(plan.eta_values, key=lambda e: (-abs(e), e))
 
     params_rows, continuum_rows, gaps = [], [], []
     continuum_states = {}
@@ -263,15 +273,6 @@ def run_sweep(plan: SweepPlan, bundles: dict | None = None,
                 continuum_states[(hb, eta)] = cs
             except (SolverError, Error) as exc:
                 gaps.append({"hbar": hb, "eta": eta, "reason": str(exc)})
-
-    transition_rows = []
-    for eta in sorted(lattice_states, key=lambda e: (-abs(e), e)):
-        s = lattice_states[eta]
-        try:
-            tau = dnls.decay_rate(s.f)
-        except TailFitError:
-            tau = None
-        transition_rows.append([s.eta, s.e, s.participation, tau])
 
     eta_crossing = _participation_crossing(lattice_states)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bloch import BandData
 from .errors import BasisError
-from .potential import PotentialSpec
+from .operators import PeriodicDomain
 from .wannier import WannierBasis
 
 HALF_BANDWIDTH = 4
@@ -45,18 +45,7 @@ class TBParams:
     dtilde_ratio: float
 
 
-def apply_hamiltonian(wb: WannierBasis, spec: PotentialSpec, hbar: float,
-                      phi: np.ndarray) -> np.ndarray:
-    """Spectral application of H on the basis grid."""
-    n = wb.n_grid
-    k = 2 * np.pi * np.rint(np.fft.fftfreq(n) * n) / (wb.a * wb.cells)
-    out = np.fft.ifft(hbar**2 * k**2 * np.fft.fft(phi))
-    if np.isrealobj(phi):
-        out = out.real
-    return out + np.asarray(spec.v(wb.x), dtype=float) * phi
-
-
-def h_matrix_elements(wb: WannierBasis, spec: PotentialSpec, hbar: float,
+def h_matrix_elements(wb: WannierBasis, dom: PeriodicDomain,
                       band1_edges: tuple[float, float] | None = None):
     """Banded matrix elements <u_0, H u_ell>, |ell| <= 4.
 
@@ -66,7 +55,7 @@ def h_matrix_elements(wb: WannierBasis, spec: PotentialSpec, hbar: float,
     inside the first band.
     """
     u0 = wb.orbital(0)
-    hu0 = apply_hamiltonian(wb, spec, hbar, u0)
+    hu0 = dom.apply_h(u0)
     ells = np.arange(-HALF_BANDWIDTH, HALF_BANDWIDTH + 1)
     h_band = np.empty(ells.size)
     for i, ell in enumerate(ells):
@@ -131,16 +120,15 @@ def band_average(bd: BandData) -> float:
     return float(np.mean(bd.energies[0]))
 
 
-def extract_params(wb: WannierBasis, spec: PotentialSpec, hbar: float,
-                   sigma: float, bd: BandData | None = None,
-                   gamma: float = 0.0) -> TBParams:
-    """Assemble TBParams from a built basis."""
+def extract_params(wb: WannierBasis, dom: PeriodicDomain, sigma: float,
+                   bd: BandData | None = None, gamma: float = 0.0) -> TBParams:
+    """Assemble TBParams from a basis built on dom."""
     edges = bd.band_edges(1) if bd is not None else None
-    h_band, lambda1, beta = h_matrix_elements(wb, spec, hbar, edges)
+    h_band, lambda1, beta = h_matrix_elements(wb, dom, edges)
     c0 = interaction_constant(wb, sigma)
     dnorm, dratio = residual_coupling_norm(h_band, beta)
     eta = effective_nonlinearity(c0, gamma, beta)
-    return TBParams(hbar=hbar, sigma=sigma, lambda1=lambda1, beta=beta,
+    return TBParams(hbar=dom.hbar, sigma=sigma, lambda1=lambda1, beta=beta,
                     c0=c0, gamma=gamma, eta=eta, h_band=h_band,
                     dtilde_norm=dnorm, dtilde_ratio=dratio)
 

@@ -4,16 +4,18 @@ The construction runs in three steps.  First the first-band Bloch family
 is brought into a smooth real gauge: eigenvector phases are parallel
 transported along the kappa grid, the residual winding across the zone
 boundary is spread uniformly, and one global phase makes the zone average
-real and positive at the well.  Second, a semiclassical well profile
-exp(-d(x, x0)/hbar) at the central well is projected onto the first band;
-its lattice translates v_j carry the tunneling action in their overlaps
-(the zone average itself has exactly orthonormal translates, which would
-leave nothing to measure).  Third, the translates are symmetrically
+real and positive at the well.  The zone average is kept as a diagnostic;
+the basis itself does not depend on the gauge.  Second, a semiclassical
+well profile exp(-d(x, x0)/hbar) at the central well is projected onto
+the first band by the spectral projector of the periodic domain; its
+lattice translates v_j carry the tunneling action in their overlaps (the
+zone average itself has exactly orthonormal translates, which would leave
+nothing to measure).  Third, the translates are symmetrically
 orthogonalized: their Gram matrix is circulant on the periodic domain, so
 the inverse square root is computed from its Fourier symbol, truncated to
 a small band of lags.  The result is orthonormal to machine precision,
-exactly translation covariant, and agrees with the zone average up to
-exponentially small corrections.
+exactly translation covariant, lies in the domain's first band, and
+agrees with the zone average up to exponentially small corrections.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 
 from .bloch import BandData, with_gauge_flag
 from .errors import BasisError, GaugeError
-from .operators import domain_grid
-from .potential import PotentialSpec, agmon_distance
+from .operators import PeriodicDomain, domain_grid
+from .potential import action_profile
 
 _ALIGN_FLOOR = 0.9
 _ALIGN_SMOOTH = 0.99
@@ -167,54 +169,7 @@ def wannier_function(bd: BandData, x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _domain_kappa_indices(bd: BandData, cells: int) -> np.ndarray:
-    """Indices of the kappa grid points supported by a `cells`-cell domain."""
-    r = bd.kappa * cells * bd.a / (2 * np.pi)
-    hits = np.flatnonzero(np.abs(r - np.rint(r)) < 1e-8)
-    if hits.size != cells:
-        raise BasisError(
-            f"domain with {cells} cells needs n_kappa to be a multiple of it; "
-            f"found {hits.size} commensurate kappa points"
-        )
-    return hits
-
-
-def _band_functions_on_grid(bd: BandData, idxs: np.ndarray,
-                            x: np.ndarray) -> np.ndarray:
-    """First-band Bloch functions at the selected kappa indices, rows on x."""
-    phases = np.exp(1j * np.outer(x, bd.b * bd.modes))
-    out = np.empty((idxs.size, x.size), dtype=complex)
-    for row, i in enumerate(idxs):
-        out[row] = np.exp(1j * bd.kappa[i] * x) * (phases @ bd.coeffs[0, i])
-    return out
-
-
-def _action_profile(spec: PotentialSpec, x: np.ndarray, n_arm: int = 129) -> np.ndarray:
-    """Action distance from the central well to every grid point.
-
-    Both arms of one cell are tabulated by quadrature and extended over
-    the whole grid by the exact period additivity d(x0, x0 + k a) = k s0.
-    """
-    a, x0 = spec.a, spec.x0
-    s = np.linspace(0.0, a / 2, n_arm)
-    dplus = np.array([agmon_distance(spec, x0, x0 + si) for si in s])
-    dminus = np.array([agmon_distance(spec, x0 - si, x0) for si in s])
-    s0 = dplus[-1] + dminus[-1]
-
-    rel = np.asarray(x, dtype=float) - x0
-    m = np.floor(rel / a + 0.5)
-    frac = rel - m * a  # in [-a/2, a/2)
-    right = np.interp(np.abs(frac), s, dplus)
-    left = np.interp(np.abs(frac), s, dminus)
-    # walking outward from the well at m*a toward the point
-    outward = np.where(m >= 0, np.where(frac >= 0, right, -left),
-                       np.where(frac <= 0, left, -right))
-    return np.abs(m) * s0 + np.where(m == 0, np.where(frac >= 0, right, left),
-                                     outward)
-
-
-def build_orthonormal_basis(bd: BandData, spec: PotentialSpec, cells: int,
-                            points_per_cell: int = 64,
+def build_orthonormal_basis(bd: BandData, dom: PeriodicDomain,
                             lowdin_band: int = 6,
                             tail_window: tuple = (1e-10, 1e-3)) -> WannierBasis:
     """Orthonormalize band-projected well states over the periodic domain.
@@ -222,37 +177,37 @@ def build_orthonormal_basis(bd: BandData, spec: PotentialSpec, cells: int,
     The seed is a semiclassical well profile exp(-d(x, x0)/hbar) built
     from the tabulated action distance (its tails carry the tunneling
     action, so the overlaps of its translates do too), projected onto the
-    first band through the Bloch functions at the domain quasimomenta.
+    first band by the domain's spectral projector, so the basis spans
+    exactly the subspace that the domain resolvent complements.
     The translates have a circulant Gram matrix; the inverse square root
     is taken through the Fourier symbol (1 + a(kappa))^(-1/2), truncated
     to lags |ell| <= lowdin_band, which is exact up to the exponentially
-    small dropped coefficients.
+    small dropped coefficients.  bd supplies only the zone average w.
 
-    Raises BasisError when the overlap matrix stops being positive
-    definite (hbar too large for a localized basis) or the kappa grid is
-    not commensurate with the domain.
+    Raises BasisError when bd and dom disagree in hbar or period, or the
+    overlap matrix stops being positive definite (hbar too large for a
+    localized basis).
     """
     if not bd.gauge_fixed:
         raise GaugeError("gauge must be fixed before building the basis")
+    for name, ours, theirs in (("hbar", bd.hbar, dom.hbar),
+                               ("period", bd.a, dom.spec.a)):
+        if abs(ours - theirs) > 1e-12 * abs(theirs):
+            raise BasisError(f"band data has {name} {ours!r} but the domain "
+                             f"has {name} {theirs!r}")
+    cells, points_per_cell = dom.cells, dom.points_per_cell
     if cells <= 2 * lowdin_band + 1:
         raise BasisError(f"cells={cells} too small for lag band {lowdin_band}")
     if cells < 12:
         warnings.warn(f"cells={cells} leaves no trusted interior sites",
                       stacklevel=2)
 
-    x, dx, sites = domain_grid(bd.a, cells, points_per_cell)
+    x, dx, sites = dom.x, dom.dx, dom.sites
     w = wannier_function(bd, x)
 
-    idxs = _domain_kappa_indices(bd, cells)
-    g = np.exp(-_action_profile(spec, x) / bd.hbar)
+    g = np.exp(-action_profile(dom.spec, x) / dom.hbar)
     g /= np.sqrt(dx * np.sum(g**2))
-    phi = _band_functions_on_grid(bd, idxs, x)
-    amps = (phi.conj() @ g) * dx / cells
-    v0c = phi.T @ amps
-    resid = np.abs(v0c.imag).max() / np.abs(v0c).max()
-    if resid > _IMAG_TOL:
-        raise GaugeError(f"projected well state not real: residue {resid:.2e}")
-    v0 = v0c.real
+    v0 = dom.project_band1(g)
 
     vf = np.fft.fft(v0)
     corr = np.fft.ifft(vf * np.conj(vf)).real * dx
@@ -283,7 +238,7 @@ def build_orthonormal_basis(bd: BandData, spec: PotentialSpec, cells: int,
     tau = _tail_decay(x, w, lo=tail_window[0], hi=tail_window[1])
 
     return WannierBasis(
-        a=bd.a, hbar=bd.hbar, cells=cells, points_per_cell=points_per_cell,
+        a=dom.spec.a, hbar=dom.hbar, cells=cells, points_per_cell=points_per_cell,
         x=x, dx=dx, sites=sites, w=w, v0=v0, u=u, overlaps=overlaps, lowdin=b,
         lowdin_band=lowdin_band, decay_rate=tau,
     )

@@ -18,14 +18,13 @@ def ref_agmon(ref_spec):
 
 
 @pytest.fixture(scope="session")
-def bundle_factory(ref_spec, ref_agmon):
+def bundle_factory(ref_spec):
     """Session-cached pipeline bundles at the reference configuration."""
     cache = {}
 
     def get(hbar):
         if hbar not in cache:
-            cache[hbar] = build_pipeline(ref_spec, hbar, Numerics(),
-                                         sigma=1.0, agmon=ref_agmon)
+            cache[hbar] = build_pipeline(ref_spec, hbar, Numerics(), sigma=1.0)
         return cache[hbar]
 
     return get

@@ -135,7 +135,7 @@ def test_params_command(tmp_path):
     assert len(rows) == 1 + 4 * 3
 
 
-def test_config_hash_sensitivity(tmp_path):
+def test_config_hash_sensitivity(tmp_path, monkeypatch):
     cfg = cli.parse_config(str(_write(tmp_path)))
     base = cli.config_hash(cfg, 0.3)
     assert cli.config_hash(cfg, 0.25) != base
@@ -143,3 +143,31 @@ def test_config_hash_sensitivity(tmp_path):
 
     bumped = dataclasses.replace(cfg, n_pw=65)
     assert cli.config_hash(bumped, 0.3) != base
+    monkeypatch.setattr(cli, "CACHE_VERSION", cli.CACHE_VERSION + 1)
+    assert cli.config_hash(cfg, 0.3) != base
+
+
+SCAN_OUTPUTS = ("params.csv", "dnls_ladder.csv", "continuum.csv",
+                "transition.csv", "fits.json")
+
+
+def _scan_outputs(tmp_path, *flags):
+    assert cli.main(["--config", str(tmp_path / "run.ini"), *flags, "scan"]) == 0
+    return {name: (tmp_path / "out" / name).read_bytes()
+            for name in SCAN_OUTPUTS}
+
+
+def test_scan_warm_cache_reproduces_cold(tmp_path):
+    _write(tmp_path)
+    cold = _scan_outputs(tmp_path)
+    assert any((tmp_path / "cache").glob("basis_*.npz"))
+    assert _scan_outputs(tmp_path) == cold
+
+
+def test_scan_jobs_reproduce_serial(tmp_path):
+    _write(tmp_path)
+    serial = _scan_outputs(tmp_path, "--jobs", "1", "--cache",
+                           str(tmp_path / "cache1"))
+    threaded = _scan_outputs(tmp_path, "--jobs", "2", "--cache",
+                             str(tmp_path / "cache2"))
+    assert threaded == serial

@@ -114,6 +114,14 @@ def test_agmon_tabulation_monotone_from_well():
     assert np.all(np.diff(d[:mid + 1]) <= 1e-12)
 
 
+def test_agmon_tabulation_matches_pointwise_quadrature():
+    spec = st.make_potential("sin2", v0=8.0, a=1.0)
+    dom = st.PeriodicDomain(spec, 0.2, 32, 64)
+    d = st.tunneling_action(spec, grid=dom.x).d
+    ref = np.array([st.agmon_distance(spec, spec.x0, xi) for xi in dom.x])
+    assert np.abs(d - ref).max() <= 1e-12
+
+
 def test_free_potential_test_mode():
     spec = st.free_potential(2.0)
     assert spec.family == "free"

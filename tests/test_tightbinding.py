@@ -88,22 +88,24 @@ def test_parameters_stable_under_grid_doubling(ref_spec):
     bd = fix_gauge(st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.16)))
     tb = {}
     for ppc in (64, 128):
-        wb = st.build_orthonormal_basis(bd, ref_spec, 32, ppc)
-        tb[ppc] = st.extract_params(wb, ref_spec, 0.16, sigma=1.0, bd=bd)
+        dom = st.PeriodicDomain(ref_spec, 0.16, 32, ppc)
+        wb = st.build_orthonormal_basis(bd, dom)
+        tb[ppc] = st.extract_params(wb, dom, sigma=1.0, bd=bd)
     assert abs(tb[64].lambda1 - tb[128].lambda1) < 1e-10
     assert abs(tb[64].beta - tb[128].beta) / tb[64].beta < 1e-8
     assert abs(tb[64].c0 - tb[128].c0) / tb[64].c0 < 1e-8
 
 
-def test_sign_violation_detected(bundle_factory, ref_spec):
-    wb = bundle_factory(0.2).wb
+def test_sign_violation_detected(bundle_factory):
+    bun = bundle_factory(0.2)
+    wb = bun.wb
     staggered = wb.u * (-1.0) ** np.arange(wb.cells)[:, None]
     bad = dataclasses.replace(wb, u=staggered)
     with pytest.raises(BasisError):
-        st.h_matrix_elements(bad, ref_spec, 0.2)
+        st.h_matrix_elements(bad, bun.dom)
 
 
-def test_band_leakage_detected(bundle_factory, ref_spec):
-    wb = bundle_factory(0.2).wb
+def test_band_leakage_detected(bundle_factory):
+    bun = bundle_factory(0.2)
     with pytest.raises(BasisError):
-        st.h_matrix_elements(wb, ref_spec, 0.2, band1_edges=(0.0, 0.1))
+        st.h_matrix_elements(bun.wb, bun.dom, band1_edges=(0.0, 0.1))

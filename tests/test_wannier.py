@@ -6,7 +6,7 @@ import scipy.linalg
 
 import semitb as st
 from semitb.errors import BasisError, GaugeError
-from semitb.operators import l2_norm
+from semitb.operators import PeriodicDomain, l2_norm
 from semitb.wannier import fix_gauge
 
 
@@ -27,13 +27,14 @@ def test_gauge_idempotent(ref_spec):
 
 def test_gauge_seed_phase_changes_nothing_but_sign(ref_spec):
     bd = st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.2))
-    wb_a = st.build_orthonormal_basis(fix_gauge(bd), ref_spec, 32, 64)
-    wb_b = st.build_orthonormal_basis(fix_gauge(bd, seed_phase=0.7), ref_spec, 32, 64)
+    dom = PeriodicDomain(ref_spec, 0.2, 32, 64)
+    wb_a = st.build_orthonormal_basis(fix_gauge(bd), dom)
+    wb_b = st.build_orthonormal_basis(fix_gauge(bd, seed_phase=0.7), dom)
     sign = np.sign(np.sum(wb_a.w * wb_b.w))
     assert np.abs(wb_a.u - sign * wb_b.u).max() < 1e-10
     assert np.abs(wb_a.overlaps - wb_b.overlaps).max() < 1e-10
-    tb_a = st.extract_params(wb_a, ref_spec, 0.2, sigma=1.0)
-    tb_b = st.extract_params(wb_b, ref_spec, 0.2, sigma=1.0)
+    tb_a = st.extract_params(wb_a, dom, sigma=1.0)
+    tb_b = st.extract_params(wb_b, dom, sigma=1.0)
     assert abs(tb_a.beta - tb_b.beta) < 1e-10
     assert abs(tb_a.c0 - tb_b.c0) < 1e-10
 
@@ -59,7 +60,7 @@ def test_orthonormality_and_translation_covariance(bundle_factory):
 def test_dense_lowdin_cross_check(ref_spec):
     # odd cell count, symbol-truncated coefficients vs dense inverse sqrt
     bd = fix_gauge(st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.25, n_kappa=62)))
-    wb = st.build_orthonormal_basis(bd, ref_spec, 31, 64)
+    wb = st.build_orthonormal_basis(bd, PeriodicDomain(ref_spec, 0.25, 31, 64))
     v = np.stack([np.roll(wb.v0, s * wb.points_per_cell) for s in wb.sites])
     gram = wb.dx * (v @ v.T)
     vals, vecs = np.linalg.eigh(gram)
@@ -145,16 +146,37 @@ def test_diagnostics_scalings(bundle_factory, ref_agmon):
     assert 0.85 <= slope / ref_agmon.s0 <= 1.15
 
 
-def test_incommensurate_domain_rejected(ref_spec):
+def test_incommensurate_domain_builds_basis(ref_spec):
+    # 24 cells on a 64-point kappa grid: the domain projector seeds the
+    # basis, so no kappa point needs to be shared with the domain
     bd = fix_gauge(st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.2)))
-    with pytest.raises(BasisError):
-        st.build_orthonormal_basis(bd, ref_spec, 24, 64)
+    dom = PeriodicDomain(ref_spec, 0.2, 24, 64)
+    wb = st.build_orthonormal_basis(bd, dom)
+    gram = wb.dx * (wb.u @ wb.u.T)
+    assert np.abs(gram - np.eye(wb.cells)).max() < 1e-8
+    u0 = wb.orbital(0)
+    for j in (-5, -1, 2, 7):
+        assert np.abs(wb.orbital(j)
+                      - np.roll(u0, j * wb.points_per_cell)).max() < 1e-8
+    beta = st.extract_params(wb, dom, sigma=1.0, bd=bd).beta
+    ref = st.band_hopping(bd)
+    assert abs(beta - ref) / ref < 1e-6
+
+
+def test_band_domain_mismatch_named(ref_spec):
+    bd = fix_gauge(st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.2)))
+    with pytest.raises(BasisError, match=r"hbar 0\.2 .* hbar 0\.25"):
+        st.build_orthonormal_basis(bd, PeriodicDomain(ref_spec, 0.25, 32, 64))
+    wide = st.make_potential("sin2", v0=8.0, a=2.0)
+    with pytest.raises(BasisError, match=r"period 1\.0 .* period 2\.0"):
+        st.build_orthonormal_basis(bd, PeriodicDomain(wide, 0.2, 32, 64))
 
 
 def test_small_domain_warns(ref_spec):
     bd = fix_gauge(st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.25, n_kappa=16)))
     with pytest.warns(UserWarning, match="interior"):
-        st.build_orthonormal_basis(bd, ref_spec, 8, 64, lowdin_band=3)
+        st.build_orthonormal_basis(bd, PeriodicDomain(ref_spec, 0.25, 8, 64),
+                                   lowdin_band=3)
 
 
 def test_basis_bundle_roundtrip(tmp_path, bundle_factory):
@@ -185,8 +207,9 @@ def test_basis_bundle_version_mismatch(tmp_path, bundle_factory):
 
 def test_even_and_odd_cell_counts(ref_spec):
     bd = fix_gauge(st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.25, n_kappa=64)))
-    wb_even = st.build_orthonormal_basis(bd, ref_spec, 32, 32)
+    wb_even = st.build_orthonormal_basis(bd, PeriodicDomain(ref_spec, 0.25, 32, 32))
     assert wb_even.sites[0] == -15 and wb_even.sites[-1] == 16
     bd_odd = fix_gauge(st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.25, n_kappa=62)))
-    wb_odd = st.build_orthonormal_basis(bd_odd, ref_spec, 31, 32)
+    wb_odd = st.build_orthonormal_basis(bd_odd,
+                                        PeriodicDomain(ref_spec, 0.25, 31, 32))
     assert wb_odd.sites[0] == -15 and wb_odd.sites[-1] == 15
