@@ -38,14 +38,9 @@ class CheckResult:
 def reference_config():
     from .cli import RunConfig
 
-    return RunConfig(
-        family="sin2", v0=8.0, a=1.0, coeffs=(),
-        n_pw=129, n_kappa=64, cells=32, points_per_cell=64, lowdin_band=6,
-        n_bands=5, delta0=8.0,
-        hbar_ladder=REFERENCE_LADDER, eta_values=REFERENCE_ETAS,
-        sigma=1.0, n_sites=41, seed_site=0,
-        output_dir="out", cache_dir="cache", formats=("csv", "json"),
-    )
+    return RunConfig(family="sin2", v0=8.0, a=1.0, delta0=8.0,
+                     hbar_ladder=REFERENCE_LADDER, eta_values=REFERENCE_ETAS,
+                     sigma=1.0)
 
 
 class Context:
@@ -98,8 +93,7 @@ class Context:
             out = os.path.join(self._tmp, f"run{run}")
             plan = self.cfg.plan(out_dir=out)
             bundles = {h: self.bundle(h) for h in self.cfg.hbar_ladder}
-            self._reports[run] = scan.run_sweep(plan, bundles=bundles,
-                                                jobs=self.jobs)
+            self._reports[run] = scan.run_sweep(plan, bundles)
         return self._reports[run]
 
     def cleanup(self):
@@ -279,10 +273,9 @@ def check_reconstruction_closeness(ctx: Context) -> CheckResult:
 
     bun = ctx.bundle(ORACLE_HBAR)
     tbp = tightbinding.with_eta(bun.tbp, ORACLE_ETA)
-    plan = ctx.cfg.plan(out_dir=None)
     state = ctx.ladder_states[ORACLE_ETA]
     cs = nlse.reconstruct_and_correct(state, tbp, bun.dom, bun.wb,
-                                      delta0=plan.numerics.delta0)
+                                      delta0=ctx.cfg.delta0)
     seed = cs.phi + 1e-3 * np.sin(bun.dom.x)
     orc = nlse.direct_newton_oracle(bun.dom, cs.lam, tbp.gamma, tbp.sigma, seed)
     agree = bun.dom.h1_norm(orc.phi - cs.phi)

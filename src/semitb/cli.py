@@ -11,12 +11,13 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import os
 import sys
 
-from . import bloch, dnls, scan, tightbinding, wannier
+from . import bloch, scan, wannier
 from .errors import ConfigError, Error, NonConvergenceError, SolverError
 from .potential import PotentialSpec, make_potential, tunneling_action
 
@@ -30,34 +31,32 @@ EXIT_SOLVER = 3
 CACHE_VERSION = 2
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    family: str
-    v0: float
-    a: float
-    coeffs: tuple
-    n_pw: int
-    n_kappa: int
-    cells: int
-    points_per_cell: int
-    lowdin_band: int
-    n_bands: int
-    delta0: float
-    hbar_ladder: tuple
-    eta_values: tuple
-    sigma: float
-    n_sites: int
-    seed_site: int
-    output_dir: str
-    cache_dir: str
-    formats: tuple
+_REQUIRED = dataclasses.MISSING
 
+# (section, key, attribute, kind, default): the one list of INI fields.
+# The attributes stay flat on RunConfig because perfbench/gate.py reads them.
+_FIELDS = (
+    ("potential", "family", "family", str, _REQUIRED),
+    ("potential", "v0", "v0", float, _REQUIRED),
+    ("potential", "a", "a", float, _REQUIRED),
+    ("potential", "coeffs", "coeffs", "floats", ()),
+    *(("numerics", f.name, f.name, type(f.default), f.default)
+      for f in dataclasses.fields(scan.Numerics)),
+    ("sweep", "hbar", "hbar_ladder", "floats", _REQUIRED),
+    ("sweep", "eta", "eta_values", "floats", _REQUIRED),
+    ("sweep", "sigma", "sigma", float, _REQUIRED),
+    ("sweep", "n_sites", "n_sites", int, 41),
+    ("sweep", "seed_site", "seed_site", int, 0),
+    ("io", "output_dir", "output_dir", str, "out"),
+    ("io", "cache_dir", "cache_dir", str, "cache"),
+    ("io", "formats", "formats", "strs", ("csv", "json")),
+)
+
+
+class _RunConfigMethods:
     def numerics(self) -> scan.Numerics:
-        return scan.Numerics(
-            n_pw=self.n_pw, n_kappa=self.n_kappa, cells=self.cells,
-            points_per_cell=self.points_per_cell, lowdin_band=self.lowdin_band,
-            n_bands=self.n_bands, delta0=self.delta0,
-        )
+        return scan.Numerics(**{f.name: getattr(self, f.name)
+                                for f in dataclasses.fields(scan.Numerics)})
 
     def potential(self) -> PotentialSpec:
         if self.family == "sin2":
@@ -75,31 +74,13 @@ class RunConfig:
         )
 
 
-_SCHEMA = {
-    "potential": {"family": str, "v0": float, "a": float, "coeffs": "floats"},
-    "numerics": {"n_pw": int, "n_kappa": int, "cells": int,
-                 "points_per_cell": int, "lowdin_band": int, "n_bands": int,
-                 "delta0": float},
-    "sweep": {"hbar": "floats", "eta": "floats", "sigma": float,
-              "n_sites": int, "seed_site": int},
-    "io": {"output_dir": str, "cache_dir": str, "formats": "strs"},
-}
-
-_DEFAULTS = {
-    ("potential", "coeffs"): (),
-    ("numerics", "n_pw"): 129,
-    ("numerics", "n_kappa"): 64,
-    ("numerics", "cells"): 32,
-    ("numerics", "points_per_cell"): 64,
-    ("numerics", "lowdin_band"): 6,
-    ("numerics", "n_bands"): 5,
-    ("numerics", "delta0"): 2.0,
-    ("sweep", "n_sites"): 41,
-    ("sweep", "seed_site"): 0,
-    ("io", "output_dir"): "out",
-    ("io", "cache_dir"): "cache",
-    ("io", "formats"): ("csv", "json"),
-}
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [(attr, tuple if kind in ("floats", "strs") else kind,
+      dataclasses.field(default=default))
+     for _, _, attr, kind, default in _FIELDS],
+    bases=(_RunConfigMethods,), namespace={"__module__": __name__},
+    frozen=True, kw_only=True)
 
 
 def _convert(section, key, kind, raw):
@@ -119,6 +100,14 @@ def _convert(section, key, kind, raw):
     raise ConfigError(f"{section}.{key}: unknown field kind")
 
 
+def _format(kind, value) -> str:
+    if kind == "floats":
+        return ", ".join(repr(v) for v in value)
+    if kind == "strs":
+        return ", ".join(value)
+    return repr(value) if kind is float else str(value)
+
+
 def parse_config(path: str, allow_low_sigma: bool = False) -> RunConfig:
     """Parse and validate a run configuration file."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -130,43 +119,20 @@ def parse_config(path: str, allow_low_sigma: bool = False) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
-    values = {}
-    for section, fields in _SCHEMA.items():
+    for section in dict.fromkeys(row[0] for row in _FIELDS):
         if not cp.has_section(section):
             raise ConfigError(f"missing section [{section}]")
+        known = {key for sec, key, *_ in _FIELDS if sec == section}
         for key in cp.options(section):
-            if key not in fields:
+            if key not in known:
                 raise ConfigError(f"{section}.{key}: unknown field")
-        for key, kind in fields.items():
-            if cp.has_option(section, key):
-                values[(section, key)] = _convert(section, key, kind,
-                                                  cp.get(section, key))
-            elif (section, key) in _DEFAULTS:
-                values[(section, key)] = _DEFAULTS[(section, key)]
-            else:
-                raise ConfigError(f"{section}.{key}: required field missing")
-
-    cfg = RunConfig(
-        family=values[("potential", "family")],
-        v0=values[("potential", "v0")],
-        a=values[("potential", "a")],
-        coeffs=values[("potential", "coeffs")],
-        n_pw=values[("numerics", "n_pw")],
-        n_kappa=values[("numerics", "n_kappa")],
-        cells=values[("numerics", "cells")],
-        points_per_cell=values[("numerics", "points_per_cell")],
-        lowdin_band=values[("numerics", "lowdin_band")],
-        n_bands=values[("numerics", "n_bands")],
-        delta0=values[("numerics", "delta0")],
-        hbar_ladder=values[("sweep", "hbar")],
-        eta_values=values[("sweep", "eta")],
-        sigma=values[("sweep", "sigma")],
-        n_sites=values[("sweep", "n_sites")],
-        seed_site=values[("sweep", "seed_site")],
-        output_dir=values[("io", "output_dir")],
-        cache_dir=values[("io", "cache_dir")],
-        formats=values[("io", "formats")],
-    )
+    values = {}
+    for section, key, attr, kind, default in _FIELDS:
+        if cp.has_option(section, key):
+            values[attr] = _convert(section, key, kind, cp.get(section, key))
+        elif default is _REQUIRED:
+            raise ConfigError(f"{section}.{key}: required field missing")
+    cfg = RunConfig(**values)
     _validate(cfg, allow_low_sigma)
     return cfg
 
@@ -189,46 +155,23 @@ def _validate(cfg: RunConfig, allow_low_sigma: bool):
 def serialize_config(cfg: RunConfig) -> str:
     """Round-trippable INI text for a RunConfig."""
     cp = configparser.ConfigParser()
-    cp["potential"] = {
-        "family": cfg.family,
-        "v0": repr(cfg.v0),
-        "a": repr(cfg.a),
-    }
-    if cfg.coeffs:
-        cp["potential"]["coeffs"] = ", ".join(repr(c) for c in cfg.coeffs)
-    cp["numerics"] = {
-        "n_pw": str(cfg.n_pw), "n_kappa": str(cfg.n_kappa),
-        "cells": str(cfg.cells), "points_per_cell": str(cfg.points_per_cell),
-        "lowdin_band": str(cfg.lowdin_band), "n_bands": str(cfg.n_bands),
-        "delta0": repr(cfg.delta0),
-    }
-    cp["sweep"] = {
-        "hbar": ", ".join(repr(h) for h in cfg.hbar_ladder),
-        "eta": ", ".join(repr(e) for e in cfg.eta_values),
-        "sigma": repr(cfg.sigma),
-        "n_sites": str(cfg.n_sites),
-        "seed_site": str(cfg.seed_site),
-    }
-    cp["io"] = {
-        "output_dir": cfg.output_dir,
-        "cache_dir": cfg.cache_dir,
-        "formats": ", ".join(cfg.formats),
-    }
-    import io as _io
-    buf = _io.StringIO()
+    for section, key, attr, kind, _ in _FIELDS:
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp[section][key] = _format(kind, getattr(cfg, attr))
+    buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
 
 
 def config_hash(cfg: RunConfig, hbar: float | None = None) -> str:
-    """Short hash over potential + numerics fields (and hbar when given)."""
-    payload = {
-        "version": CACHE_VERSION,
-        "family": cfg.family, "v0": cfg.v0, "a": cfg.a, "coeffs": cfg.coeffs,
-        "n_pw": cfg.n_pw, "n_kappa": cfg.n_kappa, "cells": cfg.cells,
-        "points_per_cell": cfg.points_per_cell, "lowdin_band": cfg.lowdin_band,
-        "n_bands": cfg.n_bands, "sigma": cfg.sigma,
-    }
+    """Short hash over potential + numerics fields (and hbar when given).
+
+    delta0 budgets only the reconstruction, so it is left out; sigma is in.
+    """
+    payload = {attr: getattr(cfg, attr) for section, _, attr, _, _ in _FIELDS
+               if section in ("potential", "numerics") and attr != "delta0"}
+    payload.update(version=CACHE_VERSION, sigma=cfg.sigma)
     if hbar is not None:
         payload["hbar"] = hbar
     blob = json.dumps(payload, sort_keys=True)
@@ -334,41 +277,23 @@ def cmd_params(cfg: RunConfig, args) -> int:
     bundles = _pipeline_bundles(cfg, cache, jobs=args.jobs)
     os.makedirs(cfg.output_dir, exist_ok=True)
     s0 = tunneling_action(cfg.potential()).s0
-    rows = []
-    for hb in cfg.hbar_ladder:
-        bun = bundles[hb]
-        for eta in sorted(cfg.eta_values, key=lambda e: (-abs(e), e)):
-            tbp = tightbinding.with_eta(bun.tbp, eta)
-            rows.append([hb, tbp.lambda1, tbp.beta, tbp.c0, tbp.gamma, tbp.eta,
-                         tbp.dtilde_norm, s0, bun.gap1, bun.width1])
+    rows = scan.params_rows(bundles, cfg.hbar_ladder, cfg.eta_values, s0)
     out = os.path.join(cfg.output_dir, "params.csv")
-    scan._write_csv(out, ["hbar", "lambda1", "beta", "C0", "gamma", "eta",
-                          "D_norm", "S0", "gap", "width"], rows)
+    scan._write_csv(out, scan.PARAMS_HEADER, rows)
     print(f"wrote {out}")
     return EXIT_OK
 
 
 def cmd_dnls(cfg: RunConfig, args) -> int:
-    plan = cfg.plan(out_dir=None)
-    states, turning = scan._dnls_ladder(plan)
+    states, turning = scan._dnls_ladder(cfg.plan())
+    rows = scan.dnls_rows(states)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    rows, records = [], []
-    for eta in sorted(states, key=lambda e: (-abs(e), e)):
-        s = states[eta]
-        try:
-            tau = dnls.decay_rate(s.f)
-        except Error:
-            tau = None
-        rows.append([s.eta, s.e, s.residual_norm, s.participation, tau]
-                    + [float(v) for v in s.f])
-        records.append({"eta": s.eta, "E": s.e, "residual": s.residual_norm,
-                        "P": s.participation, "tau": tau,
-                        "F": [float(v) for v in s.f]})
     out = os.path.join(cfg.output_dir, "dnls_ladder.csv")
-    scan._write_csv(out, ["eta", "E", "residual", "P", "tau"]
-                    + [f"F{j}" for j in range(cfg.n_sites)], rows)
+    scan._write_csv(out, scan.dnls_header(cfg.n_sites), rows)
     written = [out]
     if "json" in cfg.formats:
+        n = len(scan.DNLS_COLUMNS)
+        records = [dict(zip(scan.DNLS_COLUMNS, r[:n]), F=r[n:]) for r in rows]
         jout = os.path.join(cfg.output_dir, "dnls_ladder.json")
         with open(jout, "w", encoding="utf-8") as fh:
             json.dump(records, fh, indent=2, sort_keys=True)
@@ -384,7 +309,7 @@ def cmd_dnls(cfg: RunConfig, args) -> int:
 def cmd_scan(cfg: RunConfig, args) -> int:
     cache = BundleCache(args.cache or cfg.cache_dir)
     bundles = _pipeline_bundles(cfg, cache, jobs=args.jobs)
-    report = scan.run_sweep(cfg.plan(), bundles=bundles, jobs=args.jobs)
+    report = scan.run_sweep(cfg.plan(), bundles)
     for path in report.written:
         print(f"wrote {path}")
     if report.gaps:

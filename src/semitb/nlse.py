@@ -43,13 +43,10 @@ class ContinuumState:
     sigma: float
     residual_h: float
     c: np.ndarray | None
-    phi_band: np.ndarray
-    phi_perp: np.ndarray
     perp_h1: float
     norm_l2: float
     iterations: int
     resolvent_shift: float
-    oracle: bool = False
 
 
 def project_first_band(phi: np.ndarray, wb: WannierBasis):
@@ -221,14 +218,13 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
     def _evaluate(cv):
         perp, perp_h1 = solve_perp_fixed_point(cv, e_param, tbp, dom, wb,
                                                delta0=delta0)
-        band = wb.u.T @ cv
-        full = band + perp
+        full = wb.u.T @ cv + perp
         resid = dom.apply_h(full) + gamma * _nonlinear_term(full, sigma) - lam * full
-        return full, band, perp, perp_h1, l2_norm(dom.dx, resid)
+        return full, perp_h1, l2_norm(dom.dx, resid)
 
-    phi, phi_band, phi_perp, perp_h1, rnorm = _evaluate(c)
+    phi, perp_h1, rnorm = _evaluate(c)
     history = [rnorm]
-    best = (rnorm, phi, phi_band, phi_perp, perp_h1, c.copy(), 1)
+    best = (rnorm, phi, perp_h1, c.copy(), 1)
     escapes = 0
     for it in range(1, max_outer):
         # once below tolerance, keep polishing while Newton still gains ground
@@ -255,7 +251,7 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
             if cand is not None:
                 if full_trial is None:
                     full_trial = (cand, scale)
-                if cand[4] < rnorm:
+                if cand[2] < rnorm:
                     trial = (cand, scale)
                     break
             scale *= 0.5
@@ -264,19 +260,19 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
             if full_trial is None or escapes > 6:
                 break  # nothing acceptable; report the best iterate
             trial = full_trial
-        (phi, phi_band, phi_perp, perp_h1, rnorm), scale = trial
+        (phi, perp_h1, rnorm), scale = trial
         c = c - scale * step
         history.append(rnorm)
         if rnorm < best[0]:
-            best = (rnorm, phi, phi_band, phi_perp, perp_h1, c.copy(), it + 1)
+            best = (rnorm, phi, perp_h1, c.copy(), it + 1)
     if best[0] > tol:
         raise NonConvergenceError(
             f"reconstruction did not reach residual {tol:.1e} in {max_outer} "
             f"outer iterations", history=history)
-    rnorm, phi, phi_band, phi_perp, perp_h1, c, iters = best
+    rnorm, phi, perp_h1, c, iters = best
     return ContinuumState(
         phi=phi, lam=lam, gamma=gamma, sigma=sigma, residual_h=rnorm,
-        c=c, phi_band=phi_band, phi_perp=phi_perp, perp_h1=perp_h1,
+        c=c, perp_h1=perp_h1,
         norm_l2=l2_norm(dom.dx, phi), iterations=iters,
         resolvent_shift=lam,
     )
@@ -306,7 +302,7 @@ def _linear_reconstruction(state, tbp, dom, wb):
     rnorm = l2_norm(dom.dx, resid)
     return ContinuumState(
         phi=phi, lam=lam, gamma=0.0, sigma=tbp.sigma, residual_h=rnorm,
-        c=c, phi_band=phi, phi_perp=np.zeros_like(phi), perp_h1=0.0,
+        c=c, perp_h1=0.0,
         norm_l2=l2_norm(dom.dx, phi), iterations=0, resolvent_shift=lam,
     )
 
@@ -350,9 +346,9 @@ def direct_newton_oracle(dom: PeriodicDomain, lam: float, gamma: float,
 
     return ContinuumState(
         phi=phi, lam=lam, gamma=gamma, sigma=sigma, residual_h=rnorm,
-        c=None, phi_band=phi, phi_perp=np.zeros_like(phi), perp_h1=0.0,
+        c=None, perp_h1=0.0,
         norm_l2=l2_norm(dom.dx, phi), iterations=it + 1,
-        resolvent_shift=lam, oracle=True,
+        resolvent_shift=lam,
     )
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +50,6 @@ class SweepPlan:
     seed_site: int = 0
     numerics: Numerics = field(default_factory=Numerics)
     out_dir: str | None = None
-    fit_window: tuple = (1e-10, 1e-3)
 
     def __post_init__(self):
         ladder = tuple(float(h) for h in self.hbar_ladder)
@@ -123,7 +121,6 @@ def gauged_bands(spec: PotentialSpec, hbar: float, numerics: Numerics,
 def build_pipeline(spec: PotentialSpec, hbar: float, numerics: Numerics,
                    sigma: float, bd: BandData | None = None,
                    wb: WannierBasis | None = None,
-                   tail_window: tuple = (1e-10, 1e-3),
                    jobs: int = 1) -> PipelineBundle:
     """Build the bundle at one hbar, reusing the bands and basis passed in.
 
@@ -134,8 +131,7 @@ def build_pipeline(spec: PotentialSpec, hbar: float, numerics: Numerics,
         bd = gauged_bands(spec, hbar, numerics, jobs=jobs)
     dom = PeriodicDomain(spec, hbar, numerics.cells, numerics.points_per_cell)
     if wb is None:
-        wb = build_orthonormal_basis(bd, dom, numerics.lowdin_band,
-                                     tail_window=tail_window)
+        wb = build_orthonormal_basis(bd, dom, numerics.lowdin_band)
     tbp = tightbinding.extract_params(wb, dom, sigma=sigma, bd=bd)
     m = band_metrics(bd, 1)
     return PipelineBundle(spec=spec, hbar=hbar, bd=bd, wb=wb, dom=dom, tbp=tbp,
@@ -153,6 +149,52 @@ class TransitionReport:
     gaps: list
     eta_crossing: float | None
     written: list
+
+
+PARAMS_HEADER = ("hbar", "lambda1", "beta", "C0", "gamma", "eta", "D_norm",
+                 "S0", "gap", "width")
+DNLS_COLUMNS = ("eta", "E", "residual", "P", "tau")
+CONTINUUM_HEADER = ("hbar", "eta", "lambda", "E", "perp_h1", "h1_error",
+                    "iterations", "residual_h", "peak_cell_mass")
+TRANSITION_HEADER = ("eta", "E", "P", "tau")
+
+
+def dnls_header(n_sites: int) -> list:
+    """dnls_ladder.csv header: DNLS_COLUMNS, then one F column per site."""
+    return [*DNLS_COLUMNS, *(f"F{j}" for j in range(n_sites))]
+
+
+def _eta_order(etas):
+    return sorted(etas, key=lambda e: (-abs(e), e))
+
+
+def params_rows(bundles: dict, hbar_ladder, eta_values, s0: float) -> list:
+    """params.csv rows (PARAMS_HEADER): one per (hbar, eta) point."""
+    rows = []
+    for hb in hbar_ladder:
+        bun = bundles[hb]
+        for eta in _eta_order(eta_values):
+            tbp = tightbinding.with_eta(bun.tbp, eta)
+            rows.append([hb, tbp.lambda1, tbp.beta, tbp.c0, tbp.gamma, tbp.eta,
+                         tbp.dtilde_norm, s0, bun.gap1, bun.width1])
+    return rows
+
+
+def dnls_rows(lattice_states: dict) -> list:
+    """dnls_ladder.csv rows (dnls_header): one per lattice state.
+
+    tau is None where the profile has no fittable tail.
+    """
+    rows = []
+    for eta in _eta_order(lattice_states):
+        s = lattice_states[eta]
+        try:
+            tau = dnls.decay_rate(s.f)
+        except TailFitError:
+            tau = None
+        rows.append([s.eta, s.e, s.residual_norm, s.participation, tau]
+                    + [float(v) for v in s.f])
+    return rows
 
 
 def _fmt(v) -> str:
@@ -198,63 +240,33 @@ def _dnls_ladder(plan: SweepPlan):
     return states, turning
 
 
-def run_sweep(plan: SweepPlan, bundles: dict | None = None,
-              jobs: int = 1) -> TransitionReport:
+def run_sweep(plan: SweepPlan, bundles: dict) -> TransitionReport:
     """Execute the full (hbar, eta) sweep and assemble the report.
 
-    bundles may carry prebuilt PipelineBundle objects keyed by hbar (the
-    CLI cache layer uses this); missing entries are built here, in
-    parallel when jobs > 1.
+    bundles maps every ladder hbar to its PipelineBundle (the CLI builds
+    them through its cache).
     """
-    spec = plan.spec
-    s0 = tunneling_action(spec).s0
-
+    s0 = tunneling_action(plan.spec).s0
     ladder = [float(h) for h in plan.hbar_ladder]
-    bundles = dict(bundles or {})
-    missing = [h for h in ladder if h not in bundles]
-    if missing:
-        def build(h):
-            return build_pipeline(spec, h, plan.numerics, plan.sigma,
-                                  tail_window=plan.fit_window)
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                built = list(pool.map(build, missing))
-        else:
-            built = [build(h) for h in missing]
-        bundles.update({b.hbar: b for b in built})
 
     lattice_states, turning = _dnls_ladder(plan)
     if turning:
         log.warning("continuation hit a turning point; ladder incomplete")
 
-    dnls_rows, transition_rows = [], []
-    for eta in sorted(lattice_states, key=lambda e: (-abs(e), e)):
-        s = lattice_states[eta]
-        try:
-            tau = dnls.decay_rate(s.f)
-        except TailFitError:
-            tau = None
-        dnls_rows.append([s.eta, s.e, s.residual_norm, s.participation, tau]
-                         + [float(v) for v in s.f])
-        transition_rows.append([s.eta, s.e, s.participation, tau])
+    lattice_rows = dnls_rows(lattice_states)
+    transition_rows = [r[:2] + r[3:5] for r in lattice_rows]
+    point_rows = params_rows(bundles, ladder, plan.eta_values, s0)
 
-    eta_order = sorted(plan.eta_values, key=lambda e: (-abs(e), e))
-
-    params_rows, continuum_rows, gaps = [], [], []
+    continuum_rows, gaps = [], []
     continuum_states = {}
     for hb in ladder:
         bun = bundles[hb]
-        for eta in eta_order:
-            tbp = tightbinding.with_eta(bun.tbp, eta)
-            params_rows.append([
-                hb, tbp.lambda1, tbp.beta, tbp.c0, tbp.gamma, tbp.eta,
-                tbp.dtilde_norm, s0, bun.gap1, bun.width1,
-            ])
+        for eta in _eta_order(plan.eta_values):
             state = lattice_states.get(eta)
             if state is None:
                 gaps.append({"hbar": hb, "eta": eta, "reason": "no lattice state"})
                 continue
+            tbp = tightbinding.with_eta(bun.tbp, eta)
             if eta == 0.0:
                 # linear reference row: the reconstruction is the reference
                 lam = tbp.lambda1 - tbp.beta * state.e
@@ -287,16 +299,11 @@ def run_sweep(plan: SweepPlan, bundles: dict | None = None,
     written = []
     if plan.out_dir:
         os.makedirs(plan.out_dir, exist_ok=True)
-        f_cols = [f"F{j}" for j in range(plan.n_sites)]
         paths = {
-            "params.csv": (["hbar", "lambda1", "beta", "C0", "gamma", "eta",
-                            "D_norm", "S0", "gap", "width"], params_rows),
-            "dnls_ladder.csv": (["eta", "E", "residual", "P", "tau"] + f_cols,
-                                dnls_rows),
-            "continuum.csv": (["hbar", "eta", "lambda", "E", "perp_h1",
-                               "h1_error", "iterations", "residual_h",
-                               "peak_cell_mass"], continuum_rows),
-            "transition.csv": (["eta", "E", "P", "tau"], transition_rows),
+            "params.csv": (PARAMS_HEADER, point_rows),
+            "dnls_ladder.csv": (dnls_header(plan.n_sites), lattice_rows),
+            "continuum.csv": (CONTINUUM_HEADER, continuum_rows),
+            "transition.csv": (TRANSITION_HEADER, transition_rows),
         }
         for name, (header, rows) in paths.items():
             path = os.path.join(plan.out_dir, name)
@@ -311,7 +318,7 @@ def run_sweep(plan: SweepPlan, bundles: dict | None = None,
                                             continuum_states))
 
     return TransitionReport(
-        s0=s0, params_rows=params_rows, dnls_rows=dnls_rows,
+        s0=s0, params_rows=point_rows, dnls_rows=lattice_rows,
         continuum_rows=continuum_rows, transition_rows=transition_rows,
         fits=fits, gaps=gaps, eta_crossing=eta_crossing, written=written,
     )
@@ -384,7 +391,7 @@ def _write_state_bundles(plan, lattice_states, continuum_states):
     out = []
     state_dir = os.path.join(plan.out_dir, "states")
     os.makedirs(state_dir, exist_ok=True)
-    for eta in sorted(lattice_states, key=lambda e: (-abs(e), e)):
+    for eta in _eta_order(lattice_states):
         s = lattice_states[eta]
         path = os.path.join(state_dir, f"dnls_eta{eta:+.6g}.npz")
         np.savez(path, eta=s.eta, sigma=s.sigma, e=s.e, f=s.f,

@@ -170,8 +170,7 @@ def wannier_function(bd: BandData, x: np.ndarray) -> np.ndarray:
 
 
 def build_orthonormal_basis(bd: BandData, dom: PeriodicDomain,
-                            lowdin_band: int = 6,
-                            tail_window: tuple = (1e-10, 1e-3)) -> WannierBasis:
+                            lowdin_band: int = 6) -> WannierBasis:
     """Orthonormalize band-projected well states over the periodic domain.
 
     The seed is a semiclassical well profile exp(-d(x, x0)/hbar) built
@@ -235,7 +234,7 @@ def build_orthonormal_basis(bd: BandData, dom: PeriodicDomain,
     overlaps = gram.copy()
     overlaps[0] -= 1.0
 
-    tau = _tail_decay(x, w, lo=tail_window[0], hi=tail_window[1])
+    tau = _tail_decay(x, w)
 
     return WannierBasis(
         a=dom.spec.a, hbar=dom.hbar, cells=cells, points_per_cell=points_per_cell,

@@ -5,6 +5,7 @@ import pytest
 
 import semitb.cli as cli
 from semitb.errors import ConfigError
+from semitb.scan import Numerics
 
 GOOD = """\
 [potential]
@@ -41,13 +42,16 @@ def _write(tmp_path, text=None):
 
 
 def test_parse_and_roundtrip(tmp_path):
-    path = _write(tmp_path)
-    cfg = cli.parse_config(str(path))
-    assert cfg.family == "sin2" and cfg.hbar_ladder == (0.3, 0.25, 0.2, 0.15)
-    text = cli.serialize_config(cfg)
-    path2 = tmp_path / "round.ini"
-    path2.write_text(text)
-    assert cli.parse_config(str(path2)) == cfg
+    cos_series = GOOD.replace("family = sin2",
+                              "family = cos-series\ncoeffs = 4.0, -0.5")
+    for text in (GOOD, cos_series):
+        cfg = cli.parse_config(str(_write(tmp_path, text)))
+        assert cfg.hbar_ladder == (0.3, 0.25, 0.2, 0.15)
+        assert cfg.n_bands == Numerics().n_bands  # omitted: the default
+        path2 = tmp_path / "round.ini"
+        path2.write_text(cli.serialize_config(cfg))
+        assert cli.parse_config(str(path2)) == cfg
+    assert cfg.family == "cos-series" and cfg.coeffs == (4.0, -0.5)
 
 
 def test_missing_section_named(tmp_path):
@@ -145,6 +149,33 @@ def test_config_hash_sensitivity(tmp_path, monkeypatch):
     assert cli.config_hash(bumped, 0.3) != base
     monkeypatch.setattr(cli, "CACHE_VERSION", cli.CACHE_VERSION + 1)
     assert cli.config_hash(cfg, 0.3) != base
+
+
+def test_params_and_dnls_match_scan(tmp_path):
+    import json
+
+    path = _write(tmp_path)
+    assert cli.main(["--config", str(path), "scan"]) == 0
+    out = tmp_path / "out"
+    from_scan = {n: (out / n).read_bytes()
+                 for n in ("params.csv", "dnls_ladder.csv")}
+    for name in from_scan:
+        (out / name).unlink()
+    assert cli.main(["--config", str(path), "params"]) == 0
+    assert cli.main(["--config", str(path), "dnls"]) == 0
+    for name, data in from_scan.items():
+        assert (out / name).read_bytes() == data, name
+
+    lines = (out / "dnls_ladder.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    records = json.loads((out / "dnls_ladder.json").read_text())
+    assert len(records) == len(lines) - 1
+    for rec, line in zip(records, lines[1:]):
+        row = dict(zip(header, line.split(",")))
+        for key in ("eta", "E", "residual", "P", "tau"):
+            want = float(row[key]) if row[key] else None
+            assert rec[key] == want, key
+        assert rec["F"] == [float(row[f"F{j}"]) for j in range(len(header) - 5)]
 
 
 SCAN_OUTPUTS = ("params.csv", "dnls_ladder.csv", "continuum.csv",

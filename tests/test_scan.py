@@ -123,10 +123,3 @@ def test_gap_fit_regression_value(ref_spec, mini_bundles):
     entry = rep.fits["gap_loglog"]
     assert entry["available"] and entry["r2"] > 0.95
     assert 0.76 <= entry["slope"] <= 0.86
-
-
-def test_parallel_jobs_equivalent(ref_spec, mini_bundles):
-    r1 = run_sweep(_plan(ref_spec), bundles=mini_bundles, jobs=1)
-    r2 = run_sweep(_plan(ref_spec), bundles=mini_bundles, jobs=3)
-    assert r1.continuum_rows == r2.continuum_rows
-    assert r1.params_rows == r2.params_rows
