@@ -167,11 +167,12 @@ def serialize_config(cfg: RunConfig) -> str:
 def config_hash(cfg: RunConfig, hbar: float | None = None) -> str:
     """Short hash over potential + numerics fields (and hbar when given).
 
-    delta0 budgets only the reconstruction, so it is left out; sigma is in.
+    The cached bands and basis do not depend on delta0, which budgets only
+    the reconstruction, nor on the sweep's sigma, so both are left out.
     """
     payload = {attr: getattr(cfg, attr) for section, _, attr, _, _ in _FIELDS
                if section in ("potential", "numerics") and attr != "delta0"}
-    payload.update(version=CACHE_VERSION, sigma=cfg.sigma)
+    payload["version"] = CACHE_VERSION
     if hbar is not None:
         payload["hbar"] = hbar
     blob = json.dumps(payload, sort_keys=True)

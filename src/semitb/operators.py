@@ -6,12 +6,15 @@ by the periodic potential, so the Hamiltonian splits into `cells`
 independent blocks, one per domain quasimomentum.  Diagonalizing the
 blocks yields the complete eigenbasis of the discrete operator, which
 makes the first-band projector and the resolvent on its complement exact
-and cheap.
+and cheap.  The blocks are kept as one `(cells, points_per_cell, ...)`
+stack: a single stacked `eigh` builds them, and the projector and the
+resolvent act on all of them at once through stacked matrix products.
+The blocks leave out the potential's coupling across the Nyquist edge
+(modes g, g' with |g - g'| > n/2), which `apply_h` and `dense_h` include;
+for states resolved by the grid the difference is at roundoff.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -67,35 +70,20 @@ class PeriodicDomain:
     def _build_blocks(self):
         m = self.cells
         ppc = self.points_per_cell
-        vhat = potential_fourier(self.spec, ppc - 1)
         kmax = ppc - 1
-        self.block_index = np.empty((m, ppc), dtype=int)
-        self.block_evals = np.empty((m, ppc))
-        self.block_evecs = np.empty((m, ppc, ppc), dtype=complex)
-        kap = np.empty(m)
         # the fft frame measures phases from x[0], so a cell harmonic s picks
         # up exp(2 pi i s x[0] / a) relative to the cell Fourier coefficients
-        srange = np.arange(-(ppc - 1), ppc)
-        phase = np.exp(2j * np.pi * srange * (self.x[0] / self.spec.a))
-        vhat = vhat * phase
-        for r in range(m):
-            sel = np.flatnonzero(self.g % m == r)
-            gb = self.g[sel]
-            order = np.argsort(gb)
-            sel = sel[order]
-            gb = gb[order]
-            cell_offset = (gb - gb[0]) // m  # consecutive integers 0..ppc-1
-            h = vhat[(cell_offset[:, None] - cell_offset[None, :]) + kmax].copy()
-            h[np.arange(ppc), np.arange(ppc)] += self._kinetic[sel]
-            w, u = np.linalg.eigh(h)
-            self.block_index[r] = sel
-            self.block_evals[r] = w
-            self.block_evecs[r] = u
-            r_signed = r if r <= m // 2 else r - m
-            if r == m // 2 and m % 2 == 0:
-                r_signed = -m // 2
-            kap[r] = 2 * np.pi * r_signed / self.length
-        self.domain_kappa = kap
+        srange = np.arange(-kmax, ppc)
+        vhat = potential_fourier(self.spec, kmax) * np.exp(
+            2j * np.pi * srange * (self.x[0] / self.spec.a))
+        # row r holds the modes g = r (mod m) in increasing order; g steps by
+        # m along a row, so entry (i, j) of every block is vhat[i - j] plus
+        # the kinetic energy on the diagonal
+        self.block_index = np.lexsort((self.g, self.g % m)).reshape(m, ppc)
+        off = np.arange(ppc)
+        h = np.tile(vhat[off[:, None] - off[None, :] + kmax], (m, 1, 1))
+        h[:, off, off] += self._kinetic[self.block_index]
+        self.block_evals, self.block_evecs = np.linalg.eigh(h)
 
     # -- operator applications ------------------------------------------------
 
@@ -116,26 +104,25 @@ class PeriodicDomain:
 
     def project_band1(self, phi: np.ndarray) -> np.ndarray:
         """Spectral projector onto the lowest band of the domain operator."""
-        f = np.fft.fft(phi)
-        out = np.zeros_like(f)
-        for r in range(self.cells):
-            sel = self.block_index[r]
-            vec = self.block_evecs[r][:, 0]
-            out[sel] = vec * (np.conj(vec) @ f[sel])
-        res = np.fft.ifft(out)
-        return res.real if np.isrealobj(phi) else res
+        fb = np.fft.fft(phi)[self.block_index]
+        v0 = self.block_evecs[:, :, 0]
+        coef = np.matmul(np.conj(v0)[:, None, :], fb[:, :, None])[:, :, 0]
+        return self._from_blocks(v0 * coef, phi)
 
     def resolvent_perp(self, phi: np.ndarray, z: float) -> np.ndarray:
         """(H - z)^{-1} restricted to the complement of the first band."""
-        f = np.fft.fft(phi)
-        out = np.zeros_like(f, dtype=complex)
-        for r in range(self.cells):
-            sel = self.block_index[r]
-            evecs = self.block_evecs[r]
-            coef = np.conj(evecs.T) @ f[sel]
-            coef[0] = 0.0
-            coef[1:] = coef[1:] / (self.block_evals[r][1:] - z)
-            out[sel] = evecs @ coef
+        fb = np.fft.fft(phi)[self.block_index]
+        v = self.block_evecs
+        # V^H f per block, as conj(f^H V), so V^H is never materialized
+        coef = np.matmul(np.conj(fb)[:, None, :], v)[:, 0, :].conj()
+        coef[:, 0] = 0.0
+        coef[:, 1:] /= self.block_evals[:, 1:] - z
+        return self._from_blocks(np.matmul(v, coef[:, :, None])[:, :, 0], phi)
+
+    def _from_blocks(self, blocks: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """Scatter per-block Fourier coefficients back to the grid."""
+        out = np.empty(self.n, dtype=complex)
+        out[self.block_index] = blocks
         res = np.fft.ifft(out)
         return res.real if np.isrealobj(phi) else res
 

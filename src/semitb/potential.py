@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .errors import PotentialError, QuadratureError
 
@@ -119,6 +117,8 @@ def _raw_family(family: str, params: dict):
         samples = np.asarray(params["samples"], dtype=float)
         if samples.ndim != 1 or samples.size < 8:
             raise PotentialError("custom-samples requires >= 8 samples over one period")
+        from scipy.interpolate import CubicSpline  # see agmon_distance
+
         # periodic C2 spline on [0, a]; sample grid excludes the endpoint
         xs = np.linspace(0.0, a, samples.size + 1)
         ys = np.concatenate([samples, samples[:1]])
@@ -255,6 +255,11 @@ def agmon_distance(spec: PotentialSpec, x: float, y: float) -> float:
         QuadratureError: if the summed error estimate exceeds 100x the
             requested tolerance; the achieved tolerance is attached.
     """
+    # scipy.integrate and scipy.interpolate pull in scipy.special and
+    # scipy.optimize, most of the package's import time; only this function
+    # and the custom-samples spline use them, so they are imported on use
+    from scipy.integrate import quad
+
     lo, hi = (x, y) if x <= y else (y, x)
     if hi - lo < 1e-300:
         return 0.0

@@ -1,6 +1,3 @@
-import filecmp
-import os
-
 import pytest
 
 import semitb.cli as cli
@@ -147,8 +144,35 @@ def test_config_hash_sensitivity(tmp_path, monkeypatch):
 
     bumped = dataclasses.replace(cfg, n_pw=65)
     assert cli.config_hash(bumped, 0.3) != base
+    for unkeyed in (dict(delta0=4.0), dict(sigma=2.0)):
+        assert cli.config_hash(dataclasses.replace(cfg, **unkeyed), 0.3) == base
     monkeypatch.setattr(cli, "CACHE_VERSION", cli.CACHE_VERSION + 1)
     assert cli.config_hash(cfg, 0.3) != base
+
+
+def test_sigma_change_served_from_cache(tmp_path, monkeypatch):
+    path = _write(tmp_path)
+    assert cli.main(["--config", str(path), "params"]) == 0
+    cache = tmp_path / "cache"
+    filled = {p.name: (p.stat().st_mtime_ns, p.read_bytes())
+              for p in cache.iterdir()}
+    assert len(filled) == 2 * 4  # bands and basis per ladder hbar
+
+    hits = []
+    for name in ("load_bands", "load_basis"):
+        load = getattr(cli.BundleCache, name)
+
+        def counted(self, key, load=load):
+            got = load(self, key)
+            hits.append(got is not None)
+            return got
+
+        monkeypatch.setattr(cli.BundleCache, name, counted)
+    path.write_text(path.read_text().replace("sigma = 1.0", "sigma = 2.0"))
+    assert cli.main(["--config", str(path), "params"]) == 0
+    assert hits == [True] * len(filled)
+    assert {p.name: (p.stat().st_mtime_ns, p.read_bytes())
+            for p in cache.iterdir()} == filled
 
 
 def test_params_and_dnls_match_scan(tmp_path):

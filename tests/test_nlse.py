@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import semitb as st
-from semitb.errors import NonConvergenceError, SolverError
+from semitb.errors import SolverError
 from semitb.nlse import (
     _nonlinear_term,
     check_lattice_invertibility,

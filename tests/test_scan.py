@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import semitb as st
 from semitb.errors import Error
 from semitb.scan import Numerics, SweepPlan, fit_exponential_law, run_sweep
 

@@ -1,8 +1,5 @@
-import dataclasses
-
 import numpy as np
 import pytest
-import scipy.linalg
 
 import semitb as st
 from semitb.errors import BasisError, GaugeError
