@@ -60,7 +60,6 @@ from .nlse import (
     ContinuumState,
     direct_newton_oracle,
     peak_cell_mass,
-    project_first_band,
     reconstruct_and_correct,
     solve_perp_fixed_point,
 )

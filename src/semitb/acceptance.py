@@ -153,7 +153,8 @@ def check_tunneling_rates(ctx: Context) -> CheckResult:
         "width": ([ctx.bundle(h).width1 for h in ctx.cfg.hbar_ladder], 0.10),
         "|a1|": ([abs(ctx.bundle(h).wb.overlaps[1])
                   for h in ctx.cfg.hbar_ladder], 0.10),
-        "u0u1_L1": ([wannier.basis_diagnostics(ctx.bundle(h).wb).pair_l1[1]
+        "u0u1_L1": ([wannier.basis_diagnostics(ctx.bundle(h).wb,
+                                               ctx.bundle(h).dom).pair_l1[1]
                      for h in ctx.cfg.hbar_ladder], 0.15),
     }
     details, ok = [], True

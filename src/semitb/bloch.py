@@ -193,8 +193,8 @@ def band_csv(bd: BandData) -> str:
     buf = io.StringIO()
     buf.write("n,kappa,E\n")
     for n in range(bd.n_bands):
-        for i in range(bd.n_kappa):
-            buf.write(f"{n + 1},{bd.kappa[i]!r},{bd.energies[n, i]!r}\n")
+        for k, e in zip(bd.kappa, bd.energies[n]):
+            buf.write(f"{n + 1},{float(k)!r},{float(e)!r}\n")
     return buf.getvalue()
 
 

@@ -263,12 +263,8 @@ def cmd_wannier(cfg: RunConfig, args) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     for hb, bun in bundles.items():
         out = os.path.join(cfg.output_dir, f"wannier_h{hb:g}.csv")
-        wb = bun.wb
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x,W,u0\n")
-            u0 = wb.orbital(0)
-            for i in range(wb.n_grid):
-                fh.write(f"{wb.x[i]!r},{wb.w[i]!r},{u0[i]!r}\n")
+        scan._write_csv(out, ("x", "W", "u0"),
+                        zip(bun.dom.x, bun.wb.w, bun.wb.u0))
         print(f"wrote {out}")
     return EXIT_OK
 

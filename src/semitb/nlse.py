@@ -25,7 +25,6 @@ from .operators import PeriodicDomain, l2_norm
 from .tightbinding import TBParams, HALF_BANDWIDTH
 from .wannier import WannierBasis
 
-DEFAULT_DELTA0 = 2.0
 # successive-iterate gap in H1; the equation residual picks up a factor of
 # the spectral radius of H, so this sits well below the outer tolerance
 FIXED_POINT_TOL = 1e-14
@@ -49,24 +48,13 @@ class ContinuumState:
     resolvent_shift: float
 
 
-def project_first_band(phi: np.ndarray, wb: WannierBasis):
-    """Split phi into the localized-basis span and its complement.
-
-    Returns (c, phi_band, phi_perp) with c_j = <u_j, phi> by grid
-    quadrature, phi_band = sum c_j u_j, phi_perp the remainder.
-    """
-    c = wb.dx * (wb.u @ phi)
-    phi_band = wb.u.T @ c
-    return c, phi_band, phi - phi_band
-
-
 def _nonlinear_term(phi: np.ndarray, sigma: float) -> np.ndarray:
     return np.abs(phi) ** (2 * sigma) * phi
 
 
 def solve_perp_fixed_point(c: np.ndarray, e_param: float, tbp: TBParams,
                            dom: PeriodicDomain, wb: WannierBasis,
-                           delta0: float = DEFAULT_DELTA0,
+                           delta0: float,
                            tol: float = FIXED_POINT_TOL,
                            max_iter: int = 200):
     """Contraction fixed point for the out-of-band component.
@@ -150,10 +138,10 @@ def _reduced_residual(c, e_param, tbp, f_remainder):
     return out
 
 
-def _remainder_term(c, phi, tbp, wb):
+def _remainder_term(c, phi, tbp, dom, wb):
     """f_j = <u_j, |phi|^{2s} phi> - c0 |c_j|^{2s} c_j."""
     nl = _nonlinear_term(phi, tbp.sigma)
-    return wb.dx * (wb.u @ nl) - tbp.c0 * np.abs(c) ** (2 * tbp.sigma) * c
+    return dom.dx * (wb.u @ nl) - tbp.c0 * np.abs(c) ** (2 * tbp.sigma) * c
 
 
 def check_lattice_invertibility(c, e_param, tbp, min_singular=1e-6,
@@ -190,8 +178,7 @@ def check_lattice_invertibility(c, e_param, tbp, min_singular=1e-6,
 
 def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
                             dom: PeriodicDomain, wb: WannierBasis,
-                            delta0: float = DEFAULT_DELTA0,
-                            max_outer: int = 50) -> ContinuumState:
+                            delta0: float, max_outer: int = 50) -> ContinuumState:
     """Lift a lattice solution to a continuum solution at lambda = lambda1 - beta E.
 
     Alternates the out-of-band fixed point with Newton corrections of the
@@ -231,7 +218,7 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
         stalled = len(history) >= 2 and rnorm > 0.3 * history[-2]
         if rnorm <= tol and (rnorm <= 1e-3 * tol or stalled):
             break
-        f_rem = _remainder_term(c, phi, tbp, wb)
+        f_rem = _remainder_term(c, phi, tbp, dom, wb)
         g = _reduced_residual(c, e_param, tbp, f_rem)
         lp, _ = check_lattice_invertibility(c, e_param, tbp,
                                             with_residual_band=True)
@@ -357,7 +344,3 @@ def peak_cell_mass(phi: np.ndarray, wb: WannierBasis) -> float:
     dens = phi**2
     per_cell = dens.reshape(wb.cells, wb.points_per_cell).sum(axis=1)
     return float(per_cell.max() / dens.sum())
-
-
-def h1_distance(dom: PeriodicDomain, f: np.ndarray, g: np.ndarray) -> float:
-    return dom.h1_norm(f - g)

@@ -23,28 +23,27 @@ from .bloch import potential_fourier
 from .potential import PotentialSpec
 
 
+def domain_sites(cells: int) -> np.ndarray:
+    """Integer cell indices of the domain, from -((cells-1)//2) upward.
+
+    An even cell count extends one extra site to the right.
+    """
+    return -((cells - 1) // 2) + np.arange(cells)
+
+
 def domain_grid(a: float, cells: int, points_per_cell: int):
     """Uniform grid over `cells` periods centered on the well at x = 0.
 
-    Returns (x, dx, sites); sites are the integer cell indices, running
-    from -((cells-1)//2) upward so an even cell count extends one extra
-    site to the right.
+    Returns (x, dx, sites) with sites from domain_sites.
     """
-    jmin = -((cells - 1) // 2)
+    sites = domain_sites(cells)
     dx = a / points_per_cell
-    n = cells * points_per_cell
-    x = (jmin - 0.5) * a + dx * np.arange(n)
-    sites = jmin + np.arange(cells)
+    x = (sites[0] - 0.5) * a + dx * np.arange(cells * points_per_cell)
     return x, dx, sites
 
 
 def l2_norm(dx: float, f: np.ndarray) -> float:
     return float(np.sqrt(dx * np.sum(np.abs(f) ** 2)))
-
-
-def inner(dx: float, f: np.ndarray, g: np.ndarray):
-    """L2 inner product on the grid, conjugate-linear in the first slot."""
-    return dx * np.sum(np.conj(f) * g)
 
 
 class PeriodicDomain:

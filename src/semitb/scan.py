@@ -45,9 +45,9 @@ class SweepPlan:
     spec: PotentialSpec
     hbar_ladder: tuple
     eta_values: tuple
-    sigma: float = 1.0
-    n_sites: int = 41
-    seed_site: int = 0
+    sigma: float
+    n_sites: int
+    seed_site: int
     numerics: Numerics = field(default_factory=Numerics)
     out_dir: str | None = None
 
@@ -365,7 +365,8 @@ def _assemble_fits(plan, bundles, continuum_rows, s0) -> dict:
     width = [bundles[h].width1 for h in ladder]
     gap = [bundles[h].gap1 for h in ladder]
     a1 = [abs(bundles[h].wb.overlaps[1]) for h in ladder]
-    u0u1 = [basis_diagnostics(bundles[h].wb).pair_l1[1] for h in ladder]
+    u0u1 = [basis_diagnostics(bundles[h].wb, bundles[h].dom).pair_l1[1]
+            for h in ladder]
 
     _try("hopping_beta", inv, np.log(beta), ratio_to_s0=True)
     _try("band_width", inv, np.log(width), ratio_to_s0=True)

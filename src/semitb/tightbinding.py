@@ -59,7 +59,7 @@ def h_matrix_elements(wb: WannierBasis, dom: PeriodicDomain,
     ells = np.arange(-HALF_BANDWIDTH, HALF_BANDWIDTH + 1)
     h_band = np.empty(ells.size)
     for i, ell in enumerate(ells):
-        h_band[i] = wb.dx * np.sum(wb.orbital(int(ell)) * hu0)
+        h_band[i] = dom.dx * np.sum(wb.orbital(int(ell)) * hu0)
 
     asym = np.abs(h_band - h_band[::-1]).max()
     if asym > 1e-10 * max(1.0, np.abs(h_band).max()):
@@ -81,12 +81,13 @@ def h_matrix_elements(wb: WannierBasis, dom: PeriodicDomain,
     return h_band, lambda1, beta
 
 
-def interaction_constant(wb: WannierBasis, sigma: float, site: int = 0) -> float:
-    """c0 = integral of |u_site|^(2*sigma + 2)."""
+def interaction_constant(wb: WannierBasis, dom: PeriodicDomain, sigma: float,
+                         site: int = 0) -> float:
+    """c0 = integral of |u_site|^(2*sigma + 2) on the domain grid."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     u = wb.orbital(site)
-    return float(wb.dx * np.sum(np.abs(u) ** (2 * sigma + 2)))
+    return float(dom.dx * np.sum(np.abs(u) ** (2 * sigma + 2)))
 
 
 def effective_nonlinearity(c0: float, gamma: float, beta: float) -> float:
@@ -115,17 +116,12 @@ def band_hopping(bd: BandData) -> float:
     return -float(np.mean(bd.energies[0] * np.cos(bd.kappa * bd.a)))
 
 
-def band_average(bd: BandData) -> float:
-    """Zone average of the first band function."""
-    return float(np.mean(bd.energies[0]))
-
-
 def extract_params(wb: WannierBasis, dom: PeriodicDomain, sigma: float,
                    bd: BandData | None = None, gamma: float = 0.0) -> TBParams:
     """Assemble TBParams from a basis built on dom."""
     edges = bd.band_edges(1) if bd is not None else None
     h_band, lambda1, beta = h_matrix_elements(wb, dom, edges)
-    c0 = interaction_constant(wb, sigma)
+    c0 = interaction_constant(wb, dom, sigma)
     dnorm, dratio = residual_coupling_norm(h_band, beta)
     eta = effective_nonlinearity(c0, gamma, beta)
     return TBParams(hbar=dom.hbar, sigma=sigma, lambda1=lambda1, beta=beta,

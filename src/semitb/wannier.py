@@ -21,13 +21,14 @@ agrees with the zone average up to exponentially small corrections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import warnings
 
 import numpy as np
 
 from .bloch import BandData, with_gauge_flag
 from .errors import BasisError, GaugeError
-from .operators import PeriodicDomain, domain_grid
+from .operators import PeriodicDomain, domain_grid, domain_sites
 from .potential import action_profile
 
 _ALIGN_FLOOR = 0.9
@@ -39,38 +40,49 @@ _IMAG_TOL = 1e-8
 class WannierBasis:
     """Orthonormal localized basis u_j on a periodic multi-cell grid.
 
-    u[i] is the orbital attached to lattice site sites[i]; all rows are
-    circular shifts of u[center] by whole cells.  w is the zone average of
+    The grid belongs to the PeriodicDomain the basis was built on; the
+    basis keeps only what it adds to it.  u0 is the orbital of site 0,
+    and every other orbital is its circular shift by whole cells, so the
+    cell count and the points per cell follow from the array sizes and
+    the sites from the domain_grid convention.  u[i] is the orbital of
+    sites[i], built once from u0 on first use.  w is the zone average of
     the gauge-fixed first band and v0 the band-projected well seed whose
     translates were orthogonalized.  overlaps[ell] holds <v_0, v_ell> -
     delta on circular lags, and lowdin[ell] the banded inverse-square-root
-    coefficients used to build u from the translates.
+    coefficients that build u0 from the translates.
     """
 
-    a: float
-    hbar: float
-    cells: int
-    points_per_cell: int
-    x: np.ndarray
-    dx: float
-    sites: np.ndarray
     w: np.ndarray
     v0: np.ndarray
-    u: np.ndarray
+    u0: np.ndarray
     overlaps: np.ndarray
     lowdin: np.ndarray
     lowdin_band: int
     decay_rate: float
 
     @property
-    def n_grid(self) -> int:
-        return self.x.size
+    def cells(self) -> int:
+        return self.overlaps.size
+
+    @property
+    def points_per_cell(self) -> int:
+        return self.u0.size // self.cells
+
+    @property
+    def sites(self) -> np.ndarray:
+        return domain_sites(self.cells)
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        ppc = self.points_per_cell
+        return np.stack([np.roll(self.u0, s * ppc) for s in self.sites])
 
     def site_index(self, j: int) -> int:
-        idx = int(j - self.sites[0])
+        sites = self.sites
+        idx = int(j - sites[0])
         if not 0 <= idx < self.cells:
             raise IndexError(f"site {j} outside domain sites "
-                             f"[{self.sites[0]}, {self.sites[-1]}]")
+                             f"[{sites[0]}, {sites[-1]}]")
         return idx
 
     def orbital(self, j: int) -> np.ndarray:
@@ -201,7 +213,7 @@ def build_orthonormal_basis(bd: BandData, dom: PeriodicDomain,
         warnings.warn(f"cells={cells} leaves no trusted interior sites",
                       stacklevel=2)
 
-    x, dx, sites = dom.x, dom.dx, dom.sites
+    x, dx = dom.x, dom.dx
     w = wannier_function(bd, x)
 
     g = np.exp(-action_profile(dom.spec, x) / dom.hbar)
@@ -227,20 +239,12 @@ def build_orthonormal_basis(bd: BandData, dom: PeriodicDomain,
     u0 = np.zeros_like(v0)
     for ell in np.flatnonzero(b):
         u0 += b[ell] * np.roll(v0, ell * points_per_cell)
-    u = np.empty((cells, x.size))
-    for i, s in enumerate(sites):
-        u[i] = np.roll(u0, s * points_per_cell)
 
     overlaps = gram.copy()
     overlaps[0] -= 1.0
 
-    tau = _tail_decay(x, w)
-
-    return WannierBasis(
-        a=dom.spec.a, hbar=dom.hbar, cells=cells, points_per_cell=points_per_cell,
-        x=x, dx=dx, sites=sites, w=w, v0=v0, u=u, overlaps=overlaps, lowdin=b,
-        lowdin_band=lowdin_band, decay_rate=tau,
-    )
+    return WannierBasis(w=w, v0=v0, u0=u0, overlaps=overlaps, lowdin=b,
+                        lowdin_band=lowdin_band, decay_rate=_tail_decay(x, w))
 
 
 def _tail_decay(x: np.ndarray, w: np.ndarray, lo: float = 1e-10,
@@ -253,20 +257,15 @@ def _tail_decay(x: np.ndarray, w: np.ndarray, lo: float = 1e-10,
     return -float(slope)
 
 
-BASIS_BUNDLE_VERSION = 1
+BASIS_BUNDLE_VERSION = 2
+_BUNDLE_ARRAYS = ("w", "v0", "u0", "overlaps", "lowdin")
 
 
 def save_basis(wb: WannierBasis, path) -> None:
     """Persist a WannierBasis bundle (versioned npz)."""
-    np.savez(
-        path,
-        version=np.int64(BASIS_BUNDLE_VERSION),
-        a=wb.a, hbar=wb.hbar, cells=np.int64(wb.cells),
-        points_per_cell=np.int64(wb.points_per_cell),
-        x=wb.x, dx=wb.dx, sites=wb.sites, w=wb.w, v0=wb.v0, u=wb.u,
-        overlaps=wb.overlaps, lowdin=wb.lowdin,
-        lowdin_band=np.int64(wb.lowdin_band), decay_rate=wb.decay_rate,
-    )
+    np.savez(path, version=np.int64(BASIS_BUNDLE_VERSION),
+             **{name: getattr(wb, name) for name in _BUNDLE_ARRAYS},
+             lowdin_band=np.int64(wb.lowdin_band), decay_rate=wb.decay_rate)
 
 
 def load_basis(path) -> WannierBasis:
@@ -275,13 +274,9 @@ def load_basis(path) -> WannierBasis:
         if int(z["version"]) != BASIS_BUNDLE_VERSION:
             raise BasisError(
                 f"basis bundle version {int(z['version'])} != {BASIS_BUNDLE_VERSION}")
-        return WannierBasis(
-            a=float(z["a"]), hbar=float(z["hbar"]), cells=int(z["cells"]),
-            points_per_cell=int(z["points_per_cell"]), x=z["x"],
-            dx=float(z["dx"]), sites=z["sites"], w=z["w"], v0=z["v0"],
-            u=z["u"], overlaps=z["overlaps"], lowdin=z["lowdin"],
-            lowdin_band=int(z["lowdin_band"]), decay_rate=float(z["decay_rate"]),
-        )
+        return WannierBasis(**{name: z[name] for name in _BUNDLE_ARRAYS},
+                            lowdin_band=int(z["lowdin_band"]),
+                            decay_rate=float(z["decay_rate"]))
 
 
 @dataclass(frozen=True)
@@ -290,11 +285,12 @@ class BasisDiagnostics:
     pair_l1: dict
 
 
-def basis_diagnostics(wb: WannierBasis, max_lag: int = 4) -> BasisDiagnostics:
+def basis_diagnostics(wb: WannierBasis, dom: PeriodicDomain,
+                      max_lag: int = 4) -> BasisDiagnostics:
     """sup_x sum_j |u_j(x)| and the L1 norms of orbital pair products."""
     sup_sum = float(np.abs(wb.u).sum(axis=0).max())
-    u0 = wb.orbital(0)
+    u0 = wb.u0
     pair = {}
     for ell in range(0, max_lag + 1):
-        pair[ell] = float(wb.dx * np.abs(u0 * np.roll(u0, ell * wb.points_per_cell)).sum())
+        pair[ell] = float(dom.dx * np.abs(u0 * np.roll(u0, ell * wb.points_per_cell)).sum())
     return BasisDiagnostics(sup_sum=sup_sum, pair_l1=pair)

@@ -134,6 +134,11 @@ def test_band_csv_shape(bundle_factory):
     lines = band_csv(bd).strip().split("\n")
     assert lines[0] == "n,kappa,E"
     assert len(lines) == 1 + bd.n_bands * bd.n_kappa
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(table[:, 0], np.repeat(np.arange(1, bd.n_bands + 1),
+                                                 bd.n_kappa))
+    assert np.array_equal(table[:, 1], np.tile(bd.kappa, bd.n_bands))
+    assert np.array_equal(table[:, 2], bd.energies.ravel())
 
 
 def test_bundle_roundtrip(tmp_path, bundle_factory):

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
 import semitb.cli as cli
+from semitb import wannier
 from semitb.errors import ConfigError
+from semitb.operators import PeriodicDomain
 from semitb.scan import Numerics
 
 GOOD = """\
@@ -126,6 +129,56 @@ def test_stale_cache_rebuilt(tmp_path, capsys):
     assert cli.main(["--config", str(path), "bands"]) == 0
     out = (tmp_path / "out" / "bands_h0.3.csv").read_text()
     assert out.startswith("n,kappa,E")
+
+
+def test_wannier_command_writes_plain_floats(tmp_path):
+    path = _write(tmp_path)
+    cfg = cli.parse_config(str(path))
+    assert cli.main(["--config", str(path), "wannier"]) == 0
+    dom = PeriodicDomain(cfg.potential(), cfg.hbar_ladder[0], cfg.cells,
+                         cfg.points_per_cell)
+    for hb in cfg.hbar_ladder:
+        lines = (tmp_path / "out" / f"wannier_h{hb:g}.csv").read_text().splitlines()
+        assert lines[0] == "x,W,u0"
+        table = np.array([[float(v) for v in line.split(",")]
+                          for line in lines[1:]])
+        assert table.shape == (dom.n, 3)
+        assert np.array_equal(table[:, 0], dom.x)
+        for col in (1, 2):  # W and u0 are L2-normalized on the grid
+            assert abs(dom.dx * np.sum(table[:, col] ** 2) - 1.0) < 1e-8
+
+
+def test_version1_basis_bundle_rebuilt(tmp_path):
+    path = _write(tmp_path)
+    cfg = cli.parse_config(str(path))
+    fresh = cli.BundleCache(str(tmp_path / "fresh"))
+    assert cli.main(["--config", str(path), "--cache", fresh.dir, "params"]) == 0
+    want = (tmp_path / "out" / "params.csv").read_bytes()
+
+    # the version-1 layout: a copy of the domain grid and every cell shift
+    # of u0, stored under the key the current configuration hashes to
+    cache = cli.BundleCache(str(tmp_path / "cache"))
+    (tmp_path / "cache").mkdir()
+    dom = PeriodicDomain(cfg.potential(), cfg.hbar_ladder[0], cfg.cells,
+                         cfg.points_per_cell)
+    keys = [cli.config_hash(cfg, hb) for hb in cfg.hbar_ladder]
+    for hb, key in zip(cfg.hbar_ladder, keys):
+        wb = fresh.load_basis(key)
+        np.savez(cache.basis_path(key), version=np.int64(1), a=cfg.a, hbar=hb,
+                 cells=np.int64(wb.cells),
+                 points_per_cell=np.int64(wb.points_per_cell), x=dom.x,
+                 dx=dom.dx, sites=dom.sites, w=wb.w, v0=wb.v0, u=2.0 * wb.u,
+                 overlaps=wb.overlaps, lowdin=wb.lowdin,
+                 lowdin_band=np.int64(wb.lowdin_band), decay_rate=wb.decay_rate)
+    (tmp_path / "out" / "params.csv").unlink()
+    assert cli.main(["--config", str(path), "params"]) == 0
+    assert (tmp_path / "out" / "params.csv").read_bytes() == want
+    for key in keys:
+        with np.load(cache.basis_path(key)) as z:
+            assert int(z["version"]) == wannier.BASIS_BUNDLE_VERSION == 2
+            assert "u" not in z.files
+        got, ref = cache.load_basis(key), fresh.load_basis(key)
+        assert np.array_equal(got.u0, ref.u0)
 
 
 def test_params_command(tmp_path):

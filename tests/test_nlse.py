@@ -6,38 +6,45 @@ from semitb.errors import SolverError
 from semitb.nlse import (
     _nonlinear_term,
     check_lattice_invertibility,
-    h1_distance,
     lattice_map,
 )
 from semitb.operators import l2_norm
 from semitb.tightbinding import with_eta
 
 
+def _split(phi, bun):
+    """(c, phi_band, phi_perp) with c_j = <u_j, phi> by grid quadrature."""
+    c = bun.dom.dx * (bun.wb.u @ phi)
+    band = bun.wb.u.T @ c
+    return c, band, phi - band
+
+
 def test_projection_recovers_single_orbital(bundle_factory):
-    wb = bundle_factory(0.16).wb
-    c, band, perp = st.project_first_band(wb.orbital(3), wb)
+    bun = bundle_factory(0.16)
+    wb = bun.wb
+    c, band, perp = _split(wb.orbital(3), bun)
     expect = np.zeros(wb.cells)
     expect[wb.site_index(3)] = 1.0
     assert np.abs(c - expect).max() < 1e-8
-    assert l2_norm(wb.dx, perp) < 1e-8
+    assert l2_norm(bun.dom.dx, perp) < 1e-8
 
 
 def test_projection_annihilates_second_band(bundle_factory):
     bun = bundle_factory(0.16)
-    phi = st.bloch_on_grid(bun.bd, 2, bun.bd.kappa[8], bun.wb.x).real
-    phi /= l2_norm(bun.wb.dx, phi)
-    c, _, _ = st.project_first_band(phi, bun.wb)
+    phi = st.bloch_on_grid(bun.bd, 2, bun.bd.kappa[8], bun.dom.x).real
+    phi /= l2_norm(bun.dom.dx, phi)
+    c, _, _ = _split(phi, bun)
     assert np.linalg.norm(c) <= 1e-6
 
 
 def test_projection_pythagoras(bundle_factory):
     bun = bundle_factory(0.16)
     rng = np.random.default_rng(8)
-    phi = rng.standard_normal(bun.wb.n_grid)
-    phi /= l2_norm(bun.wb.dx, phi)
-    c, band, perp = st.project_first_band(phi, bun.wb)
-    assert abs(l2_norm(bun.wb.dx, band) - np.linalg.norm(c)) < 1e-8
-    total = np.linalg.norm(c) ** 2 + l2_norm(bun.wb.dx, perp) ** 2
+    phi = rng.standard_normal(bun.dom.n)
+    phi /= l2_norm(bun.dom.dx, phi)
+    c, band, perp = _split(phi, bun)
+    assert abs(l2_norm(bun.dom.dx, band) - np.linalg.norm(c)) < 1e-8
+    total = np.linalg.norm(c) ** 2 + l2_norm(bun.dom.dx, perp) ** 2
     assert abs(total - 1.0) < 1e-10
 
 
@@ -113,9 +120,9 @@ def test_reconstruction_quality(bundle_factory, ladder_states):
                                     delta0=8.0)
     assert cs.residual_h <= 1e-9 * max(abs(cs.lam), 0.16)
     # Rayleigh identity
-    num = bun.wb.dx * np.sum(cs.phi * (bun.dom.apply_h(cs.phi)
+    num = bun.dom.dx * np.sum(cs.phi * (bun.dom.apply_h(cs.phi)
                                        + tbp.gamma * np.abs(cs.phi) ** 2 * cs.phi))
-    ray = num / (bun.wb.dx * np.sum(cs.phi**2))
+    ray = num / (bun.dom.dx * np.sum(cs.phi**2))
     assert abs(ray - cs.lam) < 1e-8
     assert cs.resolvent_shift == cs.lam
 
@@ -128,7 +135,7 @@ def test_reconstruction_error_decays(bundle_factory, ladder_states):
         cs = st.reconstruct_and_correct(ladder_states[-3.0], tbp, bun.dom,
                                         bun.wb, delta0=8.0)
         seed = bun.wb.u.T @ lattice_map(ladder_states[-3.0], bun.wb)
-        errs.append(h1_distance(bun.dom, cs.phi, seed))
+        errs.append(bun.dom.h1_norm(cs.phi - seed))
         norms.append(abs(cs.norm_l2 - 1.0))
     assert errs[1] < errs[0] < 1.0
     assert norms[1] < norms[0]
@@ -146,10 +153,10 @@ def test_linear_limit_reproduces_band_state(bundle_factory):
     # the delocalized seed picks the zone-center state at the band bottom
     alpha1 = bun.dom.band_edges(1)[0]
     assert abs(cs.lam - alpha1) < 1e-9
-    phi_ref = st.bloch_on_grid(bun.bd, 1, 0.0, bun.wb.x).real
-    phi_ref /= l2_norm(bun.wb.dx, phi_ref)
+    phi_ref = st.bloch_on_grid(bun.bd, 1, 0.0, bun.dom.x).real
+    phi_ref /= l2_norm(bun.dom.dx, phi_ref)
     sgn = np.sign(np.sum(phi_ref * cs.phi))
-    assert l2_norm(bun.wb.dx, cs.phi / cs.norm_l2 - sgn * phi_ref) < 1e-7
+    assert l2_norm(bun.dom.dx, cs.phi / cs.norm_l2 - sgn * phi_ref) < 1e-7
 
 
 def test_lattice_invertibility_guard(bundle_factory):
@@ -191,9 +198,9 @@ def test_state_tail_follows_action_rate(bundle_factory, ref_spec):
     bun = bundle_factory(0.1)
     tbp = with_eta(bun.tbp, -50.0)
     cs = st.reconstruct_and_correct(s50, tbp, bun.dom, bun.wb, delta0=8.0)
-    d = st.tunneling_action(ref_spec, grid=bun.wb.x).d
+    d = st.tunneling_action(ref_spec, grid=bun.dom.x).d
     aphi = np.abs(cs.phi)
-    cell0 = np.abs(bun.wb.x) <= 0.5
+    cell0 = np.abs(bun.dom.x) <= 0.5
     floor = aphi[cell0].min()
     mask = cell0 & (aphi >= 10 * floor) & (aphi <= 0.1 * aphi.max())
     slope = np.polyfit(d[mask] / 0.1, np.log(aphi[mask]), 1)[0]
@@ -208,22 +215,22 @@ def test_oracle_agrees_with_reconstruction(bundle_factory, ladder_states):
     seed = cs.phi + 1e-3 * np.sin(bun.dom.x)
     orc = st.direct_newton_oracle(bun.dom, cs.lam, tbp.gamma, 1.0, seed)
     assert orc.residual_h <= 1e-11
-    assert h1_distance(bun.dom, orc.phi, cs.phi) <= 1e-7
+    assert bun.dom.h1_norm(orc.phi - cs.phi) <= 1e-7
 
 
 def test_oracle_keeps_exact_linear_state(bundle_factory):
     bun = bundle_factory(0.16)
-    phi = st.bloch_on_grid(bun.bd, 1, 0.0, bun.wb.x).real
-    phi /= l2_norm(bun.wb.dx, phi)
+    phi = st.bloch_on_grid(bun.bd, 1, 0.0, bun.dom.x).real
+    phi /= l2_norm(bun.dom.dx, phi)
     lam = float(bun.bd.energies[0, np.argmin(np.abs(bun.bd.kappa))])
     orc = st.direct_newton_oracle(bun.dom, lam, 0.0, 1.0, phi)
-    assert l2_norm(bun.wb.dx, orc.phi - phi) < 1e-11
+    assert l2_norm(bun.dom.dx, orc.phi - phi) < 1e-11
 
 
 def test_oracle_below_spectrum_defocusing_vanishes(bundle_factory):
     bun = bundle_factory(0.16)
-    phi = st.bloch_on_grid(bun.bd, 1, 0.0, bun.wb.x).real
-    phi /= l2_norm(bun.wb.dx, phi)
+    phi = st.bloch_on_grid(bun.bd, 1, 0.0, bun.dom.x).real
+    phi /= l2_norm(bun.dom.dx, phi)
     lam = bun.dom.band_edges(1)[0] - 0.5
     orc = st.direct_newton_oracle(bun.dom, lam, 0.5, 1.0, 0.5 * phi,
                                   max_iter=200)

@@ -19,8 +19,8 @@ def mini_bundles(bundle_factory):
 
 def _plan(ref_spec, out_dir=None):
     return SweepPlan(spec=ref_spec, hbar_ladder=LADDER, eta_values=ETAS,
-                     sigma=1.0, n_sites=41, numerics=Numerics(delta0=8.0),
-                     out_dir=out_dir)
+                     sigma=1.0, n_sites=41, seed_site=0,
+                     numerics=Numerics(delta0=8.0), out_dir=out_dir)
 
 
 def test_fit_exponential_law_exact():
@@ -47,14 +47,13 @@ def test_fit_window_filters_amplitudes():
 
 
 def test_plan_validation(ref_spec):
+    sweep = dict(spec=ref_spec, sigma=1.0, n_sites=41, seed_site=0)
     with pytest.raises(ValueError):
-        SweepPlan(spec=ref_spec, hbar_ladder=(0.1, 0.2, 0.3, 0.4),
-                  eta_values=ETAS)
+        SweepPlan(hbar_ladder=(0.1, 0.2, 0.3, 0.4), eta_values=ETAS, **sweep)
     with pytest.raises(ValueError):
-        SweepPlan(spec=ref_spec, hbar_ladder=LADDER, eta_values=(-2.0, -8.0))
+        SweepPlan(hbar_ladder=LADDER, eta_values=(-2.0, -8.0), **sweep)
     with pytest.raises(ValueError):
-        SweepPlan(spec=ref_spec, hbar_ladder=(0.25, 0.2, 0.16),
-                  eta_values=ETAS)
+        SweepPlan(hbar_ladder=(0.25, 0.2, 0.16), eta_values=ETAS, **sweep)
 
 
 def test_sweep_report_contents(ref_spec, mini_bundles, tmp_path):
@@ -92,8 +91,8 @@ def test_sweep_determinism(ref_spec, mini_bundles, tmp_path):
 
 def test_sweep_records_gaps_without_aborting(ref_spec, mini_bundles):
     plan = SweepPlan(spec=ref_spec, hbar_ladder=LADDER, eta_values=ETAS,
-                     sigma=1.0, n_sites=41, numerics=Numerics(delta0=1e-3),
-                     out_dir=None)
+                     sigma=1.0, n_sites=41, seed_site=0,
+                     numerics=Numerics(delta0=1e-3), out_dir=None)
     rep = run_sweep(plan, bundles=mini_bundles)
     assert rep.gaps  # every nonlinear point exceeds the tiny budget
     kept = {(r[0], r[1]) for r in rep.continuum_rows}

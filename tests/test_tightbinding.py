@@ -5,13 +5,13 @@ import pytest
 
 import semitb as st
 from semitb.errors import BasisError
-from semitb.tightbinding import HALF_BANDWIDTH, band_average, band_hopping
+from semitb.tightbinding import HALF_BANDWIDTH, band_hopping
 
 
 def test_lambda1_is_band_average(bundle_factory):
     for hb in (0.2, 0.125):
         bun = bundle_factory(hb)
-        assert abs(bun.tbp.lambda1 - band_average(bun.bd)) < 1e-8
+        assert abs(bun.tbp.lambda1 - np.mean(bun.bd.energies[0])) < 1e-8
         lo, hi = bun.bd.band_edges(1)
         assert lo - 1e-8 <= bun.tbp.lambda1 <= hi + 1e-8
 
@@ -36,13 +36,13 @@ def test_h_band_symmetric_and_uniform(bundle_factory, ref_spec):
     h = bun.tbp.h_band
     assert np.abs(h - h[::-1]).max() < 1e-10 * max(1.0, np.abs(h).max())
     # diagonal element is site independent: recompute from a shifted orbital
-    c0_shift = st.interaction_constant(bun.wb, 1.0, site=5)
+    c0_shift = st.interaction_constant(bun.wb, bun.dom, 1.0, site=5)
     assert abs(c0_shift - bun.tbp.c0) < 1e-8
 
 
 def test_interaction_constant_degenerate_power(bundle_factory):
-    wb = bundle_factory(0.2).wb
-    assert abs(st.interaction_constant(wb, 0.0) - 1.0) < 1e-10
+    bun = bundle_factory(0.2)
+    assert abs(st.interaction_constant(bun.wb, bun.dom, 0.0) - 1.0) < 1e-10
 
 
 def test_interaction_constant_scaling(bundle_factory):
@@ -98,10 +98,10 @@ def test_parameters_stable_under_grid_doubling(ref_spec):
 
 def test_sign_violation_detected(bundle_factory):
     bun = bundle_factory(0.2)
-    wb = bun.wb
-    staggered = wb.u * (-1.0) ** np.arange(wb.cells)[:, None]
-    bad = dataclasses.replace(wb, u=staggered)
-    with pytest.raises(BasisError):
+    # a cell-alternating sign on u0 makes <u_0, H u_1> positive
+    bad = dataclasses.replace(bun.wb, u0=bun.wb.u0 * np.cos(np.pi * bun.dom.x
+                                                           / bun.dom.spec.a))
+    with pytest.raises(BasisError, match="sign convention"):
         st.h_matrix_elements(bad, bun.dom)
 
 

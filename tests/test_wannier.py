@@ -8,11 +8,12 @@ from semitb.wannier import fix_gauge
 
 
 def test_gauge_produces_real_positive_wannier(bundle_factory):
-    wb = bundle_factory(0.2).wb
+    bun = bundle_factory(0.2)
+    w = bun.wb.w
     # realness is enforced inside wannier_function; the sign convention is
     # positive at the well peak
-    assert wb.w[np.argmax(np.abs(wb.w))] > 0
-    assert abs(l2_norm(wb.dx, wb.w) - 1.0) < 1e-10
+    assert w[np.argmax(np.abs(w))] > 0
+    assert abs(l2_norm(bun.dom.dx, w) - 1.0) < 1e-10
 
 
 def test_gauge_idempotent(ref_spec):
@@ -45,8 +46,9 @@ def test_gauge_rejects_degenerate_band():
 
 
 def test_orthonormality_and_translation_covariance(bundle_factory):
-    wb = bundle_factory(0.2).wb
-    gram = wb.dx * (wb.u @ wb.u.T)
+    bun = bundle_factory(0.2)
+    wb = bun.wb
+    gram = bun.dom.dx * (wb.u @ wb.u.T)
     assert np.abs(gram - np.eye(wb.cells)).max() < 1e-8
     u0 = wb.orbital(0)
     for j in (-5, -1, 2, 7):
@@ -57,9 +59,10 @@ def test_orthonormality_and_translation_covariance(bundle_factory):
 def test_dense_lowdin_cross_check(ref_spec):
     # odd cell count, symbol-truncated coefficients vs dense inverse sqrt
     bd = fix_gauge(st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.25, n_kappa=62)))
-    wb = st.build_orthonormal_basis(bd, PeriodicDomain(ref_spec, 0.25, 31, 64))
-    v = np.stack([np.roll(wb.v0, s * wb.points_per_cell) for s in wb.sites])
-    gram = wb.dx * (v @ v.T)
+    dom = PeriodicDomain(ref_spec, 0.25, 31, 64)
+    wb = st.build_orthonormal_basis(bd, dom)
+    v = np.stack([np.roll(wb.v0, s * wb.points_per_cell) for s in dom.sites])
+    gram = dom.dx * (v @ v.T)
     vals, vecs = np.linalg.eigh(gram)
     binv = vecs @ np.diag(vals**-0.5) @ vecs.T
     u_dense = binv @ v
@@ -69,7 +72,7 @@ def test_dense_lowdin_cross_check(ref_spec):
 def test_first_band_leakage(bundle_factory, ref_spec):
     bun = bundle_factory(0.16)
     u0 = bun.wb.orbital(0)
-    leak = l2_norm(bun.wb.dx, u0 - bun.dom.project_band1(u0))
+    leak = l2_norm(bun.dom.dx, u0 - bun.dom.project_band1(u0))
     assert leak < 1e-6
 
 
@@ -82,11 +85,12 @@ def test_wannier_function_requires_gauge(ref_spec):
 def test_wannier_close_to_oscillator_ground_state(bundle_factory, ref_spec):
     dists = []
     for hb in (0.2, 0.1):
-        wb = bundle_factory(hb).wb
+        bun = bundle_factory(hb)
+        x, dx = bun.dom.x, bun.dom.dx
         width = np.sqrt(ref_spec.curvature / 2) / (2 * hb)
-        g = np.exp(-width * wb.x**2)
-        g /= np.sqrt(wb.dx * np.sum(g**2))
-        dists.append(l2_norm(wb.dx, wb.w - g))
+        g = np.exp(-width * x**2)
+        g /= np.sqrt(dx * np.sum(g**2))
+        dists.append(l2_norm(dx, bun.wb.w - g))
     assert dists[0] < 0.08 and dists[1] < 0.04
     assert dists[1] < dists[0]
 
@@ -96,9 +100,9 @@ def test_wannier_tail_follows_action_rate(bundle_factory, ref_agmon, ref_spec):
     # smallest hbar (the WKB amplitude factor biases the desk-scale fit)
     slopes = []
     for hb in (0.2, 0.16, 0.1):
-        wb = bundle_factory(hb).wb
-        d = st.tunneling_action(ref_spec, grid=wb.x).d
-        aw = np.abs(wb.w)
+        bun = bundle_factory(hb)
+        d = st.tunneling_action(ref_spec, grid=bun.dom.x).d
+        aw = np.abs(bun.wb.w)
         mask = (aw >= 1e-10) & (aw <= 1e-3)
         slopes.append(np.polyfit(d[mask] / hb, np.log(aw[mask]), 1)[0])
     assert all(abs(b + 1) < abs(a + 1) for a, b in zip(slopes, slopes[1:]))
@@ -121,24 +125,27 @@ def test_lowdin_leading_order(bundle_factory):
 
 def test_first_band_completeness(bundle_factory):
     bun = bundle_factory(0.16)
-    wb, bd = bun.wb, bun.bd
+    wb, bd, dom = bun.wb, bun.bd, bun.dom
     for i in (4, 20, 50):
-        phi = st.bloch_on_grid(bd, 1, bd.kappa[i], wb.x)
-        coeffs = wb.dx * (wb.u @ phi)
+        phi = st.bloch_on_grid(bd, 1, bd.kappa[i], dom.x)
+        coeffs = dom.dx * (wb.u @ phi)
         total = float(np.sum(np.abs(coeffs) ** 2))
-        ref = l2_norm(wb.dx, phi) ** 2
+        ref = l2_norm(dom.dx, phi) ** 2
         assert abs(total - ref) / ref < 1e-6
 
 
 def test_diagnostics_scalings(bundle_factory, ref_agmon):
-    d2 = st.basis_diagnostics(bundle_factory(0.2).wb)
-    d1 = st.basis_diagnostics(bundle_factory(0.1).wb)
+    def diagnostics(hbar):
+        bun = bundle_factory(hbar)
+        return st.basis_diagnostics(bun.wb, bun.dom)
+
+    d2, d1 = diagnostics(0.2), diagnostics(0.1)
     r = (d2.sup_sum * np.sqrt(0.2)) / (d1.sup_sum * np.sqrt(0.1))
     assert 0.5 <= r <= 2.0
     for d in (d2, d1):
         assert d.pair_l1[2] <= 10 * d.pair_l1[1] ** 2
     hbars = (0.25, 0.2, 0.16, 0.125, 0.1)
-    vals = [st.basis_diagnostics(bundle_factory(h).wb).pair_l1[1] for h in hbars]
+    vals = [diagnostics(h).pair_l1[1] for h in hbars]
     slope = -np.polyfit([1 / h for h in hbars], np.log(vals), 1)[0]
     assert 0.85 <= slope / ref_agmon.s0 <= 1.15
 
@@ -149,7 +156,7 @@ def test_incommensurate_domain_builds_basis(ref_spec):
     bd = fix_gauge(st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.2)))
     dom = PeriodicDomain(ref_spec, 0.2, 24, 64)
     wb = st.build_orthonormal_basis(bd, dom)
-    gram = wb.dx * (wb.u @ wb.u.T)
+    gram = dom.dx * (wb.u @ wb.u.T)
     assert np.abs(gram - np.eye(wb.cells)).max() < 1e-8
     u0 = wb.orbital(0)
     for j in (-5, -1, 2, 7):
@@ -183,9 +190,11 @@ def test_basis_bundle_roundtrip(tmp_path, bundle_factory):
     path = tmp_path / "basis.npz"
     save_basis(wb, path)
     back = load_basis(path)
+    for name in ("w", "v0", "u0", "overlaps", "lowdin"):
+        assert np.array_equal(getattr(back, name), getattr(wb, name)), name
     assert np.array_equal(back.u, wb.u)
-    assert np.array_equal(back.overlaps, wb.overlaps)
     assert back.cells == wb.cells and back.lowdin_band == wb.lowdin_band
+    assert back.decay_rate == wb.decay_rate
 
 
 def test_basis_bundle_version_mismatch(tmp_path, bundle_factory):
@@ -193,9 +202,7 @@ def test_basis_bundle_version_mismatch(tmp_path, bundle_factory):
 
     wb = bundle_factory(0.2).wb
     path = tmp_path / "basis.npz"
-    np.savez(path, version=np.int64(99), a=wb.a, hbar=wb.hbar,
-             cells=np.int64(wb.cells), points_per_cell=np.int64(64),
-             x=wb.x, dx=wb.dx, sites=wb.sites, w=wb.w, v0=wb.v0, u=wb.u,
+    np.savez(path, version=np.int64(99), w=wb.w, v0=wb.v0, u0=wb.u0,
              overlaps=wb.overlaps, lowdin=wb.lowdin, lowdin_band=np.int64(6),
              decay_rate=wb.decay_rate)
     with pytest.raises(BasisError):
