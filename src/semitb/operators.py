@@ -1,17 +1,17 @@
 """Spectral Hamiltonian on a periodic multi-cell domain.
 
 The domain covers `cells` lattice periods with a uniform grid and periodic
-boundary; plane-wave modes whose indices agree modulo `cells` are coupled
-by the periodic potential, so the Hamiltonian splits into `cells`
-independent blocks, one per domain quasimomentum.  Diagonalizing the
-blocks yields the complete eigenbasis of the discrete operator, which
-makes the first-band projector and the resolvent on its complement exact
-and cheap.  The blocks are kept as one `(cells, points_per_cell, ...)`
-stack: a single stacked `eigh` builds them, and the projector and the
-resolvent act on all of them at once through stacked matrix products.
-The blocks leave out the potential's coupling across the Nyquist edge
-(modes g, g' with |g - g'| > n/2), which `apply_h` and `dense_h` include;
-for states resolved by the grid the difference is at roundoff.
+boundary.  The sampled potential repeats every `points_per_cell` points,
+so its discrete Fourier transform couples only plane-wave modes whose
+indices agree modulo `cells`, and the Hamiltonian splits into `cells`
+independent blocks, one per domain quasimomentum.  The blocks are
+gathered from that transform, so they hold exactly the operator that
+`apply_h` and `dense_h` apply.  Diagonalizing them yields the complete
+eigenbasis of the discrete operator, which makes the first-band
+projector and the resolvent on its complement exact and cheap.  The
+blocks are kept as one `(cells, points_per_cell, ...)` stack: a single
+stacked `eigh` builds them, and the projector and the resolvent act on
+all of them at once through stacked matrix products.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .bloch import potential_fourier
 from .potential import PotentialSpec
 
 
@@ -67,20 +66,15 @@ class PeriodicDomain:
         self._dense = None
 
     def _build_blocks(self):
-        m = self.cells
-        ppc = self.points_per_cell
-        kmax = ppc - 1
-        # the fft frame measures phases from x[0], so a cell harmonic s picks
-        # up exp(2 pi i s x[0] / a) relative to the cell Fourier coefficients
-        srange = np.arange(-kmax, ppc)
-        vhat = potential_fourier(self.spec, kmax) * np.exp(
-            2j * np.pi * srange * (self.x[0] / self.spec.a))
-        # row r holds the modes g = r (mod m) in increasing order; g steps by
-        # m along a row, so entry (i, j) of every block is vhat[i - j] plus
-        # the kinetic energy on the diagonal
-        self.block_index = np.lexsort((self.g, self.g % m)).reshape(m, ppc)
-        off = np.arange(ppc)
-        h = np.tile(vhat[off[:, None] - off[None, :] + kmax], (m, 1, 1))
+        # row r holds the modes g = r (mod cells) in increasing order; the
+        # sampled V couples modes g, g' through fft(vx)[(g - g') mod n] / n,
+        # so each block gathers those and adds the kinetic diagonal
+        self.block_index = np.lexsort((self.g, self.g % self.cells)).reshape(
+            self.cells, self.points_per_cell)
+        vg = np.fft.fft(self.vx) / self.n
+        gb = self.g[self.block_index]
+        h = vg[(gb[:, :, None] - gb[:, None, :]) % self.n]
+        off = np.arange(self.points_per_cell)
         h[:, off, off] += self._kinetic[self.block_index]
         self.block_evals, self.block_evecs = np.linalg.eigh(h)
 

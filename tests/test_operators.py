@@ -1,6 +1,10 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
+from semitb import operators
 from semitb.operators import PeriodicDomain
 
 PPC = 16
@@ -24,48 +28,26 @@ def test_block_index_is_a_permutation(dom):
     assert np.all(residues == np.arange(dom.cells)[:, None])
 
 
-def _fourier_h(dom):
-    """dense_h in the fft basis, minus its couplings across the Nyquist edge.
-
-    On the grid V couples mode g to g +- m also where that wraps past n/2
-    (|g - g'| > n/2); the Bloch blocks hold the unwrapped coupling only.
-    """
+def test_blocks_reassemble_dense_h_in_fourier_space(dom):
     n = dom.n
     h = np.fft.fft(dom.dense_h() @ np.fft.ifft(np.eye(n), axis=0), axis=0)
-    wrap = np.abs(dom.g[:, None] - dom.g[None, :]) > n // 2
-    h[wrap] = 0.0
-    return h
-
-
-def test_blocks_reassemble_dense_h_in_fourier_space(dom):
     v = dom.block_evecs
     blocks = (v * dom.block_evals[:, None, :]) @ np.conj(v).transpose(0, 2, 1)
-    assembled = np.zeros((dom.n, dom.n), dtype=complex)
+    assembled = np.zeros((n, n), dtype=complex)
     bi = dom.block_index
     assembled[bi[:, :, None], bi[:, None, :]] = blocks
-    assert np.abs(assembled - _fourier_h(dom)).max() <= 1e-12
+    assert np.abs(assembled - h).max() <= 1e-12
 
 
-def test_resolvent_solves_the_perp_equation(dom):
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_resolvent_solves_the_perp_equation(dom, kind):
     z = float(dom.block_evals[:, 0].mean())
-    h = _fourier_h(dom)
-    _, cplx = _inputs(dom)
-    u = np.fft.fft(dom.resolvent_perp(cplx, z))
-    rhs = np.fft.fft(cplx - dom.project_band1(cplx))
-    assert np.linalg.norm(h @ u - z * u - rhs) <= 1e-10 * np.linalg.norm(rhs)
-
-
-def test_real_input_takes_the_real_part(dom):
-    # the blocks keep mode -n/2 but not +n/2, so they do not commute with
-    # complex conjugation and the real part solves the equation above only
-    # up to that edge; a real input returns exactly that real part
-    z = float(dom.block_evals[:, 0].mean())
-    real, _ = _inputs(dom)
-    for op in (dom.project_band1, lambda f: dom.resolvent_perp(f, z)):
-        out = op(real)
-        ref = op(real.astype(complex)).real
-        assert np.isrealobj(out)
-        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+    f = _inputs(dom)[kind == "complex"]
+    u = dom.resolvent_perp(f, z)
+    pf = dom.project_band1(f)
+    assert np.isrealobj(u) == np.isrealobj(pf) == np.isrealobj(f)
+    resid = dom.apply_h(u) - z * u - (f - pf)
+    assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(f)
 
 
 def test_resolvent_kills_the_first_band(dom):
@@ -76,3 +58,16 @@ def test_resolvent_kills_the_first_band(dom):
         band = dom.project_band1(f)
         assert np.linalg.norm(dom.resolvent_perp(band, z)) <= 1e-12 * scale
         assert np.linalg.norm(dom.project_band1(perp)) <= 1e-12 * scale
+
+
+def test_operators_import_nothing_from_bloch():
+    # the criterion-5 oracle compares BandData with the domain blocks, so
+    # the blocks must not be built from the band solver's coefficients
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(operators))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert not [m for m in imported if "bloch" in m.split(".")]
