@@ -167,7 +167,7 @@ def test_version1_basis_bundle_rebuilt(tmp_path):
         np.savez(cache.basis_path(key), version=np.int64(1), a=cfg.a, hbar=hb,
                  cells=np.int64(wb.cells),
                  points_per_cell=np.int64(wb.points_per_cell), x=dom.x,
-                 dx=dom.dx, sites=dom.sites, w=wb.w, v0=wb.v0, u=2.0 * wb.u,
+                 dx=dom.dx, sites=dom.sites, w=wb.w, v0=wb.v0, u=wb.u,
                  overlaps=wb.overlaps, lowdin=wb.lowdin,
                  lowdin_band=np.int64(wb.lowdin_band), decay_rate=wb.decay_rate)
     (tmp_path / "out" / "params.csv").unlink()
