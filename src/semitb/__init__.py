@@ -17,7 +17,6 @@ from .errors import (
     TailFitError,
 )
 from .potential import (
-    AgmonData,
     PotentialSpec,
     agmon_distance,
     free_potential,

@@ -13,10 +13,12 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import bloch, dnls, nlse, scan, tightbinding, wannier
+from . import bloch, dnls, nlse, scan, tightbinding
+from .errors import Error
 from .potential import free_potential, tunneling_action
 
 REFERENCE_LADDER = (0.25, 0.2, 0.16, 0.125, 0.1)
@@ -50,26 +52,19 @@ class Context:
         self.cfg = cfg if cfg is not None else reference_config()
         self.jobs = jobs
         self.workdir = workdir
-        self._spec = None
-        self._s0 = None
         self._bundles = {}
-        self._ladder_states = None
         self._reports = {}
         self._tmp = None
 
     # -- shared building blocks -------------------------------------------
 
-    @property
+    @cached_property
     def spec(self):
-        if self._spec is None:
-            self._spec = self.cfg.potential()
-        return self._spec
+        return self.cfg.potential()
 
-    @property
+    @cached_property
     def s0(self):
-        if self._s0 is None:
-            self._s0 = tunneling_action(self.spec).s0
-        return self._s0
+        return tunneling_action(self.spec)
 
     def bundle(self, hbar: float) -> scan.PipelineBundle:
         if hbar not in self._bundles:
@@ -78,12 +73,10 @@ class Context:
                 jobs=self.jobs)
         return self._bundles[hbar]
 
-    @property
+    @cached_property
     def ladder_states(self):
-        if self._ladder_states is None:
-            plan = self.cfg.plan(out_dir=None)
-            self._ladder_states, _ = scan._dnls_ladder(plan)
-        return self._ladder_states
+        states, _ = scan._dnls_ladder(self.cfg.plan(out_dir=None))
+        return states
 
     def report(self, run: int) -> scan.TransitionReport:
         if run not in self._reports:
@@ -101,8 +94,12 @@ class Context:
             shutil.rmtree(self._tmp, ignore_errors=True)
 
 
-def _fit_slope(xs, ys) -> float:
-    return scan.fit_exponential_law(xs, ys).slope
+def _published_fit(ctx: Context, name: str) -> dict:
+    """The fits.json entry of the sweep; raises when the fit was unavailable."""
+    entry = ctx.report(1).fits[name]
+    if not entry["available"]:
+        raise Error(f"fit {name} unavailable: {entry['reason']}")
+    return entry
 
 
 # -- criteria ------------------------------------------------------------------
@@ -138,8 +135,7 @@ def check_harmonic_law(ctx: Context) -> CheckResult:
 
 def check_gap_scaling(ctx: Context) -> CheckResult:
     """First gap is of order hbar: log-log slope 1 +- 0.1."""
-    gaps = [ctx.bundle(h).gap1 for h in ctx.cfg.hbar_ladder]
-    slope = _fit_slope(np.log(ctx.cfg.hbar_ladder), np.log(gaps))
+    slope = _published_fit(ctx, "gap_loglog")["slope"]
     return CheckResult("gap scaling ~ hbar", 0.9 <= slope <= 1.1,
                        f"log(gap) vs log(hbar) slope = {slope:.4f} "
                        f"(want 1 +- 0.1)")
@@ -147,19 +143,15 @@ def check_gap_scaling(ctx: Context) -> CheckResult:
 
 def check_tunneling_rates(ctx: Context) -> CheckResult:
     """Four independent estimators recover the tunneling action."""
-    inv = [1.0 / h for h in ctx.cfg.hbar_ladder]
     cols = {
-        "beta": ([ctx.bundle(h).tbp.beta for h in ctx.cfg.hbar_ladder], 0.10),
-        "width": ([ctx.bundle(h).width1 for h in ctx.cfg.hbar_ladder], 0.10),
-        "|a1|": ([abs(ctx.bundle(h).wb.overlaps[1])
-                  for h in ctx.cfg.hbar_ladder], 0.10),
-        "u0u1_L1": ([wannier.basis_diagnostics(ctx.bundle(h).wb,
-                                               ctx.bundle(h).dom).pair_l1[1]
-                     for h in ctx.cfg.hbar_ladder], 0.15),
+        "beta": ("hopping_beta", 0.10),
+        "width": ("band_width", 0.10),
+        "|a1|": ("overlap_a1", 0.10),
+        "u0u1_L1": ("pair_l1_u0u1", 0.15),
     }
     details, ok = [], True
-    for name, (vals, tol) in cols.items():
-        ratio = -_fit_slope(inv, np.log(vals)) / ctx.s0
+    for name, (fit, tol) in cols.items():
+        ratio = _published_fit(ctx, fit)["s0_ratio"]
         ok = ok and (1 - tol <= ratio <= 1 + tol)
         details.append(f"{name}: {ratio:.3f} (tol {tol:.0%})")
     return CheckResult("tunneling-rate consistency", ok, "; ".join(details))
@@ -251,7 +243,7 @@ def check_perp_smallness(ctx: Context) -> CheckResult:
         return CheckResult("perp component decay", False,
                            f"only {len(vals)} points available")
     monotone = all(b < a for a, b in zip(vals, vals[1:]))
-    slope = -_fit_slope([1.0 / h for h in ladder], np.log(vals))
+    slope = _published_fit(ctx, "perp_h1_eta_-2")["s0_estimate"]
     ok = monotone and slope >= 0.5 * ctx.s0
     return CheckResult(
         "perp component decay", ok,
@@ -269,7 +261,7 @@ def check_reconstruction_closeness(ctx: Context) -> CheckResult:
         return CheckResult("reconstruction closeness", False,
                            f"only {len(vals)} points available")
     monotone = all(b < a for a, b in zip(vals, vals[1:]))
-    alpha = -_fit_slope([1.0 / h for h in ladder], np.log(vals))
+    alpha = _published_fit(ctx, "h1_error_eta_-3")["s0_estimate"]
     pointwise = all(v < 1.0 for v in vals)
 
     bun = ctx.bundle(ORACLE_HBAR)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -231,7 +231,3 @@ def load_band_data(path) -> BandData:
             gauge_fixed=bool(int(z["gauge_fixed"])),
         )
 
-
-def with_gauge_flag(bd: BandData, coeffs: np.ndarray) -> BandData:
-    """Internal helper: new BandData with replaced coefficients, gauge marked fixed."""
-    return replace(bd, coeffs=coeffs, gauge_fixed=True)

@@ -239,6 +239,7 @@ def _pipeline_bundles(cfg: RunConfig, cache: BundleCache | None, jobs: int = 1):
 
 
 def cmd_bands(cfg: RunConfig, args) -> int:
+    """Solve the Floquet bands and write bands_h*.csv."""
     cache = BundleCache(args.cache or cfg.cache_dir)
     spec = cfg.potential()
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -258,6 +259,7 @@ def cmd_bands(cfg: RunConfig, args) -> int:
 
 
 def cmd_wannier(cfg: RunConfig, args) -> int:
+    """Build the localized basis and write wannier_h*.csv."""
     cache = BundleCache(args.cache or cfg.cache_dir)
     bundles = _pipeline_bundles(cfg, cache, jobs=args.jobs)
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -270,10 +272,11 @@ def cmd_wannier(cfg: RunConfig, args) -> int:
 
 
 def cmd_params(cfg: RunConfig, args) -> int:
+    """Extract the lattice parameters into params.csv."""
     cache = BundleCache(args.cache or cfg.cache_dir)
     bundles = _pipeline_bundles(cfg, cache, jobs=args.jobs)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    s0 = tunneling_action(cfg.potential()).s0
+    s0 = tunneling_action(cfg.potential())
     rows = scan.params_rows(bundles, cfg.hbar_ladder, cfg.eta_values, s0)
     out = os.path.join(cfg.output_dir, "params.csv")
     scan._write_csv(out, scan.PARAMS_HEADER, rows)
@@ -282,6 +285,7 @@ def cmd_params(cfg: RunConfig, args) -> int:
 
 
 def cmd_dnls(cfg: RunConfig, args) -> int:
+    """Continue the DNLS branch into dnls_ladder.csv/json."""
     states, turning = scan._dnls_ladder(cfg.plan())
     rows = scan.dnls_rows(states)
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -304,6 +308,7 @@ def cmd_dnls(cfg: RunConfig, args) -> int:
 
 
 def cmd_scan(cfg: RunConfig, args) -> int:
+    """Run the (hbar, eta) sweep and write every output."""
     cache = BundleCache(args.cache or cfg.cache_dir)
     bundles = _pipeline_bundles(cfg, cache, jobs=args.jobs)
     report = scan.run_sweep(cfg.plan(), bundles)
@@ -315,6 +320,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
+    """Check the 11 acceptance criteria, one line each."""
     from . import acceptance
     results = acceptance.run_all(cfg, jobs=args.jobs)
     width = max(len(r.name) for r in results)

@@ -36,11 +36,6 @@ class DnlsProblem:
         if self.boundary not in ("zero", "periodic"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
-    @property
-    def site_indices(self) -> np.ndarray:
-        """Integer site labels centered on zero."""
-        return np.arange(self.n_sites) - self.n_sites // 2
-
 
 @dataclass(frozen=True)
 class DnlsState:
@@ -64,6 +59,7 @@ class DnlsState:
 
 
 def neighbor_sum(f: np.ndarray, boundary: str) -> np.ndarray:
+    """T F along axis 0: the nearest-neighbor stencil, the one source of T."""
     out = np.zeros_like(f)
     out[:-1] += f[1:]
     out[1:] += f[:-1]
@@ -86,18 +82,9 @@ def dnls_residual(f: np.ndarray, e: float, prob: DnlsProblem) -> np.ndarray:
 
 
 def linearization_lplus(f: np.ndarray, e: float, prob: DnlsProblem) -> np.ndarray:
-    """Real linearization at F: tridiagonal with corner terms if periodic."""
-    n = f.size
-    mat = np.zeros((n, n))
+    """Real linearization at F: E + eta (2 sigma + 1)|F|^{2 sigma} - T."""
     diag = e + prob.eta * (2 * prob.sigma + 1) * _power(f, 2 * prob.sigma)
-    mat[np.arange(n), np.arange(n)] = diag
-    idx = np.arange(n - 1)
-    mat[idx, idx + 1] -= 1.0
-    mat[idx + 1, idx] -= 1.0
-    if prob.boundary == "periodic":
-        mat[0, -1] -= 1.0
-        mat[-1, 0] -= 1.0
-    return mat
+    return np.diag(diag) - neighbor_sum(np.eye(f.size), prob.boundary)
 
 
 def newton_solve(prob: DnlsProblem, f0: np.ndarray, e0: float,
@@ -295,10 +282,7 @@ def _minimize_quotient(f, sigma, max_iter):
         d = np.diff(f, prepend=0.0, append=0.0)
         b = np.sum(d * d)
         c = np.sum(np.abs(f) ** (2 * sigma + 2))
-        grad_b = np.empty_like(f)
-        grad_b[:] = 4 * f
-        grad_b[:-1] -= 2 * f[1:]
-        grad_b[1:] -= 2 * f[:-1]
+        grad_b = 2 * (2 * f - neighbor_sum(f, "zero"))
         grad_c = (2 * sigma + 2) * np.abs(f) ** (2 * sigma) * f
         g = q * (2 * sigma * f / a + grad_b / b - grad_c / c)
         g -= (g @ f) / a * f
@@ -342,14 +326,7 @@ def linear_ground_state(n_sites: int, boundary: str = "zero") -> DnlsState:
     This is the state the focusing branch connects to as eta -> 0-, with
     all positive amplitudes and participation proportional to N.
     """
-    t = np.zeros((n_sites, n_sites))
-    idx = np.arange(n_sites - 1)
-    t[idx, idx + 1] = 1.0
-    t[idx + 1, idx] = 1.0
-    if boundary == "periodic":
-        t[0, -1] += 1.0
-        t[-1, 0] += 1.0
-    w, v = np.linalg.eigh(t)
+    w, v = np.linalg.eigh(neighbor_sum(np.eye(n_sites), boundary))
     f = v[:, -1]
     if f[np.argmax(np.abs(f))] < 0:
         f = -f

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dnls import DnlsState, linearization_lplus, DnlsProblem
+from .dnls import DnlsState
 from .errors import NonConvergenceError, SolverError
 from .operators import PeriodicDomain, l2_norm
-from .tightbinding import TBParams, HALF_BANDWIDTH
+from .tightbinding import TBParams, ring_coupling
 from .wannier import WannierBasis
 
 # successive-iterate gap in H1; the equation residual picks up a factor of
@@ -126,15 +126,11 @@ def lattice_map(state: DnlsState, wb: WannierBasis) -> np.ndarray:
 
 
 def _reduced_residual(c, e_param, tbp, f_remainder):
-    """E c - T c + eta |c|^{2s} c + (D c)/beta + (gamma/beta) f."""
-    eta, sigma, beta = tbp.eta, tbp.sigma, tbp.beta
-    tc = np.roll(c, 1) + np.roll(c, -1)
-    out = e_param * c - tc + eta * np.abs(c) ** (2 * sigma) * c
-    for ell in range(2, HALF_BANDWIDTH + 1):
-        d = tbp.h_band[HALF_BANDWIDTH + ell]
-        out += d / beta * (np.roll(c, -ell) + np.roll(c, ell))
+    """E c - T c + (D c)/beta + eta |c|^{2s} c + (gamma/beta) f."""
+    out = (e_param * c + ring_coupling(tbp, c.size) @ c
+           + tbp.eta * np.abs(c) ** (2 * tbp.sigma) * c)
     if tbp.gamma != 0.0:
-        out += tbp.gamma / beta * f_remainder
+        out += tbp.gamma / tbp.beta * f_remainder
     return out
 
 
@@ -154,16 +150,8 @@ def check_lattice_invertibility(c, e_param, tbp, min_singular=1e-6,
     linear part of the reduced equation and matters when the state sits
     close to the band edge.
     """
-    prob = DnlsProblem(eta=tbp.eta, sigma=tbp.sigma, n_sites=max(c.size, 11),
-                       boundary="periodic")
-    lp = linearization_lplus(np.asarray(c, dtype=float), e_param, prob)
-    if with_residual_band:
-        n = c.size
-        for ell in range(2, HALF_BANDWIDTH + 1):
-            d = tbp.h_band[HALF_BANDWIDTH + ell] / tbp.beta
-            idx = np.arange(n)
-            lp[idx, (idx + ell) % n] += d
-            lp[idx, (idx - ell) % n] += d
+    diag = e_param + tbp.eta * (2 * tbp.sigma + 1) * np.abs(c) ** (2 * tbp.sigma)
+    lp = ring_coupling(tbp, c.size, with_residual_band) + np.diag(diag)
     svals = np.linalg.svd(lp, compute_uv=False)
     smin = float(svals[-1])
     if smin < min_singular:
@@ -195,7 +183,7 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
     c = lattice_map(state, wb)
 
     if tbp.gamma == 0.0:
-        return _linear_reconstruction(state, tbp, dom, wb)
+        return _linear_reconstruction(c, tbp, dom, wb)
 
     check_lattice_invertibility(c, e_param, tbp)
 
@@ -265,19 +253,11 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
     )
 
 
-def _linear_reconstruction(state, tbp, dom, wb):
-    """gamma = 0: diagonalize the banded lattice matrix in the u basis."""
+def _linear_reconstruction(seed, tbp, dom, wb):
+    """gamma = 0: the eigenvector of lambda1 + beta * ring_coupling nearest the seed."""
     m = wb.cells
-    h = np.zeros((m, m))
-    for ell in range(-HALF_BANDWIDTH, HALF_BANDWIDTH + 1):
-        val = tbp.h_band[HALF_BANDWIDTH + ell]
-        h += val * np.eye(m, k=ell)
-        if ell > 0:
-            h += val * np.eye(m, k=ell - m)
-        elif ell < 0:
-            h += val * np.eye(m, k=ell + m)
+    h = tbp.lambda1 * np.eye(m) + tbp.beta * ring_coupling(tbp, m)
     w, v = np.linalg.eigh(h)
-    seed = lattice_map(state, wb)
     overlaps = np.abs(v.T @ seed)
     pick = int(np.argmax(overlaps))
     c = v[:, pick]

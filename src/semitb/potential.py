@@ -27,45 +27,21 @@ class PotentialSpec:
 
     Attributes:
         a: lattice period.
-        v, dv, d2v: callables for V and its first two derivatives, all
-            vectorized over numpy arrays.
+        v: V, vectorized over numpy arrays.
         x0: location of the well minimum inside [-a/2, a/2).
         curvature: V''(x0), strictly positive except in free test mode.
-        depth: amplitude scale max V - min V.
         family: family tag ("sin2", "cos-series", "custom-samples", "free").
     """
 
     a: float
     v: Callable[[np.ndarray], np.ndarray]
-    dv: Callable[[np.ndarray], np.ndarray]
-    d2v: Callable[[np.ndarray], np.ndarray]
     x0: float
     curvature: float
-    depth: float
     family: str = "custom-samples"
-
-    def minimum(self, j: int = 0) -> float:
-        """Location of the j-th well, x0 + j*a."""
-        return self.x0 + j * self.a
-
-
-@dataclass(frozen=True)
-class AgmonData:
-    """Tunneling action and tabulated well-to-point action distances.
-
-    s0 is the action between adjacent wells; d[i] tabulates the action
-    distance from x0 to x[i].
-    """
-
-    s0: float
-    x: np.ndarray
-    d: np.ndarray
-    a: float
-    x0: float
 
 
 def _raw_family(family: str, params: dict):
-    """Return (v, dv, d2v, a, depth_hint) for a family before normalization."""
+    """Return (v, dv, d2v, a) for a family before normalization."""
     if family == "sin2":
         v0 = float(params["v0"])
         a = float(params["a"])
@@ -80,7 +56,7 @@ def _raw_family(family: str, params: dict):
         def d2v(x):
             return 2 * v0 * w**2 * np.cos(2 * w * np.asarray(x))
 
-        return v, dv, d2v, a, v0
+        return v, dv, d2v, a
 
     if family in ("cos-series", "cos_series"):
         a = float(params["a"])
@@ -110,7 +86,7 @@ def _raw_family(family: str, params: dict):
                 acc = acc + c * k**2 * np.cos(k * x)
             return acc
 
-        return v, dv, d2v, a, float(np.sum(np.abs(coeffs)) * 2)
+        return v, dv, d2v, a
 
     if family in ("custom-samples", "custom_samples", "custom"):
         a = float(params["a"])
@@ -135,7 +111,7 @@ def _raw_family(family: str, params: dict):
         def d2v(x):
             return d2(np.mod(np.asarray(x, dtype=float), a))
 
-        return v, dv, d2v, a, float(samples.max() - samples.min())
+        return v, dv, d2v, a
 
     raise PotentialError(f"unknown potential family {family!r}")
 
@@ -156,7 +132,7 @@ def make_potential(family: str, **params) -> PotentialSpec:
         PotentialError: period not positive, degenerate well curvature,
             or more than one equally deep well per period.
     """
-    raw_v, raw_dv, raw_d2v, a, depth_hint = _raw_family(family, params)
+    raw_v, raw_dv, raw_d2v, a = _raw_family(family, params)
     if a <= 0:
         raise PotentialError(f"period must be positive, got {a}")
 
@@ -181,18 +157,14 @@ def make_potential(family: str, **params) -> PotentialSpec:
     def v(x):
         return raw_v(x) - vmin
 
-    spec = PotentialSpec(
-        a=a, v=v, dv=raw_dv, d2v=raw_d2v, x0=x0,
-        curvature=curv, depth=float(depth_hint), family=family,
-    )
-    return spec
+    return PotentialSpec(a=a, v=v, x0=x0, curvature=curv, family=family)
 
 
 def free_potential(a: float) -> PotentialSpec:
     """Test-only spec with V = 0, bypassing the degenerate-well rejection."""
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return PotentialSpec(a=float(a), v=zero, dv=zero, d2v=zero,
-                         x0=0.0, curvature=0.0, depth=0.0, family="free")
+    return PotentialSpec(a=float(a), v=zero, x0=0.0, curvature=0.0,
+                         family="free")
 
 
 def _check_periodicity(v, xs, vals):
@@ -219,11 +191,10 @@ def _refine_minimum(dv, d2v, x_start, a, max_iter=60):
 
 
 def _check_unique_minimum(v, dv, d2v, xs, vals, x0, a, scale):
-    interior = np.arange(len(xs))
     left = np.roll(vals, 1)
     right = np.roll(vals, -1)
     is_local_min = (vals <= left) & (vals <= right)
-    candidates = xs[is_local_min[interior]]
+    candidates = xs[is_local_min]
     minima = []
     for c in candidates:
         xr = _refine_minimum(dv, d2v, float(c), a)
@@ -236,12 +207,6 @@ def _check_unique_minimum(v, dv, d2v, xs, vals, x0, a, scale):
         raise PotentialError(
             f"{len(equal_depth)} equally deep minima per period; a single well is required"
         )
-
-
-def _sqrt_v(spec: PotentialSpec):
-    def f(s):
-        return math.sqrt(max(float(spec.v(s)), 0.0))
-    return f
 
 
 def agmon_distance(spec: PotentialSpec, x: float, y: float) -> float:
@@ -267,7 +232,10 @@ def agmon_distance(spec: PotentialSpec, x: float, y: float) -> float:
     k_lo = math.ceil((lo - x0) / a)
     k_hi = math.floor((hi - x0) / a)
     breaks = [lo] + [x0 + k * a for k in range(k_lo, k_hi + 1) if lo < x0 + k * a < hi] + [hi]
-    f = _sqrt_v(spec)
+
+    def f(s):
+        return math.sqrt(max(float(spec.v(s)), 0.0))
+
     total, err = 0.0, 0.0
     for s1, s2 in zip(breaks[:-1], breaks[1:]):
         val, ae = quad(f, s1, s2, epsabs=_QUAD_ABS_TOL, epsrel=1e-12, limit=200)
@@ -298,11 +266,6 @@ def action_profile(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
     return np.abs(m * s0 + arm[inverse])
 
 
-def tunneling_action(spec: PotentialSpec, grid: np.ndarray | None = None) -> AgmonData:
-    """Compute the adjacent-well action s0 and tabulate d(x, x0) on a grid."""
-    s0 = agmon_distance(spec, spec.x0, spec.x0 + spec.a)
-    if grid is None:
-        grid = np.linspace(spec.x0 - 4 * spec.a, spec.x0 + 4 * spec.a, 513)
-    grid = np.asarray(grid, dtype=float)
-    return AgmonData(s0=s0, x=grid, d=action_profile(spec, grid), a=spec.a,
-                     x0=spec.x0)
+def tunneling_action(spec: PotentialSpec) -> float:
+    """The adjacent-well action s0 = d(x0, x0 + a)."""
+    return agmon_distance(spec, spec.x0, spec.x0 + spec.a)

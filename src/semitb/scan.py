@@ -246,7 +246,7 @@ def run_sweep(plan: SweepPlan, bundles: dict) -> TransitionReport:
     bundles maps every ladder hbar to its PipelineBundle (the CLI builds
     them through its cache).
     """
-    s0 = tunneling_action(plan.spec).s0
+    s0 = tunneling_action(plan.spec)
     ladder = [float(h) for h in plan.hbar_ladder]
 
     lattice_states, turning = _dnls_ladder(plan)

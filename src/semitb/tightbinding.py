@@ -1,11 +1,11 @@
 """Lattice parameters of H in the localized basis.
 
 The restriction of H to the first band in the orthonormal localized basis
-is a banded Toeplitz matrix lambda1*I - beta*T + D, with T the
-nearest-neighbor stencil and D the residual beyond-nearest-neighbor
-couplings.  beta is computed from the real-space matrix element and
-cross-checked against the first Fourier coefficient of the band function,
-which is an independent route through the eigensolver.
+is a banded circulant lambda1*I - beta*T + D (T the nearest-neighbor
+stencil, D the beyond-nearest-neighbor couplings); `ring_coupling` builds
+(H - lambda1)/beta from it.  beta is computed from the real-space matrix
+element and cross-checked against the first Fourier coefficient of the
+band function, which is an independent route through the eigensolver.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bloch import BandData
+from .dnls import neighbor_sum
 from .errors import BasisError
 from .operators import PeriodicDomain
 from .wannier import WannierBasis
@@ -50,9 +51,10 @@ def h_matrix_elements(wb: WannierBasis, dom: PeriodicDomain,
     """Banded matrix elements <u_0, H u_ell>, |ell| <= 4.
 
     Returns (h_band, lambda1, beta) with lambda1 the diagonal element and
-    beta = -<u_0, H u_1>.  Checks the symmetry of the band, the sign of
-    beta under the positive-well gauge, and optionally that lambda1 lies
-    inside the first band.
+    beta = -<u_0, H u_1>.  Checks the symmetry of the band, that |beta|
+    clears the roundoff floor eps * max|E| of the domain H, its sign under
+    the positive-well gauge, and optionally that lambda1 lies inside the
+    first band.
     """
     u0 = wb.orbital(0)
     hu0 = dom.apply_h(u0)
@@ -67,6 +69,10 @@ def h_matrix_elements(wb: WannierBasis, dom: PeriodicDomain,
 
     lambda1 = float(h_band[HALF_BANDWIDTH])
     beta = -float(h_band[HALF_BANDWIDTH + 1])
+    floor = np.finfo(float).eps * np.abs(dom.block_evals).max()
+    if abs(beta) < floor:
+        raise BasisError(f"hopping |beta| = {abs(beta):.3e} at hbar = {dom.hbar:g} is "
+                         f"below the roundoff floor {floor:.3e} = eps * max|E| of H")
     if beta <= 0:
         raise BasisError(
             f"hopping beta = {beta:.3e} <= 0; sign convention violated upstream"
@@ -109,6 +115,21 @@ def residual_coupling_norm(h_band: np.ndarray, beta: float):
     c = HALF_BANDWIDTH
     tail = np.abs(h_band[:c - 1]).sum() + np.abs(h_band[c + 2:]).sum()
     return float(tail), float(tail / beta)
+
+
+def ring_coupling(tbp: TBParams, m: int,
+                  with_residual_band: bool = True) -> np.ndarray:
+    """(H - lambda1)/beta on the first band of an m-cell ring: -T + D/beta.
+
+    The m x m circulant is exactly -1 on lags +-1 and h_band[4 + ell]/beta
+    on lags +-ell for 2 <= ell <= 4; without the residual band it is -T.
+    """
+    out = -neighbor_sum(np.eye(m), "periodic")
+    if with_residual_band:
+        for ell in range(2, HALF_BANDWIDTH + 1):
+            lag = np.roll(np.eye(m), ell, axis=1)
+            out += tbp.h_band[HALF_BANDWIDTH + ell] / tbp.beta * (lag + lag.T)
+    return out
 
 
 def band_hopping(bd: BandData) -> float:

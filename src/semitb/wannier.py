@@ -20,13 +20,13 @@ agrees with the zone average up to exponentially small corrections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 import warnings
 
 import numpy as np
 
-from .bloch import BandData, with_gauge_flag
+from .bloch import BandData
 from .errors import BasisError, GaugeError
 from .operators import PeriodicDomain, domain_grid, domain_sites
 from .potential import action_profile
@@ -149,7 +149,7 @@ def fix_gauge(bd: BandData, seed_phase: float = 0.0) -> BandData:
 
     coeffs = bd.coeffs.copy()
     coeffs[0] = c
-    return with_gauge_flag(bd, coeffs)
+    return replace(bd, coeffs=coeffs, gauge_fixed=True)
 
 
 def _zone_average(bd: BandData, c: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ def ref_spec():
 
 
 @pytest.fixture(scope="session")
-def ref_agmon(ref_spec):
+def ref_s0(ref_spec):
     return st.tunneling_action(ref_spec)
 
 

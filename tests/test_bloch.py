@@ -55,7 +55,7 @@ def test_gap_over_hbar_bounded_shallow_well():
 
 def test_width_slope_recovers_action_shallow_well():
     spec = st.make_potential("sin2", v0=1.0, a=1.0)
-    s0 = st.tunneling_action(spec).s0
+    s0 = st.tunneling_action(spec)
     hbars = (0.25, 0.2, 0.15, 0.125, 0.1)
     widths = []
     for hb in hbars:

@@ -279,3 +279,10 @@ def test_scan_jobs_reproduce_serial(tmp_path):
     threaded = _scan_outputs(tmp_path, "--jobs", "2", "--cache",
                              str(tmp_path / "cache2"))
     assert threaded == serial
+
+
+def test_every_subcommand_has_help():
+    lines = cli.build_parser().format_help().splitlines()
+    for name in cli._COMMANDS:
+        line = next(ln for ln in lines if ln.split()[:1] == [name])
+        assert len(line.split()) > 1, f"subcommand {name} has no help text"

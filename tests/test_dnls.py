@@ -24,7 +24,6 @@ def test_residual_decoupled_delta():
 
 def test_residual_plane_wave_linear_spectrum():
     n = 16
-    prob = st.DnlsProblem(eta=0.0001 * 0, sigma=1.0, n_sites=n, boundary="periodic")
     prob = st.DnlsProblem(eta=0.0, sigma=1.0, n_sites=n, boundary="periodic")
     j = np.arange(n)
     for m in (1, 3, 5):
@@ -66,6 +65,24 @@ def test_linearization_anticontinuum_diagonal():
     assert abs(lp[5, 5] - (e + 3 * prob.eta)) < 1e-14
     off = [lp[i, i] for i in range(11) if i != 5]
     assert np.abs(np.array(off) - e).max() < 1e-14
+
+
+def test_stencil_matrices_match_explicit_tridiagonal():
+    rng = np.random.default_rng(5)
+    for n in (3, 7, 41):
+        for boundary in ("zero", "periodic"):
+            t = np.zeros((n, n))
+            idx = np.arange(n - 1)
+            t[idx, idx + 1] = t[idx + 1, idx] = 1.0
+            if boundary == "periodic":
+                t[0, -1] += 1.0
+                t[-1, 0] += 1.0
+            prob = st.DnlsProblem(eta=-2.5, sigma=1.0, n_sites=n, boundary=boundary)
+            f = rng.standard_normal(n)
+            lp = st.linearization_lplus(f, 0.7, prob)
+            assert np.array_equal(lp, np.diag(0.7 - 7.5 * f**2) - t)
+            s = linear_ground_state(n, boundary)
+            assert s.e == np.linalg.eigh(t)[0][-1]
 
 
 def test_linearization_matches_finite_differences():

@@ -5,10 +5,13 @@ import semitb as st
 from semitb.errors import SolverError
 from semitb.nlse import (
     _nonlinear_term,
+    _reduced_residual,
+    _remainder_term,
     check_lattice_invertibility,
     lattice_map,
 )
 from semitb.operators import l2_norm
+from semitb.potential import action_profile
 from semitb.tightbinding import with_eta
 
 
@@ -169,6 +172,25 @@ def test_lattice_invertibility_guard(bundle_factory):
         check_lattice_invertibility(c, e_sing, tbp)
 
 
+def test_reduced_jacobian_matches_finite_differences(bundle_factory,
+                                                     ladder_states):
+    bun = bundle_factory(0.16)
+    tbp = with_eta(bun.tbp, -3.0)
+    s = ladder_states[-3.0]
+    c = lattice_map(s, bun.wb)
+    # the remainder is held fixed: the Jacobian is the lattice part only
+    f_rem = _remainder_term(c, bun.wb.u.T @ c, tbp, bun.dom, bun.wb)
+    lp, _ = check_lattice_invertibility(c, s.e, tbp, with_residual_band=True)
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        v = rng.standard_normal(c.size)
+        v /= np.linalg.norm(v)
+        eps = 1e-6
+        fd = (_reduced_residual(c + eps * v, s.e, tbp, f_rem)
+              - _reduced_residual(c - eps * v, s.e, tbp, f_rem)) / (2 * eps)
+        assert np.linalg.norm(fd - lp @ v) / np.linalg.norm(lp @ v) < 1e-6
+
+
 def test_continuum_jacobian_matches_finite_differences(bundle_factory,
                                                        ladder_states):
     bun = bundle_factory(0.16)
@@ -198,7 +220,7 @@ def test_state_tail_follows_action_rate(bundle_factory, ref_spec):
     bun = bundle_factory(0.1)
     tbp = with_eta(bun.tbp, -50.0)
     cs = st.reconstruct_and_correct(s50, tbp, bun.dom, bun.wb, delta0=8.0)
-    d = st.tunneling_action(ref_spec, grid=bun.dom.x).d
+    d = action_profile(ref_spec, bun.dom.x)
     aphi = np.abs(cs.phi)
     cell0 = np.abs(bun.dom.x) <= 0.5
     floor = aphi[cell0].min()

@@ -5,7 +5,8 @@ import pytest
 
 import semitb as st
 from semitb.errors import BasisError
-from semitb.tightbinding import HALF_BANDWIDTH, band_hopping
+from semitb.scan import Numerics, build_pipeline
+from semitb.tightbinding import HALF_BANDWIDTH, band_hopping, ring_coupling
 
 
 def test_lambda1_is_band_average(bundle_factory):
@@ -24,11 +25,11 @@ def test_hopping_positive_and_cross_checked(bundle_factory):
         assert abs(bun.tbp.beta - ref) / ref < 1e-6
 
 
-def test_hopping_slope_recovers_action(bundle_factory, ref_agmon):
+def test_hopping_slope_recovers_action(bundle_factory, ref_s0):
     hbars = (0.25, 0.2, 0.16, 0.125, 0.1)
     betas = [bundle_factory(h).tbp.beta for h in hbars]
     slope = -np.polyfit([1 / h for h in hbars], np.log(betas), 1)[0]
-    assert 0.9 <= slope / ref_agmon.s0 <= 1.1
+    assert 0.9 <= slope / ref_s0 <= 1.1
 
 
 def test_h_band_symmetric_and_uniform(bundle_factory, ref_spec):
@@ -109,3 +110,28 @@ def test_band_leakage_detected(bundle_factory):
     bun = bundle_factory(0.2)
     with pytest.raises(BasisError):
         st.h_matrix_elements(bun.wb, bun.dom, band1_edges=(0.0, 0.1))
+
+
+def test_beta_below_roundoff_floor_refused(ref_spec):
+    # at hbar = 0.05 beta ~ 1e-15 sits below eps * max|E| ~ 2.4e-14
+    with pytest.raises(BasisError, match="roundoff floor"):
+        build_pipeline(ref_spec, 0.05, Numerics(), sigma=1.0)
+
+
+def test_ring_coupling_is_the_galerkin_matrix(bundle_factory):
+    for hb in (0.25, 0.16, 0.1):
+        bun = bundle_factory(hb)
+        u, m = bun.wb.u, bun.wb.cells
+        galerkin = bun.dom.dx * u @ np.array([bun.dom.apply_h(r) for r in u]).T
+        k = ring_coupling(bun.tbp, m)
+        lattice = bun.tbp.lambda1 * np.eye(m) + bun.tbp.beta * k
+        assert np.abs(lattice - galerkin).max() <= 1e-10
+        lag = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
+        expect = np.zeros((m, m))
+        expect[(lag == 1) | (lag == m - 1)] = -1.0
+        bare = ring_coupling(bun.tbp, m, with_residual_band=False)
+        assert np.array_equal(bare, expect)
+        for ell in range(2, HALF_BANDWIDTH + 1):
+            d = bun.tbp.h_band[HALF_BANDWIDTH + ell] / bun.tbp.beta
+            expect[(lag == ell) | (lag == m - ell)] = d
+        assert np.array_equal(k, expect)

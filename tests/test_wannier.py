@@ -4,6 +4,7 @@ import pytest
 import semitb as st
 from semitb.errors import BasisError, GaugeError
 from semitb.operators import PeriodicDomain, l2_norm
+from semitb.potential import action_profile
 from semitb.wannier import fix_gauge
 
 
@@ -95,13 +96,13 @@ def test_wannier_close_to_oscillator_ground_state(bundle_factory, ref_spec):
     assert dists[1] < dists[0]
 
 
-def test_wannier_tail_follows_action_rate(bundle_factory, ref_agmon, ref_spec):
+def test_wannier_tail_follows_action_rate(bundle_factory, ref_spec):
     # fitted rate approaches -1 from above as hbar decreases; +-25% at the
     # smallest hbar (the WKB amplitude factor biases the desk-scale fit)
     slopes = []
     for hb in (0.2, 0.16, 0.1):
         bun = bundle_factory(hb)
-        d = st.tunneling_action(ref_spec, grid=bun.dom.x).d
+        d = action_profile(ref_spec, bun.dom.x)
         aw = np.abs(bun.wb.w)
         mask = (aw >= 1e-10) & (aw <= 1e-3)
         slopes.append(np.polyfit(d[mask] / hb, np.log(aw[mask]), 1)[0])
@@ -109,11 +110,11 @@ def test_wannier_tail_follows_action_rate(bundle_factory, ref_agmon, ref_spec):
     assert -1.25 < slopes[-1] < -0.75
 
 
-def test_overlap_slope_recovers_action(bundle_factory, ref_agmon):
+def test_overlap_slope_recovers_action(bundle_factory, ref_s0):
     hbars = (0.25, 0.2, 0.16, 0.125, 0.1)
     a1 = [abs(bundle_factory(h).wb.overlaps[1]) for h in hbars]
     slope = -np.polyfit([1 / h for h in hbars], np.log(a1), 1)[0]
-    assert 0.9 <= slope / ref_agmon.s0 <= 1.1
+    assert 0.9 <= slope / ref_s0 <= 1.1
 
 
 def test_lowdin_leading_order(bundle_factory):
@@ -134,7 +135,7 @@ def test_first_band_completeness(bundle_factory):
         assert abs(total - ref) / ref < 1e-6
 
 
-def test_diagnostics_scalings(bundle_factory, ref_agmon):
+def test_diagnostics_scalings(bundle_factory, ref_s0):
     def diagnostics(hbar):
         bun = bundle_factory(hbar)
         return st.basis_diagnostics(bun.wb, bun.dom)
@@ -147,7 +148,7 @@ def test_diagnostics_scalings(bundle_factory, ref_agmon):
     hbars = (0.25, 0.2, 0.16, 0.125, 0.1)
     vals = [diagnostics(h).pair_l1[1] for h in hbars]
     slope = -np.polyfit([1 / h for h in hbars], np.log(vals), 1)[0]
-    assert 0.85 <= slope / ref_agmon.s0 <= 1.15
+    assert 0.85 <= slope / ref_s0 <= 1.15
 
 
 def test_incommensurate_domain_builds_basis(ref_spec):
