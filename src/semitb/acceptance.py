@@ -48,10 +48,8 @@ def reference_config():
 class Context:
     """Shared lazily-built state for the acceptance run."""
 
-    def __init__(self, cfg=None, jobs: int = 1, workdir: str | None = None):
+    def __init__(self, cfg=None):
         self.cfg = cfg if cfg is not None else reference_config()
-        self.jobs = jobs
-        self.workdir = workdir
         self._bundles = {}
         self._reports = {}
         self._tmp = None
@@ -69,8 +67,7 @@ class Context:
     def bundle(self, hbar: float) -> scan.PipelineBundle:
         if hbar not in self._bundles:
             self._bundles[hbar] = scan.build_pipeline(
-                self.spec, hbar, self.cfg.numerics(), self.cfg.sigma,
-                jobs=self.jobs)
+                self.spec, hbar, self.cfg.numerics(), self.cfg.sigma)
         return self._bundles[hbar]
 
     @cached_property
@@ -81,8 +78,7 @@ class Context:
     def report(self, run: int) -> scan.TransitionReport:
         if run not in self._reports:
             if self._tmp is None:
-                self._tmp = tempfile.mkdtemp(prefix="semitb_verify_",
-                                             dir=self.workdir)
+                self._tmp = tempfile.mkdtemp(prefix="semitb_verify_")
             out = os.path.join(self._tmp, f"run{run}")
             plan = self.cfg.plan(out_dir=out)
             bundles = {h: self.bundle(h) for h in self.cfg.hbar_ladder}
@@ -326,9 +322,9 @@ CRITERIA = (
 )
 
 
-def run_all(cfg=None, jobs: int = 1, workdir: str | None = None):
+def run_all(cfg):
     """Run every acceptance criterion; never aborts on a single failure."""
-    ctx = Context(cfg, jobs=jobs, workdir=workdir)
+    ctx = Context(cfg)
     results = []
     try:
         for num, fn in CRITERIA:

@@ -40,6 +40,8 @@ class FloquetConfig:
     def __post_init__(self):
         if self.hbar <= 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
+        if self.n_bands < 2:
+            raise ValueError("n_bands must be >= 2: the first gap needs band 2")
         if self.n_pw % 2 != 1:
             raise ValueError("n_pw must be odd (symmetric mode set)")
         if self.n_pw < 2 * self.n_bands + 9:
@@ -83,12 +85,13 @@ class BandData:
         return float(e.min()), float(e.max())
 
 
-def potential_fourier(spec: PotentialSpec, kmax: int, n_samples: int = 4096) -> np.ndarray:
+def potential_fourier(spec: PotentialSpec, kmax: int) -> np.ndarray:
     """Cell Fourier coefficients vhat[k] for |k| <= kmax, Hermitian by construction.
 
-    Returns an array of length 2*kmax + 1 indexed by k + kmax.
+    Sampled at 4096 points of one cell.  Returns an array of length
+    2*kmax + 1 indexed by k + kmax.
     """
-    n = n_samples
+    n = 4096
     x = spec.a * np.arange(n) / n
     vx = np.asarray(spec.v(x), dtype=float)
     f = np.fft.fft(vx) / n
@@ -100,14 +103,12 @@ def potential_fourier(spec: PotentialSpec, kmax: int, n_samples: int = 4096) -> 
     return out
 
 
-def solve_bands(spec: PotentialSpec, cfg: FloquetConfig, jobs: int = 1) -> BandData:
+def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
     """Diagonalize the Floquet matrix at every kappa on the zone grid.
 
     The matrix is hbar^2 (kappa + 2 pi m / a)^2 on the diagonal plus the
     Toeplitz potential block vhat[m - n]; it is Hermitian by construction
-    and this is asserted.  Eigenvalues come out ascending from eigh.  The
-    kappa points are independent eigenproblems and run on a thread pool
-    when jobs > 1.
+    and this is asserted.  Eigenvalues come out ascending from eigh.
 
     Warns if the top kept band reaches a quarter of the plane-wave cutoff
     energy, which signals basis truncation.
@@ -126,8 +127,7 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig, jobs: int = 1) -> BandD
     nb = cfg.n_bands
     energies = np.empty((nb, cfg.n_kappa))
     coeffs = np.empty((nb, cfg.n_kappa, cfg.n_pw), dtype=complex)
-
-    def _solve_one(i):
+    for i in range(cfg.n_kappa):
         h = vblock.copy()
         h[np.arange(cfg.n_pw), np.arange(cfg.n_pw)] += (
             hbar**2 * (kappa[i] + b * modes) ** 2)
@@ -137,15 +137,6 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig, jobs: int = 1) -> BandD
             raise Error(f"eigensolver failed at kappa={kappa[i]:.6g}") from exc
         energies[:, i] = w[:nb]
         coeffs[:, i, :] = (u[:, :nb] / np.sqrt(a)).T
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(_solve_one, range(cfg.n_kappa)))
-    else:
-        for i in range(cfg.n_kappa):
-            _solve_one(i)
 
     cutoff = hbar**2 * (np.pi * cfg.n_pw / a) ** 2 / 4
     if energies[nb - 1].max() > cutoff:

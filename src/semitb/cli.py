@@ -164,8 +164,8 @@ def serialize_config(cfg: RunConfig) -> str:
     return buf.getvalue()
 
 
-def config_hash(cfg: RunConfig, hbar: float | None = None) -> str:
-    """Short hash over potential + numerics fields (and hbar when given).
+def config_hash(cfg: RunConfig, hbar: float) -> str:
+    """Short hash over the potential and numerics fields and hbar.
 
     The cached bands and basis do not depend on delta0, which budgets only
     the reconstruction, nor on the sweep's sigma, so both are left out.
@@ -173,8 +173,7 @@ def config_hash(cfg: RunConfig, hbar: float | None = None) -> str:
     payload = {attr: getattr(cfg, attr) for section, _, attr, _, _ in _FIELDS
                if section in ("potential", "numerics") and attr != "delta0"}
     payload["version"] = CACHE_VERSION
-    if hbar is not None:
-        payload["hbar"] = hbar
+    payload["hbar"] = hbar
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -215,19 +214,18 @@ class BundleCache:
         wannier.save_basis(wb, self.basis_path(key))
 
 
-def _pipeline_bundles(cfg: RunConfig, cache: BundleCache | None, jobs: int = 1):
+def _pipeline_bundles(cfg: RunConfig, cache: BundleCache):
     """One PipelineBundle per ladder hbar, with bands and basis cached."""
     spec = cfg.potential()
     bundles = {}
     for hb in cfg.hbar_ladder:
         key = config_hash(cfg, hb)
-        bd = cache.load_bands(key) if cache else None
-        wb = cache.load_basis(key) if cache else None
-        bun = scan.build_pipeline(spec, hb, cfg.numerics(), cfg.sigma,
-                                  bd=bd, wb=wb, jobs=jobs)
-        if cache and bd is None:
+        bd = cache.load_bands(key)
+        wb = cache.load_basis(key)
+        bun = scan.build_pipeline(spec, hb, cfg.numerics(), cfg.sigma, bd=bd, wb=wb)
+        if bd is None:
             cache.store_bands(key, bun.bd)
-        if cache and wb is None:
+        if wb is None:
             cache.store_basis(key, bun.wb)
         bundles[hb] = bun
         log.info("pipeline hbar=%g %s", hb,
@@ -247,7 +245,7 @@ def cmd_bands(cfg: RunConfig, args) -> int:
         key = config_hash(cfg, hb)
         bd = cache.load_bands(key)
         if bd is None:
-            bd = scan.gauged_bands(spec, hb, cfg.numerics(), jobs=args.jobs)
+            bd = scan.gauged_bands(spec, hb, cfg.numerics())
             cache.store_bands(key, bd)
         else:
             print(f"bands hbar={hb:g}: served from cache")
@@ -261,7 +259,7 @@ def cmd_bands(cfg: RunConfig, args) -> int:
 def cmd_wannier(cfg: RunConfig, args) -> int:
     """Build the localized basis and write wannier_h*.csv."""
     cache = BundleCache(args.cache or cfg.cache_dir)
-    bundles = _pipeline_bundles(cfg, cache, jobs=args.jobs)
+    bundles = _pipeline_bundles(cfg, cache)
     os.makedirs(cfg.output_dir, exist_ok=True)
     for hb, bun in bundles.items():
         out = os.path.join(cfg.output_dir, f"wannier_h{hb:g}.csv")
@@ -274,7 +272,7 @@ def cmd_wannier(cfg: RunConfig, args) -> int:
 def cmd_params(cfg: RunConfig, args) -> int:
     """Extract the lattice parameters into params.csv."""
     cache = BundleCache(args.cache or cfg.cache_dir)
-    bundles = _pipeline_bundles(cfg, cache, jobs=args.jobs)
+    bundles = _pipeline_bundles(cfg, cache)
     os.makedirs(cfg.output_dir, exist_ok=True)
     s0 = tunneling_action(cfg.potential())
     rows = scan.params_rows(bundles, cfg.hbar_ladder, cfg.eta_values, s0)
@@ -310,7 +308,7 @@ def cmd_dnls(cfg: RunConfig, args) -> int:
 def cmd_scan(cfg: RunConfig, args) -> int:
     """Run the (hbar, eta) sweep and write every output."""
     cache = BundleCache(args.cache or cfg.cache_dir)
-    bundles = _pipeline_bundles(cfg, cache, jobs=args.jobs)
+    bundles = _pipeline_bundles(cfg, cache)
     report = scan.run_sweep(cfg.plan(), bundles)
     for path in report.written:
         print(f"wrote {path}")
@@ -322,7 +320,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 def cmd_verify(cfg: RunConfig, args) -> int:
     """Check the 11 acceptance criteria, one line each."""
     from . import acceptance
-    results = acceptance.run_all(cfg, jobs=args.jobs)
+    results = acceptance.run_all(cfg)
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:
@@ -340,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "stationary NLSE: bands, localized bases, lattice "
                     "parameters, DNLS branches, continuum reconstruction.")
     p.add_argument("--config", default="run.ini", help="run configuration file")
-    p.add_argument("--jobs", type=int, default=1, help="worker pool size")
     p.add_argument("--cache", default=None, help="override cache directory")
     p.add_argument("--allow-low-sigma", action="store_true",
                    help="permit sigma < 1/2 (exploratory lattice-only mode)")

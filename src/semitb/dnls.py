@@ -87,19 +87,18 @@ def linearization_lplus(f: np.ndarray, e: float, prob: DnlsProblem) -> np.ndarra
     return np.diag(diag) - neighbor_sum(np.eye(f.size), prob.boundary)
 
 
-def newton_solve(prob: DnlsProblem, f0: np.ndarray, e0: float,
-                 tol: float = 1e-13, max_iter: int = 60) -> DnlsState:
+def newton_solve(prob: DnlsProblem, f0: np.ndarray, e0: float) -> DnlsState:
     """Bordered Newton in (F, E) with the norm constraint; damped steps."""
     f = np.asarray(f0, dtype=float).copy()
     e = float(e0)
     n = f.size
     history = []
-    for _ in range(max_iter):
+    for _ in range(60):
         r = dnls_residual(f, e, prob)
         g = 0.5 * (f @ f - 1.0)
         res = float(np.sqrt(r @ r + g * g))
         history.append(res)
-        if res < tol:
+        if res < 1e-13:
             break
         jac = np.zeros((n + 1, n + 1))
         jac[:n, :n] = linearization_lplus(f, e, prob)
@@ -179,8 +178,8 @@ def solve_anticontinuum(prob: DnlsProblem, seed_site: int = 0,
     return ContinuationResult(states=tuple(states), turning_point=turning)
 
 
-def _continue_to(prob: DnlsProblem, f, e, start, target, max_depth=40):
-    """March eta from start to target, halving the step on failure."""
+def _continue_to(prob: DnlsProblem, f, e, start, target):
+    """March eta from start to target, halving the step at most 40 times."""
     eta = start
     state = None
     step = target - start
@@ -193,7 +192,7 @@ def _continue_to(prob: DnlsProblem, f, e, start, target, max_depth=40):
         except (NonConvergenceError, SolverError):
             depth += 1
             step *= 0.5
-            if depth > max_depth or abs(step) < 1e-9 * max(1.0, abs(target)):
+            if depth > 40 or abs(step) < 1e-9 * max(1.0, abs(target)):
                 raise SolverError(
                     f"continuation stalled between eta={eta} and {target}"
                 )
@@ -202,11 +201,11 @@ def _continue_to(prob: DnlsProblem, f, e, start, target, max_depth=40):
     raise SolverError(f"continuation exceeded its step budget near eta={eta}")
 
 
-def decay_rate(f: np.ndarray, lo: float = 1e-12, hi: float = 1e-2) -> float:
+def decay_rate(f: np.ndarray) -> float:
     """Least-squares tail rate of log|F_j| against distance from the peak.
 
     Requires a localized profile (participation < N/4) and at least four
-    sites with |F| inside [lo, hi].
+    sites with |F| inside [1e-12, 1e-2].
     """
     f = np.asarray(f, dtype=float)
     n = f.size
@@ -216,7 +215,7 @@ def decay_rate(f: np.ndarray, lo: float = 1e-12, hi: float = 1e-2) -> float:
     peak = int(np.argmax(np.abs(f)))
     dist = np.abs(np.arange(n) - peak)
     mag = np.abs(f)
-    mask = (mag >= lo) & (mag <= hi)
+    mask = (mag >= 1e-12) & (mag <= 1e-2)
     if mask.sum() < 4:
         raise TailFitError(f"only {int(mask.sum())} usable tail sites (< 4)")
     slope = np.polyfit(dist[mask], np.log(mag[mask]), 1)[0]
@@ -234,8 +233,7 @@ class WeinsteinResult:
     exists_for_all: bool
 
 
-def weinstein_threshold(sigma: float, n_sites: int, n_seeds: int = 8,
-                        seed: int = 7, max_iter: int = 20000) -> WeinsteinResult:
+def weinstein_threshold(sigma: float, n_sites: int) -> WeinsteinResult:
     """Excitation threshold (sigma + 1) * inf of the discrete interpolation quotient.
 
     For sigma < 2 (one dimension) the constrained minimizer exists at
@@ -244,18 +242,18 @@ def weinstein_threshold(sigma: float, n_sites: int, n_seeds: int = 8,
 
         (sum F^2)^sigma * <(-Delta) F, F> / sum |F|^{2 sigma + 2}
 
-    is minimized by projected gradient descent from several random seeds.
+    is minimized by projected gradient descent from eight random seeds.
     """
     if sigma < 2:
         return WeinsteinResult(threshold=0.0, exists_for_all=True)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     best = np.inf
     converged = False
-    for _ in range(n_seeds):
+    for _ in range(8):
         f = rng.standard_normal(n_sites)
         f /= np.linalg.norm(f)
-        q, ok = _minimize_quotient(f, sigma, max_iter)
+        q, ok = _minimize_quotient(f, sigma)
         converged = converged or ok
         best = min(best, q)
     if not converged:
@@ -273,11 +271,11 @@ def quotient(f: np.ndarray, sigma: float) -> float:
     return float(a**sigma * b / c)
 
 
-def _minimize_quotient(f, sigma, max_iter):
+def _minimize_quotient(f, sigma):
     lr = 0.1
     q = quotient(f, sigma)
     ok = False
-    for _ in range(max_iter):
+    for _ in range(20000):
         a = f @ f
         d = np.diff(f, prepend=0.0, append=0.0)
         b = np.sum(d * d)

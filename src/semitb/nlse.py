@@ -29,6 +29,7 @@ from .wannier import WannierBasis
 # the spectral radius of H, so this sits well below the outer tolerance
 FIXED_POINT_TOL = 1e-14
 RESIDUAL_FLOOR = 1e-9
+MAX_OUTER = 50
 ORACLE_TOL = 1e-11
 
 
@@ -54,9 +55,7 @@ def _nonlinear_term(phi: np.ndarray, sigma: float) -> np.ndarray:
 
 def solve_perp_fixed_point(c: np.ndarray, e_param: float, tbp: TBParams,
                            dom: PeriodicDomain, wb: WannierBasis,
-                           delta0: float,
-                           tol: float = FIXED_POINT_TOL,
-                           max_iter: int = 200):
+                           delta0: float):
     """Contraction fixed point for the out-of-band component.
 
     Iterates phi_perp <- -gamma (H - lambda)^{-1} P_perp |phi|^{2s} phi
@@ -90,12 +89,12 @@ def solve_perp_fixed_point(c: np.ndarray, e_param: float, tbp: TBParams,
         return phi_perp, 0.0
     prev_diff = None
     grow = 0
-    for _ in range(max_iter):
+    for _ in range(200):
         rhs = _nonlinear_term(phi_band + phi_perp, sigma)
         new = -gamma * dom.resolvent_perp(rhs, lam)
         diff = dom.h1_norm(new - phi_perp)
         phi_perp = new
-        if diff < tol:
+        if diff < FIXED_POINT_TOL:
             return phi_perp, dom.h1_norm(phi_perp)
         if prev_diff is not None and diff >= prev_diff:
             grow += 1
@@ -140,12 +139,12 @@ def _remainder_term(c, phi, tbp, dom, wb):
     return dom.dx * (wb.u @ nl) - tbp.c0 * np.abs(c) ** (2 * tbp.sigma) * c
 
 
-def check_lattice_invertibility(c, e_param, tbp, min_singular=1e-6,
-                                with_residual_band=False):
+def check_lattice_invertibility(c, e_param, tbp, with_residual_band=False):
     """Smallest singular value of the periodic lattice linearization.
 
-    Raises SolverError naming the near-singular direction when it falls
-    below min_singular.  With with_residual_band the constant
+    Raises SolverError when it falls below 1e-6, naming every site index
+    where the near-singular direction is within 1e-6 relative of its peak
+    (so both mirror-image peaks).  With with_residual_band the constant
     beyond-neighbor coupling band over beta is added, which is the exact
     linear part of the reduced equation and matters when the state sits
     close to the band edge.
@@ -154,19 +153,20 @@ def check_lattice_invertibility(c, e_param, tbp, min_singular=1e-6,
     lp = ring_coupling(tbp, c.size, with_residual_band) + np.diag(diag)
     svals = np.linalg.svd(lp, compute_uv=False)
     smin = float(svals[-1])
-    if smin < min_singular:
+    if smin < 1e-6:
         _, _, vt = np.linalg.svd(lp)
-        site = int(np.argmax(np.abs(vt[-1])))
+        mag = np.abs(vt[-1])
+        sites = np.flatnonzero(mag >= (1 - 1e-6) * mag.max()).tolist()
         raise SolverError(
             f"lattice linearization nearly singular (s_min = {smin:.2e}); "
-            f"worst direction peaks at site index {site}"
+            f"worst direction peaks at site indices {sites}"
         )
     return lp, smin
 
 
 def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
                             dom: PeriodicDomain, wb: WannierBasis,
-                            delta0: float, max_outer: int = 50) -> ContinuumState:
+                            delta0: float) -> ContinuumState:
     """Lift a lattice solution to a continuum solution at lambda = lambda1 - beta E.
 
     Alternates the out-of-band fixed point with Newton corrections of the
@@ -201,7 +201,7 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
     history = [rnorm]
     best = (rnorm, phi, perp_h1, c.copy(), 1)
     escapes = 0
-    for it in range(1, max_outer):
+    for it in range(1, MAX_OUTER):
         # once below tolerance, keep polishing while Newton still gains ground
         stalled = len(history) >= 2 and rnorm > 0.3 * history[-2]
         if rnorm <= tol and (rnorm <= 1e-3 * tol or stalled):
@@ -242,7 +242,7 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
             best = (rnorm, phi, perp_h1, c.copy(), it + 1)
     if best[0] > tol:
         raise NonConvergenceError(
-            f"reconstruction did not reach residual {tol:.1e} in {max_outer} "
+            f"reconstruction did not reach residual {tol:.1e} in {MAX_OUTER} "
             f"outer iterations", history=history)
     rnorm, phi, perp_h1, c, iters = best
     return ContinuumState(
@@ -276,7 +276,6 @@ def _linear_reconstruction(seed, tbp, dom, wb):
 
 def direct_newton_oracle(dom: PeriodicDomain, lam: float, gamma: float,
                          sigma: float, phi0: np.ndarray,
-                         tol: float = ORACLE_TOL,
                          max_iter: int = 60) -> ContinuumState:
     """Full-grid Newton on the continuum equation, independent of the splitting.
 
@@ -291,7 +290,7 @@ def direct_newton_oracle(dom: PeriodicDomain, lam: float, gamma: float,
     for it in range(max_iter):
         resid = dom.apply_h(phi) + gamma * _nonlinear_term(phi, sigma) - lam * phi
         rnorm = l2_norm(dom.dx, resid)
-        if rnorm <= tol:
+        if rnorm <= ORACLE_TOL:
             break
         jac = hd + np.diag(gamma * (2 * sigma + 1) * np.abs(phi) ** (2 * sigma) - lam)
         try:

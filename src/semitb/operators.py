@@ -49,7 +49,7 @@ class PeriodicDomain:
     """Discrete -hbar^2 d2/dx2 + V on the periodic multi-cell grid."""
 
     def __init__(self, spec: PotentialSpec, hbar: float, cells: int,
-                 points_per_cell: int = 64):
+                 points_per_cell: int):
         self.spec = spec
         self.hbar = float(hbar)
         self.cells = int(cells)

@@ -176,9 +176,9 @@ def _check_periodicity(v, xs, vals):
         raise PotentialError(f"potential not periodic: relative error {err / ref:.3e}")
 
 
-def _refine_minimum(dv, d2v, x_start, a, max_iter=60):
+def _refine_minimum(dv, d2v, x_start, a):
     x = x_start
-    for _ in range(max_iter):
+    for _ in range(60):
         g = float(dv(x))
         h = float(d2v(x))
         if h <= 0:

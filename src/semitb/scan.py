@@ -110,25 +110,23 @@ class PipelineBundle:
     gap1: float
 
 
-def gauged_bands(spec: PotentialSpec, hbar: float, numerics: Numerics,
-                 jobs: int = 1) -> BandData:
+def gauged_bands(spec: PotentialSpec, hbar: float, numerics: Numerics) -> BandData:
     """Floquet bands at hbar with the first-band gauge fixed."""
     cfg = FloquetConfig(hbar=hbar, n_pw=numerics.n_pw, n_kappa=numerics.n_kappa,
                         n_bands=numerics.n_bands)
-    return fix_gauge(solve_bands(spec, cfg, jobs=jobs))
+    return fix_gauge(solve_bands(spec, cfg))
 
 
 def build_pipeline(spec: PotentialSpec, hbar: float, numerics: Numerics,
                    sigma: float, bd: BandData | None = None,
-                   wb: WannierBasis | None = None,
-                   jobs: int = 1) -> PipelineBundle:
+                   wb: WannierBasis | None = None) -> PipelineBundle:
     """Build the bundle at one hbar, reusing the bands and basis passed in.
 
     bd must be gauge fixed (as `gauged_bands` returns it); whatever the
-    caller does not pass is built here, the band solve on `jobs` threads.
+    caller does not pass is built here.
     """
     if bd is None:
-        bd = gauged_bands(spec, hbar, numerics, jobs=jobs)
+        bd = gauged_bands(spec, hbar, numerics)
     dom = PeriodicDomain(spec, hbar, numerics.cells, numerics.points_per_cell)
     if wb is None:
         wb = build_orthonormal_basis(bd, dom, numerics.lowdin_band)
@@ -267,15 +265,16 @@ def run_sweep(plan: SweepPlan, bundles: dict) -> TransitionReport:
                 gaps.append({"hbar": hb, "eta": eta, "reason": "no lattice state"})
                 continue
             tbp = tightbinding.with_eta(bun.tbp, eta)
+            seed = bun.wb.u.T @ nlse.lattice_map(state, bun.wb)
             if eta == 0.0:
-                # linear reference row: the reconstruction is the reference
+                # linear reference row: the reconstruction is the lattice lift
                 lam = tbp.lambda1 - tbp.beta * state.e
-                continuum_rows.append([hb, eta, lam, state.e, 0.0, 0.0, 0, 0.0, 1.0])
+                mass = nlse.peak_cell_mass(seed, bun.wb)
+                continuum_rows.append([hb, eta, lam, state.e, 0.0, 0.0, 0, 0.0, mass])
                 continue
             try:
                 cs = nlse.reconstruct_and_correct(
                     state, tbp, bun.dom, bun.wb, delta0=plan.numerics.delta0)
-                seed = bun.wb.u.T @ nlse.lattice_map(state, bun.wb)
                 herr = bun.dom.h1_norm(cs.phi - seed)
                 mass = nlse.peak_cell_mass(cs.phi, bun.wb)
                 continuum_rows.append([

@@ -138,15 +138,14 @@ def band_hopping(bd: BandData) -> float:
 
 
 def extract_params(wb: WannierBasis, dom: PeriodicDomain, sigma: float,
-                   bd: BandData | None = None, gamma: float = 0.0) -> TBParams:
-    """Assemble TBParams from a basis built on dom."""
+                   bd: BandData | None = None) -> TBParams:
+    """Assemble TBParams from a basis built on dom, at gamma = eta = 0; see with_eta."""
     edges = bd.band_edges(1) if bd is not None else None
     h_band, lambda1, beta = h_matrix_elements(wb, dom, edges)
     c0 = interaction_constant(wb, dom, sigma)
     dnorm, dratio = residual_coupling_norm(h_band, beta)
-    eta = effective_nonlinearity(c0, gamma, beta)
     return TBParams(hbar=dom.hbar, sigma=sigma, lambda1=lambda1, beta=beta,
-                    c0=c0, gamma=gamma, eta=eta, h_band=h_band,
+                    c0=c0, gamma=0.0, eta=0.0, h_band=h_band,
                     dtilde_norm=dnorm, dtilde_ratio=dratio)
 
 

@@ -247,10 +247,9 @@ def build_orthonormal_basis(bd: BandData, dom: PeriodicDomain,
                         lowdin_band=lowdin_band, decay_rate=_tail_decay(x, w))
 
 
-def _tail_decay(x: np.ndarray, w: np.ndarray, lo: float = 1e-10,
-                hi: float = 1e-3) -> float:
+def _tail_decay(x: np.ndarray, w: np.ndarray) -> float:
     aw = np.abs(w)
-    mask = (aw >= lo) & (aw <= hi)
+    mask = (aw >= 1e-10) & (aw <= 1e-3)
     if mask.sum() < 4:
         return float("nan")
     slope = np.polyfit(np.abs(x[mask]), np.log(aw[mask]), 1)[0]
@@ -285,12 +284,11 @@ class BasisDiagnostics:
     pair_l1: dict
 
 
-def basis_diagnostics(wb: WannierBasis, dom: PeriodicDomain,
-                      max_lag: int = 4) -> BasisDiagnostics:
-    """sup_x sum_j |u_j(x)| and the L1 norms of orbital pair products."""
+def basis_diagnostics(wb: WannierBasis, dom: PeriodicDomain) -> BasisDiagnostics:
+    """sup_x sum_j |u_j(x)| and the L1 norms of orbital pair products, lags 0..4."""
     sup_sum = float(np.abs(wb.u).sum(axis=0).max())
     u0 = wb.u0
     pair = {}
-    for ell in range(0, max_lag + 1):
+    for ell in range(5):
         pair[ell] = float(dom.dx * np.abs(u0 * np.roll(u0, ell * wb.points_per_cell)).sum())
     return BasisDiagnostics(sup_sum=sup_sum, pair_l1=pair)

@@ -127,6 +127,8 @@ def test_config_validation():
         st.FloquetConfig(hbar=0.1, n_pw=15, n_bands=5)  # too small
     with pytest.raises(ValueError):
         st.FloquetConfig(hbar=0.1, n_kappa=63)  # odd
+    with pytest.raises(ValueError, match="n_bands"):
+        st.FloquetConfig(hbar=0.1, n_bands=1)  # no first gap
 
 
 def test_band_csv_shape(bundle_factory):

@@ -259,8 +259,8 @@ SCAN_OUTPUTS = ("params.csv", "dnls_ladder.csv", "continuum.csv",
                 "transition.csv", "fits.json")
 
 
-def _scan_outputs(tmp_path, *flags):
-    assert cli.main(["--config", str(tmp_path / "run.ini"), *flags, "scan"]) == 0
+def _scan_outputs(tmp_path):
+    assert cli.main(["--config", str(tmp_path / "run.ini"), "scan"]) == 0
     return {name: (tmp_path / "out" / name).read_bytes()
             for name in SCAN_OUTPUTS}
 
@@ -270,15 +270,6 @@ def test_scan_warm_cache_reproduces_cold(tmp_path):
     cold = _scan_outputs(tmp_path)
     assert any((tmp_path / "cache").glob("basis_*.npz"))
     assert _scan_outputs(tmp_path) == cold
-
-
-def test_scan_jobs_reproduce_serial(tmp_path):
-    _write(tmp_path)
-    serial = _scan_outputs(tmp_path, "--jobs", "1", "--cache",
-                           str(tmp_path / "cache1"))
-    threaded = _scan_outputs(tmp_path, "--jobs", "2", "--cache",
-                             str(tmp_path / "cache2"))
-    assert threaded == serial
 
 
 def test_every_subcommand_has_help():

@@ -170,6 +170,21 @@ def test_lattice_invertibility_guard(bundle_factory):
     c = np.zeros(bun.wb.cells)
     with pytest.raises(SolverError, match="singular"):
         check_lattice_invertibility(c, e_sing, tbp)
+    # c mirror-symmetric about the seed site (index 15): the nondegenerate
+    # near-singular direction has equal peaks at the mirror indices 7 and
+    # 23, and both are named, also after a 1-ulp change of c
+    tbp = with_eta(bun.tbp, -3.0)
+    c = np.exp(-np.abs(bun.wb.sites) / 2.0)
+    nu = np.linalg.eigvalsh(check_lattice_invertibility(c, 0.0, tbp)[0])
+    assert np.diff(nu).min() > 1e-3
+    bumped = c.copy()
+    bumped[18] = np.nextafter(c[18], 2.0)
+    messages = []
+    for cv in (c, bumped):
+        with pytest.raises(SolverError, match=r"site indices \[7, 23\]") as err:
+            check_lattice_invertibility(cv, 5e-7 - nu[12], tbp)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_reduced_jacobian_matches_finite_differences(bundle_factory,

@@ -105,6 +105,8 @@ def test_linear_reference_row(ref_spec, mini_bundles):
     assert len(rows) == len(LADDER)
     for r in rows:
         assert r[5] == 0.0  # H1 error against the linear reference is zero
+        # the delocalized lift (participation 28 sites) spreads its mass
+        assert abs(r[8] - 0.0487) < 1e-4 and r[8] < 0.1
 
 
 def test_participation_monotone_in_eta(ref_spec, mini_bundles):
