@@ -66,13 +66,12 @@ class Context:
 
     def bundle(self, hbar: float) -> scan.PipelineBundle:
         if hbar not in self._bundles:
-            self._bundles[hbar] = scan.build_pipeline(
-                self.spec, hbar, self.cfg.numerics(), self.cfg.sigma)
+            self._bundles[hbar] = scan.build_pipeline(self.cfg, hbar)
         return self._bundles[hbar]
 
     @cached_property
     def ladder_states(self):
-        states, _ = scan._dnls_ladder(self.cfg.plan(out_dir=None))
+        states, _ = scan._dnls_ladder(self.cfg)
         return states
 
     def report(self, run: int) -> scan.TransitionReport:
@@ -80,9 +79,8 @@ class Context:
             if self._tmp is None:
                 self._tmp = tempfile.mkdtemp(prefix="semitb_verify_")
             out = os.path.join(self._tmp, f"run{run}")
-            plan = self.cfg.plan(out_dir=out)
             bundles = {h: self.bundle(h) for h in self.cfg.hbar_ladder}
-            self._reports[run] = scan.run_sweep(plan, bundles)
+            self._reports[run] = scan.run_sweep(self.cfg, bundles, out_dir=out)
         return self._reports[run]
 
     def cleanup(self):

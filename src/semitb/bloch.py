@@ -20,8 +20,6 @@ import numpy as np
 from .errors import Error
 from .potential import PotentialSpec
 
-BUNDLE_VERSION = 1
-
 
 @dataclass(frozen=True)
 class FloquetConfig:
@@ -187,38 +185,4 @@ def band_csv(bd: BandData) -> str:
         for k, e in zip(bd.kappa, bd.energies[n]):
             buf.write(f"{n + 1},{float(k)!r},{float(e)!r}\n")
     return buf.getvalue()
-
-
-def save_band_data(bd: BandData, path) -> None:
-    """Persist a BandData bundle (versioned npz)."""
-    np.savez(
-        path,
-        version=np.int64(BUNDLE_VERSION),
-        a=bd.a,
-        hbar=bd.hbar,
-        kappa=bd.kappa,
-        modes=bd.modes,
-        energies=bd.energies,
-        coeffs=bd.coeffs,
-        gauge_fixed=np.int64(1 if bd.gauge_fixed else 0),
-    )
-
-
-def load_band_data(path) -> BandData:
-    """Load a BandData bundle saved by save_band_data.
-
-    Raises Error on version mismatch so stale caches are never reused.
-    """
-    with np.load(path) as z:
-        if int(z["version"]) != BUNDLE_VERSION:
-            raise Error(f"band bundle version {int(z['version'])} != {BUNDLE_VERSION}")
-        return BandData(
-            a=float(z["a"]),
-            hbar=float(z["hbar"]),
-            kappa=z["kappa"],
-            modes=z["modes"],
-            energies=z["energies"],
-            coeffs=z["coeffs"],
-            gauge_fixed=bool(int(z["gauge_fixed"])),
-        )
 

@@ -17,6 +17,8 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from . import bloch, scan, wannier
 from .errors import ConfigError, Error, NonConvergenceError, SolverError
 from .potential import PotentialSpec, make_potential, tunneling_action
@@ -28,7 +30,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 _REQUIRED = dataclasses.MISSING
@@ -40,8 +42,13 @@ _FIELDS = (
     ("potential", "v0", "v0", float, _REQUIRED),
     ("potential", "a", "a", float, _REQUIRED),
     ("potential", "coeffs", "coeffs", "floats", ()),
-    *(("numerics", f.name, f.name, type(f.default), f.default)
-      for f in dataclasses.fields(scan.Numerics)),
+    ("numerics", "n_pw", "n_pw", int, 129),
+    ("numerics", "n_kappa", "n_kappa", int, 64),
+    ("numerics", "cells", "cells", int, 32),
+    ("numerics", "points_per_cell", "points_per_cell", int, 64),
+    ("numerics", "lowdin_band", "lowdin_band", int, 6),
+    ("numerics", "n_bands", "n_bands", int, 5),
+    ("numerics", "delta0", "delta0", float, 2.0),
     ("sweep", "hbar", "hbar_ladder", "floats", _REQUIRED),
     ("sweep", "eta", "eta_values", "floats", _REQUIRED),
     ("sweep", "sigma", "sigma", float, _REQUIRED),
@@ -54,24 +61,12 @@ _FIELDS = (
 
 
 class _RunConfigMethods:
-    def numerics(self) -> scan.Numerics:
-        return scan.Numerics(**{f.name: getattr(self, f.name)
-                                for f in dataclasses.fields(scan.Numerics)})
-
     def potential(self) -> PotentialSpec:
         if self.family == "sin2":
             return make_potential("sin2", v0=self.v0, a=self.a)
         if self.family in ("cos-series", "cos_series"):
             return make_potential("cos-series", a=self.a, coeffs=list(self.coeffs))
         raise ConfigError(f"potential.family: unsupported family {self.family!r}")
-
-    def plan(self, out_dir=None) -> scan.SweepPlan:
-        return scan.SweepPlan(
-            spec=self.potential(), hbar_ladder=self.hbar_ladder,
-            eta_values=self.eta_values, sigma=self.sigma, n_sites=self.n_sites,
-            seed_site=self.seed_site, numerics=self.numerics(),
-            out_dir=out_dir if out_dir is not None else self.output_dir,
-        )
 
 
 RunConfig = dataclasses.make_dataclass(
@@ -150,6 +145,7 @@ def _validate(cfg: RunConfig, allow_low_sigma: bool):
         raise ConfigError("sweep.hbar: entries must be positive")
     if cfg.a <= 0:
         raise ConfigError("potential.a: must be positive")
+    cfg.potential()  # an unknown family fails here, whatever the subcommand
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -179,7 +175,12 @@ def config_hash(cfg: RunConfig, hbar: float) -> str:
 
 
 class BundleCache:
-    """Band and basis bundles on disk, keyed by configuration hash."""
+    """Band and basis bundles on disk, keyed by configuration hash.
+
+    A bundle is one npz holding version = CACHE_VERSION and every field
+    of its dataclass under the field's name; a file of any other version
+    is rebuilt, never served.
+    """
 
     def __init__(self, cache_dir: str):
         self.dir = cache_dir
@@ -190,39 +191,49 @@ class BundleCache:
     def basis_path(self, key: str) -> str:
         return os.path.join(self.dir, f"basis_{key}.npz")
 
-    def _load(self, path, loader):
+    def _load(self, path, cls):
         if not os.path.exists(path):
             return None
         try:
-            return loader(path)
+            with np.load(path) as z:
+                version = int(z["version"])
+                if version != CACHE_VERSION:
+                    raise Error(f"bundle version {version} != {CACHE_VERSION}")
+                stored = {f.name: z[f.name] for f in dataclasses.fields(cls)}
         except (Error, OSError, ValueError, KeyError) as exc:
             log.warning("cache bundle %s unusable (%s); rebuilding", path, exc)
             return None
+        # a scalar field comes back as a 0-d array; item() restores the
+        # Python type it was saved from
+        return cls(**{name: v.item() if v.ndim == 0 else v
+                      for name, v in stored.items()})
+
+    def _store(self, path, obj) -> None:
+        os.makedirs(self.dir, exist_ok=True)
+        np.savez(path, version=np.int64(CACHE_VERSION),
+                 **{f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
 
     def load_bands(self, key: str):
-        return self._load(self.band_path(key), bloch.load_band_data)
+        return self._load(self.band_path(key), bloch.BandData)
 
     def store_bands(self, key: str, bd) -> None:
-        os.makedirs(self.dir, exist_ok=True)
-        bloch.save_band_data(bd, self.band_path(key))
+        self._store(self.band_path(key), bd)
 
     def load_basis(self, key: str):
-        return self._load(self.basis_path(key), wannier.load_basis)
+        return self._load(self.basis_path(key), wannier.WannierBasis)
 
     def store_basis(self, key: str, wb) -> None:
-        os.makedirs(self.dir, exist_ok=True)
-        wannier.save_basis(wb, self.basis_path(key))
+        self._store(self.basis_path(key), wb)
 
 
 def _pipeline_bundles(cfg: RunConfig, cache: BundleCache):
     """One PipelineBundle per ladder hbar, with bands and basis cached."""
-    spec = cfg.potential()
     bundles = {}
     for hb in cfg.hbar_ladder:
         key = config_hash(cfg, hb)
         bd = cache.load_bands(key)
         wb = cache.load_basis(key)
-        bun = scan.build_pipeline(spec, hb, cfg.numerics(), cfg.sigma, bd=bd, wb=wb)
+        bun = scan.build_pipeline(cfg, hb, bd=bd, wb=wb)
         if bd is None:
             cache.store_bands(key, bun.bd)
         if wb is None:
@@ -239,13 +250,12 @@ def _pipeline_bundles(cfg: RunConfig, cache: BundleCache):
 def cmd_bands(cfg: RunConfig, args) -> int:
     """Solve the Floquet bands and write bands_h*.csv."""
     cache = BundleCache(args.cache or cfg.cache_dir)
-    spec = cfg.potential()
     os.makedirs(cfg.output_dir, exist_ok=True)
     for hb in cfg.hbar_ladder:
         key = config_hash(cfg, hb)
         bd = cache.load_bands(key)
         if bd is None:
-            bd = scan.gauged_bands(spec, hb, cfg.numerics())
+            bd = scan.gauged_bands(cfg, hb)
             cache.store_bands(key, bd)
         else:
             print(f"bands hbar={hb:g}: served from cache")
@@ -284,7 +294,7 @@ def cmd_params(cfg: RunConfig, args) -> int:
 
 def cmd_dnls(cfg: RunConfig, args) -> int:
     """Continue the DNLS branch into dnls_ladder.csv/json."""
-    states, turning = scan._dnls_ladder(cfg.plan())
+    states, turning = scan._dnls_ladder(cfg)
     rows = scan.dnls_rows(states)
     os.makedirs(cfg.output_dir, exist_ok=True)
     out = os.path.join(cfg.output_dir, "dnls_ladder.csv")
@@ -309,7 +319,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     """Run the (hbar, eta) sweep and write every output."""
     cache = BundleCache(args.cache or cfg.cache_dir)
     bundles = _pipeline_bundles(cfg, cache)
-    report = scan.run_sweep(cfg.plan(), bundles)
+    report = scan.run_sweep(cfg, bundles, out_dir=cfg.output_dir)
     for path in report.written:
         print(f"wrote {path}")
     if report.gaps:

@@ -13,52 +13,20 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dnls, nlse, tightbinding
 from .bloch import BandData, FloquetConfig, band_metrics, solve_bands
 from .errors import Error, SolverError, TailFitError
-from .operators import PeriodicDomain
+from .operators import PeriodicDomain, l2_norm
 from .potential import PotentialSpec, tunneling_action
 from .wannier import WannierBasis, basis_diagnostics, build_orthonormal_basis, fix_gauge
 
 log = logging.getLogger(__name__)
 
 PARTICIPATION_CROSSING = 1.5
-
-
-@dataclass(frozen=True)
-class Numerics:
-    n_pw: int = 129
-    n_kappa: int = 64
-    cells: int = 32
-    points_per_cell: int = 64
-    lowdin_band: int = 6
-    n_bands: int = 5
-    delta0: float = 2.0
-
-
-@dataclass(frozen=True)
-class SweepPlan:
-    spec: PotentialSpec
-    hbar_ladder: tuple
-    eta_values: tuple
-    sigma: float
-    n_sites: int
-    seed_site: int
-    numerics: Numerics = field(default_factory=Numerics)
-    out_dir: str | None = None
-
-    def __post_init__(self):
-        ladder = tuple(float(h) for h in self.hbar_ladder)
-        if any(b >= a for a, b in zip(ladder, ladder[1:])):
-            raise ValueError("hbar ladder must be strictly decreasing")
-        if len(ladder) < 4:
-            raise ValueError("hbar ladder needs >= 4 points for slope fits")
-        if not any(abs(e) < 1e-15 for e in self.eta_values):
-            raise ValueError("eta list must include 0 (linear reference)")
 
 
 @dataclass(frozen=True)
@@ -110,27 +78,27 @@ class PipelineBundle:
     gap1: float
 
 
-def gauged_bands(spec: PotentialSpec, hbar: float, numerics: Numerics) -> BandData:
-    """Floquet bands at hbar with the first-band gauge fixed."""
-    cfg = FloquetConfig(hbar=hbar, n_pw=numerics.n_pw, n_kappa=numerics.n_kappa,
-                        n_bands=numerics.n_bands)
-    return fix_gauge(solve_bands(spec, cfg))
+def gauged_bands(cfg, hbar: float) -> BandData:
+    """Floquet bands of the cli.RunConfig potential at hbar, gauge fixed."""
+    fc = FloquetConfig(hbar=hbar, n_pw=cfg.n_pw, n_kappa=cfg.n_kappa,
+                       n_bands=cfg.n_bands)
+    return fix_gauge(solve_bands(cfg.potential(), fc))
 
 
-def build_pipeline(spec: PotentialSpec, hbar: float, numerics: Numerics,
-                   sigma: float, bd: BandData | None = None,
+def build_pipeline(cfg, hbar: float, bd: BandData | None = None,
                    wb: WannierBasis | None = None) -> PipelineBundle:
-    """Build the bundle at one hbar, reusing the bands and basis passed in.
+    """Build the bundle of a cli.RunConfig at one hbar, reusing bd and wb.
 
     bd must be gauge fixed (as `gauged_bands` returns it); whatever the
     caller does not pass is built here.
     """
+    spec = cfg.potential()
     if bd is None:
-        bd = gauged_bands(spec, hbar, numerics)
-    dom = PeriodicDomain(spec, hbar, numerics.cells, numerics.points_per_cell)
+        bd = gauged_bands(cfg, hbar)
+    dom = PeriodicDomain(spec, hbar, cfg.cells, cfg.points_per_cell)
     if wb is None:
-        wb = build_orthonormal_basis(bd, dom, numerics.lowdin_band)
-    tbp = tightbinding.extract_params(wb, dom, sigma=sigma, bd=bd)
+        wb = build_orthonormal_basis(bd, dom, cfg.lowdin_band)
+    tbp = tightbinding.extract_params(wb, dom, sigma=cfg.sigma, bd=bd)
     m = band_metrics(bd, 1)
     return PipelineBundle(spec=spec, hbar=hbar, bd=bd, wb=wb, dom=dom, tbp=tbp,
                           width1=m["width"], gap1=m["gap_above"])
@@ -211,55 +179,63 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _dnls_ladder(plan: SweepPlan):
-    """Continue the single-site branch through the requested eta values.
+def _dnls_ladder(cfg):
+    """Continue the single-site branch through the eta values of a cli.RunConfig.
 
     Returns ({eta: DnlsState}, turning) with the eta = 0 entry filled by
-    the delocalized linear reference state.
+    the delocalized linear reference state.  Raises ValueError on a
+    ladder the sweep fits cannot use.
     """
+    ladder = tuple(float(h) for h in cfg.hbar_ladder)
+    if any(b >= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError("hbar ladder must be strictly decreasing")
+    if len(ladder) < 4:
+        raise ValueError("hbar ladder needs >= 4 points for slope fits")
+    if not any(abs(e) < 1e-15 for e in cfg.eta_values):
+        raise ValueError("eta list must include 0 (linear reference)")
     states = {}
     turning = False
     for sign in (-1.0, 1.0):
-        branch = sorted({float(e) for e in plan.eta_values if sign * e > 0},
+        branch = sorted({float(e) for e in cfg.eta_values if sign * e > 0},
                         key=abs, reverse=True)
         if not branch:
             continue
         anchor = sign * max(50.0, abs(branch[0]))
         path = [anchor] + [e for e in branch if abs(e) < abs(anchor)]
-        prob = dnls.DnlsProblem(eta=anchor, sigma=plan.sigma,
-                                n_sites=plan.n_sites, boundary="zero")
-        result = dnls.solve_anticontinuum(prob, plan.seed_site, path)
+        prob = dnls.DnlsProblem(eta=anchor, sigma=cfg.sigma,
+                                n_sites=cfg.n_sites, boundary="zero")
+        result = dnls.solve_anticontinuum(prob, cfg.seed_site, path)
         turning = turning or result.turning_point
         for s in result.states:
-            if any(abs(s.eta - e) < 1e-12 for e in plan.eta_values):
+            if any(abs(s.eta - e) < 1e-12 for e in cfg.eta_values):
                 states[s.eta] = s
-    if any(abs(e) < 1e-15 for e in plan.eta_values):
-        states[0.0] = dnls.linear_ground_state(plan.n_sites, "zero")
+    states[0.0] = dnls.linear_ground_state(cfg.n_sites, "zero")
     return states, turning
 
 
-def run_sweep(plan: SweepPlan, bundles: dict) -> TransitionReport:
-    """Execute the full (hbar, eta) sweep and assemble the report.
+def run_sweep(cfg, bundles: dict, out_dir: str | None = None) -> TransitionReport:
+    """Execute the full (hbar, eta) sweep of a cli.RunConfig and assemble the report.
 
     bundles maps every ladder hbar to its PipelineBundle (the CLI builds
-    them through its cache).
+    them through its cache).  The outputs are written to out_dir when one
+    is given.
     """
-    s0 = tunneling_action(plan.spec)
-    ladder = [float(h) for h in plan.hbar_ladder]
+    s0 = tunneling_action(cfg.potential())
+    ladder = [float(h) for h in cfg.hbar_ladder]
 
-    lattice_states, turning = _dnls_ladder(plan)
+    lattice_states, turning = _dnls_ladder(cfg)
     if turning:
         log.warning("continuation hit a turning point; ladder incomplete")
 
     lattice_rows = dnls_rows(lattice_states)
     transition_rows = [r[:2] + r[3:5] for r in lattice_rows]
-    point_rows = params_rows(bundles, ladder, plan.eta_values, s0)
+    point_rows = params_rows(bundles, ladder, cfg.eta_values, s0)
 
     continuum_rows, gaps = [], []
     continuum_states = {}
     for hb in ladder:
         bun = bundles[hb]
-        for eta in _eta_order(plan.eta_values):
+        for eta in _eta_order(cfg.eta_values):
             state = lattice_states.get(eta)
             if state is None:
                 gaps.append({"hbar": hb, "eta": eta, "reason": "no lattice state"})
@@ -269,12 +245,13 @@ def run_sweep(plan: SweepPlan, bundles: dict) -> TransitionReport:
             if eta == 0.0:
                 # linear reference row: the reconstruction is the lattice lift
                 lam = tbp.lambda1 - tbp.beta * state.e
+                rnorm = l2_norm(bun.dom.dx, bun.dom.apply_h(seed) - lam * seed)
                 mass = nlse.peak_cell_mass(seed, bun.wb)
-                continuum_rows.append([hb, eta, lam, state.e, 0.0, 0.0, 0, 0.0, mass])
+                continuum_rows.append([hb, eta, lam, state.e, 0.0, 0.0, 0, rnorm, mass])
                 continue
             try:
                 cs = nlse.reconstruct_and_correct(
-                    state, tbp, bun.dom, bun.wb, delta0=plan.numerics.delta0)
+                    state, tbp, bun.dom, bun.wb, delta0=cfg.delta0)
                 herr = bun.dom.h1_norm(cs.phi - seed)
                 mass = nlse.peak_cell_mass(cs.phi, bun.wb)
                 continuum_rows.append([
@@ -287,33 +264,32 @@ def run_sweep(plan: SweepPlan, bundles: dict) -> TransitionReport:
 
     eta_crossing = _participation_crossing(lattice_states)
 
-    fits = _assemble_fits(plan, bundles, continuum_rows, s0)
+    fits = _assemble_fits(ladder, bundles, continuum_rows, s0)
     fits["transition"] = {
         "eta_at_participation_1.5": eta_crossing,
-        "participation_at_eta0": (lattice_states[0.0].participation
-                                  if 0.0 in lattice_states else None),
+        "participation_at_eta0": lattice_states[0.0].participation,
     }
     fits["gaps"] = gaps
 
     written = []
-    if plan.out_dir:
-        os.makedirs(plan.out_dir, exist_ok=True)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
         paths = {
             "params.csv": (PARAMS_HEADER, point_rows),
-            "dnls_ladder.csv": (dnls_header(plan.n_sites), lattice_rows),
+            "dnls_ladder.csv": (dnls_header(cfg.n_sites), lattice_rows),
             "continuum.csv": (CONTINUUM_HEADER, continuum_rows),
             "transition.csv": (TRANSITION_HEADER, transition_rows),
         }
         for name, (header, rows) in paths.items():
-            path = os.path.join(plan.out_dir, name)
+            path = os.path.join(out_dir, name)
             _write_csv(path, header, rows)
             written.append(path)
-        fits_path = os.path.join(plan.out_dir, "fits.json")
+        fits_path = os.path.join(out_dir, "fits.json")
         with open(fits_path, "w", encoding="utf-8") as fh:
             json.dump(fits, fh, indent=2, sort_keys=True)
             fh.write("\n")
         written.append(fits_path)
-        written.extend(_write_state_bundles(plan, lattice_states,
+        written.extend(_write_state_bundles(out_dir, lattice_states,
                                             continuum_states))
 
     return TransitionReport(
@@ -342,8 +318,7 @@ def _participation_crossing(lattice_states) -> float | None:
     return None
 
 
-def _assemble_fits(plan, bundles, continuum_rows, s0) -> dict:
-    ladder = [float(h) for h in plan.hbar_ladder]
+def _assemble_fits(ladder, bundles, continuum_rows, s0) -> dict:
     inv = [1.0 / h for h in ladder]
     fits = {}
 
@@ -387,9 +362,9 @@ def _assemble_fits(plan, bundles, continuum_rows, s0) -> dict:
     return fits
 
 
-def _write_state_bundles(plan, lattice_states, continuum_states):
+def _write_state_bundles(out_dir, lattice_states, continuum_states):
     out = []
-    state_dir = os.path.join(plan.out_dir, "states")
+    state_dir = os.path.join(out_dir, "states")
     os.makedirs(state_dir, exist_ok=True)
     for eta in _eta_order(lattice_states):
         s = lattice_states[eta]

@@ -47,14 +47,14 @@ class TBParams:
 
 
 def h_matrix_elements(wb: WannierBasis, dom: PeriodicDomain,
-                      band1_edges: tuple[float, float] | None = None):
+                      band1_edges: tuple[float, float]):
     """Banded matrix elements <u_0, H u_ell>, |ell| <= 4.
 
     Returns (h_band, lambda1, beta) with lambda1 the diagonal element and
     beta = -<u_0, H u_1>.  Checks the symmetry of the band, that |beta|
     clears the roundoff floor eps * max|E| of the domain H, its sign under
-    the positive-well gauge, and optionally that lambda1 lies inside the
-    first band.
+    the positive-well gauge, and that lambda1 lies inside the first band
+    (band1_edges).
     """
     u0 = wb.orbital(0)
     hu0 = dom.apply_h(u0)
@@ -77,13 +77,12 @@ def h_matrix_elements(wb: WannierBasis, dom: PeriodicDomain,
         raise BasisError(
             f"hopping beta = {beta:.3e} <= 0; sign convention violated upstream"
         )
-    if band1_edges is not None:
-        lo, hi = band1_edges
-        if not (lo - 1e-8 <= lambda1 <= hi + 1e-8):
-            raise BasisError(
-                f"lambda1 = {lambda1:.8g} outside first band [{lo:.8g}, {hi:.8g}]: "
-                "basis leaks out of the band subspace"
-            )
+    lo, hi = band1_edges
+    if not (lo - 1e-8 <= lambda1 <= hi + 1e-8):
+        raise BasisError(
+            f"lambda1 = {lambda1:.8g} outside first band [{lo:.8g}, {hi:.8g}]: "
+            "basis leaks out of the band subspace"
+        )
     return h_band, lambda1, beta
 
 
@@ -138,10 +137,9 @@ def band_hopping(bd: BandData) -> float:
 
 
 def extract_params(wb: WannierBasis, dom: PeriodicDomain, sigma: float,
-                   bd: BandData | None = None) -> TBParams:
+                   bd: BandData) -> TBParams:
     """Assemble TBParams from a basis built on dom, at gamma = eta = 0; see with_eta."""
-    edges = bd.band_edges(1) if bd is not None else None
-    h_band, lambda1, beta = h_matrix_elements(wb, dom, edges)
+    h_band, lambda1, beta = h_matrix_elements(wb, dom, bd.band_edges(1))
     c0 = interaction_constant(wb, dom, sigma)
     dnorm, dratio = residual_coupling_norm(h_band, beta)
     return TBParams(hbar=dom.hbar, sigma=sigma, lambda1=lambda1, beta=beta,

@@ -58,7 +58,6 @@ class WannierBasis:
     overlaps: np.ndarray
     lowdin: np.ndarray
     lowdin_band: int
-    decay_rate: float
 
     @property
     def cells(self) -> int:
@@ -89,15 +88,15 @@ class WannierBasis:
         return self.u[self.site_index(j)]
 
 
-def fix_gauge(bd: BandData, seed_phase: float = 0.0) -> BandData:
+def fix_gauge(bd: BandData) -> BandData:
     """Fix the first-band gauge so the zone average is real and positive.
 
     Parallel transport aligns each eigenvector with its kappa neighbor
     (overlap of the periodic parts made real positive); the closure
     winding over the zone is distributed evenly across the grid; a final
     global phase makes the zone average real with positive value at the
-    well.  seed_phase multiplies the starting eigenvector and must not
-    change any downstream observable beyond a global sign.
+    well.  A phase on the starting eigenvector must not change any
+    downstream observable beyond a global sign.
 
     Raises GaugeError when adjacent overlaps fall below 0.9 (kappa grid
     too coarse) or the average cannot be made real to 1e-8.
@@ -105,8 +104,6 @@ def fix_gauge(bd: BandData, seed_phase: float = 0.0) -> BandData:
     a = bd.a
     nk = bd.n_kappa
     c = bd.coeffs[0].copy()
-    if seed_phase:
-        c[0] = c[0] * np.exp(1j * seed_phase)
 
     min_link = np.inf
     for i in range(1, nk):
@@ -244,38 +241,7 @@ def build_orthonormal_basis(bd: BandData, dom: PeriodicDomain,
     overlaps[0] -= 1.0
 
     return WannierBasis(w=w, v0=v0, u0=u0, overlaps=overlaps, lowdin=b,
-                        lowdin_band=lowdin_band, decay_rate=_tail_decay(x, w))
-
-
-def _tail_decay(x: np.ndarray, w: np.ndarray) -> float:
-    aw = np.abs(w)
-    mask = (aw >= 1e-10) & (aw <= 1e-3)
-    if mask.sum() < 4:
-        return float("nan")
-    slope = np.polyfit(np.abs(x[mask]), np.log(aw[mask]), 1)[0]
-    return -float(slope)
-
-
-BASIS_BUNDLE_VERSION = 2
-_BUNDLE_ARRAYS = ("w", "v0", "u0", "overlaps", "lowdin")
-
-
-def save_basis(wb: WannierBasis, path) -> None:
-    """Persist a WannierBasis bundle (versioned npz)."""
-    np.savez(path, version=np.int64(BASIS_BUNDLE_VERSION),
-             **{name: getattr(wb, name) for name in _BUNDLE_ARRAYS},
-             lowdin_band=np.int64(wb.lowdin_band), decay_rate=wb.decay_rate)
-
-
-def load_basis(path) -> WannierBasis:
-    """Load a WannierBasis bundle; raises BasisError on version mismatch."""
-    with np.load(path) as z:
-        if int(z["version"]) != BASIS_BUNDLE_VERSION:
-            raise BasisError(
-                f"basis bundle version {int(z['version'])} != {BASIS_BUNDLE_VERSION}")
-        return WannierBasis(**{name: z[name] for name in _BUNDLE_ARRAYS},
-                            lowdin_band=int(z["lowdin_band"]),
-                            decay_rate=float(z["decay_rate"]))
+                        lowdin_band=lowdin_band)
 
 
 @dataclass(frozen=True)

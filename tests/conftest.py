@@ -1,7 +1,8 @@
 import pytest
 
 import semitb as st
-from semitb.scan import Numerics, build_pipeline
+from semitb.acceptance import reference_config
+from semitb.scan import build_pipeline
 
 REF_LADDER = (0.25, 0.2, 0.16, 0.125, 0.1)
 
@@ -17,13 +18,19 @@ def ref_s0(ref_spec):
 
 
 @pytest.fixture(scope="session")
-def bundle_factory(ref_spec):
+def ref_cfg():
+    """The reference RunConfig: sin2 potential, reference numerics, sigma 1."""
+    return reference_config()
+
+
+@pytest.fixture(scope="session")
+def bundle_factory(ref_cfg):
     """Session-cached pipeline bundles at the reference configuration."""
     cache = {}
 
     def get(hbar):
         if hbar not in cache:
-            cache[hbar] = build_pipeline(ref_spec, hbar, Numerics(), sigma=1.0)
+            cache[hbar] = build_pipeline(ref_cfg, hbar)
         return cache[hbar]
 
     return get

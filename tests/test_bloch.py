@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import semitb as st
-from semitb.bloch import band_csv, load_band_data, save_band_data
-from semitb.errors import Error
+from semitb.bloch import band_csv
+from semitb.cli import BundleCache
 
 
 def test_free_particle_bands_exact():
@@ -145,9 +145,9 @@ def test_band_csv_shape(bundle_factory):
 
 def test_bundle_roundtrip(tmp_path, bundle_factory):
     bd = bundle_factory(0.2).bd
-    path = tmp_path / "bands.npz"
-    save_band_data(bd, path)
-    back = load_band_data(path)
+    cache = BundleCache(str(tmp_path))
+    cache.store_bands("key", bd)
+    back = cache.load_bands("key")
     assert back.gauge_fixed == bd.gauge_fixed
     assert np.array_equal(back.energies, bd.energies)
     assert np.array_equal(back.coeffs, bd.coeffs)
@@ -155,9 +155,8 @@ def test_bundle_roundtrip(tmp_path, bundle_factory):
 
 def test_bundle_version_mismatch(tmp_path, bundle_factory):
     bd = bundle_factory(0.2).bd
-    path = tmp_path / "bands.npz"
-    np.savez(path, version=np.int64(999), a=bd.a, hbar=bd.hbar, kappa=bd.kappa,
-             modes=bd.modes, energies=bd.energies, coeffs=bd.coeffs,
-             gauge_fixed=np.int64(1))
-    with pytest.raises(Error):
-        load_band_data(path)
+    cache = BundleCache(str(tmp_path))
+    np.savez(cache.band_path("key"), version=np.int64(999), a=bd.a,
+             hbar=bd.hbar, kappa=bd.kappa, modes=bd.modes, energies=bd.energies,
+             coeffs=bd.coeffs, gauge_fixed=True)
+    assert cache.load_bands("key") is None

@@ -1,11 +1,11 @@
+import typing
+
 import numpy as np
 import pytest
 
 import semitb.cli as cli
-from semitb import wannier
 from semitb.errors import ConfigError
 from semitb.operators import PeriodicDomain
-from semitb.scan import Numerics
 
 GOOD = """\
 [potential]
@@ -47,7 +47,7 @@ def test_parse_and_roundtrip(tmp_path):
     for text in (GOOD, cos_series):
         cfg = cli.parse_config(str(_write(tmp_path, text)))
         assert cfg.hbar_ladder == (0.3, 0.25, 0.2, 0.15)
-        assert cfg.n_bands == Numerics().n_bands  # omitted: the default
+        assert cfg.n_bands == 5  # omitted: the default
         path2 = tmp_path / "round.ini"
         path2.write_text(cli.serialize_config(cfg))
         assert cli.parse_config(str(path2)) == cfg
@@ -65,6 +65,12 @@ def test_unknown_field_named(tmp_path):
     text = GOOD.replace("[sweep]", "[sweep]\nwavelength = 3")
     with pytest.raises(ConfigError, match="wavelength"):
         cli.parse_config(str(_write(tmp_path, text)))
+
+
+def test_unknown_family_exits_config_error(tmp_path, capsys):
+    path = _write(tmp_path, GOOD.replace("family = sin2", "family = square"))
+    assert cli.main(["--config", str(path), "dnls"]) == cli.EXIT_CONFIG
+    assert "potential.family" in capsys.readouterr().err
 
 
 def test_bad_value_named(tmp_path):
@@ -169,16 +175,42 @@ def test_version1_basis_bundle_rebuilt(tmp_path):
                  points_per_cell=np.int64(wb.points_per_cell), x=dom.x,
                  dx=dom.dx, sites=dom.sites, w=wb.w, v0=wb.v0, u=wb.u,
                  overlaps=wb.overlaps, lowdin=wb.lowdin,
-                 lowdin_band=np.int64(wb.lowdin_band), decay_rate=wb.decay_rate)
+                 lowdin_band=np.int64(wb.lowdin_band), decay_rate=0.5)
     (tmp_path / "out" / "params.csv").unlink()
     assert cli.main(["--config", str(path), "params"]) == 0
     assert (tmp_path / "out" / "params.csv").read_bytes() == want
     for key in keys:
         with np.load(cache.basis_path(key)) as z:
-            assert int(z["version"]) == wannier.BASIS_BUNDLE_VERSION == 2
+            assert int(z["version"]) == cli.CACHE_VERSION == 3
             assert "u" not in z.files
         got, ref = cache.load_basis(key), fresh.load_basis(key)
         assert np.array_equal(got.u0, ref.u0)
+
+
+@pytest.mark.parametrize("attr, kind, path_of", [("bd", "bands", "band_path"),
+                                                 ("wb", "basis", "basis_path")])
+def test_bundle_holds_exactly_its_dataclass_fields(tmp_path, bundle_factory,
+                                                   attr, kind, path_of):
+    obj = getattr(bundle_factory(0.2), attr)
+    cache = cli.BundleCache(str(tmp_path))
+    getattr(cache, f"store_{kind}")("key", obj)
+    path = getattr(cache, path_of)("key")
+    hints = typing.get_type_hints(type(obj))
+    with np.load(path) as z:
+        assert set(z.files) == {"version", *hints}
+        assert int(z["version"]) == cli.CACHE_VERSION
+        stored = dict(z)
+    back = getattr(cache, f"load_{kind}")("key")
+    for name, declared in hints.items():
+        got, want = getattr(back, name), getattr(obj, name)
+        if declared is np.ndarray:
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        else:
+            assert type(got) is declared and got == want, name
+    # a file of any other version is never served
+    for version in (cli.CACHE_VERSION - 1, cli.CACHE_VERSION + 1):
+        np.savez(path, **{**stored, "version": np.int64(version)})
+        assert getattr(cache, f"load_{kind}")("key") is None
 
 
 def test_params_command(tmp_path):

@@ -284,13 +284,14 @@ def test_oracle_iteration_budget(bundle_factory, ladder_states):
                                 cs.phi + 0.05 * np.sin(bun.dom.x), max_iter=1)
 
 
-def test_domain_doubling_stability(ref_spec, ladder_states):
-    from semitb.scan import Numerics, build_pipeline
+def test_domain_doubling_stability(ref_cfg, ladder_states):
+    import dataclasses
+
+    from semitb.scan import build_pipeline
 
     lams, resids = [], []
     for cells in (32, 64):
-        bun = build_pipeline(ref_spec, 0.16,
-                             Numerics(cells=cells, n_kappa=64), sigma=1.0)
+        bun = build_pipeline(dataclasses.replace(ref_cfg, cells=cells), 0.16)
         tbp = with_eta(bun.tbp, -3.0)
         cs = st.reconstruct_and_correct(ladder_states[-3.0], tbp, bun.dom,
                                         bun.wb, delta0=8.0)

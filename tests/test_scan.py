@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import math
@@ -5,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from semitb import nlse
 from semitb.errors import Error
-from semitb.scan import Numerics, SweepPlan, fit_exponential_law, run_sweep
+from semitb.operators import l2_norm
+from semitb.scan import _dnls_ladder, fit_exponential_law, run_sweep
 
 ETAS = (0.0, -2.0, -3.0, -8.0, -50.0)
 LADDER = (0.25, 0.2, 0.16, 0.125)
@@ -17,10 +20,9 @@ def mini_bundles(bundle_factory):
     return {h: bundle_factory(h) for h in LADDER}
 
 
-def _plan(ref_spec, out_dir=None):
-    return SweepPlan(spec=ref_spec, hbar_ladder=LADDER, eta_values=ETAS,
-                     sigma=1.0, n_sites=41, seed_site=0,
-                     numerics=Numerics(delta0=8.0), out_dir=out_dir)
+@pytest.fixture(scope="module")
+def cfg(ref_cfg):
+    return dataclasses.replace(ref_cfg, hbar_ladder=LADDER, eta_values=ETAS)
 
 
 def test_fit_exponential_law_exact():
@@ -46,19 +48,16 @@ def test_fit_window_filters_amplitudes():
     assert fr.n_points == 7
 
 
-def test_plan_validation(ref_spec):
-    sweep = dict(spec=ref_spec, sigma=1.0, n_sites=41, seed_site=0)
-    with pytest.raises(ValueError):
-        SweepPlan(hbar_ladder=(0.1, 0.2, 0.3, 0.4), eta_values=ETAS, **sweep)
-    with pytest.raises(ValueError):
-        SweepPlan(hbar_ladder=LADDER, eta_values=(-2.0, -8.0), **sweep)
-    with pytest.raises(ValueError):
-        SweepPlan(hbar_ladder=(0.25, 0.2, 0.16), eta_values=ETAS, **sweep)
+def test_plan_validation(cfg):
+    for bad, match in ((dict(hbar_ladder=(0.1, 0.2, 0.3, 0.4)), "decreasing"),
+                       (dict(eta_values=(-2.0, -8.0)), "include 0"),
+                       (dict(hbar_ladder=(0.25, 0.2, 0.16)), ">= 4 points")):
+        with pytest.raises(ValueError, match=match):
+            _dnls_ladder(dataclasses.replace(cfg, **bad))
 
 
-def test_sweep_report_contents(ref_spec, mini_bundles, tmp_path):
-    plan = _plan(ref_spec, out_dir=str(tmp_path / "run"))
-    rep = run_sweep(plan, bundles=mini_bundles)
+def test_sweep_report_contents(cfg, mini_bundles, tmp_path):
+    rep = run_sweep(cfg, mini_bundles, out_dir=str(tmp_path / "run"))
     assert not rep.gaps
     assert len(rep.params_rows) == len(LADDER) * len(ETAS)
     assert len(rep.continuum_rows) == len(LADDER) * len(ETAS)
@@ -79,9 +78,9 @@ def test_sweep_report_contents(ref_spec, mini_bundles, tmp_path):
             assert abs(ri / rj - 1.0) <= 0.2
 
 
-def test_sweep_determinism(ref_spec, mini_bundles, tmp_path):
-    rep1 = run_sweep(_plan(ref_spec, str(tmp_path / "a")), bundles=mini_bundles)
-    rep2 = run_sweep(_plan(ref_spec, str(tmp_path / "b")), bundles=mini_bundles)
+def test_sweep_determinism(cfg, mini_bundles, tmp_path):
+    rep1 = run_sweep(cfg, mini_bundles, out_dir=str(tmp_path / "a"))
+    rep2 = run_sweep(cfg, mini_bundles, out_dir=str(tmp_path / "b"))
     for name in ("params.csv", "dnls_ladder.csv", "continuum.csv",
                  "transition.csv", "fits.json"):
         p1 = next(p for p in rep1.written if p.endswith(name))
@@ -89,37 +88,40 @@ def test_sweep_determinism(ref_spec, mini_bundles, tmp_path):
         assert filecmp.cmp(p1, p2, shallow=False), name
 
 
-def test_sweep_records_gaps_without_aborting(ref_spec, mini_bundles):
-    plan = SweepPlan(spec=ref_spec, hbar_ladder=LADDER, eta_values=ETAS,
-                     sigma=1.0, n_sites=41, seed_site=0,
-                     numerics=Numerics(delta0=1e-3), out_dir=None)
-    rep = run_sweep(plan, bundles=mini_bundles)
+def test_sweep_records_gaps_without_aborting(cfg, mini_bundles):
+    rep = run_sweep(dataclasses.replace(cfg, delta0=1e-3), mini_bundles)
     assert rep.gaps  # every nonlinear point exceeds the tiny budget
     kept = {(r[0], r[1]) for r in rep.continuum_rows}
     assert all(eta == 0.0 for _, eta in kept)
 
 
-def test_linear_reference_row(ref_spec, mini_bundles):
-    rep = run_sweep(_plan(ref_spec), bundles=mini_bundles)
+def test_linear_reference_row(cfg, mini_bundles):
+    rep = run_sweep(cfg, mini_bundles)
     rows = [r for r in rep.continuum_rows if r[1] == 0.0]
     assert len(rows) == len(LADDER)
+    state = _dnls_ladder(cfg)[0][0.0]
     for r in rows:
         assert r[5] == 0.0  # H1 error against the linear reference is zero
         # the delocalized lift (participation 28 sites) spreads its mass
         assert abs(r[8] - 0.0487) < 1e-4 and r[8] < 0.1
+        # residual_h is measured on the lift, not assumed
+        bun = mini_bundles[r[0]]
+        lift = bun.wb.u.T @ nlse.lattice_map(state, bun.wb)
+        resid = bun.dom.apply_h(lift) - r[2] * lift
+        assert r[7] == l2_norm(bun.dom.dx, resid) > 0.0
 
 
-def test_participation_monotone_in_eta(ref_spec, mini_bundles):
-    rep = run_sweep(_plan(ref_spec), bundles=mini_bundles)
+def test_participation_monotone_in_eta(cfg, mini_bundles):
+    rep = run_sweep(cfg, mini_bundles)
     by_abs_eta = sorted(rep.transition_rows, key=lambda r: abs(r[0]))
     ps = [r[2] for r in by_abs_eta]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(ps, ps[1:]))
 
 
-def test_gap_fit_regression_value(ref_spec, mini_bundles):
+def test_gap_fit_regression_value(cfg, mini_bundles):
     # desk-scale value of the gap log-log slope; the asymptotic law
     # (slope -> 1) is only reached at much smaller hbar
-    rep = run_sweep(_plan(ref_spec), bundles=mini_bundles)
+    rep = run_sweep(cfg, mini_bundles)
     entry = rep.fits["gap_loglog"]
     assert entry["available"] and entry["r2"] > 0.95
     assert 0.76 <= entry["slope"] <= 0.86

@@ -5,7 +5,7 @@ import pytest
 
 import semitb as st
 from semitb.errors import BasisError
-from semitb.scan import Numerics, build_pipeline
+from semitb.scan import build_pipeline
 from semitb.tightbinding import HALF_BANDWIDTH, band_hopping, ring_coupling
 
 
@@ -103,7 +103,7 @@ def test_sign_violation_detected(bundle_factory):
     bad = dataclasses.replace(bun.wb, u0=bun.wb.u0 * np.cos(np.pi * bun.dom.x
                                                            / bun.dom.spec.a))
     with pytest.raises(BasisError, match="sign convention"):
-        st.h_matrix_elements(bad, bun.dom)
+        st.h_matrix_elements(bad, bun.dom, bun.bd.band_edges(1))
 
 
 def test_band_leakage_detected(bundle_factory):
@@ -112,10 +112,10 @@ def test_band_leakage_detected(bundle_factory):
         st.h_matrix_elements(bun.wb, bun.dom, band1_edges=(0.0, 0.1))
 
 
-def test_beta_below_roundoff_floor_refused(ref_spec):
+def test_beta_below_roundoff_floor_refused(ref_cfg):
     # at hbar = 0.05 beta ~ 1e-15 sits below eps * max|E| ~ 2.4e-14
     with pytest.raises(BasisError, match="roundoff floor"):
-        build_pipeline(ref_spec, 0.05, Numerics(), sigma=1.0)
+        build_pipeline(ref_cfg, 0.05)
 
 
 def test_ring_coupling_is_the_galerkin_matrix(bundle_factory):

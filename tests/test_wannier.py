@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import semitb as st
+from semitb.cli import BundleCache
 from semitb.errors import BasisError, GaugeError
 from semitb.operators import PeriodicDomain, l2_norm
 from semitb.potential import action_profile
@@ -26,14 +29,17 @@ def test_gauge_idempotent(ref_spec):
 
 def test_gauge_seed_phase_changes_nothing_but_sign(ref_spec):
     bd = st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.2))
+    coeffs = bd.coeffs.copy()
+    coeffs[0, 0] = coeffs[0, 0] * np.exp(0.7j)
+    rotated = dataclasses.replace(bd, coeffs=coeffs)
     dom = PeriodicDomain(ref_spec, 0.2, 32, 64)
     wb_a = st.build_orthonormal_basis(fix_gauge(bd), dom)
-    wb_b = st.build_orthonormal_basis(fix_gauge(bd, seed_phase=0.7), dom)
+    wb_b = st.build_orthonormal_basis(fix_gauge(rotated), dom)
     sign = np.sign(np.sum(wb_a.w * wb_b.w))
     assert np.abs(wb_a.u - sign * wb_b.u).max() < 1e-10
     assert np.abs(wb_a.overlaps - wb_b.overlaps).max() < 1e-10
-    tb_a = st.extract_params(wb_a, dom, sigma=1.0)
-    tb_b = st.extract_params(wb_b, dom, sigma=1.0)
+    tb_a = st.extract_params(wb_a, dom, sigma=1.0, bd=bd)
+    tb_b = st.extract_params(wb_b, dom, sigma=1.0, bd=rotated)
     assert abs(tb_a.beta - tb_b.beta) < 1e-10
     assert abs(tb_a.c0 - tb_b.c0) < 1e-10
 
@@ -185,29 +191,22 @@ def test_small_domain_warns(ref_spec):
 
 
 def test_basis_bundle_roundtrip(tmp_path, bundle_factory):
-    from semitb.wannier import load_basis, save_basis
-
     wb = bundle_factory(0.2).wb
-    path = tmp_path / "basis.npz"
-    save_basis(wb, path)
-    back = load_basis(path)
+    cache = BundleCache(str(tmp_path))
+    cache.store_basis("key", wb)
+    back = cache.load_basis("key")
     for name in ("w", "v0", "u0", "overlaps", "lowdin"):
         assert np.array_equal(getattr(back, name), getattr(wb, name)), name
     assert np.array_equal(back.u, wb.u)
     assert back.cells == wb.cells and back.lowdin_band == wb.lowdin_band
-    assert back.decay_rate == wb.decay_rate
 
 
 def test_basis_bundle_version_mismatch(tmp_path, bundle_factory):
-    from semitb.wannier import load_basis
-
     wb = bundle_factory(0.2).wb
-    path = tmp_path / "basis.npz"
-    np.savez(path, version=np.int64(99), w=wb.w, v0=wb.v0, u0=wb.u0,
-             overlaps=wb.overlaps, lowdin=wb.lowdin, lowdin_band=np.int64(6),
-             decay_rate=wb.decay_rate)
-    with pytest.raises(BasisError):
-        load_basis(path)
+    cache = BundleCache(str(tmp_path))
+    np.savez(cache.basis_path("key"), version=np.int64(99), w=wb.w, v0=wb.v0,
+             u0=wb.u0, overlaps=wb.overlaps, lowdin=wb.lowdin, lowdin_band=6)
+    assert cache.load_basis("key") is None
 
 
 def test_even_and_odd_cell_counts(ref_spec):
