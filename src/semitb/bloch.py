@@ -3,7 +3,10 @@
 For each quasimomentum kappa in the Brillouin zone [-b/2, b/2), b = 2*pi/a,
 the operator -hbar^2 d^2/dx^2 + V(x) acting on functions with boundary
 condition phi(x + a) = exp(i*kappa*a) phi(x) is represented on the modes
-exp(i*(kappa + 2*pi*m/a)*x) and diagonalized exactly (dense Hermitian).
+exp(i*(kappa + 2*pi*m/a)*x).  The matrix is banded with the Fourier
+support of V, and only the lowest n_bands eigenpairs are computed: by a
+banded Hermitian solver for short Fourier series (sin2, short cosine
+series), by a dense subset solver otherwise.
 Band widths are exponentially small in 1/hbar, so the spectrally accurate
 plane-wave discretization is required; finite differences would bury them
 in O(h^2) error.
@@ -101,16 +104,38 @@ def potential_fourier(spec: PotentialSpec, kmax: int) -> np.ndarray:
     return out
 
 
+def half_bandwidth(vhat: np.ndarray, n_pw: int) -> int:
+    """Largest k with |vhat[k]| > n_pw * eps * max|vhat|, 0 if there is none.
+
+    vhat is indexed by k + kmax as `potential_fourier` returns it.
+    """
+    mag = np.abs(vhat[vhat.size // 2:])
+    above = np.flatnonzero(mag > n_pw * np.finfo(float).eps * mag.max())
+    return int(above.max(initial=0))
+
+
 def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
-    """Diagonalize the Floquet matrix at every kappa on the zone grid.
+    """Lowest n_bands eigenpairs of the Floquet matrix at every zone kappa.
 
     The matrix is hbar^2 (kappa + 2 pi m / a)^2 on the diagonal plus the
     Toeplitz potential block vhat[m - n]; it is Hermitian by construction
-    and this is asserted.  Eigenvalues come out ascending from eigh.
+    and this is asserted.  Its half-bandwidth K is the largest k with
+    |vhat[k]| > n_pw * eps * max|vhat|; the entries dropped beyond it sit
+    below the backward error of a dense eigensolver.  K = 1 for sin2,
+    len(coeffs) for cos-series, about n_pw - 1 for custom-samples and 0
+    for a free particle.  For K <= 2 the lower band storage is filled
+    once, only its diagonal changes with kappa, and `eig_banded` returns
+    the lowest n_bands eigenpairs; for K >= 3 `eigh` with
+    `subset_by_index` does so on the dense block, which is faster there.
+    Eigenvalues come out ascending from either solver.
 
     Warns if the top kept band reaches a quarter of the plane-wave cutoff
     energy, which signals basis truncation.
     """
+    # scipy.linalg costs about half of the package's import time, and only
+    # the band solve needs it, so it is imported on use
+    import scipy.linalg
+
     a, hbar = spec.a, cfg.hbar
     b = 2 * np.pi / a
     modes = np.arange(cfg.n_pw) - cfg.n_pw // 2
@@ -121,20 +146,30 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
     diff = modes[:, None] - modes[None, :]
     vblock = vhat[diff + kmax]
     assert np.array_equal(vblock, vblock.conj().T), "Floquet matrix not Hermitian"
+    K = half_bandwidth(vhat, cfg.n_pw)
 
     nb = cfg.n_bands
+    if K <= 2:  # lower band storage: row d holds the d-th subdiagonal
+        band = np.array([np.pad(np.diagonal(vblock, -d), (0, d))
+                         for d in range(K + 1)])
+
     energies = np.empty((nb, cfg.n_kappa))
     coeffs = np.empty((nb, cfg.n_kappa, cfg.n_pw), dtype=complex)
     for i in range(cfg.n_kappa):
-        h = vblock.copy()
-        h[np.arange(cfg.n_pw), np.arange(cfg.n_pw)] += (
-            hbar**2 * (kappa[i] + b * modes) ** 2)
+        kinetic = hbar**2 * (kappa[i] + b * modes) ** 2
         try:
-            w, u = np.linalg.eigh(h)
+            if K <= 2:
+                band[0] = vhat[kmax] + kinetic
+                w, u = scipy.linalg.eig_banded(band, lower=True, select="i",
+                                               select_range=(0, nb - 1))
+            else:
+                h = vblock.copy()
+                h[np.diag_indices_from(h)] += kinetic
+                w, u = scipy.linalg.eigh(h, subset_by_index=(0, nb - 1))
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise Error(f"eigensolver failed at kappa={kappa[i]:.6g}") from exc
-        energies[:, i] = w[:nb]
-        coeffs[:, i, :] = (u[:, :nb] / np.sqrt(a)).T
+        energies[:, i] = w
+        coeffs[:, i, :] = (u / np.sqrt(a)).T
 
     cutoff = hbar**2 * (np.pi * cfg.n_pw / a) ** 2 / 4
     if energies[nb - 1].max() > cutoff:

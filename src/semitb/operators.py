@@ -17,7 +17,6 @@ all of them at once through stacked matrix products.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .potential import PotentialSpec
 
@@ -140,6 +139,7 @@ class PeriodicDomain:
         """Dense real-symmetric matrix of the operator (cached)."""
         if self._dense is None:
             col = np.fft.ifft(self._kinetic).real
-            mat = scipy.linalg.circulant(col) + np.diag(self.vx)
+            i = np.arange(self.n)
+            mat = col[(i[:, None] - i[None, :]) % self.n] + np.diag(self.vx)
             self._dense = 0.5 * (mat + mat.T)
         return self._dense

@@ -21,7 +21,7 @@ from . import dnls, nlse, tightbinding
 from .bloch import BandData, FloquetConfig, band_metrics, solve_bands
 from .errors import Error, SolverError, TailFitError
 from .operators import PeriodicDomain, l2_norm
-from .potential import PotentialSpec, tunneling_action
+from .potential import tunneling_action
 from .wannier import WannierBasis, basis_diagnostics, build_orthonormal_basis, fix_gauge
 
 log = logging.getLogger(__name__)
@@ -68,8 +68,6 @@ def fit_exponential_law(xs, ys, window=None) -> FitResult:
 class PipelineBundle:
     """Everything derived from (potential, hbar) that sweeps reuse."""
 
-    spec: PotentialSpec
-    hbar: float
     bd: BandData
     wb: WannierBasis
     dom: PeriodicDomain
@@ -92,15 +90,14 @@ def build_pipeline(cfg, hbar: float, bd: BandData | None = None,
     bd must be gauge fixed (as `gauged_bands` returns it); whatever the
     caller does not pass is built here.
     """
-    spec = cfg.potential()
     if bd is None:
         bd = gauged_bands(cfg, hbar)
-    dom = PeriodicDomain(spec, hbar, cfg.cells, cfg.points_per_cell)
+    dom = PeriodicDomain(cfg.potential(), hbar, cfg.cells, cfg.points_per_cell)
     if wb is None:
         wb = build_orthonormal_basis(bd, dom, cfg.lowdin_band)
     tbp = tightbinding.extract_params(wb, dom, sigma=cfg.sigma, bd=bd)
     m = band_metrics(bd, 1)
-    return PipelineBundle(spec=spec, hbar=hbar, bd=bd, wb=wb, dom=dom, tbp=tbp,
+    return PipelineBundle(bd=bd, wb=wb, dom=dom, tbp=tbp,
                           width1=m["width"], gap1=m["gap_above"])
 
 

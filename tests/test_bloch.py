@@ -1,8 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
 
 import semitb as st
-from semitb.bloch import band_csv
+from semitb.bloch import band_csv, half_bandwidth, potential_fourier
 from semitb.cli import BundleCache
 
 
@@ -160,3 +161,89 @@ def test_bundle_version_mismatch(tmp_path, bundle_factory):
              hbar=bd.hbar, kappa=bd.kappa, modes=bd.modes, energies=bd.energies,
              coeffs=bd.coeffs, gauge_fixed=True)
     assert cache.load_bands("key") is None
+
+
+def _sturm_lowest(diag, off, dps=40):
+    """Lowest eigenvalue of a real symmetric tridiagonal matrix with constant
+    off-diagonal, by Sturm-sequence bisection in mpmath arithmetic."""
+    with mpmath.workdps(dps):
+        d = [mpmath.mpf(x) for x in diag]
+        e2 = mpmath.mpf(off) ** 2
+        tiny = mpmath.mpf(10) ** (-2 * dps)  # stands in for an exact zero pivot
+
+        def below(x):  # eigenvalues < x: negative pivots of LDL^T of T - x
+            count, q = 0, d[0] - x
+            for di in d[1:]:
+                count += q < 0
+                q = di - x - e2 / (q or tiny)
+            return count + (q < 0)
+
+        hi = min(d)  # Rayleigh quotient of a unit vector
+        lo = hi - 2 * abs(mpmath.mpf(off))  # Gershgorin
+        assert below(lo) == 0 and below(hi) >= 1
+        while hi - lo > mpmath.mpf(10) ** (-dps + 5) * abs(hi):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if below(mid) >= 1 else (mid, hi)
+        return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("hbar", [0.16, 0.1])
+def test_band_width_matches_high_precision_sturm(bundle_factory, hbar):
+    # the exact sin2 Floquet matrix, V0 = 8, a = 1: V0/2 + hbar^2 (kappa + 2 pi m)^2
+    # on the diagonal and -V0/4 beside it; band 1 has its edges at kappa = 0, -pi
+    bd = bundle_factory(hbar).bd
+    v0, m = 8.0, [int(k) for k in bd.modes]
+    edges = []
+    for kappa in (mpmath.mpf(0), -mpmath.pi):
+        with mpmath.workdps(40):
+            diag = [v0 / 2 + mpmath.mpf(hbar) ** 2 * (kappa + 2 * mpmath.pi * k) ** 2
+                    for k in m]
+        edges.append(_sturm_lowest(diag, -v0 / 4))
+    with mpmath.workdps(40):
+        want = float(abs(edges[0] - edges[1]))
+    got = st.band_metrics(bd, 1)["width"]
+    assert abs(got - want) <= 1e-8 * want
+
+
+def _eigh_reference(spec, cfg):
+    """Full-spectrum dense eigh of every Floquet block."""
+    modes = np.arange(cfg.n_pw) - cfg.n_pw // 2
+    vhat = potential_fourier(spec, cfg.n_pw - 1)
+    vblock = vhat[modes[:, None] - modes[None, :] + cfg.n_pw - 1]
+    b = 2 * np.pi / spec.a
+    kappa = -b / 2 + b * np.arange(cfg.n_kappa) / cfg.n_kappa
+    return [np.linalg.eigh(vblock + np.diag(cfg.hbar**2 * (k + b * modes) ** 2))
+            for k in kappa]
+
+
+_XS = np.arange(32) / 32
+_SPECS = {
+    "sin2": (lambda: st.make_potential("sin2", v0=8.0, a=1.0), 1),
+    "cos-series-2": (lambda: st.make_potential("cos-series", a=1.0,
+                                               coeffs=[4.0, 1.0]), 2),
+    "cos-series-3": (lambda: st.make_potential("cos-series", a=1.0,
+                                               coeffs=[4.0, 1.0, 0.5]), 3),
+    # |sin|^3 has a Fourier series that never ends, so every mode couples
+    "custom-samples": (lambda: st.make_potential(
+        "custom-samples", a=1.0,
+        samples=8.0 * np.sin(np.pi * _XS) ** 2 + np.sin(np.pi * _XS) ** 3), 40),
+    "free": (lambda: st.free_potential(1.0), 0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_SPECS))
+def test_solver_agrees_with_full_eigh_at_every_bandwidth(family):
+    make, want_k = _SPECS[family]
+    spec = make()
+    cfg = st.FloquetConfig(hbar=0.2, n_pw=41, n_kappa=8, n_bands=5)
+    assert half_bandwidth(potential_fourier(spec, cfg.n_pw - 1), cfg.n_pw) == want_k
+    bd = st.solve_bands(spec, cfg)
+    scale = np.abs(bd.energies).max()
+    for i, (w, u) in enumerate(_eigh_reference(spec, cfg)):
+        assert np.abs(bd.energies[:, i] - w[:cfg.n_bands]).max() <= 1e-11 * scale
+        for n in range(cfg.n_bands):
+            # the free bands are degenerate at kappa = 0 and -pi, so each kept
+            # vector is compared with the whole reference eigenspace of E_n
+            space = u[:, np.abs(w - bd.energies[n, i]) <= 1e-9 * scale]
+            vec = bd.coeffs[n, i] * np.sqrt(spec.a)
+            assert np.linalg.norm(space.conj().T @ vec) >= 1 - 1e-12

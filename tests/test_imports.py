@@ -1,12 +1,15 @@
-"""No module-level import goes unused.
+"""No module-level import goes unused, and the heavy ones wait for their use.
 
-No linter ships with the test dependencies, so this AST scan stands in for
+No linter ships with the test dependencies, so an AST scan stands in for
 one over the package modules (`__init__.py` is left out: it re-exports)
 and the test files.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -29,3 +32,15 @@ def test_no_unused_module_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in bound.items()
                     if name not in used)
     assert not unused, f"unused imports in {path.name}: {', '.join(unused)}"
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.linalg (the band solve), scipy.integrate and scipy.interpolate
+    # (the action and the custom-samples spline) are imported on first use
+    code = ("import sys, semitb.cli; "
+            "print(','.join(m for m in ('scipy.linalg', 'scipy.integrate', "
+            "'scipy.interpolate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == ""
