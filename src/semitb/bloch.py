@@ -4,9 +4,8 @@ For each quasimomentum kappa in the Brillouin zone [-b/2, b/2), b = 2*pi/a,
 the operator -hbar^2 d^2/dx^2 + V(x) acting on functions with boundary
 condition phi(x + a) = exp(i*kappa*a) phi(x) is represented on the modes
 exp(i*(kappa + 2*pi*m/a)*x).  The matrix is banded with the Fourier
-support of V, and only the lowest n_bands eigenpairs are computed: by a
-banded Hermitian solver for short Fourier series (sin2, short cosine
-series), by a dense subset solver otherwise.
+support of V, and a banded Hermitian solver computes only the lowest
+n_bands eigenpairs.
 Band widths are exponentially small in 1/hbar, so the spectrally accurate
 plane-wave discretization is required; finite differences would bury them
 in O(h^2) error.
@@ -123,11 +122,9 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
     |vhat[k]| > n_pw * eps * max|vhat|; the entries dropped beyond it sit
     below the backward error of a dense eigensolver.  K = 1 for sin2,
     len(coeffs) for cos-series, about n_pw - 1 for custom-samples and 0
-    for a free particle.  For K <= 2 the lower band storage is filled
+    for a free particle.  The (K + 1)-row lower band storage is filled
     once, only its diagonal changes with kappa, and `eig_banded` returns
-    the lowest n_bands eigenpairs; for K >= 3 `eigh` with
-    `subset_by_index` does so on the dense block, which is faster there.
-    Eigenvalues come out ascending from either solver.
+    the lowest n_bands eigenpairs, ascending.
 
     Warns if the top kept band reaches a quarter of the plane-wave cutoff
     energy, which signals basis truncation.
@@ -149,23 +146,18 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
     K = half_bandwidth(vhat, cfg.n_pw)
 
     nb = cfg.n_bands
-    if K <= 2:  # lower band storage: row d holds the d-th subdiagonal
-        band = np.array([np.pad(np.diagonal(vblock, -d), (0, d))
-                         for d in range(K + 1)])
+    # lower band storage: row d holds the d-th subdiagonal
+    band = np.array([np.pad(np.diagonal(vblock, -d), (0, d))
+                     for d in range(K + 1)])
 
     energies = np.empty((nb, cfg.n_kappa))
     coeffs = np.empty((nb, cfg.n_kappa, cfg.n_pw), dtype=complex)
     for i in range(cfg.n_kappa):
         kinetic = hbar**2 * (kappa[i] + b * modes) ** 2
+        band[0] = vhat[kmax] + kinetic
         try:
-            if K <= 2:
-                band[0] = vhat[kmax] + kinetic
-                w, u = scipy.linalg.eig_banded(band, lower=True, select="i",
-                                               select_range=(0, nb - 1))
-            else:
-                h = vblock.copy()
-                h[np.diag_indices_from(h)] += kinetic
-                w, u = scipy.linalg.eigh(h, subset_by_index=(0, nb - 1))
+            w, u = scipy.linalg.eig_banded(band, lower=True, select="i",
+                                           select_range=(0, nb - 1))
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise Error(f"eigensolver failed at kappa={kappa[i]:.6g}") from exc
         energies[:, i] = w

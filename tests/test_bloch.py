@@ -188,11 +188,13 @@ def _sturm_lowest(diag, off, dps=40):
 
 
 @pytest.mark.parametrize("hbar", [0.16, 0.1])
-def test_band_width_matches_high_precision_sturm(bundle_factory, hbar):
-    # the exact sin2 Floquet matrix, V0 = 8, a = 1: V0/2 + hbar^2 (kappa + 2 pi m)^2
-    # on the diagonal and -V0/4 beside it; band 1 has its edges at kappa = 0, -pi
+def test_band_width_matches_high_precision_sturm(ref_cfg, bundle_factory, hbar):
+    # the exact sin2 Floquet matrix at a = 1: V0/2 + hbar^2 (kappa + 2 pi m)^2 on
+    # the diagonal and -V0/4 beside it; band 1 has its edges at kappa = 0, -pi
+    assert (ref_cfg.family, ref_cfg.a) == ("sin2", 1.0), \
+        "the Sturm oracle is written for the sin2 lattice of period 1"
     bd = bundle_factory(hbar).bd
-    v0, m = 8.0, [int(k) for k in bd.modes]
+    v0, m = ref_cfg.v0, [int(k) for k in bd.modes]
     edges = []
     for kappa in (mpmath.mpf(0), -mpmath.pi):
         with mpmath.workdps(40):
