@@ -3,7 +3,8 @@
 Solves E F_k - (F_{k+1} + F_{k-1}) + eta |F_k|^{2 sigma} F_k = 0 with the
 unit-norm constraint by a bordered Newton iteration in (F, E), continued
 from the decoupled large-|eta| limit where the solution is a single-site
-delta.
+delta.  One Newton loop runs a stack of starts, each member on its own:
+newton_solve is a stack of one, and the brute-force oracle stacks them all.
 """
 
 from __future__ import annotations
@@ -59,13 +60,13 @@ class DnlsState:
 
 
 def neighbor_sum(f: np.ndarray, boundary: str) -> np.ndarray:
-    """T F along axis 0: the nearest-neighbor stencil, the one source of T."""
+    """T F along the last axis: the nearest-neighbor stencil, the one source of T."""
     out = np.zeros_like(f)
-    out[:-1] += f[1:]
-    out[1:] += f[:-1]
+    out[..., :-1] += f[..., 1:]
+    out[..., 1:] += f[..., :-1]
     if boundary == "periodic":
-        out[0] += f[-1]
-        out[-1] += f[0]
+        out[..., 0] += f[..., -1]
+        out[..., -1] += f[..., 0]
     return out
 
 
@@ -76,56 +77,94 @@ def _power(f: np.ndarray, two_sigma: float) -> np.ndarray:
     return (f * np.conj(f) + 1e-300).real ** (two_sigma / 2)
 
 
-def dnls_residual(f: np.ndarray, e: float, prob: DnlsProblem) -> np.ndarray:
-    """Componentwise E F - (T F) + eta |F|^{2 sigma} F."""
-    return e * f - neighbor_sum(f, prob.boundary) + prob.eta * _power(f, 2 * prob.sigma) * f
+def dnls_residual(f: np.ndarray, e, prob: DnlsProblem) -> np.ndarray:
+    """Componentwise E F - (T F) + eta |F|^{2 sigma} F, per row of F (E one per row)."""
+    return (np.asarray(e)[..., None] * f - neighbor_sum(f, prob.boundary)
+            + prob.eta * _power(f, 2 * prob.sigma) * f)
 
 
-def linearization_lplus(f: np.ndarray, e: float, prob: DnlsProblem) -> np.ndarray:
-    """Real linearization at F: E + eta (2 sigma + 1)|F|^{2 sigma} - T."""
-    diag = e + prob.eta * (2 * prob.sigma + 1) * _power(f, 2 * prob.sigma)
-    return np.diag(diag) - neighbor_sum(np.eye(f.size), prob.boundary)
+def linearization_lplus(f: np.ndarray, e, prob: DnlsProblem) -> np.ndarray:
+    """Real linearization at F: E + eta (2 sigma + 1)|F|^{2 sigma} - T, per row of F."""
+    n = np.shape(f)[-1]
+    out = np.zeros(np.shape(f) + (n,)) - neighbor_sum(np.eye(n), prob.boundary)
+    idx = np.arange(n)
+    out[..., idx, idx] = (np.asarray(e)[..., None]
+                          + prob.eta * (2 * prob.sigma + 1) * _power(f, 2 * prob.sigma))
+    return out
+
+
+def _newton_stack(prob: DnlsProblem, f0: np.ndarray, e0: np.ndarray) -> list:
+    """Bordered Newton in (F, E) with the norm constraint on a (B, n) stack.
+
+    Each member has its own damped line search, stop and acceptance, and
+    reduces along its own row, so its bits do not depend on the stack.
+    Returns per member its DnlsState or the error it fails with.
+    """
+    f, e = np.array(f0, dtype=float), np.array(e0, dtype=float)
+    n = f.shape[1]
+    where = f"(eta={prob.eta}, n_sites={n})"
+    history, out = [[] for _ in e], [None] * e.size
+    live = np.arange(e.size)
+    for it in range(1, 61):
+        fl, el = f[live], e[live]
+        r = dnls_residual(fl, el, prob)
+        g = 0.5 * (np.vecdot(fl, fl) - 1.0)
+        res = np.sqrt(np.vecdot(r, r) + g * g)
+        for i, v in zip(live, res):
+            history[i].append(float(v))
+        go = ~(res < 1e-13)
+        live, fl, el, r, g, res = live[go], fl[go], el[go], r[go], g[go], res[go]
+        if not live.size:
+            break
+        jac = np.zeros((live.size, n + 1, n + 1))
+        jac[:, :n, :n] = linearization_lplus(fl, el, prob)
+        jac[:, :n, n] = jac[:, n, :n] = fl
+        rhs = -np.concatenate([r, g[:, None]], axis=1)
+        try:
+            step = np.linalg.solve(jac, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # a singular member must not sink the stack: solve one by one
+            step, ok = np.empty_like(rhs), np.ones(live.size, dtype=bool)
+            for k in range(live.size):
+                try:
+                    step[k] = np.linalg.solve(jac[k], rhs[k])
+                except np.linalg.LinAlgError:
+                    ok[k] = False
+                    out[live[k]] = SolverError(
+                        f"singular bordered Jacobian at Newton iteration {it} {where}")
+            live, fl, el, res, step = live[ok], fl[ok], el[ok], res[ok], step[ok]
+        df, de = step[:, :n], step[:, n]
+        scale, search = np.ones(live.size), np.ones(live.size, dtype=bool)
+        for _ in range(40):
+            f_new = fl + scale[:, None] * df
+            r_new = dnls_residual(f_new, el + scale * de, prob)
+            g_new = 0.5 * (np.vecdot(f_new, f_new) - 1.0)
+            search &= ~((np.sqrt(np.vecdot(r_new, r_new) + g_new * g_new) < res)
+                        | (scale < 1e-8))
+            if not search.any():
+                break
+            scale[search] *= 0.5
+        f[live] = fl + scale[:, None] * df
+        e[live] = el + scale * de
+    r = dnls_residual(f, e, prob)
+    rnorm = np.sqrt(np.vecdot(r, r))
+    stalled = ((rnorm > RESIDUAL_TOL)
+               | (np.abs(np.sqrt(np.vecdot(f, f)) - 1.0) > NORM_TOL))
+    for i in np.flatnonzero(stalled):
+        out[i] = out[i] or NonConvergenceError(
+            f"Newton stalled at residual {rnorm[i]:.3e} after "
+            f"{len(history[i])} iterations {where}", history=history[i])
+    return [o or DnlsState(eta=prob.eta, sigma=prob.sigma, boundary=prob.boundary,
+                           f=f[i].copy(), e=e[i], residual_norm=float(rnorm[i]))
+            for i, o in enumerate(out)]
 
 
 def newton_solve(prob: DnlsProblem, f0: np.ndarray, e0: float) -> DnlsState:
-    """Bordered Newton in (F, E) with the norm constraint; damped steps."""
-    f = np.asarray(f0, dtype=float).copy()
-    e = float(e0)
-    n = f.size
-    history = []
-    for _ in range(60):
-        r = dnls_residual(f, e, prob)
-        g = 0.5 * (f @ f - 1.0)
-        res = float(np.sqrt(r @ r + g * g))
-        history.append(res)
-        if res < 1e-13:
-            break
-        jac = np.zeros((n + 1, n + 1))
-        jac[:n, :n] = linearization_lplus(f, e, prob)
-        jac[:n, n] = f
-        jac[n, :n] = f
-        try:
-            step = np.linalg.solve(jac, -np.concatenate([r, [g]]))
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular bordered Jacobian") from exc
-        scale = 1.0
-        for _ in range(40):
-            f_new = f + scale * step[:n]
-            e_new = e + scale * step[n]
-            r_new = dnls_residual(f_new, e_new, prob)
-            g_new = 0.5 * (f_new @ f_new - 1.0)
-            if np.sqrt(r_new @ r_new + g_new * g_new) < res or scale < 1e-8:
-                break
-            scale *= 0.5
-        f, e = f + scale * step[:n], e + scale * step[n]
-    r = dnls_residual(f, e, prob)
-    rnorm = float(np.linalg.norm(r))
-    if rnorm > RESIDUAL_TOL or abs(np.linalg.norm(f) - 1.0) > NORM_TOL:
-        raise NonConvergenceError(
-            f"Newton stalled at residual {rnorm:.3e}", history=history
-        )
-    return DnlsState(eta=prob.eta, sigma=prob.sigma, boundary=prob.boundary,
-                     f=f, e=e, residual_norm=rnorm)
+    """Bordered Newton in (F, E) with the norm constraint: a stack of one."""
+    (out,) = _newton_stack(prob, [f0], [e0])
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 @dataclass(frozen=True)
@@ -304,18 +343,15 @@ def _minimize_quotient(f, sigma):
 
 def brute_force_states(prob: DnlsProblem, n_starts: int = 200,
                        seed: int = 0) -> list[DnlsState]:
-    """Newton from random unit seeds; returns every converged state."""
+    """Newton from random unit seeds in one stack; converged states in seed order."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n_starts):
-        f0 = rng.standard_normal(prob.n_sites)
-        f0 /= np.linalg.norm(f0)
-        e0 = float(rng.uniform(-3, 3) - prob.eta)
-        try:
-            out.append(newton_solve(prob, f0, e0))
-        except (NonConvergenceError, SolverError):
-            continue
-    return out
+    f0 = np.empty((n_starts, prob.n_sites))
+    e0 = np.empty(n_starts)
+    for k in range(n_starts):
+        f0[k] = rng.standard_normal(prob.n_sites)
+        f0[k] /= np.linalg.norm(f0[k])
+        e0[k] = rng.uniform(-3, 3) - prob.eta
+    return [s for s in _newton_stack(prob, f0, e0) if isinstance(s, DnlsState)]
 
 
 def linear_ground_state(n_sites: int, boundary: str = "zero") -> DnlsState:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import semitb as st
+from semitb import dnls
 from semitb.dnls import (
     brute_force_states,
     linear_ground_state,
@@ -167,6 +170,105 @@ def test_brute_force_oracle_matches_continuation():
         for sgn in (1.0, -1.0):
             best = min(best, float(np.abs(sgn * cand.f - target.f).max()))
     assert best <= 1e-8
+
+
+def _draws(prob, n_starts, seed):
+    """The brute-force starts, drawn f0 then e0 per seed."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_starts):
+        f0 = rng.standard_normal(prob.n_sites)
+        f0 /= np.linalg.norm(f0)
+        yield f0, float(rng.uniform(-3, 3) - prob.eta)
+
+
+def _same_state(a, b):
+    return (np.array_equal(a.f, b.f) and a.e == b.e
+            and a.residual_norm == b.residual_norm)
+
+
+def test_singular_member_fails_alone():
+    prob = st.DnlsProblem(eta=-8.0, sigma=1.0, n_sites=7)
+    # the first three criterion-6 starts: one stalls, two converge
+    starts = [(np.zeros(7), 8.0)] + list(_draws(prob, 3, seed=3))
+    out = dnls._newton_stack(prob, np.array([f for f, _ in starts]),
+                             [e for _, e in starts])
+    assert isinstance(out[0], SolverError)
+    assert "eta=-8.0" in str(out[0]) and "n_sites=7" in str(out[0])
+    with pytest.raises(SolverError, match=r"singular .* iteration 1 \(eta=-8\.0"):
+        newton_solve(prob, np.zeros(7), 8.0)
+    for got, (f0, e0) in zip(out[1:], starts[1:]):
+        try:
+            solo = newton_solve(prob, f0, e0)
+        except NonConvergenceError as exc:
+            assert isinstance(got, NonConvergenceError)
+            assert got.history == exc.history and str(got) == str(exc)
+        else:
+            assert _same_state(got, solo)
+
+
+def test_stall_names_its_cause():
+    # the first start of the criterion-6 oracle stalls for the full budget
+    prob = st.DnlsProblem(eta=-8.0, sigma=1.0, n_sites=7)
+    f0, e0 = next(_draws(prob, 1, seed=3))
+    with pytest.raises(NonConvergenceError,
+                       match=r"after 60 iterations \(eta=-8\.0, n_sites=7\)") as err:
+        newton_solve(prob, f0, e0)
+    assert len(err.value.history) == 60
+
+
+def test_brute_force_oracle_keeps_its_states():
+    # 123 of the 200 criterion-6 starts converge, in seed order: the first
+    # start stalls and the next two converge, as they do alone
+    prob = st.DnlsProblem(eta=-8.0, sigma=1.0, n_sites=7)
+    states = brute_force_states(prob, n_starts=200, seed=3)
+    assert len(states) == 123
+    assert all(s.residual_norm <= 1e-10 and abs(s.norm - 1.0) <= 1e-12
+               for s in states)
+    draws = list(_draws(prob, 3, seed=3))
+    assert all(_same_state(states[k], newton_solve(prob, *draws[k + 1]))
+               for k in (0, 1))
+
+
+def _property(examples):
+    return settings(max_examples=examples, deadline=None, derandomize=True,
+                    database=None)
+
+
+_SEEDS = hst.integers(0, 2**32 - 1)
+_SITES = hst.integers(3, 21)
+_ETAS = hst.floats(-20.0, -1.0)
+
+
+@_property(10)
+@given(seed=_SEEDS, n_sites=_SITES, eta=_ETAS)
+def test_brute_force_is_a_stack_of_solo_solves(seed, n_sites, eta):
+    # a start that stalls costs 60 Newton steps alone, so the stack is short
+    prob = st.DnlsProblem(eta=eta, sigma=1.0, n_sites=n_sites)
+    solo = []
+    for f0, e0 in _draws(prob, 5, seed):
+        try:
+            solo.append(newton_solve(prob, f0, e0))
+        except (SolverError, NonConvergenceError):
+            continue
+    stacked = brute_force_states(prob, n_starts=5, seed=seed)
+    assert len(stacked) == len(solo)
+    assert all(_same_state(a, b) for a, b in zip(stacked, solo))
+
+
+@_property(20)
+@given(seed=_SEEDS, n_sites=_SITES, eta=_ETAS)
+def test_sign_flipped_start_gives_sign_flipped_state(seed, n_sites, eta):
+    prob = st.DnlsProblem(eta=eta, sigma=1.0, n_sites=n_sites)
+    f0, e0 = next(_draws(prob, 1, seed))
+    try:
+        s = newton_solve(prob, f0, e0)
+    except SolverError as exc:
+        with pytest.raises(type(exc)):
+            newton_solve(prob, -f0, e0)
+        return
+    t = newton_solve(prob, -f0, e0)
+    assert np.array_equal(t.f, -s.f) and t.e == s.e
+    assert t.residual_norm == s.residual_norm
 
 
 def test_no_normalized_solution_below_band_bottom():
