@@ -18,7 +18,6 @@ from .errors import (
 )
 from .potential import (
     PotentialSpec,
-    agmon_distance,
     free_potential,
     make_potential,
     tunneling_action,

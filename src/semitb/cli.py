@@ -30,7 +30,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 
 
 _REQUIRED = dataclasses.MISSING

@@ -10,7 +10,7 @@ class PotentialError(Error):
 
 
 class QuadratureError(Error):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """The bisected action rule did not settle; `achieved` is its last gap."""
 
     def __init__(self, message, achieved=None):
         super().__init__(message)

@@ -1,8 +1,9 @@
 """Periodic potentials with a single nondegenerate well per cell.
 
 Provides the potential families used throughout the package, locates and
-validates the well, and computes the tunneling action between adjacent
-wells (the integral of sqrt(V) over one period).
+validates the well, and tabulates the Agmon action d(x0, x), the integral
+of sqrt(V) from the well, by one bisected Gauss-Legendre rule; over one
+period it is the tunneling action s0.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from .errors import PotentialError, QuadratureError
 _SCAN_POINTS = 1024
 _CURVATURE_TOL = 1e-8
 _PERIODICITY_RTOL = 1e-12
-_QUAD_ABS_TOL = 1e-10
+_GL_NODES = 32
+_GL_AGREE = 64  # two bisection levels agree to _GL_AGREE*eps*s0
+_MAX_PANELS = 4096
 
 
 @dataclass(frozen=True)
@@ -31,6 +34,7 @@ class PotentialSpec:
         x0: location of the well minimum inside [-a/2, a/2).
         curvature: V''(x0), strictly positive except in free test mode.
         family: family tag ("sin2", "cos-series", "custom-samples", "free").
+        knots: custom-samples spline knots in [0, a); empty otherwise.
     """
 
     a: float
@@ -38,10 +42,11 @@ class PotentialSpec:
     x0: float
     curvature: float
     family: str = "custom-samples"
+    knots: tuple = ()
 
 
 def _raw_family(family: str, params: dict):
-    """Return (v, dv, d2v, a) for a family before normalization."""
+    """Return (v, dv, d2v, a, knots) for a family before normalization."""
     if family == "sin2":
         v0 = float(params["v0"])
         a = float(params["a"])
@@ -56,7 +61,7 @@ def _raw_family(family: str, params: dict):
         def d2v(x):
             return 2 * v0 * w**2 * np.cos(2 * w * np.asarray(x))
 
-        return v, dv, d2v, a
+        return v, dv, d2v, a, ()
 
     if family in ("cos-series", "cos_series"):
         a = float(params["a"])
@@ -86,14 +91,14 @@ def _raw_family(family: str, params: dict):
                 acc = acc + c * k**2 * np.cos(k * x)
             return acc
 
-        return v, dv, d2v, a
+        return v, dv, d2v, a, ()
 
     if family in ("custom-samples", "custom_samples", "custom"):
         a = float(params["a"])
         samples = np.asarray(params["samples"], dtype=float)
         if samples.ndim != 1 or samples.size < 8:
             raise PotentialError("custom-samples requires >= 8 samples over one period")
-        from scipy.interpolate import CubicSpline  # see agmon_distance
+        from scipy.interpolate import CubicSpline  # slow; this family only
 
         # periodic C2 spline on [0, a]; sample grid excludes the endpoint
         xs = np.linspace(0.0, a, samples.size + 1)
@@ -111,7 +116,7 @@ def _raw_family(family: str, params: dict):
         def d2v(x):
             return d2(np.mod(np.asarray(x, dtype=float), a))
 
-        return v, dv, d2v, a
+        return v, dv, d2v, a, tuple(xs[:-1].tolist())
 
     raise PotentialError(f"unknown potential family {family!r}")
 
@@ -132,7 +137,7 @@ def make_potential(family: str, **params) -> PotentialSpec:
         PotentialError: period not positive, degenerate well curvature,
             or more than one equally deep well per period.
     """
-    raw_v, raw_dv, raw_d2v, a = _raw_family(family, params)
+    raw_v, raw_dv, raw_d2v, a, knots = _raw_family(family, params)
     if a <= 0:
         raise PotentialError(f"period must be positive, got {a}")
 
@@ -157,7 +162,8 @@ def make_potential(family: str, **params) -> PotentialSpec:
     def v(x):
         return raw_v(x) - vmin
 
-    return PotentialSpec(a=a, v=v, x0=x0, curvature=curv, family=family)
+    return PotentialSpec(a=a, v=v, x0=x0, curvature=curv, family=family,
+                         knots=knots)
 
 
 def free_potential(a: float) -> PotentialSpec:
@@ -209,63 +215,57 @@ def _check_unique_minimum(v, dv, d2v, xs, vals, x0, a, scale):
         )
 
 
-def agmon_distance(spec: PotentialSpec, x: float, y: float) -> float:
-    """Action distance |integral of sqrt(V) from x to y|.
+def _signed_action(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
+    """Signed action from x0: m*s0 + d(x0, x0 + r) for x = x0 + m*a + r.
 
-    Integrates piecewise between well locations so the sqrt-type kinks at
-    the minima sit on panel boundaries; each panel uses adaptive
-    quadrature with absolute tolerance 1e-10.
-
-    Raises:
-        QuadratureError: if the summed error estimate exceeds 100x the
-            requested tolerance; the achieved tolerance is attached.
+    The panels of [x0, x0 + a] start at the knots, with the well on an edge
+    so that sqrt(V) is analytic on each, and are all bisected until two levels
+    agree to _GL_AGREE*eps*s0 (QuadratureError past _MAX_PANELS panels); each
+    distinct offset r then adds one partial panel to the whole ones before it.
     """
-    # scipy.integrate and scipy.interpolate pull in scipy.special and
-    # scipy.optimize, most of the package's import time; only this function
-    # and the custom-samples spline use them, so they are imported on use
-    from scipy.integrate import quad
+    from numpy.polynomial.legendre import leggauss  # off the CLI import path
 
-    lo, hi = (x, y) if x <= y else (y, x)
-    if hi - lo < 1e-300:
-        return 0.0
+    nodes, weights = leggauss(_GL_NODES)
+
+    def rule(lo, hi):
+        half = 0.5 * (hi - lo)
+        s = (0.5 * (lo + hi))[..., None] + half[..., None] * nodes
+        return half * (np.sqrt(np.maximum(spec.v(s), 0.0)) @ weights)
+
     a, x0 = spec.a, spec.x0
-    k_lo = math.ceil((lo - x0) / a)
-    k_hi = math.floor((hi - x0) / a)
-    breaks = [lo] + [x0 + k * a for k in range(k_lo, k_hi + 1) if lo < x0 + k * a < hi] + [hi]
+    knots = np.mod(np.asarray(spec.knots, dtype=float) - x0, a)
+    edges = x0 + np.unique(np.concatenate([[0.0, a], knots]))
+    fine = rule(edges[:-1], edges[1:])
+    while True:
+        edges = np.insert(edges, np.arange(1, edges.size),
+                          0.5 * (edges[:-1] + edges[1:]))
+        coarse, fine = fine, rule(edges[:-1], edges[1:])
+        s0 = float(fine.sum())
+        gap = float(np.abs(coarse - fine.reshape(-1, 2).sum(axis=1)).sum())
+        if gap <= _GL_AGREE * np.finfo(float).eps * s0:
+            break
+        if fine.size >= _MAX_PANELS:
+            raise QuadratureError(
+                f"{spec.family} action: {fine.size} panels still disagree by "
+                f"{gap:.3e} (s0 = {s0:.6g})", achieved=gap)
 
-    def f(s):
-        return math.sqrt(max(float(spec.v(s)), 0.0))
-
-    total, err = 0.0, 0.0
-    for s1, s2 in zip(breaks[:-1], breaks[1:]):
-        val, ae = quad(f, s1, s2, epsabs=_QUAD_ABS_TOL, epsrel=1e-12, limit=200)
-        total += val
-        err += ae
-    if err > 100 * _QUAD_ABS_TOL * max(1.0, len(breaks)):
-        raise QuadratureError(
-            f"quadrature did not converge: error estimate {err:.3e}", achieved=err
-        )
-    return total
-
-
-def action_profile(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
-    """Action distance d(x0, x) from the central well to every point of x.
-
-    Writing x = x0 + m*a + r with 0 <= r < a, the signed action from x0 is
-    m*s0 + d(x0, x0 + r) by the exact period additivity
-    d(x0, x0 + k*a) = k*s0, and d is its absolute value.  Only the in-cell
-    offsets r are integrated, once per distinct offset, so a grid
-    commensurate with the cell costs one quadrature per point of a cell.
-    """
-    a, x0 = spec.a, spec.x0
     rel = np.asarray(x, dtype=float) - x0
     m = np.floor(rel / a)
     offsets, inverse = np.unique(rel - m * a, return_inverse=True)
-    arm = np.array([agmon_distance(spec, x0, x0 + r) for r in offsets])
-    s0 = agmon_distance(spec, x0, x0 + a)
-    return np.abs(m * s0 + arm[inverse])
+    cum = np.concatenate([[0.0], np.cumsum(fine)])
+    j = np.maximum(np.searchsorted(edges, x0 + offsets, side="right") - 1, 0)
+    arm = cum[j] + rule(edges[j], x0 + offsets)
+    return m * s0 + arm[inverse].reshape(rel.shape)
+
+
+def action_profile(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
+    """Action distance d(x0, x) = |m*s0 + d(x0, x0 + r)| to every point of x.
+
+    With x = x0 + m*a + r, 0 <= r < a, by the period additivity of d.
+    """
+    return np.abs(_signed_action(spec, x))
 
 
 def tunneling_action(spec: PotentialSpec) -> float:
     """The adjacent-well action s0 = d(x0, x0 + a)."""
-    return agmon_distance(spec, spec.x0, spec.x0 + spec.a)
+    return float(_signed_action(spec, np.array([spec.x0 + spec.a]))[0])

@@ -34,13 +34,29 @@ def test_no_unused_module_imports(path):
     assert not unused, f"unused imports in {path.name}: {', '.join(unused)}"
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.linalg (the band solve), scipy.integrate and scipy.interpolate
-    # (the action and the custom-samples spline) are imported on first use
-    code = ("import sys, semitb.cli; "
-            "print(','.join(m for m in ('scipy.linalg', 'scipy.integrate', "
-            "'scipy.interpolate') if m in sys.modules))")
+def _loaded_after(code, modules):
+    """Those of `modules` that a fresh interpreter has loaded after `code`."""
+    code += f"; import sys; print(*(m for m in {modules!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert out.stdout.strip() == ""
+    return out.stdout.split()
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.linalg (the band solve) and scipy.interpolate (the custom-samples
+    # spline) are imported on first use, and scipy.integrate by nothing
+    assert _loaded_after("import semitb.cli", ("scipy.linalg", "scipy.integrate",
+                                               "scipy.interpolate")) == []
+
+
+def test_action_loads_no_scipy_integrate_special_optimize_or_interpolate():
+    # the action is a Gauss-Legendre rule in numpy; scipy.linalg alone loads
+    # none of these modules either
+    code = ("import numpy, semitb.cli; "
+            "from semitb.potential import action_profile, make_potential, "
+            "tunneling_action; "
+            "spec = make_potential('sin2', v0=8.0, a=1.0); "
+            "tunneling_action(spec); action_profile(spec, numpy.linspace(-2, 2, 9))")
+    assert _loaded_after(code, ("scipy.integrate", "scipy.special",
+                                "scipy.optimize", "scipy.interpolate")) == []

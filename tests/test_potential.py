@@ -1,11 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import semitb as st
-from semitb.errors import PotentialError
+from semitb import potential
+from semitb.errors import PotentialError, QuadratureError
 from semitb.potential import action_profile
 
 
@@ -43,16 +47,22 @@ def test_unknown_family_rejected():
 
 def test_agmon_distance_analytic_values():
     spec = st.make_potential("sin2", v0=1.0, a=1.0)
-    assert abs(st.agmon_distance(spec, 0.0, 1.0) - 2 / math.pi) < 1e-10
-    assert st.agmon_distance(spec, 0.3, 0.3) == 0.0
+    d = action_profile(spec, np.array([spec.x0, spec.x0 + 1.0]))
+    assert d[0] == 0.0
+    assert abs(d[1] - 2 / math.pi) < 1e-10
     spec4 = st.make_potential("sin2", v0=4.0, a=1.0)
-    assert abs(st.agmon_distance(spec4, 0.0, 1.0) - 4 / math.pi) < 1e-10
+    assert abs(action_profile(spec4, np.array([spec4.x0 + 1.0]))[0]
+               - 4 / math.pi) < 1e-10
 
 
 def test_agmon_distance_symmetric():
+    # sin2 is even about its well, so the action is too, also past a cell
+    # edge
     spec = st.make_potential("sin2", v0=2.0, a=1.0)
-    assert abs(st.agmon_distance(spec, -0.3, 0.9)
-               - st.agmon_distance(spec, 0.9, -0.3)) < 1e-12
+    s = np.array([0.3, 0.9, 1.7])
+    left = action_profile(spec, spec.x0 - s)
+    right = action_profile(spec, spec.x0 + s)
+    assert np.abs(left - right).max() < 1e-12
 
 
 def test_tunneling_action_values():
@@ -65,19 +75,63 @@ def test_tunneling_action_values():
 def test_action_additivity_over_periods():
     spec = st.make_potential("sin2", v0=3.0, a=1.0)
     s0 = st.tunneling_action(spec)
-    for k in range(1, 5):
-        d = st.agmon_distance(spec, spec.x0, spec.x0 + k * spec.a)
-        assert abs(d - k * s0) < 1e-8
+    k = np.arange(1, 5)
+    d = action_profile(spec, spec.x0 + k * spec.a)
+    assert np.abs(d - k * s0).max() < 1e-12
 
 
-def test_action_scaling_homogeneity():
-    rng = np.random.default_rng(4)
-    coeffs = rng.uniform(0.2, 1.0, size=3)
-    base = st.make_potential("cos-series", a=1.0, coeffs=coeffs)
-    s0 = st.tunneling_action(base)
-    for c in (0.5, 2.0, 3.7):
-        scaled = st.make_potential("cos-series", a=1.0, coeffs=c**2 * coeffs)
-        assert abs(st.tunneling_action(scaled) - c * s0) < 1e-10
+def test_action_just_below_cell_edges():
+    # one ulp below x0 + k*a, rel - floor(rel/a)*a can round to a tiny
+    # negative offset, which belongs to the first panel, not the last
+    spec = st.make_potential("cos-series", a=0.7, coeffs=[1.0] * 10)
+    s0 = st.tunneling_action(spec)
+    k = np.arange(1, 40)
+    x = np.nextafter(spec.x0 + k * spec.a, -np.inf)
+    rel = x - spec.x0
+    assert np.any(rel - np.floor(rel / spec.a) * spec.a < 0)
+    assert np.abs(action_profile(spec, x) - k * s0).max() <= 1e-12 * s0
+
+
+def _property(examples):
+    return settings(max_examples=examples, deadline=None, derandomize=True,
+                    database=None)
+
+
+# a leading harmonic bounded away from zero keeps x = 0 the only well
+_COEFFS = hst.tuples(hst.floats(0.2, 1.0),
+                     hst.lists(hst.floats(0.0, 1.0), max_size=3)).map(
+                         lambda t: [t[0], *t[1]])
+
+
+@_property(20)
+@given(coeffs=_COEFFS, c=hst.floats(0.3, 4.0))
+def test_action_scaling_homogeneity(coeffs, c):
+    s0 = st.tunneling_action(st.make_potential("cos-series", a=1.0,
+                                               coeffs=coeffs))
+    scaled = st.make_potential("cos-series", a=1.0,
+                               coeffs=[c**2 * ck for ck in coeffs])
+    assert abs(st.tunneling_action(scaled) - c * s0) <= 1e-12 * c * s0
+
+
+@_property(20)
+@given(coeffs=_COEFFS, k=hst.integers(0, 50), r=hst.floats(0.0, 1.0,
+                                                           exclude_max=True))
+def test_action_period_additivity(coeffs, k, r):
+    spec = st.make_potential("cos-series", a=1.0, coeffs=coeffs)
+    s0 = st.tunneling_action(spec)
+    d = action_profile(spec, spec.x0 + np.array([k * spec.a + r, r]))
+    assert abs(d[0] - (k * s0 + d[1])) <= 1e-12 * max(1, k) * s0
+
+
+def test_action_refinement_failure_is_named(monkeypatch):
+    # ten equal harmonics need 16 panels; at 8 the two levels still differ
+    spec = st.make_potential("cos-series", a=1.0, coeffs=[1.0] * 10)
+    s0 = st.tunneling_action(spec)
+    monkeypatch.setattr(potential, "_MAX_PANELS", 8)
+    with pytest.raises(QuadratureError) as info:
+        st.tunneling_action(spec)
+    assert info.value.achieved > potential._GL_AGREE * np.finfo(float).eps * s0
+    assert "cos-series" in str(info.value) and "8 panels" in str(info.value)
 
 
 def test_periodicity_of_families():
@@ -114,12 +168,71 @@ def test_agmon_tabulation_monotone_from_well():
     assert np.all(np.diff(d[:mid + 1]) <= 1e-12)
 
 
-def test_agmon_tabulation_matches_pointwise_quadrature():
+def test_spline_panels_start_at_its_knots(monkeypatch):
+    # sqrt(V) is analytic on every spline piece off the well, so one
+    # bisection of the knot panels settles; an unsplit cell needs 256 panels
+    xs = np.arange(8) / 8
+    spline = st.make_potential("custom-samples", a=1.0,
+                               samples=8.0 * np.sin(np.pi * (xs - 0.1)) ** 2 + 5.0)
+    monkeypatch.setattr(potential, "_MAX_PANELS", 2 * (len(spline.knots) + 1))
+    assert st.tunneling_action(spline) > 0
+
+
+def test_agmon_tabulation_matches_sin2_closed_form():
+    # V = V0 sin^2(pi x): d(x0, x0 + m + r) = m s0 + sqrt(V0)(1 - cos pi r)/pi
     spec = st.make_potential("sin2", v0=8.0, a=1.0)
-    dom = st.PeriodicDomain(spec, 0.2, 32, 64)
-    d = action_profile(spec, dom.x)
-    ref = np.array([st.agmon_distance(spec, spec.x0, xi) for xi in dom.x])
-    assert np.abs(d - ref).max() <= 1e-12
+    x, _, _ = st.domain_grid(spec.a, 32, 64)
+    rel = x - spec.x0
+    m = np.floor(rel)
+    r = rel - m
+    root = math.sqrt(8.0)
+    ref = np.abs(m * 2 * root / math.pi + root * (1 - np.cos(np.pi * r)) / math.pi)
+    assert np.abs(action_profile(spec, x) - ref).max() <= 1e-13
+
+
+def _mpmath_action(f, x0, a, knots, offsets):
+    """Reference (s0, d(x0, x0 + r) per offset r) from mpmath.quad.
+
+    Each panel between consecutive knots is integrated once, so no
+    integrand is quadratured across a knot.
+    """
+    edges = [x0] + sorted(x0 + (k - x0) % a for k in knots if (k - x0) % a) + [x0 + a]
+    cum = [mpmath.mpf(0)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        cum.append(cum[-1] + mpmath.quad(f, [lo, hi]))
+    arms = []
+    for r in offsets:
+        j = max(i for i, e in enumerate(edges[:-1]) if e <= x0 + r)
+        arms.append(float(cum[j] + mpmath.quad(f, [edges[j], x0 + r])))
+    return float(cum[-1]), np.array(arms)
+
+
+def test_agmon_tabulation_matches_pointwise_quadrature():
+    coeffs = [4.0, 1.0, 0.5]
+    cos_series = st.make_potential("cos-series", a=1.0, coeffs=coeffs)
+
+    def root_cos(t):
+        return mpmath.sqrt(mpmath.fsum(
+            c * (1 - mpmath.cos(2 * mpmath.pi * (k + 1) * t))
+            for k, c in enumerate(coeffs)))
+
+    # a well off the knots at x0 = 0.1, so that no bisection level of the
+    # cell lands on the knots by itself
+    xs = np.arange(256) / 256
+    spline = st.make_potential("custom-samples", a=1.0,
+                               samples=8.0 * np.sin(np.pi * (xs - 0.1)) ** 2 + 5.0)
+
+    def root_spline(t):
+        return mpmath.sqrt(max(float(spline.v(float(t))), 0.0))
+
+    offsets = np.random.default_rng(7).uniform(0.0, 1.0, 12)
+    m = np.arange(-2, 3)[:, None]
+    for spec, f in ((cos_series, root_cos), (spline, root_spline)):
+        with mpmath.workdps(20):
+            s0, arms = _mpmath_action(f, spec.x0, spec.a, spec.knots, offsets)
+        d = action_profile(spec, spec.x0 + m * spec.a + offsets)
+        assert abs(st.tunneling_action(spec) - s0) <= 1e-12
+        assert np.abs(d - np.abs(m * s0 + arms)).max() <= 1e-12
 
 
 def test_free_potential_test_mode():
