@@ -29,7 +29,6 @@ from .wannier import (
     basis_diagnostics,
     build_orthonormal_basis,
     fix_gauge,
-    wannier_function,
 )
 from .operators import PeriodicDomain, domain_grid
 from .tightbinding import (

@@ -5,7 +5,9 @@ the operator -hbar^2 d^2/dx^2 + V(x) acting on functions with boundary
 condition phi(x + a) = exp(i*kappa*a) phi(x) is represented on the modes
 exp(i*(kappa + 2*pi*m/a)*x).  The matrix is banded with the Fourier
 support of V, and a banded Hermitian solver computes only the lowest
-n_bands eigenpairs.
+n_bands energies; the Bloch vectors the pipeline uses come from the
+periodic domain (`operators`), and `bloch_on_grid` solves one kappa with
+its eigenvector as their plane-wave reference.
 Band widths are exponentially small in 1/hbar, so the spectrally accurate
 plane-wave discretization is required; finite differences would bury them
 in O(h^2) error.
@@ -52,24 +54,28 @@ class FloquetConfig:
 
 @dataclass(frozen=True)
 class BandData:
-    """Band functions and Bloch eigenvectors on a kappa grid.
+    """Band energies on a kappa grid, and the Floquet matrix behind them.
 
-    coeffs[n, i, :] are the plane-wave coefficients of band n at
-    kappa[i], scaled so each Bloch function has unit L2 norm over one
-    cell.  energies[n, i] = E_n(kappa_i), sorted ascending in n.
+    energies[n, i] = E_n(kappa_i), sorted ascending in n.  band is the
+    potential part of the Floquet matrix in lower band storage (row d
+    holds the d-th subdiagonal); the solver adds the kinetic diagonal of
+    a kappa to it, so `bloch_on_grid` can solve any kappa again.
     """
 
     a: float
     hbar: float
     kappa: np.ndarray
-    modes: np.ndarray
     energies: np.ndarray
-    coeffs: np.ndarray
-    gauge_fixed: bool = False
+    band: np.ndarray
 
     @property
     def b(self) -> float:
         return 2 * np.pi / self.a
+
+    @property
+    def modes(self) -> np.ndarray:
+        n_pw = self.band.shape[1]
+        return np.arange(n_pw) - n_pw // 2
 
     @property
     def n_bands(self) -> int:
@@ -114,7 +120,7 @@ def half_bandwidth(vhat: np.ndarray, n_pw: int) -> int:
 
 
 def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
-    """Lowest n_bands eigenpairs of the Floquet matrix at every zone kappa.
+    """Lowest n_bands energies of the Floquet matrix at every zone kappa.
 
     The matrix is hbar^2 (kappa + 2 pi m / a)^2 on the diagonal plus the
     Toeplitz potential block vhat[m - n]; it is Hermitian by construction
@@ -123,16 +129,12 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
     below the backward error of a dense eigensolver.  K = 1 for sin2,
     len(coeffs) for cos-series, about n_pw - 1 for custom-samples and 0
     for a free particle.  The (K + 1)-row lower band storage is filled
-    once, only its diagonal changes with kappa, and `eig_banded` returns
-    the lowest n_bands eigenpairs, ascending.
+    once and kept in the BandData; only its diagonal changes with kappa,
+    and `eig_banded` returns the lowest n_bands eigenvalues, ascending.
 
     Warns if the top kept band reaches a quarter of the plane-wave cutoff
     energy, which signals basis truncation.
     """
-    # scipy.linalg costs about half of the package's import time, and only
-    # the band solve needs it, so it is imported on use
-    import scipy.linalg
-
     a, hbar = spec.a, cfg.hbar
     b = 2 * np.pi / a
     modes = np.arange(cfg.n_pw) - cfg.n_pw // 2
@@ -151,17 +153,9 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
                      for d in range(K + 1)])
 
     energies = np.empty((nb, cfg.n_kappa))
-    coeffs = np.empty((nb, cfg.n_kappa, cfg.n_pw), dtype=complex)
-    for i in range(cfg.n_kappa):
-        kinetic = hbar**2 * (kappa[i] + b * modes) ** 2
-        band[0] = vhat[kmax] + kinetic
-        try:
-            w, u = scipy.linalg.eig_banded(band, lower=True, select="i",
-                                           select_range=(0, nb - 1))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise Error(f"eigensolver failed at kappa={kappa[i]:.6g}") from exc
-        energies[:, i] = w
-        coeffs[:, i, :] = (u / np.sqrt(a)).T
+    bd = BandData(a=a, hbar=hbar, kappa=kappa, energies=energies, band=band)
+    for i, k in enumerate(kappa):
+        energies[:, i] = _floquet_eig(bd, k, (0, nb - 1), vectors=False)
 
     cutoff = hbar**2 * (np.pi * cfg.n_pw / a) ** 2 / 4
     if energies[nb - 1].max() > cutoff:
@@ -170,9 +164,24 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
             f"plane-wave safety cutoff {cutoff:.3g}; increase n_pw",
             stacklevel=2,
         )
+    return bd
 
-    return BandData(a=a, hbar=hbar, kappa=kappa, modes=modes,
-                    energies=energies, coeffs=coeffs)
+
+def _floquet_eig(bd: BandData, kappa: float, select: tuple[int, int],
+                 vectors: bool):
+    """Eigenvalues select[0]..select[1] (0-based) of the Floquet matrix at
+    kappa, with their unit eigenvectors when `vectors` is set."""
+    # scipy.linalg costs about half of the package's import time, and only
+    # the band solve needs it, so it is imported on use
+    import scipy.linalg
+
+    band = bd.band.copy()
+    band[0] = bd.band[0] + bd.hbar**2 * (kappa + bd.b * bd.modes) ** 2
+    try:
+        return scipy.linalg.eig_banded(band, lower=True, eigvals_only=not vectors,
+                                       select="i", select_range=select)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise Error(f"eigensolver failed at kappa={kappa:.6g}") from exc
 
 
 def band_metrics(bd: BandData, n: int) -> dict:
@@ -184,24 +193,18 @@ def band_metrics(bd: BandData, n: int) -> dict:
     return {"width": beta_n - alpha_n, "gap_above": alpha_next - beta_n}
 
 
-def fold_to_zone(kappa: float, b: float) -> float:
-    """Map kappa into the fundamental zone [-b/2, b/2)."""
-    return (kappa + b / 2) % b - b / 2
-
-
 def bloch_on_grid(bd: BandData, n: int, kappa: float, x: np.ndarray) -> np.ndarray:
-    """Evaluate the Bloch function of band n (1-based) at a solved kappa.
+    """Bloch function of band n (1-based) at any kappa, evaluated on x.
 
-    kappa outside the zone is folded by periodicity.  Raises ValueError
-    if the folded kappa is not one of the solved grid points.
+    The plane-wave reference for the domain's band-1 blocks: it solves
+    the Floquet matrix of bd at this kappa alone, with its eigenvector,
+    and scales the function to unit L2 norm over one cell.  Its phase is
+    whatever the eigensolver returns.
     """
-    k = fold_to_zone(kappa, bd.b)
-    idx = int(np.argmin(np.abs(bd.kappa - k)))
-    if abs(bd.kappa[idx] - k) > 1e-9 * bd.b:
-        raise ValueError(f"kappa={kappa:.6g} is not on the solved grid")
+    _, u = _floquet_eig(bd, kappa, (n - 1, n - 1), vectors=True)
+    freqs = kappa + bd.b * bd.modes
     x = np.asarray(x, dtype=float)
-    freqs = bd.kappa[idx] + bd.b * bd.modes
-    return np.exp(1j * np.outer(x, freqs)) @ bd.coeffs[n - 1, idx]
+    return np.exp(1j * np.outer(x, freqs)) @ u[:, 0] / np.sqrt(bd.a)
 
 
 def band_csv(bd: BandData) -> str:

@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+import zipfile
 
 import numpy as np
 
@@ -30,7 +31,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-CACHE_VERSION = 5
+CACHE_VERSION = 6
 
 
 _REQUIRED = dataclasses.MISSING
@@ -143,6 +144,17 @@ def _validate(cfg: RunConfig, allow_low_sigma: bool):
         raise ConfigError("numerics.delta0: must be positive")
     if any(h <= 0 for h in cfg.hbar_ladder):
         raise ConfigError("sweep.hbar: entries must be positive")
+    ladder = cfg.hbar_ladder
+    if any(b >= a for a, b in zip(ladder, ladder[1:])):
+        raise ConfigError("sweep.hbar: ladder must be strictly decreasing")
+    if len(ladder) < 4:
+        raise ConfigError("sweep.hbar: ladder needs >= 4 points for slope fits")
+    if not any(abs(e) < 1e-15 for e in cfg.eta_values):
+        raise ConfigError("sweep.eta: must include 0 (linear reference)")
+    if cfg.cells <= 2 * cfg.lowdin_band + 1:
+        raise ConfigError(f"numerics.cells: {cfg.cells} too small for "
+                          f"numerics.lowdin_band = {cfg.lowdin_band} "
+                          f"(need cells > 2*lowdin_band + 1)")
     if cfg.a <= 0:
         raise ConfigError("potential.a: must be positive")
     cfg.potential()  # an unknown family fails here, whatever the subcommand
@@ -178,8 +190,8 @@ class BundleCache:
     """Band and basis bundles on disk, keyed by configuration hash.
 
     A bundle is one npz holding version = CACHE_VERSION and every field
-    of its dataclass under the field's name; a file of any other version
-    is rebuilt, never served.
+    of its dataclass under the field's name; a file of any other version,
+    or one that cannot be read (a torn write), is rebuilt, never served.
     """
 
     def __init__(self, cache_dir: str):
@@ -200,7 +212,7 @@ class BundleCache:
                 if version != CACHE_VERSION:
                     raise Error(f"bundle version {version} != {CACHE_VERSION}")
                 stored = {f.name: z[f.name] for f in dataclasses.fields(cls)}
-        except (Error, OSError, ValueError, KeyError) as exc:
+        except (Error, OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
             log.warning("cache bundle %s unusable (%s); rebuilding", path, exc)
             return None
         # a scalar field comes back as a 0-d array; item() restores the
@@ -209,9 +221,19 @@ class BundleCache:
                       for name, v in stored.items()})
 
     def _store(self, path, obj) -> None:
+        # written whole to a temporary file, then renamed over the bundle, so
+        # a run killed mid-write never leaves a torn bundle under its name
         os.makedirs(self.dir, exist_ok=True)
-        np.savez(path, version=np.int64(CACHE_VERSION),
-                 **{f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez(fh, version=np.int64(CACHE_VERSION),
+                         **{f.name: getattr(obj, f.name)
+                            for f in dataclasses.fields(obj)})
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
     def load_bands(self, key: str):
         return self._load(self.band_path(key), bloch.BandData)
@@ -255,7 +277,7 @@ def cmd_bands(cfg: RunConfig, args) -> int:
         key = config_hash(cfg, hb)
         bd = cache.load_bands(key)
         if bd is None:
-            bd = scan.gauged_bands(cfg, hb)
+            bd = scan.band_data(cfg, hb)
             cache.store_bands(key, bd)
         else:
             print(f"bands hbar={hb:g}: served from cache")

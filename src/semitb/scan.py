@@ -76,25 +76,24 @@ class PipelineBundle:
     gap1: float
 
 
-def gauged_bands(cfg, hbar: float) -> BandData:
-    """Floquet bands of the cli.RunConfig potential at hbar, gauge fixed."""
+def band_data(cfg, hbar: float) -> BandData:
+    """Floquet bands of the cli.RunConfig potential at hbar."""
     fc = FloquetConfig(hbar=hbar, n_pw=cfg.n_pw, n_kappa=cfg.n_kappa,
                        n_bands=cfg.n_bands)
-    return fix_gauge(solve_bands(cfg.potential(), fc))
+    return solve_bands(cfg.potential(), fc)
 
 
 def build_pipeline(cfg, hbar: float, bd: BandData | None = None,
                    wb: WannierBasis | None = None) -> PipelineBundle:
     """Build the bundle of a cli.RunConfig at one hbar, reusing bd and wb.
 
-    bd must be gauge fixed (as `gauged_bands` returns it); whatever the
-    caller does not pass is built here.
+    Whatever the caller does not pass is built here.
     """
     if bd is None:
-        bd = gauged_bands(cfg, hbar)
+        bd = band_data(cfg, hbar)
     dom = PeriodicDomain(cfg.potential(), hbar, cfg.cells, cfg.points_per_cell)
     if wb is None:
-        wb = build_orthonormal_basis(bd, dom, cfg.lowdin_band)
+        wb = build_orthonormal_basis(dom, fix_gauge(dom), cfg.lowdin_band)
     tbp = tightbinding.extract_params(wb, dom, sigma=cfg.sigma, bd=bd)
     m = band_metrics(bd, 1)
     return PipelineBundle(bd=bd, wb=wb, dom=dom, tbp=tbp,
@@ -180,16 +179,9 @@ def _dnls_ladder(cfg):
     """Continue the single-site branch through the eta values of a cli.RunConfig.
 
     Returns ({eta: DnlsState}, turning) with the eta = 0 entry filled by
-    the delocalized linear reference state.  Raises ValueError on a
-    ladder the sweep fits cannot use.
+    the delocalized linear reference state, which `cli.parse_config`
+    makes sure the eta list asks for.
     """
-    ladder = tuple(float(h) for h in cfg.hbar_ladder)
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("hbar ladder must be strictly decreasing")
-    if len(ladder) < 4:
-        raise ValueError("hbar ladder needs >= 4 points for slope fits")
-    if not any(abs(e) < 1e-15 for e in cfg.eta_values):
-        raise ValueError("eta list must include 0 (linear reference)")
     states = {}
     turning = False
     for sign in (-1.0, 1.0):

@@ -138,7 +138,16 @@ def band_hopping(bd: BandData) -> float:
 
 def extract_params(wb: WannierBasis, dom: PeriodicDomain, sigma: float,
                    bd: BandData) -> TBParams:
-    """Assemble TBParams from a basis built on dom, at gamma = eta = 0; see with_eta."""
+    """Assemble TBParams from a basis built on dom, at gamma = eta = 0; see with_eta.
+
+    bd supplies the first-band edges that lambda1 must lie in.  Raises
+    BasisError when bd and dom disagree in hbar or period.
+    """
+    for name, ours, theirs in (("hbar", bd.hbar, dom.hbar),
+                               ("period", bd.a, dom.spec.a)):
+        if abs(ours - theirs) > 1e-12 * abs(theirs):
+            raise BasisError(f"band data has {name} {ours!r} but the domain "
+                             f"has {name} {theirs!r}")
     h_band, lambda1, beta = h_matrix_elements(wb, dom, bd.band_edges(1))
     c0 = interaction_constant(wb, dom, sigma)
     dnorm, dratio = residual_coupling_norm(h_band, beta)

@@ -1,13 +1,14 @@
 """Real localized first-band basis on a periodic multi-cell grid.
 
-The construction runs in three steps.  First the first-band Bloch family
-is brought into a smooth real gauge: eigenvector phases are parallel
-transported along the kappa grid, the residual winding across the zone
-boundary is spread uniformly, and one global phase makes the zone average
-real and positive at the well.  The zone average is kept as a diagnostic;
-the basis itself does not depend on the gauge.  Second, a semiclassical
-well profile exp(-d(x, x0)/hbar) at the central well is projected onto
-the first band by the spectral projector of the periodic domain; its
+The construction runs in three steps.  First the first-band Bloch vectors
+of the periodic domain, one per domain quasimomentum, are brought into a
+smooth real gauge: their phases are parallel transported along the zone,
+the residual winding across the zone boundary is spread uniformly, and
+one global phase makes the zone average W1 real and positive at the well.
+W1 is kept as a diagnostic; the basis itself does not depend on the
+gauge.  Second, a semiclassical well profile exp(-d(x, x0)/hbar) at the
+central well is projected onto the first band by the spectral projector
+of the periodic domain; its
 lattice translates v_j carry the tunneling action in their overlaps (the
 zone average itself has exactly orthonormal translates, which would leave
 nothing to measure).  Third, the translates are symmetrically
@@ -20,15 +21,14 @@ agrees with the zone average up to exponentially small corrections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 import warnings
 
 import numpy as np
 
-from .bloch import BandData
 from .errors import BasisError, GaugeError
-from .operators import PeriodicDomain, domain_grid, domain_sites
+from .operators import PeriodicDomain, domain_sites, l2_norm
 from .potential import action_profile
 
 _ALIGN_FLOOR = 0.9
@@ -45,11 +45,12 @@ class WannierBasis:
     and every other orbital is its circular shift by whole cells, so the
     cell count and the points per cell follow from the array sizes and
     the sites from the domain_grid convention.  u[i] is the orbital of
-    sites[i], built once from u0 on first use.  w is the zone average of
-    the gauge-fixed first band and v0 the band-projected well seed whose
-    translates were orthogonalized.  overlaps[ell] holds <v_0, v_ell> -
-    delta on circular lags, and lowdin[ell] the banded inverse-square-root
-    coefficients that build u0 from the translates.
+    sites[i], built once from u0 on first use.  w is W1, the zone average
+    of the domain's gauge-fixed first band (`fix_gauge`), and v0 the
+    band-projected well seed whose translates were orthogonalized.
+    overlaps[ell] holds <v_0, v_ell> - delta on circular lags, and
+    lowdin[ell] the banded inverse-square-root coefficients that build u0
+    from the translates.
     """
 
     w: np.ndarray
@@ -88,97 +89,62 @@ class WannierBasis:
         return self.u[self.site_index(j)]
 
 
-def fix_gauge(bd: BandData) -> BandData:
-    """Fix the first-band gauge so the zone average is real and positive.
+def fix_gauge(dom: PeriodicDomain) -> np.ndarray:
+    """W1: the zone average of the domain's first band in a smooth real gauge.
 
-    Parallel transport aligns each eigenvector with its kappa neighbor
-    (overlap of the periodic parts made real positive); the closure
-    winding over the zone is distributed evenly across the grid; a final
-    global phase makes the zone average real with positive value at the
-    well.  A phase on the starting eigenvector must not change any
-    downstream observable beyond a global sign.
+    Block r of the domain holds the modes g = r + cells*m, so its band-1
+    vector is the Bloch function at kappa_r = 2 pi r / (cells a) with
+    plane-wave coefficients indexed by m.  Parallel transport aligns each
+    block vector with the previous one (their overlap over matching m
+    made real positive); the closure winding to the first block, shifted
+    by one m (kappa + b), is spread evenly over the zone; a global phase
+    makes the average real, positive at its peak.  This is the 1-D
+    maximally localized gauge up to a whole-cell translation, so W1 is
+    moved by whole cells onto the site-0 well.  It has unit norm on the
+    domain grid.  A phase on any block vector changes nothing.
 
-    Raises GaugeError when adjacent overlaps fall below 0.9 (kappa grid
-    too coarse) or the average cannot be made real to 1e-8.
+    Raises GaugeError when adjacent overlaps fall below 0.9 (band
+    degenerate or the domain too short) or the average cannot be made
+    real to 1e-8.
     """
-    a = bd.a
-    nk = bd.n_kappa
-    c = bd.coeffs[0].copy()
+    cells, ppc = dom.cells, dom.points_per_cell
+    rows = np.arange(cells)[:, None]
+    m = (dom.g[dom.block_index] - rows) // cells
+    col = m - m.min()
+    # one spare zero column, so the closure can shift every row by one m
+    c = np.zeros((cells, col.max() + 2), dtype=complex)
+    c[rows, col] = dom.block_evecs[:, :, 0]
 
-    min_link = np.inf
-    for i in range(1, nk):
-        o = a * np.vdot(c[i - 1], c[i])
-        m = abs(o)
-        min_link = min(min_link, m)
-        if m < _ALIGN_FLOOR:
-            raise GaugeError(
-                f"adjacent Bloch overlap {m:.3f} < {_ALIGN_FLOOR}; "
-                "increase n_kappa"
-            )
-        c[i] = c[i] * (np.conj(o) / m)
+    links = np.sum(np.conj(c[:-1]) * c[1:], axis=1)
+    mags = np.abs(links)
+    min_link = mags.min(initial=np.inf)
+    if min_link < _ALIGN_FLOOR:
+        raise GaugeError(f"adjacent Bloch overlap {min_link:.3f} < "
+                         f"{_ALIGN_FLOOR}; increase cells")
     if min_link < _ALIGN_SMOOTH:
-        warnings.warn(
-            f"gauge smoothness marginal: min adjacent overlap {min_link:.4f}",
-            stacklevel=2,
-        )
+        warnings.warn(f"gauge smoothness marginal: min adjacent overlap "
+                      f"{min_link:.4f}", stacklevel=2)
+    c[1:] *= np.cumprod(np.conj(links) / mags)[:, None]
 
-    # closure across the zone boundary: coefficients at kappa + b are the
-    # mode-shifted coefficients at kappa
-    shifted = np.roll(c[0], -1)
-    shifted[-1] = 0.0
-    z = a * np.vdot(c[-1], shifted)
-    theta = np.angle(z)
-    c = c * np.exp(1j * theta * np.arange(nk) / nk)[:, None]
+    theta = np.angle(np.vdot(c[-1, :-1], c[0, 1:]))
+    c *= np.exp(1j * theta * np.arange(cells) / cells)[:, None]
 
-    # global phase from the zone average on a probe grid around the well
-    probe, dxp, _ = domain_grid(a, 10, 32)
-    wavg = _zone_average(bd, c, probe)
-    z2 = dxp * np.sum(wavg**2)
-    c = c * np.exp(-0.5j * np.angle(z2))
-    wavg = _zone_average(bd, c, probe)
-    if wavg.real[np.argmax(np.abs(wavg))] < 0:  # positive at the well peak
-        c = -c
-        wavg = -wavg
-    resid = np.abs(wavg.imag).max() / np.abs(wavg).max()
+    spectrum = np.zeros(dom.n, dtype=complex)
+    spectrum[dom.block_index] = c[rows, col]
+    w = np.fft.ifft(spectrum)
+    w *= np.exp(-0.5j * np.angle(np.sum(w**2)))
+    peak = int(np.argmax(np.abs(w)))
+    if w.real[peak] < 0:
+        w = -w
+    resid = np.abs(w.imag).max() / np.abs(w).max()
     if resid > _IMAG_TOL:
         raise GaugeError(f"zone average not real after gauge fix: "
                          f"imaginary residue {resid:.2e}")
-
-    coeffs = bd.coeffs.copy()
-    coeffs[0] = c
-    return replace(bd, coeffs=coeffs, gauge_fixed=True)
+    w = np.roll(w.real, -int(dom.sites[peak // ppc]) * ppc)
+    return w / l2_norm(dom.dx, w)
 
 
-def _zone_average(bd: BandData, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Mean over the kappa grid of the band-1 Bloch functions on x."""
-    phases = np.exp(1j * np.outer(x, bd.b * bd.modes))
-    acc = np.zeros(x.size, dtype=complex)
-    for i, k in enumerate(bd.kappa):
-        acc += np.exp(1j * k * x) * (phases @ c[i])
-    return acc / bd.n_kappa
-
-
-def wannier_function(bd: BandData, x: np.ndarray) -> np.ndarray:
-    """Zone average of the gauge-fixed first band, L2-normalized on x.
-
-    The trapezoidal rule on the periodic kappa grid is a plain mean.
-    """
-    if not bd.gauge_fixed:
-        raise GaugeError("gauge must be fixed before building the zone average")
-    x = np.asarray(x, dtype=float)
-    dx = float(x[1] - x[0])
-    if not np.allclose(np.diff(x), dx, rtol=0, atol=1e-12 * abs(dx) + 1e-300):
-        raise ValueError("grid must be uniform")
-    w = _zone_average(bd, bd.coeffs[0], x)
-    resid = np.abs(w.imag).max() / np.abs(w).max()
-    if resid > _IMAG_TOL:
-        raise GaugeError(f"zone average has imaginary residue {resid:.2e}")
-    w = w.real
-    w = w / np.sqrt(dx * np.sum(w**2))
-    return w
-
-
-def build_orthonormal_basis(bd: BandData, dom: PeriodicDomain,
+def build_orthonormal_basis(dom: PeriodicDomain, w: np.ndarray,
                             lowdin_band: int = 6) -> WannierBasis:
     """Orthonormalize band-projected well states over the periodic domain.
 
@@ -190,19 +156,13 @@ def build_orthonormal_basis(bd: BandData, dom: PeriodicDomain,
     The translates have a circulant Gram matrix; the inverse square root
     is taken through the Fourier symbol (1 + a(kappa))^(-1/2), truncated
     to lags |ell| <= lowdin_band, which is exact up to the exponentially
-    small dropped coefficients.  bd supplies only the zone average w.
+    small dropped coefficients.  w is the zone average `fix_gauge(dom)`,
+    kept in the basis as a diagnostic.
 
-    Raises BasisError when bd and dom disagree in hbar or period, or the
-    overlap matrix stops being positive definite (hbar too large for a
-    localized basis).
+    Raises BasisError when the domain is too short for the lag band, or
+    the overlap matrix stops being positive definite (hbar too large for
+    a localized basis).
     """
-    if not bd.gauge_fixed:
-        raise GaugeError("gauge must be fixed before building the basis")
-    for name, ours, theirs in (("hbar", bd.hbar, dom.hbar),
-                               ("period", bd.a, dom.spec.a)):
-        if abs(ours - theirs) > 1e-12 * abs(theirs):
-            raise BasisError(f"band data has {name} {ours!r} but the domain "
-                             f"has {name} {theirs!r}")
     cells, points_per_cell = dom.cells, dom.points_per_cell
     if cells <= 2 * lowdin_band + 1:
         raise BasisError(f"cells={cells} too small for lag band {lowdin_band}")
@@ -211,8 +171,6 @@ def build_orthonormal_basis(bd: BandData, dom: PeriodicDomain,
                       stacklevel=2)
 
     x, dx = dom.x, dom.dx
-    w = wannier_function(bd, x)
-
     g = np.exp(-action_profile(dom.spec, x) / dom.hbar)
     g /= np.sqrt(dx * np.sum(g**2))
     v0 = dom.project_band1(g)

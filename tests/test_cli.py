@@ -1,3 +1,5 @@
+import logging
+import re
 import typing
 
 import numpy as np
@@ -137,6 +139,50 @@ def test_stale_cache_rebuilt(tmp_path, capsys):
     assert out.startswith("n,kappa,E")
 
 
+def test_torn_bundle_rebuilt(tmp_path, caplog, monkeypatch):
+    path = _write(tmp_path)
+    assert cli.main(["--config", str(path), "bands"]) == 0
+    cfg = cli.parse_config(str(path))
+    cache = cli.BundleCache(cfg.cache_dir)
+    key = cli.config_hash(cfg, cfg.hbar_ladder[0])
+    bundle = tmp_path / "cache" / f"bands_{key}.npz"
+    whole = bundle.read_bytes()
+    bundle.write_bytes(whole[:len(whole) // 2])  # what a killed write leaves
+    with caplog.at_level(logging.WARNING, logger="semitb.cli"):
+        assert cache.load_bands(key) is None
+    assert str(bundle) in caplog.text and "rebuilding" in caplog.text
+    assert cli.main(["--config", str(path), "bands"]) == 0
+    assert bundle.read_bytes() == whole
+
+    # a store cut short leaves the bundle it would replace, and no other file
+    def torn_savez(fh, **fields):
+        fh.write(b"PK\x03\x04")
+        raise OSError("disk full")
+
+    files = sorted(p.name for p in (tmp_path / "cache").iterdir())
+    monkeypatch.setattr(cli.np, "savez", torn_savez)
+    with pytest.raises(OSError, match="disk full"):
+        cache.store_bands(key, cache.load_bands(key))
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == files
+    assert bundle.read_bytes() == whole
+
+
+@pytest.mark.parametrize("edit, key", [
+    (("hbar = 0.3, 0.25, 0.2, 0.15", "hbar = 0.3, 0.2, 0.25, 0.15"), r"sweep\.hbar"),
+    (("hbar = 0.3, 0.25, 0.2, 0.15", "hbar = 0.3, 0.25, 0.2"), r"sweep\.hbar"),
+    (("eta = 0, -2, -50", "eta = -2, -50"), r"sweep\.eta"),
+    (("cells = 16\n", "cells = 12\nlowdin_band = 6\n"), r"numerics\.cells"),
+], ids=["hbar-order", "hbar-count", "eta-zero", "cells-lowdin"])
+def test_config_errors_exit_before_any_build(tmp_path, capsys, edit, key):
+    text = GOOD.replace("lowdin_band = 4\n", "") if "lowdin" in edit[1] else GOOD
+    assert edit[0] in text
+    path = _write(tmp_path, text.replace(*edit))
+    assert cli.main(["--config", str(path), "scan"]) == cli.EXIT_CONFIG
+    assert re.search(key, capsys.readouterr().err)
+    cache = tmp_path / "cache"
+    assert not cache.exists() or not any(cache.iterdir())
+
+
 def test_wannier_command_writes_plain_floats(tmp_path):
     path = _write(tmp_path)
     cfg = cli.parse_config(str(path))
@@ -181,7 +227,7 @@ def test_version1_basis_bundle_rebuilt(tmp_path):
     assert (tmp_path / "out" / "params.csv").read_bytes() == want
     for key in keys:
         with np.load(cache.basis_path(key)) as z:
-            assert int(z["version"]) == cli.CACHE_VERSION == 5
+            assert int(z["version"]) == cli.CACHE_VERSION == 6
             assert "u" not in z.files
         got, ref = cache.load_basis(key), fresh.load_basis(key)
         assert np.array_equal(got.u0, ref.u0)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from semitb import nlse
-from semitb.errors import Error
+from semitb.cli import _validate
+from semitb.errors import ConfigError, Error
 from semitb.operators import l2_norm
 from semitb.scan import _dnls_ladder, fit_exponential_law, run_sweep
 
@@ -49,11 +50,14 @@ def test_fit_window_filters_amplitudes():
 
 
 def test_plan_validation(cfg):
-    for bad, match in ((dict(hbar_ladder=(0.1, 0.2, 0.3, 0.4)), "decreasing"),
-                       (dict(eta_values=(-2.0, -8.0)), "include 0"),
-                       (dict(hbar_ladder=(0.25, 0.2, 0.16)), ">= 4 points")):
-        with pytest.raises(ValueError, match=match):
-            _dnls_ladder(dataclasses.replace(cfg, **bad))
+    for bad, match in (
+            (dict(hbar_ladder=(0.1, 0.2, 0.3, 0.4)), r"sweep\.hbar.*decreasing"),
+            (dict(eta_values=(-2.0, -8.0)), r"sweep\.eta.*include 0"),
+            (dict(hbar_ladder=(0.25, 0.2, 0.16)), r"sweep\.hbar.*>= 4 points"),
+            (dict(cells=13), r"numerics\.cells.*numerics\.lowdin_band = 6")):
+        with pytest.raises(ConfigError, match=match):
+            _validate(dataclasses.replace(cfg, **bad), allow_low_sigma=False)
+    _validate(dataclasses.replace(cfg, cells=14), allow_low_sigma=False)
 
 
 def test_sweep_report_contents(cfg, mini_bundles, tmp_path):

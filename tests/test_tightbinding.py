@@ -84,13 +84,11 @@ def test_residual_coupling_structure(bundle_factory):
 
 
 def test_parameters_stable_under_grid_doubling(ref_spec):
-    from semitb.wannier import fix_gauge
-
-    bd = fix_gauge(st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.16)))
+    bd = st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.16))
     tb = {}
     for ppc in (64, 128):
         dom = st.PeriodicDomain(ref_spec, 0.16, 32, ppc)
-        wb = st.build_orthonormal_basis(bd, dom)
+        wb = st.build_orthonormal_basis(dom, st.fix_gauge(dom))
         tb[ppc] = st.extract_params(wb, dom, sigma=1.0, bd=bd)
     assert abs(tb[64].lambda1 - tb[128].lambda1) < 1e-10
     assert abs(tb[64].beta - tb[128].beta) / tb[64].beta < 1e-8

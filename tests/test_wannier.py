@@ -1,7 +1,9 @@
-import dataclasses
+import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import semitb as st
 from semitb.cli import BundleCache
@@ -11,45 +13,87 @@ from semitb.potential import action_profile
 from semitb.wannier import fix_gauge
 
 
+def _plane_wave_w1(bd, dom):
+    """W1 from the plane-wave Bloch functions of bd on the grid of dom.
+
+    The reference construction the domain gauge replaced: the band-1
+    functions at every kappa of bd, parallel transported along the grid
+    by the overlaps of their periodic parts over one cell, the closure
+    winding to kappa_0 + b spread evenly, then the zone average, made
+    real by one global phase and positive at its peak, with unit norm.
+    """
+    cell = dom.x[:dom.points_per_cell]
+    periodic = np.stack([st.bloch_on_grid(bd, 1, k, cell) * np.exp(-1j * k * cell)
+                         for k in bd.kappa])
+    links = np.sum(np.conj(periodic[:-1]) * periodic[1:], axis=1)
+    assert np.abs(links).min() / np.sum(np.abs(periodic[0]) ** 2) > 0.99
+    periodic[1:] *= np.cumprod(np.conj(links) / np.abs(links))[:, None]
+    closure = np.vdot(periodic[-1], np.exp(-1j * bd.b * cell) * periodic[0])
+    periodic *= np.exp(1j * np.angle(closure) * np.arange(bd.n_kappa)
+                       / bd.n_kappa)[:, None]
+    w = np.mean(np.exp(1j * np.outer(bd.kappa, dom.x))
+                * np.tile(periodic, dom.cells), axis=0)
+    w *= np.exp(-0.5j * np.angle(np.sum(w**2)))
+    w *= np.sign(w.real[np.argmax(np.abs(w))])
+    assert np.abs(w.imag).max() < 1e-8 * np.abs(w).max()
+    return w.real / l2_norm(dom.dx, w.real)
+
+
 def test_gauge_produces_real_positive_wannier(bundle_factory):
     bun = bundle_factory(0.2)
     w = bun.wb.w
-    # realness is enforced inside wannier_function; the sign convention is
-    # positive at the well peak
-    assert w[np.argmax(np.abs(w))] > 0
+    # realness is enforced inside fix_gauge; the sign convention is
+    # positive at the well peak, which lies in the cell of site 0
+    peak = np.argmax(np.abs(w))
+    assert w[peak] > 0 and abs(bun.dom.x[peak]) < 0.5 * bun.dom.spec.a
     assert abs(l2_norm(bun.dom.dx, w) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("hbar", [0.25, 0.2, 0.16, 0.125, 0.1])
+def test_w1_matches_plane_wave_reference(bundle_factory, hbar):
+    bun = bundle_factory(hbar)
+    ref = _plane_wave_w1(bun.bd, bun.dom)
+    assert np.abs(bun.wb.w - ref).max() <= 1e-12
+
+
+def _with_band1(dom, vecs):
+    """A copy of dom whose band-1 block vectors are vecs."""
+    out = copy.copy(dom)
+    out.block_evecs = dom.block_evecs.copy()
+    out.block_evecs[:, :, 0] = vecs
+    return out
+
+
 def test_gauge_idempotent(ref_spec):
-    bd = st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.2))
-    bd1 = fix_gauge(bd)
-    bd2 = fix_gauge(bd1)
-    assert np.abs(bd2.coeffs[0] - bd1.coeffs[0]).max() < 1e-12
-
-
-def test_gauge_seed_phase_changes_nothing_but_sign(ref_spec):
-    bd = st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.2))
-    coeffs = bd.coeffs.copy()
-    coeffs[0, 0] = coeffs[0, 0] * np.exp(0.7j)
-    rotated = dataclasses.replace(bd, coeffs=coeffs)
     dom = PeriodicDomain(ref_spec, 0.2, 32, 64)
-    wb_a = st.build_orthonormal_basis(fix_gauge(bd), dom)
-    wb_b = st.build_orthonormal_basis(fix_gauge(rotated), dom)
-    sign = np.sign(np.sum(wb_a.w * wb_b.w))
-    assert np.abs(wb_a.u - sign * wb_b.u).max() < 1e-10
-    assert np.abs(wb_a.overlaps - wb_b.overlaps).max() < 1e-10
-    tb_a = st.extract_params(wb_a, dom, sigma=1.0, bd=bd)
-    tb_b = st.extract_params(wb_b, dom, sigma=1.0, bd=rotated)
-    assert abs(tb_a.beta - tb_b.beta) < 1e-10
-    assert abs(tb_a.c0 - tb_b.c0) < 1e-10
+    w = fix_gauge(dom)
+    # the block vectors of W1 are the gauge-fixed band-1 vectors, moved by
+    # whole cells; the gauge leaves them where they are
+    gauged = np.fft.fft(w)[dom.block_index]
+    gauged /= np.linalg.norm(gauged, axis=1, keepdims=True)
+    assert np.abs(fix_gauge(_with_band1(dom, gauged)) - w).max() < 1e-12
+
+
+@pytest.fixture(scope="module")
+def dom_02(ref_spec):
+    return PeriodicDomain(ref_spec, 0.2, 32, 64)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(angles=hst.lists(hst.floats(-np.pi, np.pi), min_size=32, max_size=32))
+def test_gauge_seed_phase_changes_nothing_but_sign(dom_02, angles):
+    w = fix_gauge(dom_02)
+    turned = dom_02.block_evecs[:, :, 0] * np.exp(1j * np.array(angles))[:, None]
+    w_turned = fix_gauge(_with_band1(dom_02, turned))
+    sign = np.sign(np.sum(w * w_turned))
+    assert np.abs(w - sign * w_turned).max() <= 1e-12
 
 
 def test_gauge_rejects_degenerate_band():
-    spec = st.free_potential(1.0)
-    bd = st.solve_bands(spec, st.FloquetConfig(hbar=0.3, n_pw=41, n_kappa=16,
-                                               n_bands=3))
+    # free band-1 vectors jump from mode m = 0 to m = -1 at half the zone
+    dom = PeriodicDomain(st.free_potential(1.0), 0.3, 16, 16)
     with pytest.raises(GaugeError):
-        fix_gauge(bd)
+        fix_gauge(dom)
 
 
 def test_orthonormality_and_translation_covariance(bundle_factory):
@@ -65,9 +109,8 @@ def test_orthonormality_and_translation_covariance(bundle_factory):
 
 def test_dense_lowdin_cross_check(ref_spec):
     # odd cell count, symbol-truncated coefficients vs dense inverse sqrt
-    bd = fix_gauge(st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.25, n_kappa=62)))
     dom = PeriodicDomain(ref_spec, 0.25, 31, 64)
-    wb = st.build_orthonormal_basis(bd, dom)
+    wb = st.build_orthonormal_basis(dom, fix_gauge(dom))
     v = np.stack([np.roll(wb.v0, s * wb.points_per_cell) for s in dom.sites])
     gram = dom.dx * (v @ v.T)
     vals, vecs = np.linalg.eigh(gram)
@@ -81,12 +124,6 @@ def test_first_band_leakage(bundle_factory, ref_spec):
     u0 = bun.wb.orbital(0)
     leak = l2_norm(bun.dom.dx, u0 - bun.dom.project_band1(u0))
     assert leak < 1e-6
-
-
-def test_wannier_function_requires_gauge(ref_spec):
-    bd = st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.2))
-    with pytest.raises(GaugeError):
-        st.wannier_function(bd, np.linspace(-4, 4, 512, endpoint=False))
 
 
 def test_wannier_close_to_oscillator_ground_state(bundle_factory, ref_spec):
@@ -160,9 +197,9 @@ def test_diagnostics_scalings(bundle_factory, ref_s0):
 def test_incommensurate_domain_builds_basis(ref_spec):
     # 24 cells on a 64-point kappa grid: the domain projector seeds the
     # basis, so no kappa point needs to be shared with the domain
-    bd = fix_gauge(st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.2)))
+    bd = st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.2))
     dom = PeriodicDomain(ref_spec, 0.2, 24, 64)
-    wb = st.build_orthonormal_basis(bd, dom)
+    wb = st.build_orthonormal_basis(dom, fix_gauge(dom))
     gram = dom.dx * (wb.u @ wb.u.T)
     assert np.abs(gram - np.eye(wb.cells)).max() < 1e-8
     u0 = wb.orbital(0)
@@ -174,20 +211,21 @@ def test_incommensurate_domain_builds_basis(ref_spec):
     assert abs(beta - ref) / ref < 1e-6
 
 
-def test_band_domain_mismatch_named(ref_spec):
-    bd = fix_gauge(st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.2)))
+def test_band_domain_mismatch_named(bundle_factory, ref_spec):
+    bun = bundle_factory(0.25)
+    bd = st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.2))
     with pytest.raises(BasisError, match=r"hbar 0\.2 .* hbar 0\.25"):
-        st.build_orthonormal_basis(bd, PeriodicDomain(ref_spec, 0.25, 32, 64))
+        st.extract_params(bun.wb, bun.dom, sigma=1.0, bd=bd)
     wide = st.make_potential("sin2", v0=8.0, a=2.0)
     with pytest.raises(BasisError, match=r"period 1\.0 .* period 2\.0"):
-        st.build_orthonormal_basis(bd, PeriodicDomain(wide, 0.2, 32, 64))
+        st.extract_params(bun.wb, PeriodicDomain(wide, 0.2, 32, 64), sigma=1.0,
+                          bd=bd)
 
 
 def test_small_domain_warns(ref_spec):
-    bd = fix_gauge(st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.25, n_kappa=16)))
+    dom = PeriodicDomain(ref_spec, 0.25, 8, 64)
     with pytest.warns(UserWarning, match="interior"):
-        st.build_orthonormal_basis(bd, PeriodicDomain(ref_spec, 0.25, 8, 64),
-                                   lowdin_band=3)
+        st.build_orthonormal_basis(dom, fix_gauge(dom), lowdin_band=3)
 
 
 def test_basis_bundle_roundtrip(tmp_path, bundle_factory):
@@ -210,10 +248,18 @@ def test_basis_bundle_version_mismatch(tmp_path, bundle_factory):
 
 
 def test_even_and_odd_cell_counts(ref_spec):
-    bd = fix_gauge(st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.25, n_kappa=64)))
-    wb_even = st.build_orthonormal_basis(bd, PeriodicDomain(ref_spec, 0.25, 32, 32))
+    def basis(cells, ppc):
+        dom = PeriodicDomain(ref_spec, 0.25, cells, ppc)
+        return dom, st.build_orthonormal_basis(dom, fix_gauge(dom))
+
+    wb_even = basis(32, 32)[1]
     assert wb_even.sites[0] == -15 and wb_even.sites[-1] == 16
-    bd_odd = fix_gauge(st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.25, n_kappa=62)))
-    wb_odd = st.build_orthonormal_basis(bd_odd,
-                                        PeriodicDomain(ref_spec, 0.25, 31, 32))
+    wb_odd = basis(31, 32)[1]
     assert wb_odd.sites[0] == -15 and wb_odd.sites[-1] == 15
+    # an odd count of cells or points gives block rows whose plane-wave
+    # indices m do not all start at the same position; W1 still matches
+    # the plane-wave reference
+    bd = st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.25))
+    for cells, ppc in ((31, 32), (32, 33), (31, 33)):
+        dom, wb = basis(cells, ppc)
+        assert np.abs(wb.w - _plane_wave_w1(bd, dom)).max() <= 1e-12
