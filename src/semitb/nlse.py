@@ -55,17 +55,20 @@ def _nonlinear_term(phi: np.ndarray, sigma: float) -> np.ndarray:
 
 def solve_perp_fixed_point(c: np.ndarray, e_param: float, tbp: TBParams,
                            dom: PeriodicDomain, wb: WannierBasis,
-                           delta0: float):
+                           delta0: float, start: np.ndarray | None = None):
     """Contraction fixed point for the out-of-band component.
 
     Iterates phi_perp <- -gamma (H - lambda)^{-1} P_perp |phi|^{2s} phi
-    from zero, with lambda = lambda1 - beta*E applied through the exact
-    block-diagonal resolvent.  Returns (phi_perp, h1_certificate).
+    from `start` (zero when None), with lambda = lambda1 - beta*E applied
+    through the exact block-diagonal resolvent.  A nearby start only saves
+    iterations: the stop and the certificate are the converged iterate's.
+    Returns (phi_perp, h1_certificate), exact zeros when gamma = 0.
 
     Raises SolverError when the lattice amplitudes exceed the contraction
     budget delta0, when lambda drifts too close to the out-of-band
     spectrum, or when the iteration is observed not to contract (gamma
-    too large for this hbar; use a smaller |eta| or smaller hbar).
+    too large for this hbar; use a smaller |eta| or smaller hbar).  Both
+    iteration failures name hbar, eta, lambda, the iteration and its H1 gap.
     """
     l1 = float(np.abs(c).sum())
     if l1 > delta0:
@@ -84,12 +87,13 @@ def solve_perp_fixed_point(c: np.ndarray, e_param: float, tbp: TBParams,
 
     gamma, sigma = tbp.gamma, tbp.sigma
     phi_band = wb.u.T @ c
-    phi_perp = np.zeros_like(phi_band)
     if gamma == 0.0:
-        return phi_perp, 0.0
+        return np.zeros_like(phi_band), 0.0
+    phi_perp = np.zeros_like(phi_band) if start is None else start
+    where = f"at hbar={tbp.hbar}, eta={tbp.eta}, lambda={lam:.10g}"
     prev_diff = None
     grow = 0
-    for _ in range(200):
+    for it in range(1, 201):
         rhs = _nonlinear_term(phi_band + phi_perp, sigma)
         new = -gamma * dom.resolvent_perp(rhs, lam)
         diff = dom.h1_norm(new - phi_perp)
@@ -104,13 +108,15 @@ def solve_perp_fixed_point(c: np.ndarray, e_param: float, tbp: TBParams,
                     # check decides whether this is good enough
                     return phi_perp, dom.h1_norm(phi_perp)
                 raise SolverError(
-                    f"fixed point not contracting (ratio {diff / prev_diff:.2f}); "
+                    f"fixed point not contracting {where} (ratio "
+                    f"{diff / prev_diff:.2f}, H1 gap {diff:.3e} at iteration {it}); "
                     "gamma too large for this hbar: use a smaller |eta| or smaller hbar"
                 )
         else:
             grow = 0
         prev_diff = diff
-    raise NonConvergenceError("fixed point exceeded its iteration budget")
+    raise NonConvergenceError(f"fixed point exceeded its iteration budget {where} "
+                              f"(H1 gap {diff:.3e} at iteration {it})")
 
 
 def lattice_map(state: DnlsState, wb: WannierBasis) -> np.ndarray:
@@ -190,14 +196,15 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
     gamma, sigma = tbp.gamma, tbp.sigma
     tol = RESIDUAL_FLOOR * max(abs(lam), tbp.hbar)
 
-    def _evaluate(cv):
+    def _evaluate(cv, start):
         perp, perp_h1 = solve_perp_fixed_point(cv, e_param, tbp, dom, wb,
-                                               delta0=delta0)
+                                               delta0=delta0, start=start)
         full = wb.u.T @ cv + perp
         resid = dom.apply_h(full) + gamma * _nonlinear_term(full, sigma) - lam * full
-        return full, perp_h1, l2_norm(dom.dx, resid)
+        return full, perp_h1, l2_norm(dom.dx, resid), perp
 
-    phi, perp_h1, rnorm = _evaluate(c)
+    # every later fixed point starts from the last accepted phi_perp
+    phi, perp_h1, rnorm, warm = _evaluate(c, None)
     history = [rnorm]
     best = (rnorm, phi, perp_h1, c.copy(), 1)
     escapes = 0
@@ -220,7 +227,7 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
         full_trial = None
         for _ in range(9):
             try:
-                cand = _evaluate(c - scale * step)
+                cand = _evaluate(c - scale * step, warm)
             except SolverError:
                 cand = None  # left the contraction ball; shorten
             if cand is not None:
@@ -235,7 +242,7 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
             if full_trial is None or escapes > 6:
                 break  # nothing acceptable; report the best iterate
             trial = full_trial
-        (phi, perp_h1, rnorm), scale = trial
+        (phi, perp_h1, rnorm, warm), scale = trial
         c = c - scale * step
         history.append(rnorm)
         if rnorm < best[0]:

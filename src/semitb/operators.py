@@ -12,6 +12,11 @@ projector and the resolvent on its complement exact and cheap.  The
 blocks are kept as one `(cells, points_per_cell, ...)` stack: a single
 stacked `eigh` builds them, and the projector and the resolvent act on
 all of them at once through stacked matrix products.
+
+V is real, so block -r (mod cells) is the complex conjugate of block r:
+the resolvent of a real input needs only its `rfft` and the blocks
+0..cells//2, about half of them, and the other modes follow by conjugate
+mirror.  The H1 norm is read off the `rfft` by Parseval's identity.
 """
 
 from __future__ import annotations
@@ -62,6 +67,12 @@ class PeriodicDomain:
         self.k = 2 * np.pi * g / self.length
         self._kinetic = self.hbar**2 * self.k**2
         self._build_blocks()
+        # rfft weights of the H1 norm: an interior mode stands for its
+        # conjugate partner too; the even-n Nyquist mode has no real derivative
+        j = np.arange(self.n // 2 + 1)
+        nyq = 2 * j == self.n
+        self._h1_weight = ((1 + ~nyq * self.k[j] ** 2) * np.where((j == 0) | nyq, 1, 2)
+                           * self.dx / self.n)
         self._dense = None
 
     def _build_blocks(self):
@@ -76,6 +87,14 @@ class PeriodicDomain:
         off = np.arange(self.points_per_cell)
         h[:, off, off] += self._kinetic[self.block_index]
         self.block_evals, self.block_evecs = np.linalg.eigh(h)
+        # the half stack (blocks 0..cells//2, flattened) reads a mode i > n//2
+        # as conj(rfft[n - i]); result mode j <= n//2 is the stack's entry, or
+        # the conjugate of mode n - j where the stack does not hold j
+        half, m = self.n // 2 + 1, (self.cells // 2 + 1) * self.points_per_cell
+        idx = self.block_index.ravel()[:m]
+        self._half_in = np.where(idx < half, idx, half + self.n - idx)
+        pos, j = np.argsort(self.block_index.ravel()), np.arange(half)
+        self._half_out = np.where(pos[j] < m, pos[j], m + pos[-j % self.n])
 
     # -- operator applications ------------------------------------------------
 
@@ -86,37 +105,41 @@ class PeriodicDomain:
             out = out.real
         return out + self.vx * phi
 
-    def gradient(self, phi: np.ndarray) -> np.ndarray:
-        out = np.fft.ifft(1j * self.k * np.fft.fft(phi))
-        return out.real if np.isrealobj(phi) else out
-
     def h1_norm(self, phi: np.ndarray) -> float:
-        return float(np.sqrt(l2_norm(self.dx, phi) ** 2 +
-                             l2_norm(self.dx, self.gradient(phi)) ** 2))
+        """H1 norm of a real grid function, by Parseval on its rfft."""
+        f = np.fft.rfft(phi)
+        return float(np.sqrt(self._h1_weight @ (f.real**2 + f.imag**2)))
 
     def project_band1(self, phi: np.ndarray) -> np.ndarray:
         """Spectral projector onto the lowest band of the domain operator."""
         fb = np.fft.fft(phi)[self.block_index]
         v0 = self.block_evecs[:, :, 0]
         coef = np.matmul(np.conj(v0)[:, None, :], fb[:, :, None])[:, :, 0]
-        return self._from_blocks(v0 * coef, phi)
-
-    def resolvent_perp(self, phi: np.ndarray, z: float) -> np.ndarray:
-        """(H - z)^{-1} restricted to the complement of the first band."""
-        fb = np.fft.fft(phi)[self.block_index]
-        v = self.block_evecs
-        # V^H f per block, as conj(f^H V), so V^H is never materialized
-        coef = np.matmul(np.conj(fb)[:, None, :], v)[:, 0, :].conj()
-        coef[:, 0] = 0.0
-        coef[:, 1:] /= self.block_evals[:, 1:] - z
-        return self._from_blocks(np.matmul(v, coef[:, :, None])[:, :, 0], phi)
-
-    def _from_blocks(self, blocks: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """Scatter per-block Fourier coefficients back to the grid."""
         out = np.empty(self.n, dtype=complex)
-        out[self.block_index] = blocks
+        out[self.block_index] = v0 * coef
         res = np.fft.ifft(out)
         return res.real if np.isrealobj(phi) else res
+
+    def resolvent_perp(self, phi: np.ndarray, z: float) -> np.ndarray:
+        """(H - z)^{-1} restricted to the complement of the first band.
+
+        A complex input is resolved as R(Re phi) + i R(Im phi) in one pass.
+        """
+        cplx = np.iscomplexobj(phi)
+        f = np.stack((phi.real, phi.imag)) if cplx else phi
+        h = self.cells // 2 + 1
+        rf = np.fft.rfft(f)
+        fb = np.concatenate((rf, rf.conj()), axis=-1)[..., self._half_in]
+        fb = fb.reshape(f.shape[:-1] + (h, self.points_per_cell))
+        v = self.block_evecs[:h]
+        # V^H f per block, as conj(f^H V), so V^H is never materialized
+        coef = np.matmul(fb.conj()[..., None, :], v)[..., 0, :].conj()
+        coef[..., 0] = 0.0
+        coef[..., 1:] /= self.block_evals[:h, 1:] - z
+        back = np.matmul(v, coef[..., None]).reshape(f.shape[:-1] + (-1,))
+        out = np.fft.irfft(np.concatenate((back, back.conj()), axis=-1)
+                           [..., self._half_out], self.n)
+        return out[0] + 1j * out[1] if cplx else out
 
     # -- spectral data ---------------------------------------------------------
 

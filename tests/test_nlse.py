@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import semitb as st
-from semitb.errors import SolverError
+from semitb.errors import NonConvergenceError, SolverError
 from semitb.nlse import (
     _nonlinear_term,
     _reduced_residual,
@@ -10,7 +10,7 @@ from semitb.nlse import (
     check_lattice_invertibility,
     lattice_map,
 )
-from semitb.operators import l2_norm
+from semitb.operators import PeriodicDomain, l2_norm
 from semitb.potential import action_profile
 from semitb.tightbinding import with_eta
 
@@ -66,6 +66,97 @@ def test_perp_zero_without_nonlinearity(bundle_factory, ladder_states):
     c = lattice_map(ladder_states[-3.0], bun.wb)
     perp, h1 = st.solve_perp_fixed_point(c, 2.5, tbp, bun.dom, bun.wb, delta0=8.0)
     assert h1 == 0.0 and np.abs(perp).max() == 0.0
+    # a start is never returned in place of the exact zeros
+    perp, h1 = st.solve_perp_fixed_point(c, 2.5, tbp, bun.dom, bun.wb,
+                                         delta0=8.0, start=np.ones(bun.dom.n))
+    assert h1 == 0.0 and np.abs(perp).max() == 0.0
+
+
+def test_perp_warm_start_reaches_the_zero_start_fixed_point(
+        bundle_factory, ladder_states, monkeypatch):
+    bun = bundle_factory(0.16)
+    tbp = with_eta(bun.tbp, -3.0)
+    s = ladder_states[-3.0]
+    c = lattice_map(s, bun.wb)
+    calls = []
+    kernel = PeriodicDomain.resolvent_perp
+
+    def counted(self, phi, z):
+        calls.append(z)
+        return kernel(self, phi, z)
+
+    monkeypatch.setattr(PeriodicDomain, "resolvent_perp", counted)
+
+    def solve(cv, start=None):
+        del calls[:]
+        out = st.solve_perp_fixed_point(cv, s.e, tbp, bun.dom, bun.wb,
+                                        delta0=8.0, start=start)
+        return out, len(calls)
+
+    (cold, cold_h1), cold_calls = solve(c)
+    # the fixed point of a slightly larger c, as a late Newton step leaves it
+    (nearby, _), _ = solve(1.0001 * c)
+    assert bun.dom.h1_norm(nearby - cold) > 1e-4 * cold_h1
+    (warm, warm_h1), warm_calls = solve(c, start=nearby)
+    assert bun.dom.h1_norm(warm - cold) <= 1e-12
+    assert abs(warm_h1 - cold_h1) <= 1e-12
+    assert warm_calls < cold_calls
+
+
+def test_reconstruction_is_independent_of_earlier_solves(bundle_factory,
+                                                         ladder_states):
+    # the warm start lives inside one call: a solve at another (hbar, eta)
+    # in between leaves no trace
+    bun = bundle_factory(0.16)
+    tbp = with_eta(bun.tbp, -3.0)
+    first = st.reconstruct_and_correct(ladder_states[-3.0], tbp, bun.dom,
+                                       bun.wb, delta0=8.0)
+    other = bundle_factory(0.2)
+    st.reconstruct_and_correct(ladder_states[-5.0], with_eta(other.tbp, -5.0),
+                               other.dom, other.wb, delta0=8.0)
+    again = st.reconstruct_and_correct(ladder_states[-3.0], tbp, bun.dom,
+                                       bun.wb, delta0=8.0)
+    assert np.array_equal(first.phi, again.phi)
+    assert np.array_equal(first.c, again.c)
+    assert first.iterations == again.iterations
+
+
+def test_perp_not_contracting_names_its_cause(bundle_factory, ladder_states):
+    bun = bundle_factory(0.25)
+    tbp = with_eta(bun.tbp, -2000.0)
+    s = ladder_states[-2.0]
+    c = lattice_map(s, bun.wb)
+    with pytest.raises(SolverError, match="not contracting") as err:
+        st.solve_perp_fixed_point(c, s.e, tbp, bun.dom, bun.wb, delta0=100.0)
+    msg = str(err.value)
+    lam = tbp.lambda1 - tbp.beta * s.e
+    for part in ("hbar=0.25", "eta=-2000.0", f"lambda={lam:.10g}",
+                 "ratio 1.47", "H1 gap", "at iteration"):
+        assert part in msg
+
+
+def test_perp_budget_names_its_cause(bundle_factory, ladder_states,
+                                     monkeypatch):
+    # a map whose successive gaps shrink by only 1 % a step never grows and
+    # never meets the tolerance, so it runs into the 200-step budget
+    bun = bundle_factory(0.16)
+    tbp = with_eta(bun.tbp, -3.0)
+    s = ladder_states[-3.0]
+    calls = []
+
+    def slow(self, phi, z):
+        calls.append(z)
+        return -(1 - 0.99 ** len(calls)) / tbp.gamma * np.ones(self.n)
+
+    monkeypatch.setattr(PeriodicDomain, "resolvent_perp", slow)
+    with pytest.raises(NonConvergenceError, match="iteration budget") as err:
+        st.solve_perp_fixed_point(lattice_map(s, bun.wb), s.e, tbp, bun.dom,
+                                  bun.wb, delta0=8.0)
+    msg = str(err.value)
+    assert len(calls) == 200
+    for part in ("hbar=0.16", "eta=-3.0", "lambda=", "H1 gap",
+                 "at iteration 200"):
+        assert part in msg
 
 
 def test_perp_first_iterate_homogeneity(bundle_factory, ladder_states):

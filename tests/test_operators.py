@@ -72,6 +72,52 @@ def test_resolvent_kills_the_first_band(dom):
         assert np.linalg.norm(dom.project_band1(perp)) <= 1e-12 * scale
 
 
+def _full_block_resolvent(dom, phi, z):
+    """The resolvent on all `cells` blocks of the full FFT, with no use of
+    the conjugate symmetry of the blocks."""
+    fb = np.fft.fft(phi)[dom.block_index]
+    v = dom.block_evecs
+    coef = np.matmul(np.conj(fb)[:, None, :], v)[:, 0, :].conj()
+    coef[:, 0] = 0.0
+    coef[:, 1:] /= dom.block_evals[:, 1:] - z
+    out = np.empty(dom.n, dtype=complex)
+    out[dom.block_index] = np.matmul(v, coef[:, :, None])[:, :, 0]
+    res = np.fft.ifft(out)
+    return res.real if np.isrealobj(phi) else res
+
+
+def _gradient_h1_norm(dom, phi):
+    """H1 norm from the FFT gradient on the grid; its real part drops the
+    even-n Nyquist mode."""
+    grad = np.fft.ifft(1j * dom.k * np.fft.fft(phi)).real
+    return float(np.sqrt(dom.dx * np.sum(phi**2) + dom.dx * np.sum(grad**2)))
+
+
+SHAPES = [(5, 16), (6, 16), (31, 33), (32, 64)]
+
+
+@pytest.mark.parametrize("cells, ppc", SHAPES)
+def test_half_spectrum_resolvent_matches_full_blocks(ref_spec, cells, ppc):
+    dom = PeriodicDomain(ref_spec, 0.25, cells, ppc)
+    z = float(dom.block_evals[:, 0].mean())
+    for f in _inputs(dom):
+        got, ref = dom.resolvent_perp(f, z), _full_block_resolvent(dom, f, z)
+        assert np.iscomplexobj(got) == np.iscomplexobj(f)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("cells, ppc", SHAPES + [(5, 15)])
+def test_parseval_h1_matches_gradient_form(ref_spec, cells, ppc):
+    # n = cells * ppc is odd on (31, 33) and (5, 15); on even n the random
+    # input carries a Nyquist mode, which has no real derivative
+    dom = PeriodicDomain(ref_spec, 0.25, cells, ppc)
+    random, _ = _inputs(dom)
+    smooth = np.exp(np.cos(2 * np.pi * dom.x / dom.length))
+    for f in (random, smooth):
+        ref = _gradient_h1_norm(dom, f)
+        assert abs(dom.h1_norm(f) - ref) <= 1e-13 * ref
+
+
 def test_operators_import_nothing_from_bloch():
     # the criterion-5 oracle compares BandData with the domain blocks, so
     # the blocks must not be built from the band solver's coefficients
