@@ -229,8 +229,7 @@ def check_anticontinuum(ctx: Context) -> CheckResult:
 
 def check_perp_smallness(ctx: Context) -> CheckResult:
     """Out-of-band component at eta = -2 decays exponentially in 1/hbar."""
-    rows = {r[0]: r[4] for r in ctx.report(1).continuum_rows
-            if abs(r[1] + 2.0) < 1e-12}
+    rows = scan.continuum_column(ctx.report(1).continuum_rows, "perp_h1", -2.0)
     ladder = [h for h in ctx.cfg.hbar_ladder if h in rows]
     vals = [rows[h] for h in ladder]
     if len(vals) < 4:
@@ -247,8 +246,7 @@ def check_perp_smallness(ctx: Context) -> CheckResult:
 
 def check_reconstruction_closeness(ctx: Context) -> CheckResult:
     """H1 distance to the lattice lift decays; oracle agrees."""
-    rows = {r[0]: r[5] for r in ctx.report(1).continuum_rows
-            if abs(r[1] + 3.0) < 1e-12}
+    rows = scan.continuum_column(ctx.report(1).continuum_rows, "h1_error", -3.0)
     ladder = [h for h in ctx.cfg.hbar_ladder if h in rows]
     vals = [rows[h] for h in ladder]
     if len(vals) < 4:
@@ -278,10 +276,8 @@ def check_localization_transition(ctx: Context) -> CheckResult:
     """Participation collapses from the linear value to one site."""
     p0 = ctx.ladder_states[0.0].participation
     p50 = ctx.ladder_states[-50.0].participation
-    mass = None
-    for r in ctx.report(1).continuum_rows:
-        if abs(r[0] - 0.125) < 1e-12 and abs(r[1] + 50.0) < 1e-12:
-            mass = r[8]
+    mass = scan.continuum_column(ctx.report(1).continuum_rows, "peak_cell_mass",
+                                 -50.0).get(0.125)
     ok = p0 > 10 and p50 < 1.05 and mass is not None and mass > 0.95
     return CheckResult(
         "localization transition", ok,

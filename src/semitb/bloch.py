@@ -100,13 +100,9 @@ def potential_fourier(spec: PotentialSpec, kmax: int) -> np.ndarray:
     n = 4096
     x = spec.a * np.arange(n) / n
     vx = np.asarray(spec.v(x), dtype=float)
-    f = np.fft.fft(vx) / n
-    out = np.zeros(2 * kmax + 1, dtype=complex)
-    out[kmax] = f[0].real
-    for k in range(1, kmax + 1):
-        out[kmax + k] = f[-k % n]  # coefficient of exp(+i 2 pi k x / a)
-        out[kmax - k] = np.conj(out[kmax + k])
-    return out
+    pos = np.fft.fft(vx)[-np.arange(kmax + 1) % n] / n  # of exp(+i 2 pi k x / a)
+    pos[0] = pos[0].real
+    return np.concatenate((pos[:0:-1].conj(), pos))
 
 
 def half_bandwidth(vhat: np.ndarray, n_pw: int) -> int:
@@ -137,20 +133,17 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
     """
     a, hbar = spec.a, cfg.hbar
     b = 2 * np.pi / a
-    modes = np.arange(cfg.n_pw) - cfg.n_pw // 2
     kappa = -b / 2 + b * np.arange(cfg.n_kappa) / cfg.n_kappa
 
     vhat = potential_fourier(spec, cfg.n_pw - 1)
-    kmax = cfg.n_pw - 1
-    diff = modes[:, None] - modes[None, :]
-    vblock = vhat[diff + kmax]
-    assert np.array_equal(vblock, vblock.conj().T), "Floquet matrix not Hermitian"
+    assert np.array_equal(vhat, vhat[::-1].conj()), "Floquet matrix not Hermitian"
     K = half_bandwidth(vhat, cfg.n_pw)
 
     nb = cfg.n_bands
-    # lower band storage: row d holds the d-th subdiagonal
-    band = np.array([np.pad(np.diagonal(vblock, -d), (0, d))
-                     for d in range(K + 1)])
+    # lower band storage: row d holds the d-th subdiagonal of the Toeplitz
+    # block, the constant coefficient of k = d, padded with d zeros
+    d = np.arange(K + 1)[:, None]
+    band = np.where(np.arange(cfg.n_pw) < cfg.n_pw - d, vhat[cfg.n_pw - 1 + d], 0)
 
     energies = np.empty((nb, cfg.n_kappa))
     bd = BandData(a=a, hbar=hbar, kappa=kappa, energies=energies, band=band)

@@ -31,7 +31,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-CACHE_VERSION = 6
+CACHE_VERSION = 7
 
 
 _REQUIRED = dataclasses.MISSING
@@ -149,8 +149,13 @@ def _validate(cfg: RunConfig, allow_low_sigma: bool):
         raise ConfigError("sweep.hbar: ladder must be strictly decreasing")
     if len(ladder) < 4:
         raise ConfigError("sweep.hbar: ladder needs >= 4 points for slope fits")
-    if not any(abs(e) < 1e-15 for e in cfg.eta_values):
-        raise ConfigError("sweep.eta: must include 0 (linear reference)")
+    if 0.0 not in cfg.eta_values:
+        raise ConfigError("sweep.eta: must include 0 exactly (linear reference)")
+    if cfg.n_sites < 3:
+        raise ConfigError(f"sweep.n_sites: {cfg.n_sites} must be >= 3")
+    if not -(cfg.n_sites // 2) <= cfg.seed_site <= (cfg.n_sites - 1) // 2:
+        raise ConfigError(f"sweep.seed_site: {cfg.seed_site} outside the lattice of "
+                          f"sweep.n_sites = {cfg.n_sites} sites")
     if cfg.cells <= 2 * cfg.lowdin_band + 1:
         raise ConfigError(f"numerics.cells: {cfg.cells} too small for "
                           f"numerics.lowdin_band = {cfg.lowdin_band} "

@@ -195,7 +195,7 @@ def solve_anticontinuum(prob: DnlsProblem, seed_site: int = 0,
         raise ValueError("continuation path must start at |eta| >= 50")
     if any(abs(b) > abs(a) + 1e-12 for a, b in zip(eta_path, eta_path[1:])):
         raise ValueError("continuation path must have decreasing |eta|")
-    if abs(seed_site) > prob.n_sites // 2:
+    if not -(prob.n_sites // 2) <= seed_site <= (prob.n_sites - 1) // 2:
         raise ValueError("seed site outside the lattice")
 
     n = prob.n_sites

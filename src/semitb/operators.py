@@ -8,15 +8,14 @@ independent blocks, one per domain quasimomentum.  The blocks are
 gathered from that transform, so they hold exactly the operator that
 `apply_h` and `dense_h` apply.  Diagonalizing them yields the complete
 eigenbasis of the discrete operator, which makes the first-band
-projector and the resolvent on its complement exact and cheap.  The
-blocks are kept as one `(cells, points_per_cell, ...)` stack: a single
-stacked `eigh` builds them, and the projector and the resolvent act on
-all of them at once through stacked matrix products.
+projector and the resolvent on its complement exact and cheap.  One
+stacked `eigh` builds the `(cells, points_per_cell, ...)` block stack.
 
-V is real, so block -r (mod cells) is the complex conjugate of block r:
-the resolvent of a real input needs only its `rfft` and the blocks
-0..cells//2, about half of them, and the other modes follow by conjugate
-mirror.  The H1 norm is read off the `rfft` by Parseval's identity.
+Every method takes real grid functions, in one layout: the `rfft` (a
+complex input raises TypeError).  V is real, so block -r (mod cells) is
+the conjugate of block r: the projector and the resolvent act on blocks
+0..cells//2 only, the other modes following by conjugate mirror.  H is
+applied through the `rfft` symbol, and the H1 norm by Parseval.
 """
 
 from __future__ import annotations
@@ -49,6 +48,13 @@ def l2_norm(dx: float, f: np.ndarray) -> float:
     return float(np.sqrt(dx * np.sum(np.abs(f) ** 2)))
 
 
+def _rfft(phi: np.ndarray) -> np.ndarray:
+    if np.iscomplexobj(phi):
+        raise TypeError("PeriodicDomain takes real grid functions only; "
+                        "the rfft would drop this input's imaginary part")
+    return np.fft.rfft(phi)
+
+
 class PeriodicDomain:
     """Discrete -hbar^2 d2/dx2 + V on the periodic multi-cell grid."""
 
@@ -62,18 +68,18 @@ class PeriodicDomain:
         self.n = self.x.size
         self.vx = np.asarray(spec.v(self.x), dtype=float)
         self.length = spec.a * cells
-        g = np.rint(np.fft.fftfreq(self.n) * self.n).astype(int)
-        self.g = g
-        self.k = 2 * np.pi * g / self.length
-        self._kinetic = self.hbar**2 * self.k**2
+        self.g = np.rint(np.fft.fftfreq(self.n) * self.n).astype(int)
+        self.k = 2 * np.pi * self.g / self.length
         self._build_blocks()
-        # rfft weights of the H1 norm: an interior mode stands for its
-        # conjugate partner too; the even-n Nyquist mode has no real derivative
+        # the rfft symbol of -hbar^2 d2/dx2, and the rfft weights of the H1
+        # norm: an interior mode stands for its conjugate partner too; the
+        # even-n Nyquist mode has no real derivative
         j = np.arange(self.n // 2 + 1)
+        k2 = self.k[j] ** 2
+        self._symbol = self.hbar**2 * k2
         nyq = 2 * j == self.n
-        self._h1_weight = ((1 + ~nyq * self.k[j] ** 2) * np.where((j == 0) | nyq, 1, 2)
+        self._h1_weight = ((1 + ~nyq * k2) * np.where((j == 0) | nyq, 1, 2)
                            * self.dx / self.n)
-        self._dense = None
 
     def _build_blocks(self):
         # row r holds the modes g = r (mod cells) in increasing order; the
@@ -85,61 +91,53 @@ class PeriodicDomain:
         gb = self.g[self.block_index]
         h = vg[(gb[:, :, None] - gb[:, None, :]) % self.n]
         off = np.arange(self.points_per_cell)
-        h[:, off, off] += self._kinetic[self.block_index]
+        h[:, off, off] += self.hbar**2 * self.k[self.block_index] ** 2
         self.block_evals, self.block_evecs = np.linalg.eigh(h)
-        # the half stack (blocks 0..cells//2, flattened) reads a mode i > n//2
-        # as conj(rfft[n - i]); result mode j <= n//2 is the stack's entry, or
-        # the conjugate of mode n - j where the stack does not hold j
-        half, m = self.n // 2 + 1, (self.cells // 2 + 1) * self.points_per_cell
-        idx = self.block_index.ravel()[:m]
+        # the half stack (blocks 0..cells//2) reads a mode i > n//2 as
+        # conj(rfft[n - i]); result mode j <= n//2 is the flattened stack's
+        # entry, or the conjugate of mode n - j where the stack does not hold j
+        idx = self.block_index[:self.cells // 2 + 1]
+        half, m = self.n // 2 + 1, idx.size
         self._half_in = np.where(idx < half, idx, half + self.n - idx)
         pos, j = np.argsort(self.block_index.ravel()), np.arange(half)
         self._half_out = np.where(pos[j] < m, pos[j], m + pos[-j % self.n])
 
     # -- operator applications ------------------------------------------------
 
+    def _to_half(self, phi: np.ndarray) -> np.ndarray:
+        """The rfft of a real phi as blocks 0..cells//2, (cells//2 + 1, ppc)."""
+        rf = _rfft(phi)
+        return np.concatenate((rf, rf.conj()))[self._half_in]
+
+    def _from_half(self, fb: np.ndarray) -> np.ndarray:
+        """The real grid function whose blocks 0..cells//2 are fb."""
+        fb = fb.ravel()
+        return np.fft.irfft(np.concatenate((fb, fb.conj()))[self._half_out], self.n)
+
     def apply_h(self, phi: np.ndarray) -> np.ndarray:
         """H phi with the Laplacian applied by Fourier multiplication."""
-        out = np.fft.ifft(self._kinetic * np.fft.fft(phi))
-        if np.isrealobj(phi):
-            out = out.real
-        return out + self.vx * phi
+        return np.fft.irfft(self._symbol * _rfft(phi), self.n) + self.vx * phi
 
     def h1_norm(self, phi: np.ndarray) -> float:
         """H1 norm of a real grid function, by Parseval on its rfft."""
-        f = np.fft.rfft(phi)
+        f = _rfft(phi)
         return float(np.sqrt(self._h1_weight @ (f.real**2 + f.imag**2)))
 
     def project_band1(self, phi: np.ndarray) -> np.ndarray:
         """Spectral projector onto the lowest band of the domain operator."""
-        fb = np.fft.fft(phi)[self.block_index]
-        v0 = self.block_evecs[:, :, 0]
-        coef = np.matmul(np.conj(v0)[:, None, :], fb[:, :, None])[:, :, 0]
-        out = np.empty(self.n, dtype=complex)
-        out[self.block_index] = v0 * coef
-        res = np.fft.ifft(out)
-        return res.real if np.isrealobj(phi) else res
+        fb = self._to_half(phi)
+        v0 = self.block_evecs[:len(fb), :, 0]
+        return self._from_half(v0 * np.vecdot(v0, fb)[:, None])
 
     def resolvent_perp(self, phi: np.ndarray, z: float) -> np.ndarray:
-        """(H - z)^{-1} restricted to the complement of the first band.
-
-        A complex input is resolved as R(Re phi) + i R(Im phi) in one pass.
-        """
-        cplx = np.iscomplexobj(phi)
-        f = np.stack((phi.real, phi.imag)) if cplx else phi
-        h = self.cells // 2 + 1
-        rf = np.fft.rfft(f)
-        fb = np.concatenate((rf, rf.conj()), axis=-1)[..., self._half_in]
-        fb = fb.reshape(f.shape[:-1] + (h, self.points_per_cell))
-        v = self.block_evecs[:h]
+        """(H - z)^{-1} on the complement of the first band, for a real phi."""
+        fb = self._to_half(phi)
+        v, evals = self.block_evecs[:len(fb)], self.block_evals[:len(fb)]
         # V^H f per block, as conj(f^H V), so V^H is never materialized
-        coef = np.matmul(fb.conj()[..., None, :], v)[..., 0, :].conj()
-        coef[..., 0] = 0.0
-        coef[..., 1:] /= self.block_evals[:h, 1:] - z
-        back = np.matmul(v, coef[..., None]).reshape(f.shape[:-1] + (-1,))
-        out = np.fft.irfft(np.concatenate((back, back.conj()), axis=-1)
-                           [..., self._half_out], self.n)
-        return out[0] + 1j * out[1] if cplx else out
+        coef = np.matmul(fb.conj()[:, None, :], v)[:, 0, :].conj()
+        coef[:, 0] = 0.0
+        coef[:, 1:] /= evals[:, 1:] - z
+        return self._from_half(np.matmul(v, coef[:, :, None]))
 
     # -- spectral data ---------------------------------------------------------
 
@@ -159,10 +157,11 @@ class PeriodicDomain:
         return float(np.abs(self.block_evals[:, 1:] - z).min())
 
     def dense_h(self) -> np.ndarray:
-        """Dense real-symmetric matrix of the operator (cached)."""
-        if self._dense is None:
-            col = np.fft.ifft(self._kinetic).real
-            i = np.arange(self.n)
-            mat = col[(i[:, None] - i[None, :]) % self.n] + np.diag(self.vx)
-            self._dense = 0.5 * (mat + mat.T)
-        return self._dense
+        """Dense real-symmetric matrix of the operator, built on each call."""
+        # the circulant of the symbol's irfft, made exactly symmetric, + diag(V)
+        i = np.arange(self.n)
+        col = np.fft.irfft(self._symbol, self.n)
+        col = 0.5 * (col + col[-i % self.n])
+        mat = col[(i[:, None] - i) % self.n]
+        mat[i, i] += self.vx
+        return mat

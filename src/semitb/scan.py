@@ -121,6 +121,12 @@ CONTINUUM_HEADER = ("hbar", "eta", "lambda", "E", "perp_h1", "h1_error",
 TRANSITION_HEADER = ("eta", "E", "P", "tau")
 
 
+def continuum_column(rows, name: str, eta: float) -> dict:
+    """{hbar: value} of the continuum.csv column `name` on the rows at eta."""
+    hb, at, col = (CONTINUUM_HEADER.index(c) for c in ("hbar", "eta", name))
+    return {r[hb]: r[col] for r in rows if abs(r[at] - eta) < 1e-12}
+
+
 def dnls_header(n_sites: int) -> list:
     """dnls_ladder.csv header: DNLS_COLUMNS, then one F column per site."""
     return [*DNLS_COLUMNS, *(f"F{j}" for j in range(n_sites))]
@@ -337,12 +343,10 @@ def _assemble_fits(ladder, bundles, continuum_rows, s0) -> dict:
     _try("pair_l1_u0u1", inv, np.log(u0u1), ratio_to_s0=True)
     _try("gap_loglog", np.log(ladder), np.log(gap))
 
-    for eta_target, name in ((-2.0, "perp_h1_eta_-2"), (-3.0, "h1_error_eta_-3")):
-        col = 4 if name.startswith("perp") else 5
-        vals = {}
-        for row in continuum_rows:
-            if abs(row[1] - eta_target) < 1e-12 and row[col] > 0:
-                vals[row[0]] = row[col]
+    for eta_target, col, name in ((-2.0, "perp_h1", "perp_h1_eta_-2"),
+                                  (-3.0, "h1_error", "h1_error_eta_-3")):
+        vals = {h: v for h, v in
+                continuum_column(continuum_rows, col, eta_target).items() if v > 0}
         xs = [1.0 / h for h in ladder if h in vals]
         ys = [np.log(vals[h]) for h in ladder if h in vals]
         _try(name, xs, ys, ratio_to_s0=True)

@@ -248,3 +248,37 @@ def test_solver_agrees_with_full_eigh_at_every_bandwidth(family):
             space = waves @ u[:, np.abs(w - bd.energies[n, i]) <= 1e-9 * scale]
             phi = st.bloch_on_grid(bd, n + 1, bd.kappa[i], x) * np.sqrt(spec.a)
             assert np.linalg.norm(space.conj().T @ phi) / 64 >= 1 - 1e-12
+
+
+def _looped_fourier(spec, kmax):
+    """potential_fourier one mode at a time."""
+    f = np.fft.fft(spec.v(spec.a * np.arange(4096) / 4096)) / 4096
+    out = np.zeros(2 * kmax + 1, dtype=complex)
+    out[kmax] = f[0].real
+    for k in range(1, kmax + 1):
+        out[kmax + k] = f[-k % 4096]
+        out[kmax - k] = np.conj(out[kmax + k])
+    return out
+
+
+_XS16 = np.arange(16) / 16
+
+
+@pytest.mark.parametrize("make, want_k", [
+    (lambda: st.make_potential("sin2", v0=8.0, a=1.0), 1),
+    (lambda: st.make_potential("cos-series", a=1.0, coeffs=[4.0, 1.0, 0.5]), 3),
+    (lambda: st.make_potential("custom-samples", a=1.0, samples=8.0 * np.sin(
+        np.pi * _XS16) ** 2 + np.sin(np.pi * _XS16) ** 3), 127),
+    (lambda: st.free_potential(1.0), 0),
+], ids=["sin2", "cos-series-3", "custom-samples-16", "free"])
+def test_band_storage_is_the_toeplitz_block_diagonals(make, want_k):
+    spec = make()
+    cfg = st.FloquetConfig(hbar=0.2, n_pw=129, n_kappa=8)
+    vhat = _looped_fourier(spec, cfg.n_pw - 1)
+    assert np.array_equal(potential_fourier(spec, cfg.n_pw - 1), vhat)
+    modes = np.arange(cfg.n_pw)
+    vblock = vhat[modes[:, None] - modes[None, :] + cfg.n_pw - 1]
+    want = np.array([np.pad(np.diagonal(vblock, -d), (0, d))
+                     for d in range(want_k + 1)])
+    band = st.solve_bands(spec, cfg).band
+    assert band.dtype == want.dtype and np.array_equal(band, want)

@@ -56,6 +56,11 @@ def test_parse_and_roundtrip(tmp_path):
     assert cfg.family == "cos-series" and cfg.coeffs == (4.0, -0.5)
 
 
+def test_negative_zero_eta_is_the_linear_reference(tmp_path):
+    path = _write(tmp_path, GOOD.replace("eta = 0, -2, -50", "eta = -0.0, -2, -50"))
+    assert cli.parse_config(str(path)).eta_values == (0.0, -2.0, -50.0)
+
+
 def test_missing_section_named(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[numerics]\nn_pw = 33\n")
@@ -171,8 +176,13 @@ def test_torn_bundle_rebuilt(tmp_path, caplog, monkeypatch):
     (("hbar = 0.3, 0.25, 0.2, 0.15", "hbar = 0.3, 0.2, 0.25, 0.15"), r"sweep\.hbar"),
     (("hbar = 0.3, 0.25, 0.2, 0.15", "hbar = 0.3, 0.25, 0.2"), r"sweep\.hbar"),
     (("eta = 0, -2, -50", "eta = -2, -50"), r"sweep\.eta"),
+    (("eta = 0, -2, -50", "eta = 1e-16, -2, -50"), r"sweep\.eta"),
     (("cells = 16\n", "cells = 12\nlowdin_band = 6\n"), r"numerics\.cells"),
-], ids=["hbar-order", "hbar-count", "eta-zero", "cells-lowdin"])
+    (("n_sites = 21", "n_sites = 21\nseed_site = 11"), r"sweep\.seed_site"),
+    (("n_sites = 21", "n_sites = 20\nseed_site = 10"), r"sweep\.seed_site"),
+    (("n_sites = 21", "n_sites = 2"), r"sweep\.n_sites"),
+], ids=["hbar-order", "hbar-count", "eta-zero", "eta-near-zero", "cells-lowdin",
+        "seed-site", "seed-site-even", "n-sites"])
 def test_config_errors_exit_before_any_build(tmp_path, capsys, edit, key):
     text = GOOD.replace("lowdin_band = 4\n", "") if "lowdin" in edit[1] else GOOD
     assert edit[0] in text
@@ -227,7 +237,7 @@ def test_version1_basis_bundle_rebuilt(tmp_path):
     assert (tmp_path / "out" / "params.csv").read_bytes() == want
     for key in keys:
         with np.load(cache.basis_path(key)) as z:
-            assert int(z["version"]) == cli.CACHE_VERSION == 6
+            assert int(z["version"]) == cli.CACHE_VERSION == 7
             assert "u" not in z.files
         got, ref = cache.load_basis(key), fresh.load_basis(key)
         assert np.array_equal(got.u0, ref.u0)

@@ -134,6 +134,10 @@ def test_continuation_path_validation():
         st.solve_anticontinuum(prob, 0, [-50.0, -8.0, -20.0])  # |eta| grows
     with pytest.raises(ValueError):
         st.solve_anticontinuum(prob, 30, [-50.0])          # seed off lattice
+    even = st.DnlsProblem(eta=-50.0, sigma=1.0, n_sites=20)  # sites -10..9
+    assert st.solve_anticontinuum(even, -10, [-50.0]).states[0].f.argmax() == 0
+    with pytest.raises(ValueError, match="seed site"):
+        st.solve_anticontinuum(even, 10, [-50.0])
 
 
 def test_decay_rate_values(ladder_states):

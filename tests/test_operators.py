@@ -15,10 +15,8 @@ def dom(request, ref_spec):
     return PeriodicDomain(ref_spec, 0.25, request.param, PPC)
 
 
-def _inputs(dom):
-    rng = np.random.default_rng(11)
-    real = rng.standard_normal(dom.n)
-    return real, real + 1j * rng.standard_normal(dom.n)
+def _input(dom):
+    return np.random.default_rng(11).standard_normal(dom.n)
 
 
 def test_block_index_is_a_permutation(dom):
@@ -48,28 +46,25 @@ def _perp_residual(dom, f, z):
 
 def test_resolvent_solves_the_perp_equation(dom):
     z = float(dom.block_evals[:, 0].mean())
-    _, cplx = _inputs(dom)
-    assert _perp_residual(dom, cplx, z) <= 1e-12
-
-
-def test_real_input_takes_the_real_part(dom):
-    # the blocks commute with complex conjugation, so the real part that a
-    # real input returns solves the perp equation on its own
-    z = float(dom.block_evals[:, 0].mean())
-    real, _ = _inputs(dom)
-    assert np.isrealobj(dom.project_band1(real))
-    assert np.isrealobj(dom.resolvent_perp(real, z))
-    assert _perp_residual(dom, real, z) <= 1e-12
+    assert _perp_residual(dom, _input(dom), z) <= 1e-12
 
 
 def test_resolvent_kills_the_first_band(dom):
     z = float(dom.block_evals[:, 0].mean())
-    for f in _inputs(dom):
-        perp = dom.resolvent_perp(f, z)
-        scale = np.linalg.norm(perp)
-        band = dom.project_band1(f)
-        assert np.linalg.norm(dom.resolvent_perp(band, z)) <= 1e-12 * scale
-        assert np.linalg.norm(dom.project_band1(perp)) <= 1e-12 * scale
+    f = _input(dom)
+    perp = dom.resolvent_perp(f, z)
+    scale = np.linalg.norm(perp)
+    band = dom.project_band1(f)
+    assert np.linalg.norm(dom.resolvent_perp(band, z)) <= 1e-12 * scale
+    assert np.linalg.norm(dom.project_band1(perp)) <= 1e-12 * scale
+
+
+def test_complex_input_is_refused(dom):
+    f = _input(dom) + 1j * _input(dom)
+    for apply in (dom.apply_h, dom.project_band1,
+                  lambda phi: dom.resolvent_perp(phi, 0.0)):
+        with pytest.raises(TypeError, match="real grid functions"):
+            apply(f)
 
 
 def _full_block_resolvent(dom, phi, z):
@@ -82,8 +77,32 @@ def _full_block_resolvent(dom, phi, z):
     coef[:, 1:] /= dom.block_evals[:, 1:] - z
     out = np.empty(dom.n, dtype=complex)
     out[dom.block_index] = np.matmul(v, coef[:, :, None])[:, :, 0]
-    res = np.fft.ifft(out)
-    return res.real if np.isrealobj(phi) else res
+    return np.fft.ifft(out).real
+
+
+def _full_block_projector(dom, phi):
+    """The band-1 projector on all `cells` blocks of the full FFT."""
+    fb = np.fft.fft(phi)[dom.block_index]
+    v0 = dom.block_evecs[:, :, 0]
+    coef = np.matmul(np.conj(v0)[:, None, :], fb[:, :, None])[:, :, 0]
+    out = np.empty(dom.n, dtype=complex)
+    out[dom.block_index] = v0 * coef
+    return np.fft.ifft(out).real
+
+
+def _half_stack_resolvent(dom, phi, z):
+    """The half-stack resolvent written out in one piece: the rfft gathered
+    into blocks 0..cells//2, two stacked products, the mirror scattered
+    back through irfft."""
+    h = dom.cells // 2 + 1
+    rf = np.fft.rfft(phi)
+    fb = np.concatenate((rf, rf.conj()))[dom._half_in].reshape(h, -1)
+    v = dom.block_evecs[:h]
+    coef = np.matmul(fb.conj()[:, None, :], v)[:, 0, :].conj()
+    coef[:, 0] = 0.0
+    coef[:, 1:] /= dom.block_evals[:h, 1:] - z
+    back = np.matmul(v, coef[:, :, None]).reshape(-1)
+    return np.fft.irfft(np.concatenate((back, back.conj()))[dom._half_out], dom.n)
 
 
 def _gradient_h1_norm(dom, phi):
@@ -100,10 +119,27 @@ SHAPES = [(5, 16), (6, 16), (31, 33), (32, 64)]
 def test_half_spectrum_resolvent_matches_full_blocks(ref_spec, cells, ppc):
     dom = PeriodicDomain(ref_spec, 0.25, cells, ppc)
     z = float(dom.block_evals[:, 0].mean())
-    for f in _inputs(dom):
-        got, ref = dom.resolvent_perp(f, z), _full_block_resolvent(dom, f, z)
-        assert np.iscomplexobj(got) == np.iscomplexobj(f)
-        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    f = _input(dom)
+    got, ref = dom.resolvent_perp(f, z), _full_block_resolvent(dom, f, z)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert np.array_equal(got, _half_stack_resolvent(dom, f, z))
+
+
+@pytest.mark.parametrize("cells, ppc", SHAPES + [(5, 15)])
+def test_half_spectrum_projector_matches_full_blocks(ref_spec, cells, ppc):
+    dom = PeriodicDomain(ref_spec, 0.25, cells, ppc)
+    f = _input(dom)
+    got, ref = dom.project_band1(f), _full_block_projector(dom, f)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("cells, ppc", SHAPES + [(5, 15)])
+def test_rfft_apply_h_matches_complex_fft_form(ref_spec, cells, ppc):
+    dom = PeriodicDomain(ref_spec, 0.25, cells, ppc)
+    f = _input(dom)
+    kinetic = dom.hbar**2 * dom.k**2
+    ref = np.fft.ifft(kinetic * np.fft.fft(f)).real + dom.vx * f
+    assert np.linalg.norm(dom.apply_h(f) - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("cells, ppc", SHAPES + [(5, 15)])
@@ -111,7 +147,7 @@ def test_parseval_h1_matches_gradient_form(ref_spec, cells, ppc):
     # n = cells * ppc is odd on (31, 33) and (5, 15); on even n the random
     # input carries a Nyquist mode, which has no real derivative
     dom = PeriodicDomain(ref_spec, 0.25, cells, ppc)
-    random, _ = _inputs(dom)
+    random = _input(dom)
     smooth = np.exp(np.cos(2 * np.pi * dom.x / dom.length))
     for f in (random, smooth):
         ref = _gradient_h1_norm(dom, f)

@@ -10,7 +10,8 @@ from semitb import nlse
 from semitb.cli import _validate
 from semitb.errors import ConfigError, Error
 from semitb.operators import l2_norm
-from semitb.scan import _dnls_ladder, fit_exponential_law, run_sweep
+from semitb.scan import (CONTINUUM_HEADER, _dnls_ladder, continuum_column,
+                         fit_exponential_law, run_sweep)
 
 ETAS = (0.0, -2.0, -3.0, -8.0, -50.0)
 LADDER = (0.25, 0.2, 0.16, 0.125)
@@ -47,6 +48,15 @@ def test_fit_window_filters_amplitudes():
     ys = -xs
     fr = fit_exponential_law(xs, ys, window=(math.exp(-6.5), 1.5))
     assert fr.n_points == 7
+
+
+def test_continuum_column_reads_rows_by_header_name():
+    assert CONTINUUM_HEADER[4:6] == ("perp_h1", "h1_error")
+    rows = [[hb, eta, 0, 0, 1e-3 * hb, 2e-3 * hb, 3, 0, 0.9]
+            for hb in (0.2, 0.1) for eta in (-2.0, -3.0)]
+    assert continuum_column(rows, "perp_h1", -2.0) == {0.2: 2e-4, 0.1: 1e-4}
+    assert continuum_column(rows, "h1_error", -3.0 + 1e-13) == {0.2: 4e-4, 0.1: 2e-4}
+    assert continuum_column(rows, "iterations", -5.0) == {}
 
 
 def test_plan_validation(cfg):
