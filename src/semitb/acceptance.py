@@ -269,7 +269,9 @@ def check_reconstruction_closeness(ctx: Context) -> CheckResult:
     return CheckResult(
         "reconstruction closeness", ok,
         f"monotone={monotone}, fitted alpha = {alpha:.3f} "
-        f"({alpha / ctx.s0:.2f}*S0), oracle H1 agreement {agree:.2e} (tol 1e-7)")
+        f"({alpha / ctx.s0:.2f}*S0), oracle H1 agreement {agree:.2e} (tol 1e-7; "
+        f"oracle {orc.iterations} Newton / {orc.minres_iterations} MINRES steps, "
+        f"residual_h {orc.residual_h:.2e} oracle, {cs.residual_h:.2e} reconstruction)")
 
 
 def check_localization_transition(ctx: Context) -> CheckResult:

@@ -91,13 +91,18 @@ class BandData:
         return float(e.min()), float(e.max())
 
 
+# points per cell at which V is sampled for its Fourier coefficients; modes
+# |k| >= CELL_SAMPLES // 2 alias onto lower ones
+CELL_SAMPLES = 4096
+
+
 def potential_fourier(spec: PotentialSpec, kmax: int) -> np.ndarray:
     """Cell Fourier coefficients vhat[k] for |k| <= kmax, Hermitian by construction.
 
-    Sampled at 4096 points of one cell.  Returns an array of length
+    Sampled at CELL_SAMPLES points of one cell.  Returns an array of length
     2*kmax + 1 indexed by k + kmax.
     """
-    n = 4096
+    n = CELL_SAMPLES
     x = spec.a * np.arange(n) / n
     vx = np.asarray(spec.v(x), dtype=float)
     pos = np.fft.fft(vx)[-np.arange(kmax + 1) % n] / n  # of exp(+i 2 pi k x / a)

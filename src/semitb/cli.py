@@ -156,6 +156,10 @@ def _validate(cfg: RunConfig, allow_low_sigma: bool):
     if not -(cfg.n_sites // 2) <= cfg.seed_site <= (cfg.n_sites - 1) // 2:
         raise ConfigError(f"sweep.seed_site: {cfg.seed_site} outside the lattice of "
                           f"sweep.n_sites = {cfg.n_sites} sites")
+    if cfg.n_pw > bloch.CELL_SAMPLES // 2:
+        raise ConfigError(f"numerics.n_pw: {cfg.n_pw} exceeds {bloch.CELL_SAMPLES // 2}; "
+                          f"V is sampled at {bloch.CELL_SAMPLES} points per cell, "
+                          "so higher plane waves would alias")
     if cfg.cells <= 2 * cfg.lowdin_band + 1:
         raise ConfigError(f"numerics.cells: {cfg.cells} too small for "
                           f"numerics.lowdin_band = {cfg.lowdin_band} "

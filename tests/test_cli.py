@@ -181,8 +181,9 @@ def test_torn_bundle_rebuilt(tmp_path, caplog, monkeypatch):
     (("n_sites = 21", "n_sites = 21\nseed_site = 11"), r"sweep\.seed_site"),
     (("n_sites = 21", "n_sites = 20\nseed_site = 10"), r"sweep\.seed_site"),
     (("n_sites = 21", "n_sites = 2"), r"sweep\.n_sites"),
+    (("n_pw = 33", "n_pw = 2049"), r"numerics\.n_pw"),
 ], ids=["hbar-order", "hbar-count", "eta-zero", "eta-near-zero", "cells-lowdin",
-        "seed-site", "seed-site-even", "n-sites"])
+        "seed-site", "seed-site-even", "n-sites", "n-pw-cap"])
 def test_config_errors_exit_before_any_build(tmp_path, capsys, edit, key):
     text = GOOD.replace("lowdin_band = 4\n", "") if "lowdin" in edit[1] else GOOD
     assert edit[0] in text

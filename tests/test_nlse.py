@@ -4,6 +4,8 @@ import pytest
 import semitb as st
 from semitb.errors import NonConvergenceError, SolverError
 from semitb.nlse import (
+    _kinetic_preconditioner,
+    _minres,
     _nonlinear_term,
     _reduced_residual,
     _remainder_term,
@@ -373,6 +375,61 @@ def test_oracle_iteration_budget(bundle_factory, ladder_states):
     with pytest.raises(SolverError):
         st.direct_newton_oracle(bun.dom, cs.lam, tbp.gamma, 1.0,
                                 cs.phi + 0.05 * np.sin(bun.dom.x), max_iter=1)
+
+
+def test_minres_matches_dense_solve_on_indefinite_system():
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    evals = np.concatenate((-np.linspace(0.5, 3.0, 15), np.linspace(0.3, 5.0, 25)))
+    a = (q * evals) @ q.T
+    b = rng.standard_normal(40)
+    want = np.linalg.solve(a, b)
+    scale = 1.0 / (1.0 + np.abs(np.diag(a)))
+    for precondition in (lambda r: r, lambda r: scale * r):
+        x, iters = _minres(lambda v: a @ v, b, precondition, 1e-14, 400)
+        assert 0 < iters < 400
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_minres_stalls_on_a_resonant_jacobian(bundle_factory):
+    # gamma = 0 and lambda the lowest domain eigenvalue: H - lambda is
+    # singular along the positive ground state, which a constant excites
+    dom = bundle_factory(0.16).dom
+    lam = float(dom.block_evals[0, 0])
+    with pytest.raises(SolverError, match="MINRES stalled"):
+        _minres(lambda v: dom.apply_h(v) - lam * v, np.ones(dom.n),
+                _kinetic_preconditioner(dom, lam), 1e-12, dom.n)
+
+
+def test_oracle_names_a_resonant_lambda(bundle_factory):
+    # from the constant start c the Jacobian is H + 3 gamma c^2 - lambda, so
+    # lambda = E0 + 3 gamma c^2 makes it singular along the ground state,
+    # and the residual has a component c^3 <1, u_ground> along it
+    dom = bundle_factory(0.16).dom
+    c = 0.1
+    lam = float(dom.block_evals[0, 0]) + 3 * c**2
+    with pytest.raises(SolverError, match="singular continuum Jacobian: lambda resonant"):
+        st.direct_newton_oracle(dom, lam, 1.0, 1.0, np.full(dom.n, c))
+
+
+def test_oracle_stays_matrix_free(bundle_factory, ladder_states):
+    import tracemalloc
+
+    bun = bundle_factory(0.16)
+    tbp = with_eta(bun.tbp, -3.0)
+    cs = st.reconstruct_and_correct(ladder_states[-3.0], tbp, bun.dom, bun.wb,
+                                    delta0=8.0)
+    seed = cs.phi + 1e-3 * np.sin(bun.dom.x)
+    assert (bun.dom.cells, bun.dom.points_per_cell) == (32, 64)
+    tracemalloc.start()
+    try:
+        orc = st.direct_newton_oracle(bun.dom, cs.lam, tbp.gamma, 1.0, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert orc.residual_h <= 1e-11 and orc.minres_iterations > 0
+    # a dense 2048 x 2048 matrix alone would be 32 MB
+    assert peak < 4 * 2**20
 
 
 def test_domain_doubling_stability(ref_cfg, ladder_states):
