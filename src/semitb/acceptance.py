@@ -24,8 +24,6 @@ from .potential import free_potential, tunneling_action
 REFERENCE_LADDER = (0.25, 0.2, 0.16, 0.125, 0.1)
 REFERENCE_ETAS = (0.0, -0.5, -1.0, -2.0, -3.0, -5.0, -8.0, -12.0, -20.0,
                   -30.0, -50.0)
-# contraction budget for the reference run: the lattice l1 norms at
-# moderate eta reach ~5, so the budget sits above that
 ORACLE_HBAR = 0.15
 ORACLE_ETA = -3.0
 
@@ -40,6 +38,8 @@ class CheckResult:
 def reference_config():
     from .cli import RunConfig
 
+    # delta0, the contraction budget: the lattice l1 norms reach ~5 at
+    # moderate eta, so the budget sits above that
     return RunConfig(family="sin2", v0=8.0, a=1.0, delta0=8.0,
                      hbar_ladder=REFERENCE_LADDER, eta_values=REFERENCE_ETAS,
                      sigma=1.0)

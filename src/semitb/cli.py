@@ -81,14 +81,16 @@ RunConfig = dataclasses.make_dataclass(
 
 def _convert(section, key, kind, raw):
     try:
-        if kind is float:
-            return float(raw)
+        if kind is float or kind == "floats":
+            value = (float(raw) if kind is float
+                     else tuple(float(t) for t in raw.replace(",", " ").split()))
+            if np.isfinite(value).all():
+                return value
+            raise ConfigError(f"{section}.{key}: {raw.strip()!r} is not finite")
         if kind is int:
             return int(raw)
         if kind is str:
             return raw.strip()
-        if kind == "floats":
-            return tuple(float(t) for t in raw.replace(",", " ").split())
         if kind == "strs":
             return tuple(t.strip() for t in raw.replace(",", " ").split() if t.strip())
     except ValueError as exc:
@@ -151,8 +153,10 @@ def _validate(cfg: RunConfig, allow_low_sigma: bool):
         raise ConfigError("sweep.hbar: ladder needs >= 4 points for slope fits")
     if 0.0 not in cfg.eta_values:
         raise ConfigError("sweep.eta: must include 0 exactly (linear reference)")
-    if cfg.n_sites < 3:
-        raise ConfigError(f"sweep.n_sites: {cfg.n_sites} must be >= 3")
+    for section, key, least in (("sweep", "n_sites", 3), ("numerics", "points_per_cell", 1),
+                                ("numerics", "lowdin_band", 0)):
+        if getattr(cfg, key) < least:
+            raise ConfigError(f"{section}.{key}: {getattr(cfg, key)} must be >= {least}")
     if not -(cfg.n_sites // 2) <= cfg.seed_site <= (cfg.n_sites - 1) // 2:
         raise ConfigError(f"sweep.seed_site: {cfg.seed_site} outside the lattice of "
                           f"sweep.n_sites = {cfg.n_sites} sites")

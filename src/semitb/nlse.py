@@ -134,7 +134,7 @@ def lattice_map(state: DnlsState, wb: WannierBasis) -> np.ndarray:
 
 def _reduced_residual(c, e_param, tbp, f_remainder):
     """E c - T c + (D c)/beta + eta |c|^{2s} c + (gamma/beta) f."""
-    out = (e_param * c + ring_coupling(tbp, c.size) @ c
+    out = (e_param * c + ring_coupling(tbp) @ c
            + tbp.eta * np.abs(c) ** (2 * tbp.sigma) * c)
     if tbp.gamma != 0.0:
         out += tbp.gamma / tbp.beta * f_remainder
@@ -147,18 +147,17 @@ def _remainder_term(c, phi, tbp, dom, wb):
     return dom.dx * (wb.u @ nl) - tbp.c0 * np.abs(c) ** (2 * tbp.sigma) * c
 
 
-def check_lattice_invertibility(c, e_param, tbp, with_residual_band=False):
+def check_lattice_invertibility(c, e_param, tbp):
     """Smallest singular value of the periodic lattice linearization.
 
-    Raises SolverError when it falls below 1e-6, naming every site index
-    where the near-singular direction is within 1e-6 relative of its peak
-    (so both mirror-image peaks).  With with_residual_band the constant
-    beyond-neighbor coupling band over beta is added, which is the exact
-    linear part of the reduced equation and matters when the state sits
-    close to the band edge.
+    The linearization is that of the reduced equation: ring_coupling, the
+    whole band-1 row over beta, plus the diagonal of E and the
+    nonlinearity.  Raises SolverError when it falls below 1e-6, naming
+    every site index where the near-singular direction is within 1e-6
+    relative of its peak (so both mirror-image peaks).
     """
     diag = e_param + tbp.eta * (2 * tbp.sigma + 1) * np.abs(c) ** (2 * tbp.sigma)
-    lp = ring_coupling(tbp, c.size, with_residual_band) + np.diag(diag)
+    lp = ring_coupling(tbp) + np.diag(diag)
     svals = np.linalg.svd(lp, compute_uv=False)
     smin = float(svals[-1])
     if smin < 1e-6:
@@ -178,11 +177,11 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
     """Lift a lattice solution to a continuum solution at lambda = lambda1 - beta E.
 
     Alternates the out-of-band fixed point with Newton corrections of the
-    lattice amplitudes (the Jacobian is the lattice linearization plus
-    the constant beyond-neighbor coupling band, the exact linear part)
-    until the full continuum residual drops below 1e-9 * max(|lambda|, hbar).
+    lattice amplitudes (the Jacobian is the linearization of the reduced
+    equation, whose linear part is the whole band-1 row) until the full
+    continuum residual drops below 1e-9 * max(|lambda|, hbar).
 
-    In the linear limit gamma = 0 the banded lattice matrix is
+    In the linear limit gamma = 0 the reduced lattice matrix is
     diagonalized directly and the eigenvector closest to the seed is
     returned; the continuum residual is then zero to roundoff.
     """
@@ -217,8 +216,7 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
             break
         f_rem = _remainder_term(c, phi, tbp, dom, wb)
         g = _reduced_residual(c, e_param, tbp, f_rem)
-        lp, _ = check_lattice_invertibility(c, e_param, tbp,
-                                            with_residual_band=True)
+        lp, _ = check_lattice_invertibility(c, e_param, tbp)
         step = np.linalg.solve(lp, g)
         # line search on the full continuum residual: the lattice
         # linearization omits the remainder couplings, so raw steps can
@@ -265,7 +263,7 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
 def _linear_reconstruction(seed, tbp, dom, wb):
     """gamma = 0: the eigenvector of lambda1 + beta * ring_coupling nearest the seed."""
     m = wb.cells
-    h = tbp.lambda1 * np.eye(m) + tbp.beta * ring_coupling(tbp, m)
+    h = tbp.lambda1 * np.eye(m) + tbp.beta * ring_coupling(tbp)
     w, v = np.linalg.eigh(h)
     overlaps = np.abs(v.T @ seed)
     pick = int(np.argmax(overlaps))

@@ -1,11 +1,11 @@
 """Lattice parameters of H in the localized basis.
 
 The restriction of H to the first band in the orthonormal localized basis
-is a banded circulant lambda1*I - beta*T + D (T the nearest-neighbor
-stencil, D the beyond-nearest-neighbor couplings); `ring_coupling` builds
-(H - lambda1)/beta from it.  beta is computed from the real-space matrix
-element and cross-checked against the first Fourier coefficient of the
-band function, which is an independent route through the eigensolver.
+is the circulant lambda1*I - beta*T + D (T the nearest-neighbor stencil, D
+the beyond-nearest-neighbor couplings) of the row <u_ell, H u_0>;
+`ring_coupling` builds (H - lambda1)/beta from that row.  beta is
+cross-checked against the first Fourier coefficient of the band function,
+an independent route through the eigensolver.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bloch import BandData
-from .dnls import neighbor_sum
 from .errors import BasisError
 from .operators import PeriodicDomain
 from .wannier import WannierBasis
@@ -27,11 +26,11 @@ HALF_BANDWIDTH = 4
 class TBParams:
     """Extracted lattice parameters at one hbar.
 
-    h_band[ell + 4] = <u_0, H u_ell> for ell in -4..4.  dtilde_norm is the
-    row sum of the couplings beyond nearest neighbors (the l1-induced
-    operator norm of the residual), and dtilde_ratio its ratio to beta.
-    gamma and eta are the nonlinearity strength and the effective
-    dimensionless combination eta = c0*gamma/beta.
+    h_row[ell] = <u_ell, H u_0> on the circular lags 0..cells-1, exactly
+    symmetric, its sub-floor lags beyond nearest neighbors zeroed.
+    dtilde_norm is the row sum of those lags (the l1-induced operator norm
+    of the residual D), dtilde_ratio its ratio to beta; gamma is the
+    nonlinearity strength and eta = c0*gamma/beta.
     """
 
     hbar: float
@@ -41,35 +40,39 @@ class TBParams:
     c0: float
     gamma: float
     eta: float
-    h_band: np.ndarray
+    h_row: np.ndarray
     dtilde_norm: float
     dtilde_ratio: float
+
+    @property
+    def h_band(self) -> np.ndarray:
+        """h_band[ell + 4] = <u_0, H u_ell> for ell in -4..4."""
+        ells = np.arange(-HALF_BANDWIDTH, HALF_BANDWIDTH + 1)
+        return self.h_row[ells % self.h_row.size]
 
 
 def h_matrix_elements(wb: WannierBasis, dom: PeriodicDomain,
                       band1_edges: tuple[float, float]):
-    """Banded matrix elements <u_0, H u_ell>, |ell| <= 4.
+    """The row <u_ell, H u_0> of the reduced operator on circular lags 0..cells-1.
 
-    Returns (h_band, lambda1, beta) with lambda1 the diagonal element and
-    beta = -<u_0, H u_1>.  Checks the symmetry of the band, that |beta|
-    clears the roundoff floor eps * max|E| of the domain H, its sign under
-    the positive-well gauge, and that lambda1 lies inside the first band
-    (band1_edges).
+    Returns (h_row, lambda1, beta): lambda1 = h_row[0], beta = -h_row[1].
+    Checks the row's symmetry, symmetrizes it from lags 0..cells//2, and
+    zeroes the lags >= 2 below the roundoff floor eps * max|E| of H; then
+    checks |beta| against that floor, its sign under the positive-well
+    gauge, and that lambda1 lies inside the first band (band1_edges).
     """
-    u0 = wb.orbital(0)
-    hu0 = dom.apply_h(u0)
-    ells = np.arange(-HALF_BANDWIDTH, HALF_BANDWIDTH + 1)
-    h_band = np.empty(ells.size)
-    for i, ell in enumerate(ells):
-        h_band[i] = dom.dx * np.sum(wb.orbital(int(ell)) * hu0)
+    cells = wb.cells
+    row = np.empty(cells)
+    row[wb.sites % cells] = dom.dx * np.sum(wb.u * dom.apply_h(wb.u0), axis=1)
 
-    asym = np.abs(h_band - h_band[::-1]).max()
-    if asym > 1e-10 * max(1.0, np.abs(h_band).max()):
+    asym = np.abs(row - row[-np.arange(cells)]).max()
+    if asym > 1e-10 * max(1.0, np.abs(row).max()):
         raise BasisError(f"H matrix elements not symmetric: asymmetry {asym:.2e}")
-
-    lambda1 = float(h_band[HALF_BANDWIDTH])
-    beta = -float(h_band[HALF_BANDWIDTH + 1])
+    lag = np.minimum(np.arange(cells), cells - np.arange(cells))
     floor = np.finfo(float).eps * np.abs(dom.block_evals).max()
+    row = np.where((lag >= 2) & (np.abs(row[lag]) < floor), 0.0, row[lag])
+
+    lambda1, beta = float(row[0]), -float(row[1])
     if abs(beta) < floor:
         raise BasisError(f"hopping |beta| = {abs(beta):.3e} at hbar = {dom.hbar:g} is "
                          f"below the roundoff floor {floor:.3e} = eps * max|E| of H")
@@ -83,7 +86,7 @@ def h_matrix_elements(wb: WannierBasis, dom: PeriodicDomain,
             f"lambda1 = {lambda1:.8g} outside first band [{lo:.8g}, {hi:.8g}]: "
             "basis leaks out of the band subspace"
         )
-    return h_band, lambda1, beta
+    return row, lambda1, beta
 
 
 def interaction_constant(wb: WannierBasis, dom: PeriodicDomain, sigma: float,
@@ -109,26 +112,21 @@ def gamma_for_eta(c0: float, eta: float, beta: float) -> float:
     return eta * beta / c0
 
 
-def residual_coupling_norm(h_band: np.ndarray, beta: float):
-    """Row sum of |<u_0, H u_ell>| over |ell| >= 2, and its ratio to beta."""
-    c = HALF_BANDWIDTH
-    tail = np.abs(h_band[:c - 1]).sum() + np.abs(h_band[c + 2:]).sum()
+def residual_coupling_norm(h_row: np.ndarray, beta: float):
+    """Row sum of |<u_ell, H u_0>| over the lags 2..cells-2, and its ratio to beta."""
+    tail = np.abs(h_row[2:h_row.size - 1]).sum()
     return float(tail), float(tail / beta)
 
 
-def ring_coupling(tbp: TBParams, m: int,
-                  with_residual_band: bool = True) -> np.ndarray:
-    """(H - lambda1)/beta on the first band of an m-cell ring: -T + D/beta.
+def ring_coupling(tbp: TBParams) -> np.ndarray:
+    """(H - lambda1)/beta on the first band of the cells-site ring: -T + D/beta.
 
-    The m x m circulant is exactly -1 on lags +-1 and h_band[4 + ell]/beta
-    on lags +-ell for 2 <= ell <= 4; without the residual band it is -T.
+    The circulant of h_row/beta with a zero diagonal; it is exactly -1 on
+    lags +-1, since beta = -h_row[1].
     """
-    out = -neighbor_sum(np.eye(m), "periodic")
-    if with_residual_band:
-        for ell in range(2, HALF_BANDWIDTH + 1):
-            lag = np.roll(np.eye(m), ell, axis=1)
-            out += tbp.h_band[HALF_BANDWIDTH + ell] / tbp.beta * (lag + lag.T)
-    return out
+    lags = np.arange(tbp.h_row.size)
+    k = np.where(lags == 0, 0.0, tbp.h_row / tbp.beta)
+    return k[(lags[:, None] - lags) % lags.size]
 
 
 def band_hopping(bd: BandData) -> float:
@@ -148,11 +146,11 @@ def extract_params(wb: WannierBasis, dom: PeriodicDomain, sigma: float,
         if abs(ours - theirs) > 1e-12 * abs(theirs):
             raise BasisError(f"band data has {name} {ours!r} but the domain "
                              f"has {name} {theirs!r}")
-    h_band, lambda1, beta = h_matrix_elements(wb, dom, bd.band_edges(1))
+    h_row, lambda1, beta = h_matrix_elements(wb, dom, bd.band_edges(1))
     c0 = interaction_constant(wb, dom, sigma)
-    dnorm, dratio = residual_coupling_norm(h_band, beta)
+    dnorm, dratio = residual_coupling_norm(h_row, beta)
     return TBParams(hbar=dom.hbar, sigma=sigma, lambda1=lambda1, beta=beta,
-                    c0=c0, gamma=0.0, eta=0.0, h_band=h_band,
+                    c0=c0, gamma=0.0, eta=0.0, h_row=h_row,
                     dtilde_norm=dnorm, dtilde_ratio=dratio)
 
 

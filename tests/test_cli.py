@@ -182,8 +182,17 @@ def test_torn_bundle_rebuilt(tmp_path, caplog, monkeypatch):
     (("n_sites = 21", "n_sites = 20\nseed_site = 10"), r"sweep\.seed_site"),
     (("n_sites = 21", "n_sites = 2"), r"sweep\.n_sites"),
     (("n_pw = 33", "n_pw = 2049"), r"numerics\.n_pw"),
+    (("eta = 0, -2, -50", "eta = 0, -0.5, -inf"), r"sweep\.eta"),
+    (("delta0 = 8.0", "delta0 = nan"), r"numerics\.delta0"),
+    (("delta0 = 8.0", "delta0 = inf"), r"numerics\.delta0"),
+    (("sigma = 1.0", "sigma = nan"), r"sweep\.sigma"),
+    (("hbar = 0.3, 0.25, 0.2, 0.15", "hbar = 0.3, nan, 0.2, 0.15"), r"sweep\.hbar"),
+    (("points_per_cell = 32", "points_per_cell = 0"), r"numerics\.points_per_cell"),
+    (("cells = 16\n", "cells = 16\nlowdin_band = -1\n"), r"numerics\.lowdin_band"),
 ], ids=["hbar-order", "hbar-count", "eta-zero", "eta-near-zero", "cells-lowdin",
-        "seed-site", "seed-site-even", "n-sites", "n-pw-cap"])
+        "seed-site", "seed-site-even", "n-sites", "n-pw-cap", "eta-inf",
+        "delta0-nan", "delta0-inf", "sigma-nan", "hbar-nan", "points-per-cell",
+        "lowdin-band"])
 def test_config_errors_exit_before_any_build(tmp_path, capsys, edit, key):
     text = GOOD.replace("lowdin_band = 4\n", "") if "lowdin" in edit[1] else GOOD
     assert edit[0] in text

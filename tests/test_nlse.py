@@ -14,7 +14,7 @@ from semitb.nlse import (
 )
 from semitb.operators import PeriodicDomain, l2_norm
 from semitb.potential import action_profile
-from semitb.tightbinding import with_eta
+from semitb.tightbinding import ring_coupling, with_eta
 
 
 def _split(phi, bun):
@@ -258,8 +258,8 @@ def test_linear_limit_reproduces_band_state(bundle_factory):
 def test_lattice_invertibility_guard(bundle_factory):
     bun = bundle_factory(0.16)
     tbp = with_eta(bun.tbp, 0.0)
-    # E exactly on the periodic lattice spectrum makes E - T singular
-    e_sing = 2 * np.cos(2 * np.pi * 3 / bun.wb.cells)
+    # E exactly on the spectrum of -ring_coupling makes the linearization singular
+    e_sing = -np.linalg.eigvalsh(ring_coupling(tbp))[3]
     c = np.zeros(bun.wb.cells)
     with pytest.raises(SolverError, match="singular"):
         check_lattice_invertibility(c, e_sing, tbp)
@@ -288,7 +288,7 @@ def test_reduced_jacobian_matches_finite_differences(bundle_factory,
     c = lattice_map(s, bun.wb)
     # the remainder is held fixed: the Jacobian is the lattice part only
     f_rem = _remainder_term(c, bun.wb.u.T @ c, tbp, bun.dom, bun.wb)
-    lp, _ = check_lattice_invertibility(c, s.e, tbp, with_residual_band=True)
+    lp, _ = check_lattice_invertibility(c, s.e, tbp)
     rng = np.random.default_rng(13)
     for _ in range(20):
         v = rng.standard_normal(c.size)

@@ -121,15 +121,31 @@ def test_ring_coupling_is_the_galerkin_matrix(bundle_factory):
         bun = bundle_factory(hb)
         u, m = bun.wb.u, bun.wb.cells
         galerkin = bun.dom.dx * u @ np.array([bun.dom.apply_h(r) for r in u]).T
-        k = ring_coupling(bun.tbp, m)
+        k = ring_coupling(bun.tbp)
         lattice = bun.tbp.lambda1 * np.eye(m) + bun.tbp.beta * k
         assert np.abs(lattice - galerkin).max() <= 1e-10
         lag = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
         expect = np.zeros((m, m))
         expect[(lag == 1) | (lag == m - 1)] = -1.0
-        bare = ring_coupling(bun.tbp, m, with_residual_band=False)
-        assert np.array_equal(bare, expect)
-        for ell in range(2, HALF_BANDWIDTH + 1):
-            d = bun.tbp.h_band[HALF_BANDWIDTH + ell] / bun.tbp.beta
-            expect[(lag == ell) | (lag == m - ell)] = d
+        for ell in range(2, m - 1):
+            expect[lag == ell] = bun.tbp.h_row[ell] / bun.tbp.beta
         assert np.array_equal(k, expect)
+        assert np.array_equal(k, k.T)
+
+
+def test_h_row_is_the_band_of_the_domain(bundle_factory):
+    # the row's Fourier transform is band 1 of the domain only if the basis
+    # spans exactly the domain's band-1 subspace
+    for hb in (0.25, 0.2, 0.16, 0.125, 0.1):
+        bun = bundle_factory(hb)
+        band = np.fft.ifft(bun.dom.block_evals[:, 0]).real
+        assert np.abs(bun.tbp.h_row - band).max() <= 1e-12
+
+
+def test_sub_floor_lags_cut(bundle_factory):
+    # lag 5 (3.7e-11) clears the floor eps * max|E| (5.6e-13) at hbar = 0.25;
+    # lag 2 (2.1e-14) falls below it (9.1e-14) at hbar = 0.1
+    row = bundle_factory(0.25).tbp.h_row
+    assert abs(row[5]) > 1e-11 and row[5] == row[-5]
+    tbp = bundle_factory(0.1).tbp
+    assert tbp.h_row[2] == 0.0 and tbp.dtilde_norm == 0.0
