@@ -31,7 +31,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-CACHE_VERSION = 7
+CACHE_VERSION = 8
 
 
 _REQUIRED = dataclasses.MISSING

@@ -207,9 +207,7 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
     # every later fixed point starts from the last accepted phi_perp
     phi, perp_h1, rnorm, warm = _evaluate(c, None)
     history = [rnorm]
-    best = (rnorm, phi, perp_h1, c.copy(), 1)
-    escapes = 0
-    for it in range(1, MAX_OUTER):
+    for _ in range(MAX_OUTER - 1):
         # once below tolerance, keep polishing while Newton still gains ground
         stalled = len(history) >= 2 and rnorm > 0.3 * history[-2]
         if rnorm <= tol and (rnorm <= 1e-3 * tol or stalled):
@@ -219,43 +217,30 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
         lp, _ = check_lattice_invertibility(c, e_param, tbp)
         step = np.linalg.solve(lp, g)
         # line search on the full continuum residual: the lattice
-        # linearization omits the remainder couplings, so raw steps can
-        # cycle near delocalized states, while strict monotonicity can
-        # stall in front of transient humps; prefer improving scales but
-        # allow a bounded number of full-step escapes
-        trial, scale = None, 1.0
-        full_trial = None
+        # linearization omits the remainder couplings, so a step is taken
+        # only where it lowers the residual, its scale halved until it does
+        scale = 1.0
         for _ in range(9):
             try:
-                cand = _evaluate(c - scale * step, warm)
+                trial = _evaluate(c - scale * step, warm)
             except SolverError:
-                cand = None  # left the contraction ball; shorten
-            if cand is not None:
-                if full_trial is None:
-                    full_trial = (cand, scale)
-                if cand[2] < rnorm:
-                    trial = (cand, scale)
-                    break
+                trial = None  # left the contraction ball; shorten
+            if trial is not None and trial[2] < rnorm:
+                break
             scale *= 0.5
-        if trial is None:
-            escapes += 1
-            if full_trial is None or escapes > 6:
-                break  # nothing acceptable; report the best iterate
-            trial = full_trial
-        (phi, perp_h1, rnorm, warm), scale = trial
+        else:
+            break  # no scale lowers the residual; report the last iterate
+        phi, perp_h1, rnorm, warm = trial
         c = c - scale * step
         history.append(rnorm)
-        if rnorm < best[0]:
-            best = (rnorm, phi, perp_h1, c.copy(), it + 1)
-    if best[0] > tol:
+    if rnorm > tol:
         raise NonConvergenceError(
             f"reconstruction did not reach residual {tol:.1e} in {MAX_OUTER} "
             f"outer iterations", history=history)
-    rnorm, phi, perp_h1, c, iters = best
     return ContinuumState(
         phi=phi, lam=lam, gamma=gamma, sigma=sigma, residual_h=rnorm,
         c=c, perp_h1=perp_h1,
-        norm_l2=l2_norm(dom.dx, phi), iterations=iters,
+        norm_l2=l2_norm(dom.dx, phi), iterations=len(history),
         resolvent_shift=lam,
     )
 

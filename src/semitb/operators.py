@@ -8,13 +8,15 @@ independent blocks, one per domain quasimomentum.  The blocks are
 gathered from that transform, so they hold exactly the operator that
 `apply_h` and `dense_h` apply.  Diagonalizing them yields the complete
 eigenbasis of the discrete operator, which makes the first-band
-projector and the resolvent on its complement exact and cheap.  One
-stacked `eigh` builds the `(cells, points_per_cell, ...)` block stack.
+projector and the resolvent on its complement exact and cheap.  V is
+real, so block -r (mod cells) is the conjugate mirror of block r (modes
+g -> -g): one stacked `eigh` diagonalizes the half stack, blocks
+0..cells//2, into `block_evals` and `block_evecs` of `cells//2 + 1`
+rows, and every spectral method reads that one layout.
 
 Every method takes real grid functions, in one layout: the `rfft` (a
-complex input raises TypeError).  V is real, so block -r (mod cells) is
-the conjugate of block r: the projector and the resolvent act on blocks
-0..cells//2 only, the other modes following by conjugate mirror.  H is
+complex input raises TypeError).  The projector and the resolvent act on
+the half stack, the other modes following by conjugate mirror.  H is
 applied through the `rfft` symbol, and the H1 norm by Parseval.
 """
 
@@ -84,19 +86,20 @@ class PeriodicDomain:
     def _build_blocks(self):
         # row r holds the modes g = r (mod cells) in increasing order; the
         # sampled V couples modes g, g' through fft(vx)[(g - g') mod n] / n,
-        # so each block gathers those and adds the kinetic diagonal
+        # so each block gathers those and adds the kinetic diagonal; only the
+        # half stack, blocks 0..cells//2, is diagonalized
         self.block_index = np.lexsort((self.g, self.g % self.cells)).reshape(
             self.cells, self.points_per_cell)
+        idx = self.block_index[:self.cells // 2 + 1]
         vg = np.fft.fft(self.vx) / self.n
-        gb = self.g[self.block_index]
+        gb = self.g[idx]
         h = vg[(gb[:, :, None] - gb[:, None, :]) % self.n]
         off = np.arange(self.points_per_cell)
-        h[:, off, off] += self.hbar**2 * self.k[self.block_index] ** 2
+        h[:, off, off] += self.hbar**2 * self.k[idx] ** 2
         self.block_evals, self.block_evecs = np.linalg.eigh(h)
-        # the half stack (blocks 0..cells//2) reads a mode i > n//2 as
-        # conj(rfft[n - i]); result mode j <= n//2 is the flattened stack's
-        # entry, or the conjugate of mode n - j where the stack does not hold j
-        idx = self.block_index[:self.cells // 2 + 1]
+        # the half stack reads a mode i > n//2 as conj(rfft[n - i]); result
+        # mode j <= n//2 is the flattened stack's entry, or the conjugate of
+        # mode n - j where the stack does not hold j
         half, m = self.n // 2 + 1, idx.size
         self._half_in = np.where(idx < half, idx, half + self.n - idx)
         pos, j = np.argsort(self.block_index.ravel()), np.arange(half)
@@ -126,13 +129,13 @@ class PeriodicDomain:
     def project_band1(self, phi: np.ndarray) -> np.ndarray:
         """Spectral projector onto the lowest band of the domain operator."""
         fb = self._to_half(phi)
-        v0 = self.block_evecs[:len(fb), :, 0]
+        v0 = self.block_evecs[:, :, 0]
         return self._from_half(v0 * np.vecdot(v0, fb)[:, None])
 
     def resolvent_perp(self, phi: np.ndarray, z: float) -> np.ndarray:
         """(H - z)^{-1} on the complement of the first band, for a real phi."""
         fb = self._to_half(phi)
-        v, evals = self.block_evecs[:len(fb)], self.block_evals[:len(fb)]
+        v, evals = self.block_evecs, self.block_evals
         # V^H f per block, as conj(f^H V), so V^H is never materialized
         coef = np.matmul(fb.conj()[:, None, :], v)[:, 0, :].conj()
         coef[:, 0] = 0.0
@@ -141,12 +144,9 @@ class PeriodicDomain:
 
     # -- spectral data ---------------------------------------------------------
 
-    def band_energies(self, n: int) -> np.ndarray:
-        """E_n on the domain quasimomenta (1-based band index)."""
-        return self.block_evals[:, n - 1]
-
     def band_edges(self, n: int) -> tuple[float, float]:
-        e = self.band_energies(n)
+        """(min, max) of E_n over the domain quasimomenta (1-based band index)."""
+        e = self.block_evals[:, n - 1]
         return float(e.min()), float(e.max())
 
     def band_gap(self, n: int) -> float:

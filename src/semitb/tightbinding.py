@@ -139,14 +139,26 @@ def extract_params(wb: WannierBasis, dom: PeriodicDomain, sigma: float,
     """Assemble TBParams from a basis built on dom, at gamma = eta = 0; see with_eta.
 
     bd supplies the first-band edges that lambda1 must lie in.  Raises
-    BasisError when bd and dom disagree in hbar or period.
+    BasisError when bd and dom disagree in hbar or period, or when the
+    domain's first band misses bd's by more than half the band width (or
+    the roundoff floor of H, if that is larger): the grid is too coarse,
+    and lambda1, the mean of the domain's band, would leave bd's band.
     """
     for name, ours, theirs in (("hbar", bd.hbar, dom.hbar),
                                ("period", bd.a, dom.spec.a)):
         if abs(ours - theirs) > 1e-12 * abs(theirs):
             raise BasisError(f"band data has {name} {ours!r} but the domain "
                              f"has {name} {theirs!r}")
-    h_row, lambda1, beta = h_matrix_elements(wb, dom, bd.band_edges(1))
+    edges = bd.band_edges(1)
+    miss = float(np.abs(np.subtract(dom.band_edges(1), edges)).max())
+    bound = max(0.5 * (edges[1] - edges[0]),
+                100 * np.finfo(float).eps * np.abs(dom.block_evals).max())
+    if miss > bound:
+        raise BasisError(
+            f"the domain's first band misses the Floquet band by {miss:.2e} > "
+            f"{bound:.2e} at hbar = {dom.hbar:g}: numerics.points_per_cell = "
+            f"{dom.points_per_cell} is too coarse a grid for this potential")
+    h_row, lambda1, beta = h_matrix_elements(wb, dom, edges)
     c0 = interaction_constant(wb, dom, sigma)
     dnorm, dratio = residual_coupling_norm(h_row, beta)
     return TBParams(hbar=dom.hbar, sigma=sigma, lambda1=lambda1, beta=beta,

@@ -1,10 +1,11 @@
 """Real localized first-band basis on a periodic multi-cell grid.
 
 The construction runs in three steps.  First the first-band Bloch vectors
-of the periodic domain, one per domain quasimomentum, are brought into a
-smooth real gauge: their phases are parallel transported along the zone,
-the residual winding across the zone boundary is spread uniformly, and
-one global phase makes the zone average W1 real and positive at the well.
+of the periodic domain's half stack, quasimomenta 0..cells//2, are brought
+into a smooth gauge: block 0 is made its own conjugate mirror, the phases
+are parallel transported along the half zone, and the winding against the
+conjugate mirror at the zone edge is spread uniformly, so the zone average
+W1 is real by construction; its sign makes it positive at the well.
 W1 is kept as a diagnostic; the basis itself does not depend on the
 gauge.  Second, a semiclassical well profile exp(-d(x, x0)/hbar) at the
 central well is projected onto the first band by the spectral projector
@@ -33,7 +34,6 @@ from .potential import action_profile
 
 _ALIGN_FLOOR = 0.9
 _ALIGN_SMOOTH = 0.99
-_IMAG_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -94,30 +94,37 @@ def fix_gauge(dom: PeriodicDomain) -> np.ndarray:
 
     Block r of the domain holds the modes g = r + cells*m, so its band-1
     vector is the Bloch function at kappa_r = 2 pi r / (cells a) with
-    plane-wave coefficients indexed by m.  Parallel transport aligns each
-    block vector with the previous one (their overlap over matching m
-    made real positive); the closure winding to the first block, shifted
-    by one m (kappa + b), is spread evenly over the zone; a global phase
-    makes the average real, positive at its peak.  This is the 1-D
-    maximally localized gauge up to a whole-cell translation, so W1 is
-    moved by whole cells onto the site-0 well.  It has unit norm on the
-    domain grid.  A phase on any block vector changes nothing.
+    plane-wave coefficients indexed by m.  V is real, so block -r is the
+    conjugate mirror (m -> -m-1) of block r, and the gauge is fixed on
+    the half stack, blocks 0..cells//2: one phase makes block 0 its own
+    conjugate mirror (m -> -m); parallel transport aligns each later block
+    with the previous one (their overlap over matching m made real
+    positive); the winding theta of the last block against its conjugate
+    mirror, the first block of the other half, is spread as
+    theta * r / cells.  The mirrored half then follows smoothly, and W1,
+    scattered from the half stack by one irfft, is real.  This is the
+    1-D maximally localized gauge up to a sign and a whole-cell
+    translation, so W1 is made positive at its peak and moved by whole
+    cells onto the site-0 well.  It has unit norm on the domain grid.  A
+    phase on any block vector changes nothing.
 
-    Raises GaugeError when adjacent overlaps fall below 0.9 (band
-    degenerate or the domain too short) or the average cannot be made
-    real to 1e-8.
+    Raises GaugeError when an overlap along the half zone or at its edge
+    falls below 0.9 (band degenerate or the domain too short).
     """
     cells, ppc = dom.cells, dom.points_per_cell
-    rows = np.arange(cells)[:, None]
-    m = (dom.g[dom.block_index] - rows) // cells
-    col = m - m.min()
-    # one spare zero column, so the closure can shift every row by one m
-    c = np.zeros((cells, col.max() + 2), dtype=complex)
+    rows = np.arange(len(dom.block_evecs))[:, None]
+    m = (dom.g[dom.block_index[:len(rows)]] - rows) // cells
+    # columns hold m = -top-1..top, so reversing them maps m -> -m-1
+    top = max(m.max(), -m.min() - 1)
+    col = m + top + 1
+    c = np.zeros((len(rows), 2 * top + 2), dtype=complex)
     c[rows, col] = dom.block_evecs[:, :, 0]
+    c[0] *= np.exp(-0.5j * np.angle(np.sum(c[0, 1:] * c[0, :0:-1])))
 
     links = np.sum(np.conj(c[:-1]) * c[1:], axis=1)
     mags = np.abs(links)
-    min_link = mags.min(initial=np.inf)
+    # the edge link <c_last, its conjugate mirror> is conj(sum_m c[m] c[-m-1])
+    min_link = min(mags.min(initial=np.inf), abs(np.sum(c[-1] * c[-1, ::-1])))
     if min_link < _ALIGN_FLOOR:
         raise GaugeError(f"adjacent Bloch overlap {min_link:.3f} < "
                          f"{_ALIGN_FLOOR}; increase cells")
@@ -126,21 +133,14 @@ def fix_gauge(dom: PeriodicDomain) -> np.ndarray:
                       f"{min_link:.4f}", stacklevel=2)
     c[1:] *= np.cumprod(np.conj(links) / mags)[:, None]
 
-    theta = np.angle(np.vdot(c[-1, :-1], c[0, 1:]))
-    c *= np.exp(1j * theta * np.arange(cells) / cells)[:, None]
+    theta = -np.angle(np.sum(c[-1] * c[-1, ::-1]))
+    c *= np.exp(1j * theta * rows / cells)
 
-    spectrum = np.zeros(dom.n, dtype=complex)
-    spectrum[dom.block_index] = c[rows, col]
-    w = np.fft.ifft(spectrum)
-    w *= np.exp(-0.5j * np.angle(np.sum(w**2)))
+    w = dom._from_half(c[rows, col])
     peak = int(np.argmax(np.abs(w)))
-    if w.real[peak] < 0:
+    if w[peak] < 0:
         w = -w
-    resid = np.abs(w.imag).max() / np.abs(w).max()
-    if resid > _IMAG_TOL:
-        raise GaugeError(f"zone average not real after gauge fix: "
-                         f"imaginary residue {resid:.2e}")
-    w = np.roll(w.real, -int(dom.sites[peak // ppc]) * ppc)
+    w = np.roll(w, -int(dom.sites[peak // ppc]) * ppc)
     return w / l2_norm(dom.dx, w)
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import semitb as st
@@ -5,6 +6,18 @@ from semitb.acceptance import reference_config
 from semitb.scan import build_pipeline
 
 REF_LADDER = (0.25, 0.2, 0.16, 0.125, 0.1)
+
+
+def full_zone_eigh(dom):
+    """eigh of all `cells` Bloch blocks of dom.dense_h() in Fourier space.
+
+    A reference for the domain's half stack that owes nothing to its
+    block gather or its conjugate mirror: row r of the returned
+    (evals, evecs) is block r, in the domain's block_index order.
+    """
+    h = np.fft.fft(np.fft.ifft(dom.dense_h(), axis=1), axis=0)
+    bi = dom.block_index
+    return np.linalg.eigh(h[bi[:, :, None], bi[:, None, :]])
 
 
 @pytest.fixture(scope="session")

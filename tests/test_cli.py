@@ -247,7 +247,7 @@ def test_version1_basis_bundle_rebuilt(tmp_path):
     assert (tmp_path / "out" / "params.csv").read_bytes() == want
     for key in keys:
         with np.load(cache.basis_path(key)) as z:
-            assert int(z["version"]) == cli.CACHE_VERSION == 7
+            assert int(z["version"]) == cli.CACHE_VERSION == 8
             assert "u" not in z.files
         got, ref = cache.load_basis(key), fresh.load_basis(key)
         assert np.array_equal(got.u0, ref.u0)
@@ -285,6 +285,22 @@ def test_params_command(tmp_path):
     rows = (tmp_path / "out" / "params.csv").read_text().splitlines()
     assert rows[0] == "hbar,lambda1,beta,C0,gamma,eta,D_norm,S0,gap,width"
     assert len(rows) == 1 + 4 * 3
+
+
+@pytest.mark.parametrize("ppc, hbar", [(4, 0.25), (8, 0.16), (12, 0.1)])
+def test_coarse_grid_named(tmp_path, capsys, ppc, hbar):
+    # the domain's first band misses the Floquet band by more than half its
+    # width: the grid is named, not the sign or band checks that follow
+    # (at ppc 8, hbar 0.16 the miss, 3.3e-4, is just below the width)
+    text = GOOD.replace("points_per_cell = 32", f"points_per_cell = {ppc}")
+    text = text.replace("hbar = 0.3, 0.25, 0.2, 0.15",
+                        "hbar = 0.25, 0.2, 0.16, 0.1")
+    path = _write(tmp_path, text)
+    assert cli.main(["--config", str(path), "params"]) == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert f"numerics.points_per_cell = {ppc} is too coarse" in err
+    assert f"at hbar = {hbar:g}" in err
+    assert not (tmp_path / "out" / "params.csv").exists()
 
 
 def test_config_hash_sensitivity(tmp_path, monkeypatch):

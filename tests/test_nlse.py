@@ -203,10 +203,24 @@ def test_perp_resolvent_guard(bundle_factory, ladder_states):
     tbp = with_eta(bun.tbp, -2.0)
     c = lattice_map(ladder_states[-2.0], bun.wb)
     # place lambda = lambda1 - beta E in the middle of the second band
-    target = float(bun.dom.band_energies(2).mean())
+    target = float(np.mean(bun.dom.band_edges(2)))
     e_bad = (tbp.lambda1 - target) / tbp.beta
     with pytest.raises(SolverError, match="singular"):
         st.solve_perp_fixed_point(c, e_bad, tbp, bun.dom, bun.wb, delta0=8.0)
+
+
+@pytest.mark.parametrize("eta", [-3.0, -8.0])
+def test_reconstruction_takes_only_improving_steps(bundle_factory, ladder_states,
+                                                   monkeypatch, eta):
+    # with an unreachable tolerance the Newton loop runs until no step
+    # scale lowers the continuum residual; every accepted step lowered it
+    monkeypatch.setattr(st.nlse, "RESIDUAL_FLOOR", 1e-30)
+    bun = bundle_factory(0.16)
+    with pytest.raises(NonConvergenceError) as err:
+        st.reconstruct_and_correct(ladder_states[eta], with_eta(bun.tbp, eta),
+                                   bun.dom, bun.wb, delta0=8.0)
+    history = np.array(err.value.history)
+    assert history.size >= 2 and np.all(np.diff(history) < 0)
 
 
 def test_reconstruction_quality(bundle_factory, ladder_states):

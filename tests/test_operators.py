@@ -4,6 +4,8 @@ import inspect
 import numpy as np
 import pytest
 
+import semitb as st
+from conftest import full_zone_eigh
 from semitb import operators
 from semitb.operators import PeriodicDomain
 
@@ -26,15 +28,17 @@ def test_block_index_is_a_permutation(dom):
     assert np.all(residues == np.arange(dom.cells)[:, None])
 
 
+def _reassembled(evals, evecs):
+    """The block matrices V diag(E) V^H of a stack of eigenpairs."""
+    return (evecs * evals[:, None, :]) @ np.conj(evecs).transpose(0, 2, 1)
+
+
 def test_blocks_reassemble_dense_h_in_fourier_space(dom):
-    n = dom.n
-    h = np.fft.fft(dom.dense_h() @ np.fft.ifft(np.eye(n), axis=0), axis=0)
-    v = dom.block_evecs
-    blocks = (v * dom.block_evals[:, None, :]) @ np.conj(v).transpose(0, 2, 1)
-    assembled = np.zeros((n, n), dtype=complex)
-    bi = dom.block_index
-    assembled[bi[:, :, None], bi[:, None, :]] = blocks
-    assert np.abs(assembled - h).max() <= 1e-12
+    half = dom.cells // 2 + 1
+    assert dom.block_evals.shape == (half, PPC)
+    assert dom.block_evecs.shape == (half, PPC, PPC)
+    ref = _reassembled(*full_zone_eigh(dom))[:half]
+    assert np.abs(_reassembled(dom.block_evals, dom.block_evecs) - ref).max() <= 1e-12
 
 
 def _perp_residual(dom, f, z):
@@ -67,23 +71,24 @@ def test_complex_input_is_refused(dom):
             apply(f)
 
 
-def _full_block_resolvent(dom, phi, z):
-    """The resolvent on all `cells` blocks of the full FFT, with no use of
-    the conjugate symmetry of the blocks."""
+def _full_block_resolvent(dom, ref, phi, z):
+    """The resolvent on all `cells` blocks of the full FFT, from the
+    full-zone reference eigenpairs ref, with no use of the conjugate
+    symmetry of the blocks."""
+    evals, v = ref
     fb = np.fft.fft(phi)[dom.block_index]
-    v = dom.block_evecs
     coef = np.matmul(np.conj(fb)[:, None, :], v)[:, 0, :].conj()
     coef[:, 0] = 0.0
-    coef[:, 1:] /= dom.block_evals[:, 1:] - z
+    coef[:, 1:] /= evals[:, 1:] - z
     out = np.empty(dom.n, dtype=complex)
     out[dom.block_index] = np.matmul(v, coef[:, :, None])[:, :, 0]
     return np.fft.ifft(out).real
 
 
-def _full_block_projector(dom, phi):
+def _full_block_projector(dom, ref, phi):
     """The band-1 projector on all `cells` blocks of the full FFT."""
     fb = np.fft.fft(phi)[dom.block_index]
-    v0 = dom.block_evecs[:, :, 0]
+    v0 = ref[1][:, :, 0]
     coef = np.matmul(np.conj(v0)[:, None, :], fb[:, :, None])[:, :, 0]
     out = np.empty(dom.n, dtype=complex)
     out[dom.block_index] = v0 * coef
@@ -120,7 +125,8 @@ def test_half_spectrum_resolvent_matches_full_blocks(ref_spec, cells, ppc):
     dom = PeriodicDomain(ref_spec, 0.25, cells, ppc)
     z = float(dom.block_evals[:, 0].mean())
     f = _input(dom)
-    got, ref = dom.resolvent_perp(f, z), _full_block_resolvent(dom, f, z)
+    got = dom.resolvent_perp(f, z)
+    ref = _full_block_resolvent(dom, full_zone_eigh(dom), f, z)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
     assert np.array_equal(got, _half_stack_resolvent(dom, f, z))
 
@@ -129,8 +135,44 @@ def test_half_spectrum_resolvent_matches_full_blocks(ref_spec, cells, ppc):
 def test_half_spectrum_projector_matches_full_blocks(ref_spec, cells, ppc):
     dom = PeriodicDomain(ref_spec, 0.25, cells, ppc)
     f = _input(dom)
-    got, ref = dom.project_band1(f), _full_block_projector(dom, f)
+    got = dom.project_band1(f)
+    ref = _full_block_projector(dom, full_zone_eigh(dom), f)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.fixture(scope="module")
+def skew_spec():
+    """A well with no mirror symmetry: its Bloch blocks are complex."""
+    xs = np.arange(64) / 64
+    return st.make_potential("custom-samples", a=1.0, samples=(
+        8 * np.sin(np.pi * xs) ** 2 + 1.5 * np.sin(2 * np.pi * xs)
+        + 0.7 * np.cos(6 * np.pi * xs + 0.4)))
+
+
+@pytest.mark.parametrize("skewed", [False, True], ids=["sin2", "skewed"])
+@pytest.mark.parametrize("cells, ppc", SHAPES)
+def test_half_stack_spectrum_matches_full_zone(ref_spec, skew_spec, skewed,
+                                               cells, ppc):
+    dom = PeriodicDomain(skew_spec if skewed else ref_spec, 0.25, cells, ppc)
+    evals, evecs = full_zone_eigh(dom)
+    for n in (1, 2):
+        ref = evals[:, n - 1]
+        assert np.allclose(dom.band_edges(n), (ref.min(), ref.max()),
+                           rtol=0, atol=1e-11)
+    assert abs(dom.band_gap(1) - (evals[:, 1].min() - evals[:, 0].max())) <= 1e-11
+    for z in (evals[:, 0].mean(), evals[:, 1].mean(), evals[:, 2].max() + 0.3):
+        assert abs(dom.perp_distance(z) - np.abs(evals[:, 1:] - z).min()) <= 1e-11
+    # reference block cells - r holds the modes -g of domain block r, and
+    # is its conjugate mirror
+    pos = np.argsort(dom.block_index.ravel()) % ppc
+    ref_blocks, blocks = _reassembled(evals, evecs), _reassembled(dom.block_evals,
+                                                                  dom.block_evecs)
+    scale = np.abs(evals).max()
+    for r in range(dom.cells // 2 + 1):
+        mirror = pos[-dom.block_index[r] % dom.n]
+        ref = ref_blocks[-r % cells][mirror[:, None], mirror]
+        assert np.abs(ref - blocks[r].conj()).max() <= 1e-13 * scale
+        assert np.abs(evals[-r % cells] - dom.block_evals[r]).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("cells, ppc", SHAPES + [(5, 15)])
