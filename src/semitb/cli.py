@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import dataclasses
+import glob
 import hashlib
+import importlib.util
 import io
 import json
 import logging
@@ -404,7 +407,39 @@ _COMMANDS = {
 }
 
 
+# thread setters of the OpenBLAS builds numpy (64-bit ints) and scipy ship
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                 "scipy_openblas_set_num_threads")
+
+
+def _run_blas_on_one_thread() -> None:
+    """Run numpy's and scipy's OpenBLAS on one thread, unless the user chose.
+
+    The stacked problems here are small: a second BLAS thread costs CPU
+    time and adds jitter, and it buys no wall time.  A build not loaded yet
+    reads OPENBLAS_NUM_THREADS when it loads.  A loaded build is reached by
+    RTLD_NOLOAD, which never loads one, and set through its own setter; a
+    library or setter that is not there is skipped.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    for pkg in ("numpy", "scipy"):
+        # wheels keep their bundled libraries in <package>.libs beside it
+        libs = os.path.dirname(importlib.util.find_spec(pkg).origin) + ".libs"
+        for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
+            try:
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            except OSError:
+                continue  # not loaded in this process
+            for name in _BLAS_SETTERS:
+                if hasattr(lib, name):
+                    getattr(lib, name)(1)
+                    break
+
+
 def main(argv=None) -> int:
+    _run_blas_on_one_thread()
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")

@@ -234,6 +234,12 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
         c = c - scale * step
         history.append(rnorm)
     if rnorm > tol:
+        # above tol, only a line-search break ends the loop short of MAX_OUTER
+        if len(history) < MAX_OUTER:
+            raise NonConvergenceError(
+                f"reconstruction line search stalled after {len(history)} outer "
+                f"iterations at residual {rnorm:.2e} (target {tol:.1e}): no step "
+                f"scale lowers it", history=history)
         raise NonConvergenceError(
             f"reconstruction did not reach residual {tol:.1e} in {MAX_OUTER} "
             f"outer iterations", history=history)

@@ -1,6 +1,12 @@
+import json
 import logging
+import os
 import re
+import shutil
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -391,3 +397,79 @@ def test_every_subcommand_has_help():
     for name in cli._COMMANDS:
         line = next(ln for ln in lines if ln.split()[:1] == [name])
         assert len(line.split()) > 1, f"subcommand {name} has no help text"
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+NUMPY_OPENBLAS = list(Path(np.__file__).parent.with_name("numpy.libs")
+                      .glob("*openblas*.so*"))
+
+# prints numpy's and scipy's OpenBLAS thread counts (a build not loaded
+# yet is left out) before and after importing semitb.cli, and after main
+_BLAS_PROBE = """
+import ctypes, glob, importlib.util, json, os, sys
+
+GETTERS = {"numpy": "scipy_openblas_get_num_threads64_",
+           "scipy": "scipy_openblas_get_num_threads"}
+
+def threads():
+    out = {}
+    for pkg, getter in GETTERS.items():
+        libs = os.path.dirname(importlib.util.find_spec(pkg).origin) + ".libs"
+        for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
+            try:
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            except OSError:
+                continue
+            out[pkg] = getattr(lib, getter)()
+    return out
+
+import numpy
+default = threads()
+import semitb.cli as cli
+imported = threads()
+env = os.environ.get("OPENBLAS_NUM_THREADS")
+rc = cli.main(["--config", sys.argv[1], "bands"])
+print(json.dumps({"default": default, "imported": imported,
+                  "env_after_import": env, "rc": rc, "after": threads()}))
+"""
+
+
+def _run_python(args, **env):
+    """Run sys.executable with args on semitb's source tree and the given
+    BLAS thread variables (none inherited); return its stdout."""
+    child_env = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], env={**child_env, **env},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.skipif(not NUMPY_OPENBLAS, reason="numpy is not built on OpenBLAS")
+def test_main_runs_blas_on_one_thread(tmp_path):
+    path = _write(tmp_path)
+    # one fresh interpreter per case: pinned by main, and set by the user
+    for env, want in (({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)):
+        shutil.rmtree(tmp_path / "cache", ignore_errors=True)
+        got = json.loads(_run_python(["-c", _BLAS_PROBE, str(path)], **env)
+                         .splitlines()[-1])
+        # importing the library touches no thread state and loads no scipy BLAS
+        assert got["imported"] == got["default"]
+        assert set(got["default"]) == {"numpy"}
+        assert got["env_after_import"] == env.get("OPENBLAS_NUM_THREADS")
+        # the band solve loads scipy's build; main pins both unless the user chose
+        assert got["rc"] == 0
+        assert got["after"] == {"numpy": want, "scipy": want}
+
+
+def test_blas_thread_count_changes_no_scan_output(tmp_path):
+    outputs = []
+    for name, env in (("pinned", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+        (tmp_path / name).mkdir()
+        path = _write(tmp_path / name)
+        _run_python(["-m", "semitb.cli", "--config", str(path), "scan"], **env)
+        outputs.append({out: (tmp_path / name / "out" / out).read_bytes()
+                        for out in SCAN_OUTPUTS})
+    assert outputs[0] == outputs[1]

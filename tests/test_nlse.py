@@ -221,6 +221,9 @@ def test_reconstruction_takes_only_improving_steps(bundle_factory, ladder_states
                                    bun.dom, bun.wb, delta0=8.0)
     history = np.array(err.value.history)
     assert history.size >= 2 and np.all(np.diff(history) < 0)
+    # the error names the stall, the iterations it ran and where it stopped
+    assert (f"line search stalled after {history.size} outer iterations at "
+            f"residual {history[-1]:.2e}") in str(err.value)
 
 
 def test_reconstruction_quality(bundle_factory, ladder_states):

@@ -116,6 +116,18 @@ def test_orthonormality_and_translation_covariance(bundle_factory):
                       - np.roll(u0, j * wb.points_per_cell)).max() < 1e-8
 
 
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(hbar=hst.sampled_from([0.25, 0.2, 0.16, 0.125, 0.1]), data=hst.data())
+def test_orbitals_are_translates_on_drawn_lags(bundle_factory, hbar, data):
+    # u_{j+ell} is u_j moved by ell whole cells, for every site pair on the ring
+    wb = bundle_factory(hbar).wb
+    lo, hi = int(wb.sites[0]), int(wb.sites[-1])
+    j = data.draw(hst.integers(lo, hi), label="site")
+    ell = data.draw(hst.integers(lo - j, hi - j), label="lag")
+    moved = np.roll(wb.orbital(j), ell * wb.points_per_cell)
+    assert np.abs(wb.orbital(j + ell) - moved).max() <= 1e-14 * np.abs(moved).max()
+
+
 def test_dense_lowdin_cross_check(ref_spec):
     # odd cell count, symbol-truncated coefficients vs dense inverse sqrt
     dom = PeriodicDomain(ref_spec, 0.25, 31, 64)
