@@ -79,8 +79,7 @@ class Context:
             if self._tmp is None:
                 self._tmp = tempfile.mkdtemp(prefix="semitb_verify_")
             out = os.path.join(self._tmp, f"run{run}")
-            bundles = {h: self.bundle(h) for h in self.cfg.hbar_ladder}
-            self._reports[run] = scan.run_sweep(self.cfg, bundles, out_dir=out)
+            self._reports[run] = scan.run_sweep(self.cfg, self.bundle, out_dir=out)
         return self._reports[run]
 
     def cleanup(self):

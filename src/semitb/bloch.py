@@ -105,7 +105,7 @@ def potential_fourier(spec: PotentialSpec, kmax: int) -> np.ndarray:
     n = CELL_SAMPLES
     x = spec.a * np.arange(n) / n
     vx = np.asarray(spec.v(x), dtype=float)
-    pos = np.fft.fft(vx)[-np.arange(kmax + 1) % n] / n  # of exp(+i 2 pi k x / a)
+    pos = np.fft.fft(vx)[:kmax + 1] / n  # of exp(+i 2 pi k x / a)
     pos[0] = pos[0].real
     return np.concatenate((pos[:0:-1].conj(), pos))
 

@@ -11,6 +11,7 @@ import argparse
 import configparser
 import ctypes
 import dataclasses
+import functools
 import glob
 import hashlib
 import importlib.util
@@ -34,7 +35,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-CACHE_VERSION = 8
+CACHE_VERSION = 9
 
 
 _REQUIRED = dataclasses.MISSING
@@ -264,22 +265,18 @@ class BundleCache:
         self._store(self.basis_path(key), wb)
 
 
-def _pipeline_bundles(cfg: RunConfig, cache: BundleCache):
-    """One PipelineBundle per ladder hbar, with bands and basis cached."""
-    bundles = {}
-    for hb in cfg.hbar_ladder:
-        key = config_hash(cfg, hb)
-        bd = cache.load_bands(key)
-        wb = cache.load_basis(key)
-        bun = scan.build_pipeline(cfg, hb, bd=bd, wb=wb)
-        if bd is None:
-            cache.store_bands(key, bun.bd)
-        if wb is None:
-            cache.store_basis(key, bun.wb)
-        bundles[hb] = bun
-        log.info("pipeline hbar=%g %s", hb,
-                 "(cached bands)" if bd is not None else "")
-    return bundles
+def _pipeline_bundle(cfg: RunConfig, cache: BundleCache, hb: float):
+    """The PipelineBundle of one hbar, its bands and basis through the cache."""
+    key = config_hash(cfg, hb)
+    bd = cache.load_bands(key)
+    wb = cache.load_basis(key)
+    bun = scan.build_pipeline(cfg, hb, bd=bd, wb=wb)
+    if bd is None:
+        cache.store_bands(key, bun.bd)
+    if wb is None:
+        cache.store_basis(key, bun.wb)
+    log.info("pipeline hbar=%g %s", hb, "(cached bands)" if bd is not None else "")
+    return bun
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -307,23 +304,26 @@ def cmd_bands(cfg: RunConfig, args) -> int:
 def cmd_wannier(cfg: RunConfig, args) -> int:
     """Build the localized basis and write wannier_h*.csv."""
     cache = BundleCache(args.cache or cfg.cache_dir)
-    bundles = _pipeline_bundles(cfg, cache)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    for hb, bun in bundles.items():
+    for hb in cfg.hbar_ladder:
+        bun = _pipeline_bundle(cfg, cache, hb)
         out = os.path.join(cfg.output_dir, f"wannier_h{hb:g}.csv")
         scan._write_csv(out, ("x", "W", "u0"),
                         zip(bun.dom.x, bun.wb.w, bun.wb.u0))
         print(f"wrote {out}")
+        del bun  # dropped before the next hbar's bundle is built
     return EXIT_OK
 
 
 def cmd_params(cfg: RunConfig, args) -> int:
     """Extract the lattice parameters into params.csv."""
     cache = BundleCache(args.cache or cfg.cache_dir)
-    bundles = _pipeline_bundles(cfg, cache)
     os.makedirs(cfg.output_dir, exist_ok=True)
     s0 = tunneling_action(cfg.potential())
-    rows = scan.params_rows(bundles, cfg.hbar_ladder, cfg.eta_values, s0)
+    rows = []
+    for hb in cfg.hbar_ladder:
+        rows += scan.params_rows(hb, _pipeline_bundle(cfg, cache, hb),
+                                 cfg.eta_values, s0)
     out = os.path.join(cfg.output_dir, "params.csv")
     scan._write_csv(out, scan.PARAMS_HEADER, rows)
     print(f"wrote {out}")
@@ -356,8 +356,8 @@ def cmd_dnls(cfg: RunConfig, args) -> int:
 def cmd_scan(cfg: RunConfig, args) -> int:
     """Run the (hbar, eta) sweep and write every output."""
     cache = BundleCache(args.cache or cfg.cache_dir)
-    bundles = _pipeline_bundles(cfg, cache)
-    report = scan.run_sweep(cfg, bundles, out_dir=cfg.output_dir)
+    report = scan.run_sweep(cfg, functools.partial(_pipeline_bundle, cfg, cache),
+                            out_dir=cfg.output_dir)
     for path in report.written:
         print(f"wrote {path}")
     if report.gaps:

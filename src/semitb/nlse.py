@@ -192,7 +192,9 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
     if tbp.gamma == 0.0:
         return _linear_reconstruction(c, tbp, dom, wb)
 
-    check_lattice_invertibility(c, e_param, tbp)
+    # the entry guard's linearization serves the first Newton step, whose c
+    # it was taken at
+    lp, _ = check_lattice_invertibility(c, e_param, tbp)
 
     gamma, sigma = tbp.gamma, tbp.sigma
     tol = RESIDUAL_FLOOR * max(abs(lam), tbp.hbar)
@@ -214,7 +216,8 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
             break
         f_rem = _remainder_term(c, phi, tbp, dom, wb)
         g = _reduced_residual(c, e_param, tbp, f_rem)
-        lp, _ = check_lattice_invertibility(c, e_param, tbp)
+        if lp is None:
+            lp, _ = check_lattice_invertibility(c, e_param, tbp)
         step = np.linalg.solve(lp, g)
         # line search on the full continuum residual: the lattice
         # linearization omits the remainder couplings, so a step is taken
@@ -232,6 +235,7 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
             break  # no scale lowers the residual; report the last iterate
         phi, perp_h1, rnorm, warm = trial
         c = c - scale * step
+        lp = None  # taken again at the new c
         history.append(rnorm)
     if rnorm > tol:
         # above tol, only a line-search break ends the loop short of MAX_OUTER

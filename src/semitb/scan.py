@@ -136,15 +136,13 @@ def _eta_order(etas):
     return sorted(etas, key=lambda e: (-abs(e), e))
 
 
-def params_rows(bundles: dict, hbar_ladder, eta_values, s0: float) -> list:
-    """params.csv rows (PARAMS_HEADER): one per (hbar, eta) point."""
+def params_rows(hb: float, bun: PipelineBundle, eta_values, s0: float) -> list:
+    """params.csv rows (PARAMS_HEADER) of one hbar: one per eta point."""
     rows = []
-    for hb in hbar_ladder:
-        bun = bundles[hb]
-        for eta in _eta_order(eta_values):
-            tbp = tightbinding.with_eta(bun.tbp, eta)
-            rows.append([hb, tbp.lambda1, tbp.beta, tbp.c0, tbp.gamma, tbp.eta,
-                         tbp.dtilde_norm, s0, bun.gap1, bun.width1])
+    for eta in _eta_order(eta_values):
+        tbp = tightbinding.with_eta(bun.tbp, eta)
+        rows.append([hb, tbp.lambda1, tbp.beta, tbp.c0, tbp.gamma, tbp.eta,
+                     tbp.dtilde_norm, s0, bun.gap1, bun.width1])
     return rows
 
 
@@ -208,12 +206,14 @@ def _dnls_ladder(cfg):
     return states, turning
 
 
-def run_sweep(cfg, bundles: dict, out_dir: str | None = None) -> TransitionReport:
+def run_sweep(cfg, bundle_of, out_dir: str | None = None) -> TransitionReport:
     """Execute the full (hbar, eta) sweep of a cli.RunConfig and assemble the report.
 
-    bundles maps every ladder hbar to its PipelineBundle (the CLI builds
-    them through its cache).  The outputs are written to out_dir when one
-    is given.
+    bundle_of(hbar) returns the PipelineBundle of one ladder hbar (the CLI
+    builds it through its cache).  The sweep asks for each hbar once, in
+    ladder order, and holds one bundle at a time: a row keeps only its
+    CSV rows and the scalars the fits read.  The outputs are written to
+    out_dir when one is given, each row's continuum states as the row ends.
     """
     s0 = tunneling_action(cfg.potential())
     ladder = [float(h) for h in cfg.hbar_ladder]
@@ -224,42 +224,26 @@ def run_sweep(cfg, bundles: dict, out_dir: str | None = None) -> TransitionRepor
 
     lattice_rows = dnls_rows(lattice_states)
     transition_rows = [r[:2] + r[3:5] for r in lattice_rows]
-    point_rows = params_rows(bundles, ladder, cfg.eta_values, s0)
 
-    continuum_rows, gaps = [], []
-    continuum_states = {}
+    state_dir = os.path.join(out_dir, "states") if out_dir else None
+    if state_dir:
+        os.makedirs(state_dir, exist_ok=True)
+    point_rows, continuum_rows, gaps, fit_scalars, state_paths = [], [], [], [], {}
     for hb in ladder:
-        bun = bundles[hb]
-        for eta in _eta_order(cfg.eta_values):
-            state = lattice_states.get(eta)
-            if state is None:
-                gaps.append({"hbar": hb, "eta": eta, "reason": "no lattice state"})
-                continue
-            tbp = tightbinding.with_eta(bun.tbp, eta)
-            seed = bun.wb.u.T @ nlse.lattice_map(state, bun.wb)
-            if eta == 0.0:
-                # linear reference row: the reconstruction is the lattice lift
-                lam = tbp.lambda1 - tbp.beta * state.e
-                rnorm = l2_norm(bun.dom.dx, bun.dom.apply_h(seed) - lam * seed)
-                mass = nlse.peak_cell_mass(seed, bun.wb)
-                continuum_rows.append([hb, eta, lam, state.e, 0.0, 0.0, 0, rnorm, mass])
-                continue
-            try:
-                cs = nlse.reconstruct_and_correct(
-                    state, tbp, bun.dom, bun.wb, delta0=cfg.delta0)
-                herr = bun.dom.h1_norm(cs.phi - seed)
-                mass = nlse.peak_cell_mass(cs.phi, bun.wb)
-                continuum_rows.append([
-                    hb, eta, cs.lam, state.e, cs.perp_h1, herr,
-                    cs.iterations, cs.residual_h, mass,
-                ])
-                continuum_states[(hb, eta)] = cs
-            except (SolverError, Error) as exc:
-                gaps.append({"hbar": hb, "eta": eta, "reason": str(exc)})
+        bun = bundle_of(hb)
+        point_rows += params_rows(hb, bun, cfg.eta_values, s0)
+        fit_scalars.append((bun.tbp.beta, bun.width1, bun.gap1,
+                            abs(bun.wb.overlaps[1]),
+                            basis_diagnostics(bun.wb, bun.dom).pair_l1[1]))
+        rows, row_gaps, paths = _sweep_row(cfg, hb, bun, lattice_states, state_dir)
+        continuum_rows += rows
+        gaps += row_gaps
+        state_paths.update(paths)
+        del bun  # dropped before the next hbar's bundle is built
 
     eta_crossing = _participation_crossing(lattice_states)
 
-    fits = _assemble_fits(ladder, bundles, continuum_rows, s0)
+    fits = _assemble_fits(ladder, fit_scalars, continuum_rows, s0)
     fits["transition"] = {
         "eta_at_participation_1.5": eta_crossing,
         "participation_at_eta0": lattice_states[0.0].participation,
@@ -268,7 +252,6 @@ def run_sweep(cfg, bundles: dict, out_dir: str | None = None) -> TransitionRepor
 
     written = []
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         paths = {
             "params.csv": (PARAMS_HEADER, point_rows),
             "dnls_ladder.csv": (dnls_header(cfg.n_sites), lattice_rows),
@@ -284,14 +267,52 @@ def run_sweep(cfg, bundles: dict, out_dir: str | None = None) -> TransitionRepor
             json.dump(fits, fh, indent=2, sort_keys=True)
             fh.write("\n")
         written.append(fits_path)
-        written.extend(_write_state_bundles(out_dir, lattice_states,
-                                            continuum_states))
+        written.extend(_write_dnls_states(state_dir, lattice_states))
+        written.extend(state_paths[k] for k in sorted(state_paths))
 
     return TransitionReport(
         s0=s0, params_rows=point_rows, dnls_rows=lattice_rows,
         continuum_rows=continuum_rows, transition_rows=transition_rows,
         fits=fits, gaps=gaps, eta_crossing=eta_crossing, written=written,
     )
+
+
+def _sweep_row(cfg, hb, bun, lattice_states, state_dir):
+    """The eta row of one hbar: (continuum rows, gaps, {(hbar, eta): state path}).
+
+    The row's continuum states are written to state_dir, when one is
+    given, as the row ends, and none is kept.
+    """
+    rows, gaps, states = [], [], {}
+    for eta in _eta_order(cfg.eta_values):
+        state = lattice_states.get(eta)
+        if state is None:
+            gaps.append({"hbar": hb, "eta": eta, "reason": "no lattice state"})
+            continue
+        tbp = tightbinding.with_eta(bun.tbp, eta)
+        seed = bun.wb.u.T @ nlse.lattice_map(state, bun.wb)
+        if eta == 0.0:
+            # linear reference row: the reconstruction is the lattice lift
+            lam = tbp.lambda1 - tbp.beta * state.e
+            rnorm = l2_norm(bun.dom.dx, bun.dom.apply_h(seed) - lam * seed)
+            mass = nlse.peak_cell_mass(seed, bun.wb)
+            rows.append([hb, eta, lam, state.e, 0.0, 0.0, 0, rnorm, mass])
+            continue
+        try:
+            cs = nlse.reconstruct_and_correct(
+                state, tbp, bun.dom, bun.wb, delta0=cfg.delta0)
+            herr = bun.dom.h1_norm(cs.phi - seed)
+            mass = nlse.peak_cell_mass(cs.phi, bun.wb)
+            rows.append([
+                hb, eta, cs.lam, state.e, cs.perp_h1, herr,
+                cs.iterations, cs.residual_h, mass,
+            ])
+            states[eta] = cs
+        except (SolverError, Error) as exc:
+            gaps.append({"hbar": hb, "eta": eta, "reason": str(exc)})
+    paths = {(hb, eta): _write_continuum_state(state_dir, hb, eta, cs)
+             for eta, cs in states.items()} if state_dir else {}
+    return rows, gaps, paths
 
 
 def _participation_crossing(lattice_states) -> float | None:
@@ -313,7 +334,9 @@ def _participation_crossing(lattice_states) -> float | None:
     return None
 
 
-def _assemble_fits(ladder, bundles, continuum_rows, s0) -> dict:
+def _assemble_fits(ladder, fit_scalars, continuum_rows, s0) -> dict:
+    """fits.json entries.  fit_scalars holds one (beta, width1, gap1, |a1|,
+    pair_l1[1]) tuple per ladder hbar, in ladder order."""
     inv = [1.0 / h for h in ladder]
     fits = {}
 
@@ -330,12 +353,7 @@ def _assemble_fits(ladder, bundles, continuum_rows, s0) -> dict:
             entry["s0_ratio"] = -fr.slope / s0
         fits[name] = entry
 
-    beta = [bundles[h].tbp.beta for h in ladder]
-    width = [bundles[h].width1 for h in ladder]
-    gap = [bundles[h].gap1 for h in ladder]
-    a1 = [abs(bundles[h].wb.overlaps[1]) for h in ladder]
-    u0u1 = [basis_diagnostics(bundles[h].wb, bundles[h].dom).pair_l1[1]
-            for h in ladder]
+    beta, width, gap, a1, u0u1 = zip(*fit_scalars)
 
     _try("hopping_beta", inv, np.log(beta), ratio_to_s0=True)
     _try("band_width", inv, np.log(width), ratio_to_s0=True)
@@ -355,21 +373,20 @@ def _assemble_fits(ladder, bundles, continuum_rows, s0) -> dict:
     return fits
 
 
-def _write_state_bundles(out_dir, lattice_states, continuum_states):
+def _write_dnls_states(state_dir, lattice_states):
     out = []
-    state_dir = os.path.join(out_dir, "states")
-    os.makedirs(state_dir, exist_ok=True)
     for eta in _eta_order(lattice_states):
         s = lattice_states[eta]
         path = os.path.join(state_dir, f"dnls_eta{eta:+.6g}.npz")
         np.savez(path, eta=s.eta, sigma=s.sigma, e=s.e, f=s.f,
                  residual=s.residual_norm)
         out.append(path)
-    for (hb, eta) in sorted(continuum_states):
-        cs = continuum_states[(hb, eta)]
-        path = os.path.join(state_dir, f"continuum_h{hb:g}_eta{eta:+.6g}.npz")
-        np.savez(path, hbar=hb, eta=eta, lam=cs.lam, gamma=cs.gamma,
-                 sigma=cs.sigma, phi=cs.phi, c=cs.c, perp_h1=cs.perp_h1,
-                 residual_h=cs.residual_h, resolvent_shift=cs.resolvent_shift)
-        out.append(path)
     return out
+
+
+def _write_continuum_state(state_dir, hb, eta, cs):
+    path = os.path.join(state_dir, f"continuum_h{hb:g}_eta{eta:+.6g}.npz")
+    np.savez(path, hbar=hb, eta=eta, lam=cs.lam, gamma=cs.gamma,
+             sigma=cs.sigma, phi=cs.phi, c=cs.c, perp_h1=cs.perp_h1,
+             residual_h=cs.residual_h, resolvent_shift=cs.resolvent_shift)
+    return path

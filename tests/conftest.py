@@ -26,6 +26,15 @@ def ref_spec():
 
 
 @pytest.fixture(scope="session")
+def skew_spec():
+    """A well with no mirror symmetry: its Bloch blocks are complex."""
+    xs = np.arange(64) / 64
+    return st.make_potential("custom-samples", a=1.0, samples=(
+        8 * np.sin(np.pi * xs) ** 2 + 1.5 * np.sin(2 * np.pi * xs)
+        + 0.7 * np.cos(6 * np.pi * xs + 0.4)))
+
+
+@pytest.fixture(scope="session")
 def ref_s0(ref_spec):
     return st.tunneling_action(ref_spec)
 

@@ -253,7 +253,7 @@ def test_version1_basis_bundle_rebuilt(tmp_path):
     assert (tmp_path / "out" / "params.csv").read_bytes() == want
     for key in keys:
         with np.load(cache.basis_path(key)) as z:
-            assert int(z["version"]) == cli.CACHE_VERSION == 8
+            assert int(z["version"]) == cli.CACHE_VERSION == 9
             assert "u" not in z.files
         got, ref = cache.load_basis(key), fresh.load_basis(key)
         assert np.array_equal(got.u0, ref.u0)

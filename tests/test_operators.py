@@ -4,7 +4,6 @@ import inspect
 import numpy as np
 import pytest
 
-import semitb as st
 from conftest import full_zone_eigh
 from semitb import operators
 from semitb.operators import PeriodicDomain
@@ -138,15 +137,6 @@ def test_half_spectrum_projector_matches_full_blocks(ref_spec, cells, ppc):
     got = dom.project_band1(f)
     ref = _full_block_projector(dom, full_zone_eigh(dom), f)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
-
-
-@pytest.fixture(scope="module")
-def skew_spec():
-    """A well with no mirror symmetry: its Bloch blocks are complex."""
-    xs = np.arange(64) / 64
-    return st.make_potential("custom-samples", a=1.0, samples=(
-        8 * np.sin(np.pi * xs) ** 2 + 1.5 * np.sin(2 * np.pi * xs)
-        + 0.7 * np.cos(6 * np.pi * xs + 0.4)))
 
 
 @pytest.mark.parametrize("skewed", [False, True], ids=["sin2", "skewed"])

@@ -1,7 +1,10 @@
 import dataclasses
 import filecmp
+import gc
+import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -71,7 +74,7 @@ def test_plan_validation(cfg):
 
 
 def test_sweep_report_contents(cfg, mini_bundles, tmp_path):
-    rep = run_sweep(cfg, mini_bundles, out_dir=str(tmp_path / "run"))
+    rep = run_sweep(cfg, mini_bundles.__getitem__, out_dir=str(tmp_path / "run"))
     assert not rep.gaps
     assert len(rep.params_rows) == len(LADDER) * len(ETAS)
     assert len(rep.continuum_rows) == len(LADDER) * len(ETAS)
@@ -92,9 +95,41 @@ def test_sweep_report_contents(cfg, mini_bundles, tmp_path):
             assert abs(ri / rj - 1.0) <= 0.2
 
 
+def test_sweep_holds_one_bundle_at_a_time(cfg, bundle_factory, tmp_path):
+    out = tmp_path / "run"
+    asked, watched = [], []
+
+    def bundle_of(hb):
+        gc.collect()
+        assert all(ref() is None for ref in watched), "an earlier bundle is alive"
+        for done in asked:  # a finished row has written its states
+            for eta in ETAS[1:]:
+                assert (out / "states" / f"continuum_h{done:g}_eta{eta:+.6g}.npz").exists()
+        asked.append(hb)
+        bun = dataclasses.replace(bundle_factory(hb))  # a fresh object to watch
+        watched.append(weakref.ref(bun))
+        return bun
+
+    run_sweep(cfg, bundle_of, out_dir=str(out))
+    assert asked == list(LADDER)
+
+
+def test_written_order_is_files_then_dnls_then_continuum(cfg, mini_bundles, tmp_path):
+    # semitb scan prints one line per written path, in this order
+    out = tmp_path / "run"
+    rep = run_sweep(cfg, mini_bundles.__getitem__, out_dir=str(out))
+    files = [out / name for name in ("params.csv", "dnls_ladder.csv", "continuum.csv",
+                                     "transition.csv", "fits.json")]
+    dnls = [out / "states" / f"dnls_eta{eta:+.6g}.npz"
+            for eta in (-50.0, -8.0, -3.0, -2.0, 0.0)]
+    continuum = [out / "states" / f"continuum_h{hb:g}_eta{eta:+.6g}.npz"
+                 for hb, eta in sorted(itertools.product(LADDER, ETAS[1:]))]
+    assert rep.written == [str(p) for p in files + dnls + continuum]
+
+
 def test_sweep_determinism(cfg, mini_bundles, tmp_path):
-    rep1 = run_sweep(cfg, mini_bundles, out_dir=str(tmp_path / "a"))
-    rep2 = run_sweep(cfg, mini_bundles, out_dir=str(tmp_path / "b"))
+    rep1 = run_sweep(cfg, mini_bundles.__getitem__, out_dir=str(tmp_path / "a"))
+    rep2 = run_sweep(cfg, mini_bundles.__getitem__, out_dir=str(tmp_path / "b"))
     for name in ("params.csv", "dnls_ladder.csv", "continuum.csv",
                  "transition.csv", "fits.json"):
         p1 = next(p for p in rep1.written if p.endswith(name))
@@ -103,14 +138,14 @@ def test_sweep_determinism(cfg, mini_bundles, tmp_path):
 
 
 def test_sweep_records_gaps_without_aborting(cfg, mini_bundles):
-    rep = run_sweep(dataclasses.replace(cfg, delta0=1e-3), mini_bundles)
+    rep = run_sweep(dataclasses.replace(cfg, delta0=1e-3), mini_bundles.__getitem__)
     assert rep.gaps  # every nonlinear point exceeds the tiny budget
     kept = {(r[0], r[1]) for r in rep.continuum_rows}
     assert all(eta == 0.0 for _, eta in kept)
 
 
 def test_linear_reference_row(cfg, mini_bundles):
-    rep = run_sweep(cfg, mini_bundles)
+    rep = run_sweep(cfg, mini_bundles.__getitem__)
     rows = [r for r in rep.continuum_rows if r[1] == 0.0]
     assert len(rows) == len(LADDER)
     state = _dnls_ladder(cfg)[0][0.0]
@@ -126,7 +161,7 @@ def test_linear_reference_row(cfg, mini_bundles):
 
 
 def test_participation_monotone_in_eta(cfg, mini_bundles):
-    rep = run_sweep(cfg, mini_bundles)
+    rep = run_sweep(cfg, mini_bundles.__getitem__)
     by_abs_eta = sorted(rep.transition_rows, key=lambda r: abs(r[0]))
     ps = [r[2] for r in by_abs_eta]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(ps, ps[1:]))
@@ -135,7 +170,7 @@ def test_participation_monotone_in_eta(cfg, mini_bundles):
 def test_gap_fit_regression_value(cfg, mini_bundles):
     # desk-scale value of the gap log-log slope; the asymptotic law
     # (slope -> 1) is only reached at much smaller hbar
-    rep = run_sweep(cfg, mini_bundles)
+    rep = run_sweep(cfg, mini_bundles.__getitem__)
     entry = rep.fits["gap_loglog"]
     assert entry["available"] and entry["r2"] > 0.95
     assert 0.76 <= entry["slope"] <= 0.86
