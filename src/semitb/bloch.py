@@ -4,10 +4,13 @@ For each quasimomentum kappa in the Brillouin zone [-b/2, b/2), b = 2*pi/a,
 the operator -hbar^2 d^2/dx^2 + V(x) acting on functions with boundary
 condition phi(x + a) = exp(i*kappa*a) phi(x) is represented on the modes
 exp(i*(kappa + 2*pi*m/a)*x).  The matrix is banded with the Fourier
-support of V, and a banded Hermitian solver computes only the lowest
-n_bands energies; the Bloch vectors the pipeline uses come from the
-periodic domain (`operators`), and `bloch_on_grid` solves one kappa with
-its eigenvector as their plane-wave reference.
+support of V, and only the lowest n_bands energies are computed, on the
+half zone [-b/2, 0]: a real V has E_n(-kappa) = E_n(kappa).  A tridiagonal
+matrix (sin2, a free particle) is solved by Sturm bisection in numpy, a
+wider band by scipy's banded Hermitian solver.  The Bloch vectors the
+pipeline uses come from the periodic domain (`operators`), and
+`bloch_on_grid` solves one kappa with its eigenvector as their plane-wave
+reference.
 Band widths are exponentially small in 1/hbar, so the spectrally accurate
 plane-wave discretization is required; finite differences would bury them
 in O(h^2) error.
@@ -130,8 +133,15 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
     below the backward error of a dense eigensolver.  K = 1 for sin2,
     len(coeffs) for cos-series, about n_pw - 1 for custom-samples and 0
     for a free particle.  The (K + 1)-row lower band storage is filled
-    once and kept in the BandData; only its diagonal changes with kappa,
-    and `eig_banded` returns the lowest n_bands eigenvalues, ascending.
+    once and kept in the BandData; only its diagonal changes with kappa.
+
+    Only the half zone kappa_0 = -b/2 .. kappa_{n_kappa/2} = 0 is solved:
+    V is real, so H(-kappa) = P conj(H(kappa)) P with P the mode reversal
+    m -> -m, and E_n(-kappa) = E_n(kappa) fills the rest.  For K <= 1 the
+    matrix is tridiagonal and `_tridiagonal_lowest` solves every kappa at
+    once in numpy; a wider band goes through `eig_banded`, one kappa at a
+    time.  Either way the energies come ascending and scipy.linalg is
+    loaded only for K >= 2.
 
     Warns if the top kept band reaches a quarter of the plane-wave cutoff
     energy, which signals basis truncation.
@@ -152,8 +162,16 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
 
     energies = np.empty((nb, cfg.n_kappa))
     bd = BandData(a=a, hbar=hbar, kappa=kappa, energies=energies, band=band)
-    for i, k in enumerate(kappa):
-        energies[:, i] = _floquet_eig(bd, k, (0, nb - 1), vectors=False)
+    half = cfg.n_kappa // 2 + 1
+    if K <= 1:
+        e2 = abs(band[1, 0]) ** 2 if K else 0.0
+        energies[:, :half] = _tridiagonal_lowest(
+            _floquet_diagonal(bd, kappa[:half]).real, e2, nb).T
+    else:
+        for i, k in enumerate(kappa[:half]):
+            energies[:, i] = _floquet_eig(bd, k, (0, nb - 1), vectors=False)
+    # kappa_{n_kappa - i} = -kappa_i
+    energies[:, half:] = energies[:, half - 2:0:-1]
 
     cutoff = hbar**2 * (np.pi * cfg.n_pw / a) ** 2 / 4
     if energies[nb - 1].max() > cutoff:
@@ -165,16 +183,71 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
     return bd
 
 
+def _floquet_diagonal(bd: BandData, kappa) -> np.ndarray:
+    """Diagonal of the Floquet matrix at kappa, a scalar or an array whose
+    axes come first."""
+    return bd.band[0] + bd.hbar**2 * np.add.outer(kappa, bd.b * bd.modes) ** 2
+
+
+# the interior probes of a bracket in one quadrisection pass
+_PROBES = np.array([0.25, 0.5, 0.75])
+
+
+def _tridiagonal_lowest(d: np.ndarray, e2: float, n_bands: int) -> np.ndarray:
+    """Lowest n_bands eigenvalues of each row's tridiagonal matrix, ascending.
+
+    Row r of d (shape (rows, n)) is the real diagonal of a Hermitian
+    tridiagonal matrix whose off-diagonal entries all have modulus
+    sqrt(e2); the result has shape (rows, n_bands).  Sturm-sequence
+    bisection (Barth, Martin and Wilkinson, Numer. Math. 9, 386 (1967)):
+    the LDL^T pivots q_i = (d_i - sigma) - e2 / q_{i-1} of T - sigma have
+    as many negative entries as T has eigenvalues below sigma, and in
+    IEEE arithmetic this count is exact for a matrix a few ulps from T
+    (Demmel, Dhillon and Ren, ETNA 3, 116 (1995)).  Eigenvalue j starts
+    in Weyl's bracket d_(j) -+ 2 sqrt(e2), d_(j) the sorted diagonal; every
+    pass counts at three interior points of every bracket and keeps the
+    quarter that holds it, until no bracket moves: the ends are then
+    adjacent doubles.
+    """
+    n = d.shape[1]
+    radius = 2 * np.sqrt(e2)
+    centre = np.sort(d, axis=1)[:, :n_bands]
+    lo, hi = centre - radius, centre + radius
+    j = np.arange(n_bands)[:, None]
+    # with e2 > 0 an exact zero pivot gives q = -inf next, as IEEE carries
+    # it, and 0 / 0 cannot occur
+    e2 = max(e2, np.finfo(float).tiny)
+    diag = d.T[:, :, None, None]
+    q = np.empty((n, *lo.shape, _PROBES.size))
+    ratio = np.empty(q.shape[1:])
+    with np.errstate(divide="ignore", over="ignore"):
+        while True:
+            probes = lo[..., None] + (hi - lo)[..., None] * _PROBES
+            np.subtract(diag, probes, out=q)
+            for i in range(1, n):
+                np.divide(e2, q[i - 1], out=ratio)
+                q[i] -= ratio
+            below = np.count_nonzero(q < 0, axis=0)
+            # probes with at most j eigenvalues below them lie under lambda_j
+            s = np.count_nonzero(below <= j, axis=-1)[..., None]
+            ends = np.concatenate((lo[..., None], probes, hi[..., None]), axis=-1)
+            new_lo = np.take_along_axis(ends, s, -1)[..., 0]
+            new_hi = np.take_along_axis(ends, s + 1, -1)[..., 0]
+            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+                return (lo + hi) / 2
+            lo, hi = new_lo, new_hi
+
+
 def _floquet_eig(bd: BandData, kappa: float, select: tuple[int, int],
                  vectors: bool):
     """Eigenvalues select[0]..select[1] (0-based) of the Floquet matrix at
     kappa, with their unit eigenvectors when `vectors` is set."""
     # scipy.linalg costs about half of the package's import time, and only
-    # the band solve needs it, so it is imported on use
+    # a band wider than tridiagonal and `bloch_on_grid` need it
     import scipy.linalg
 
     band = bd.band.copy()
-    band[0] = bd.band[0] + bd.hbar**2 * (kappa + bd.b * bd.modes) ** 2
+    band[0] = _floquet_diagonal(bd, kappa)
     try:
         return scipy.linalg.eig_banded(band, lower=True, eigvals_only=not vectors,
                                        select="i", select_range=select)

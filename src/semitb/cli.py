@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import ctypes
 import dataclasses
 import functools
@@ -35,7 +36,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-CACHE_VERSION = 9
+CACHE_VERSION = 10
 
 
 _REQUIRED = dataclasses.MISSING
@@ -412,49 +413,57 @@ _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
                  "scipy_openblas_set_num_threads")
 
 
-def _run_blas_on_one_thread() -> None:
+@contextlib.contextmanager
+def _blas_on_one_thread():
     """Run numpy's and scipy's OpenBLAS on one thread, unless the user chose.
 
     The stacked problems here are small: a second BLAS thread costs CPU
     time and adds jitter, and it buys no wall time.  A build not loaded yet
-    reads OPENBLAS_NUM_THREADS when it loads.  A loaded build is reached by
-    RTLD_NOLOAD, which never loads one, and set through its own setter; a
-    library or setter that is not there is skipped.
+    reads OPENBLAS_NUM_THREADS when it loads, so the variable is set for
+    the block and removed after it; a caller in the same process does not
+    inherit it.  A loaded build is reached by RTLD_NOLOAD, which never
+    loads one, and set through its own setter; a library or setter that is
+    not there is skipped.
     """
     if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        yield
         return
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    for pkg in ("numpy", "scipy"):
-        # wheels keep their bundled libraries in <package>.libs beside it
-        libs = os.path.dirname(importlib.util.find_spec(pkg).origin) + ".libs"
-        for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
-            try:
-                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-            except OSError:
-                continue  # not loaded in this process
-            for name in _BLAS_SETTERS:
-                if hasattr(lib, name):
-                    getattr(lib, name)(1)
-                    break
+    try:
+        for pkg in ("numpy", "scipy"):
+            # wheels keep their bundled libraries in <package>.libs beside it
+            libs = os.path.dirname(importlib.util.find_spec(pkg).origin) + ".libs"
+            for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
+                try:
+                    lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+                except OSError:
+                    continue  # not loaded in this process
+                for name in _BLAS_SETTERS:
+                    if hasattr(lib, name):
+                        getattr(lib, name)(1)
+                        break
+        yield
+    finally:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
 
 
 def main(argv=None) -> int:
-    _run_blas_on_one_thread()
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
-    try:
-        cfg = parse_config(args.config, allow_low_sigma=args.allow_low_sigma)
-        return args.func(cfg, args)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NonConvergenceError, SolverError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    with _blas_on_one_thread():
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
+                            format="%(levelname)s %(name)s: %(message)s")
+        try:
+            cfg = parse_config(args.config, allow_low_sigma=args.allow_low_sigma)
+            return args.func(cfg, args)
+        except (ConfigError, ValueError, OSError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (NonConvergenceError, SolverError) as exc:
+            print(f"solver error: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
+        except Error as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -1,16 +1,27 @@
+import dataclasses
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
 
 import semitb as st
-from semitb.bloch import band_csv, half_bandwidth, potential_fourier
+from semitb.acceptance import REFERENCE_LADDER
+from semitb.bloch import (_floquet_diagonal, _floquet_eig, _tridiagonal_lowest,
+                          band_csv, half_bandwidth, potential_fourier)
 from semitb.cli import BundleCache
+from semitb.scan import band_data
 
 
 def test_free_particle_bands_exact():
+    # the numerics of verify check 1: with no off-diagonal, a probe on the
+    # diagonal would divide 0 by 0, and the solve must raise no numpy
+    # floating-point warning
     spec = st.free_potential(1.0)
     cfg = st.FloquetConfig(hbar=0.3, n_pw=41, n_kappa=16, n_bands=6)
-    bd = st.solve_bands(spec, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bd = st.solve_bands(spec, cfg)
     for i, k in enumerate(bd.kappa):
         exact = np.sort((0.3 * (k + bd.b * bd.modes)) ** 2)[:6]
         assert np.abs(bd.energies[:, i] - exact).max() <= 1e-10
@@ -196,13 +207,13 @@ def _sturm_lowest(diag, off, dps=40):
         return (lo + hi) / 2
 
 
-@pytest.mark.parametrize("hbar", [0.16, 0.1])
-def test_band_width_matches_high_precision_sturm(ref_cfg, bundle_factory, hbar):
+@pytest.mark.parametrize("hbar", REFERENCE_LADDER)
+def test_band_width_matches_high_precision_sturm(ref_cfg, hbar):
     # the exact sin2 Floquet matrix at a = 1: V0/2 + hbar^2 (kappa + 2 pi m)^2 on
     # the diagonal and -V0/4 beside it; band 1 has its edges at kappa = 0, -pi
     assert (ref_cfg.family, ref_cfg.a) == ("sin2", 1.0), \
         "the Sturm oracle is written for the sin2 lattice of period 1"
-    bd = bundle_factory(hbar).bd
+    bd = band_data(ref_cfg, hbar)
     v0, m = ref_cfg.v0, [int(k) for k in bd.modes]
     edges = []
     for kappa in (mpmath.mpf(0), -mpmath.pi):
@@ -210,10 +221,57 @@ def test_band_width_matches_high_precision_sturm(ref_cfg, bundle_factory, hbar):
             diag = [v0 / 2 + mpmath.mpf(hbar) ** 2 * (kappa + 2 * mpmath.pi * k) ** 2
                     for k in m]
         edges.append(_sturm_lowest(diag, -v0 / 4))
+    # each edge within 4 ulp of the 40-digit one (measured: at most 4, at hbar 0.1)
+    assert bd.kappa[0] == -np.pi and bd.kappa[bd.n_kappa // 2] == 0
+    got = bd.energies[0, [bd.n_kappa // 2, 0]]
+    assert _ulps(got, np.array([float(e) for e in edges])) <= 4
     with mpmath.workdps(40):
         want = float(abs(edges[0] - edges[1]))
     got = st.band_metrics(bd, 1)["width"]
     assert abs(got - want) <= 1e-8 * want
+
+
+def _ulps(got, want):
+    """Largest |got - want| in units in the last place of want."""
+    return float((np.abs(got - want) / np.spacing(np.abs(want))).max())
+
+
+def _banded_reference(bd):
+    """eig_banded at every kappa of bd, energies[n, i] as in the BandData."""
+    return np.array([_floquet_eig(bd, k, (0, bd.n_bands - 1), vectors=False)
+                     for k in bd.kappa]).T
+
+
+@pytest.mark.parametrize("hbar", REFERENCE_LADDER)
+def test_tridiagonal_bands_match_eig_banded(ref_cfg, hbar):
+    # at hbar = 0.125 some Sturm pivots are exactly zero; they must count
+    # right without a numpy floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bd = band_data(ref_cfg, hbar)
+    assert bd.band.shape[0] == 2
+    # measured: at most 4 ulp at every kappa of the ladder
+    assert _ulps(bd.energies, _banded_reference(bd)) <= 4
+    # the half kappa_{n/2+1} .. kappa_{n-1} is mirrored from -kappa; solved
+    # there directly it agrees to the same 4 ulp
+    half = bd.n_kappa // 2 + 1
+    direct = _tridiagonal_lowest(_floquet_diagonal(bd, bd.kappa[half:]).real,
+                                 abs(bd.band[1, 0]) ** 2, bd.n_bands).T
+    assert _ulps(bd.energies[:, half:], direct) <= 4
+
+
+def test_tridiagonal_bands_of_a_complex_coupling(ref_cfg, ref_spec):
+    # the sin2 well moved by a tenth of a cell: vhat[1] turns complex, the
+    # spectrum stays the same
+    moved = dataclasses.replace(ref_spec, v=lambda x: ref_spec.v(x - 0.1))
+    bd = band_data(ref_cfg, 0.2)
+    fc = st.FloquetConfig(hbar=0.2, n_pw=ref_cfg.n_pw, n_kappa=ref_cfg.n_kappa,
+                          n_bands=ref_cfg.n_bands)
+    shifted = st.solve_bands(moved, fc)
+    assert shifted.band.shape[0] == 2 and abs(shifted.band[1, 0].imag) > 1
+    # measured: 4 ulp against eig_banded, 0 against the unmoved well
+    assert _ulps(shifted.energies, _banded_reference(shifted)) <= 4
+    assert _ulps(shifted.energies, bd.energies) <= 4
 
 
 def _eigh_reference(spec, cfg):

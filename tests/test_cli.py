@@ -253,7 +253,7 @@ def test_version1_basis_bundle_rebuilt(tmp_path):
     assert (tmp_path / "out" / "params.csv").read_bytes() == want
     for key in keys:
         with np.load(cache.basis_path(key)) as z:
-            assert int(z["version"]) == cli.CACHE_VERSION == 9
+            assert int(z["version"]) == cli.CACHE_VERSION == 10
             assert "u" not in z.files
         got, ref = cache.load_basis(key), fresh.load_basis(key)
         assert np.array_equal(got.u0, ref.u0)
@@ -449,19 +449,35 @@ def _run_python(args, **env):
 
 @pytest.mark.skipif(not NUMPY_OPENBLAS, reason="numpy is not built on OpenBLAS")
 def test_main_runs_blas_on_one_thread(tmp_path):
+    for family, loaded in (
+            # a tridiagonal band solve runs in numpy and loads no scipy BLAS
+            ("family = sin2", {"numpy"}),
+            # two cosines give half-bandwidth 2: eig_banded loads scipy's build
+            ("family = cos-series\ncoeffs = 4.0, -0.5", {"numpy", "scipy"})):
+        path = _write(tmp_path, GOOD.replace("family = sin2", family))
+        # one fresh interpreter per case: pinned by main, and set by the user
+        for env, want in (({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)):
+            shutil.rmtree(tmp_path / "cache", ignore_errors=True)
+            got = json.loads(_run_python(["-c", _BLAS_PROBE, str(path)], **env)
+                             .splitlines()[-1])
+            # importing the library touches no thread state and loads no scipy BLAS
+            assert got["imported"] == got["default"]
+            assert set(got["default"]) == {"numpy"}
+            assert got["env_after_import"] == env.get("OPENBLAS_NUM_THREADS")
+            # main pins every build loaded by the end of the run unless the
+            # user chose
+            assert got["rc"] == 0
+            assert got["after"] == dict.fromkeys(loaded, want)
+
+
+def test_main_leaves_the_environment_as_it_found_it(tmp_path, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     path = _write(tmp_path)
-    # one fresh interpreter per case: pinned by main, and set by the user
-    for env, want in (({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)):
-        shutil.rmtree(tmp_path / "cache", ignore_errors=True)
-        got = json.loads(_run_python(["-c", _BLAS_PROBE, str(path)], **env)
-                         .splitlines()[-1])
-        # importing the library touches no thread state and loads no scipy BLAS
-        assert got["imported"] == got["default"]
-        assert set(got["default"]) == {"numpy"}
-        assert got["env_after_import"] == env.get("OPENBLAS_NUM_THREADS")
-        # the band solve loads scipy's build; main pins both unless the user chose
-        assert got["rc"] == 0
-        assert got["after"] == {"numpy": want, "scipy": want}
+    for args in (["bands"], ["params"]):
+        before = dict(os.environ)
+        assert cli.main(["--config", str(path), *args]) == 0
+        assert dict(os.environ) == before
 
 
 def test_blas_thread_count_changes_no_scan_output(tmp_path):

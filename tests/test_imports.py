@@ -60,3 +60,18 @@ def test_action_loads_no_scipy_integrate_special_optimize_or_interpolate():
             "tunneling_action(spec); action_profile(spec, numpy.linspace(-2, 2, 9))")
     assert _loaded_after(code, ("scipy.integrate", "scipy.special",
                                 "scipy.optimize", "scipy.interpolate")) == []
+
+
+_SOLVE = ("import semitb as st; "
+          "st.solve_bands({spec}, st.FloquetConfig(hbar=0.2, n_pw=41, n_kappa=8))")
+
+
+@pytest.mark.parametrize("spec, loaded", [
+    # tridiagonal: Sturm bisection in numpy
+    ("st.make_potential('sin2', v0=8.0, a=1.0)", []),
+    ("st.free_potential(1.0)", []),
+    # half-bandwidth 2: the banded solver
+    ("st.make_potential('cos-series', a=1.0, coeffs=[4.0, 1.0])", ["scipy.linalg"]),
+], ids=["sin2", "free", "cos-series-2"])
+def test_band_solve_loads_scipy_linalg_only_beyond_tridiagonal(spec, loaded):
+    assert _loaded_after(_SOLVE.format(spec=spec), ("scipy.linalg",)) == loaded
