@@ -34,7 +34,6 @@ from .operators import PeriodicDomain, domain_grid
 from .tightbinding import (
     TBParams,
     band_hopping,
-    effective_nonlinearity,
     extract_params,
     gamma_for_eta,
     h_matrix_elements,
@@ -46,12 +45,10 @@ from .dnls import (
     ContinuationResult,
     DnlsProblem,
     DnlsState,
-    WeinsteinResult,
     decay_rate,
     dnls_residual,
     linearization_lplus,
     solve_anticontinuum,
-    weinstein_threshold,
 )
 from .nlse import (
     ContinuumState,

@@ -18,7 +18,6 @@ in O(h^2) error.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
 
@@ -276,14 +275,3 @@ def bloch_on_grid(bd: BandData, n: int, kappa: float, x: np.ndarray) -> np.ndarr
     freqs = kappa + bd.b * bd.modes
     x = np.asarray(x, dtype=float)
     return np.exp(1j * np.outer(x, freqs)) @ u[:, 0] / np.sqrt(bd.a)
-
-
-def band_csv(bd: BandData) -> str:
-    """Band data as CSV text with columns (n, kappa, E)."""
-    buf = io.StringIO()
-    buf.write("n,kappa,E\n")
-    for n in range(bd.n_bands):
-        for k, e in zip(bd.kappa, bd.energies[n]):
-            buf.write(f"{n + 1},{float(k)!r},{float(e)!r}\n")
-    return buf.getvalue()
-

@@ -16,7 +16,6 @@ import functools
 import glob
 import hashlib
 import importlib.util
-import io
 import json
 import logging
 import os
@@ -70,7 +69,7 @@ class _RunConfigMethods:
     def potential(self) -> PotentialSpec:
         if self.family == "sin2":
             return make_potential("sin2", v0=self.v0, a=self.a)
-        if self.family in ("cos-series", "cos_series"):
+        if self.family == "cos-series":
             return make_potential("cos-series", a=self.a, coeffs=list(self.coeffs))
         raise ConfigError(f"potential.family: unsupported family {self.family!r}")
 
@@ -101,14 +100,6 @@ def _convert(section, key, kind, raw):
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from exc
     raise ConfigError(f"{section}.{key}: unknown field kind")
-
-
-def _format(kind, value) -> str:
-    if kind == "floats":
-        return ", ".join(repr(v) for v in value)
-    if kind == "strs":
-        return ", ".join(value)
-    return repr(value) if kind is float else str(value)
 
 
 def parse_config(path: str, allow_low_sigma: bool = False) -> RunConfig:
@@ -169,6 +160,12 @@ def _validate(cfg: RunConfig, allow_low_sigma: bool):
         raise ConfigError(f"numerics.n_pw: {cfg.n_pw} exceeds {bloch.CELL_SAMPLES // 2}; "
                           f"V is sampled at {bloch.CELL_SAMPLES} points per cell, "
                           "so higher plane waves would alias")
+    try:
+        bloch.FloquetConfig(hbar=ladder[0], n_pw=cfg.n_pw, n_kappa=cfg.n_kappa,
+                            n_bands=cfg.n_bands)
+    except ValueError as exc:
+        # each of its messages opens with the field it rejects
+        raise ConfigError(f"numerics.{str(exc).split()[0]}: {exc}") from exc
     if cfg.cells <= 2 * cfg.lowdin_band + 1:
         raise ConfigError(f"numerics.cells: {cfg.cells} too small for "
                           f"numerics.lowdin_band = {cfg.lowdin_band} "
@@ -176,18 +173,6 @@ def _validate(cfg: RunConfig, allow_low_sigma: bool):
     if cfg.a <= 0:
         raise ConfigError("potential.a: must be positive")
     cfg.potential()  # an unknown family fails here, whatever the subcommand
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Round-trippable INI text for a RunConfig."""
-    cp = configparser.ConfigParser()
-    for section, key, attr, kind, _ in _FIELDS:
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp[section][key] = _format(kind, getattr(cfg, attr))
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
 
 
 def config_hash(cfg: RunConfig, hbar: float) -> str:
@@ -296,8 +281,9 @@ def cmd_bands(cfg: RunConfig, args) -> int:
         else:
             print(f"bands hbar={hb:g}: served from cache")
         out = os.path.join(cfg.output_dir, f"bands_h{hb:g}.csv")
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(bloch.band_csv(bd))
+        scan._write_csv(out, ("n", "kappa", "E"),
+                        ((n + 1, k, e) for n in range(bd.n_bands)
+                         for k, e in zip(bd.kappa, bd.energies[n])))
         print(f"wrote {out}")
     return EXIT_OK
 

@@ -266,81 +266,6 @@ def operator_l1_norm(mat: np.ndarray) -> float:
     return float(np.abs(mat).sum(axis=0).max())
 
 
-@dataclass(frozen=True)
-class WeinsteinResult:
-    threshold: float
-    exists_for_all: bool
-
-
-def weinstein_threshold(sigma: float, n_sites: int) -> WeinsteinResult:
-    """Excitation threshold (sigma + 1) * inf of the discrete interpolation quotient.
-
-    For sigma < 2 (one dimension) the constrained minimizer exists at
-    every negative eta and the threshold is reported as zero.  Otherwise
-    the quotient
-
-        (sum F^2)^sigma * <(-Delta) F, F> / sum |F|^{2 sigma + 2}
-
-    is minimized by projected gradient descent from eight random seeds.
-    """
-    if sigma < 2:
-        return WeinsteinResult(threshold=0.0, exists_for_all=True)
-
-    rng = np.random.default_rng(7)
-    best = np.inf
-    converged = False
-    for _ in range(8):
-        f = rng.standard_normal(n_sites)
-        f /= np.linalg.norm(f)
-        q, ok = _minimize_quotient(f, sigma)
-        converged = converged or ok
-        best = min(best, q)
-    if not converged:
-        raise SolverError(f"quotient minimization did not converge; best {best:.6g}")
-    return WeinsteinResult(threshold=float((sigma + 1) * best), exists_for_all=False)
-
-
-def quotient(f: np.ndarray, sigma: float) -> float:
-    """Scale-invariant interpolation quotient on the truncated lattice."""
-    f = np.asarray(f, dtype=float)
-    a = f @ f
-    d = np.diff(f, prepend=0.0, append=0.0)
-    b = np.sum(d * d)
-    c = np.sum(np.abs(f) ** (2 * sigma + 2))
-    return float(a**sigma * b / c)
-
-
-def _minimize_quotient(f, sigma):
-    lr = 0.1
-    q = quotient(f, sigma)
-    ok = False
-    for _ in range(20000):
-        a = f @ f
-        d = np.diff(f, prepend=0.0, append=0.0)
-        b = np.sum(d * d)
-        c = np.sum(np.abs(f) ** (2 * sigma + 2))
-        grad_b = 2 * (2 * f - neighbor_sum(f, "zero"))
-        grad_c = (2 * sigma + 2) * np.abs(f) ** (2 * sigma) * f
-        g = q * (2 * sigma * f / a + grad_b / b - grad_c / c)
-        g -= (g @ f) / a * f
-        gn = np.linalg.norm(g)
-        if gn < 1e-12 * max(q, 1.0):
-            ok = True
-            break
-        f_new = f - lr * g
-        f_new /= np.linalg.norm(f_new)
-        q_new = quotient(f_new, sigma)
-        if q_new < q:
-            f, q = f_new, q_new
-            lr *= 1.1
-        else:
-            lr *= 0.5
-            if lr < 1e-14:
-                ok = True
-                break
-    return q, ok
-
-
 def brute_force_states(prob: DnlsProblem, n_starts: int = 200,
                        seed: int = 0) -> list[DnlsState]:
     """Newton from random unit seeds in one stack; converged states in seed order."""

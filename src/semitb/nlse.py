@@ -9,8 +9,7 @@ reduced equation), and by a direct full-grid Newton oracle that knows
 nothing about the splitting.  Agreement of the two is the strongest
 internal check this module has.
 
-The eigenvalue is always placed at lambda = lambda1 - beta * E; every
-state records the resolvent shift actually applied.
+The eigenvalue is always placed at lambda = lambda1 - beta * E.
 """
 
 from __future__ import annotations
@@ -44,9 +43,7 @@ class ContinuumState:
     residual_h: float
     c: np.ndarray | None
     perp_h1: float
-    norm_l2: float
     iterations: int
-    resolvent_shift: float
     # MINRES iterations summed over the steps of the full-grid oracle
     minres_iterations: int = 0
 
@@ -249,9 +246,7 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
             f"outer iterations", history=history)
     return ContinuumState(
         phi=phi, lam=lam, gamma=gamma, sigma=sigma, residual_h=rnorm,
-        c=c, perp_h1=perp_h1,
-        norm_l2=l2_norm(dom.dx, phi), iterations=len(history),
-        resolvent_shift=lam,
+        c=c, perp_h1=perp_h1, iterations=len(history),
     )
 
 
@@ -271,8 +266,7 @@ def _linear_reconstruction(seed, tbp, dom, wb):
     rnorm = l2_norm(dom.dx, resid)
     return ContinuumState(
         phi=phi, lam=lam, gamma=0.0, sigma=tbp.sigma, residual_h=rnorm,
-        c=c, perp_h1=0.0,
-        norm_l2=l2_norm(dom.dx, phi), iterations=0, resolvent_shift=lam,
+        c=c, perp_h1=0.0, iterations=0,
     )
 
 
@@ -388,9 +382,8 @@ def direct_newton_oracle(dom: PeriodicDomain, lam: float, gamma: float,
 
     return ContinuumState(
         phi=phi, lam=lam, gamma=gamma, sigma=sigma, residual_h=rnorm,
-        c=None, perp_h1=0.0,
-        norm_l2=l2_norm(dom.dx, phi), iterations=it + 1,
-        resolvent_shift=lam, minres_iterations=minres_steps,
+        c=None, perp_h1=0.0, iterations=it + 1,
+        minres_iterations=minres_steps,
     )
 
 

@@ -63,7 +63,7 @@ def _raw_family(family: str, params: dict):
 
         return v, dv, d2v, a, ()
 
-    if family in ("cos-series", "cos_series"):
+    if family == "cos-series":
         a = float(params["a"])
         coeffs = np.asarray(params["coeffs"], dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
@@ -93,7 +93,7 @@ def _raw_family(family: str, params: dict):
 
         return v, dv, d2v, a, ()
 
-    if family in ("custom-samples", "custom_samples", "custom"):
+    if family == "custom-samples":
         a = float(params["a"])
         samples = np.asarray(params["samples"], dtype=float)
         if samples.ndim != 1 or samples.size < 8:

@@ -37,19 +37,15 @@ class FitResult:
     n_points: int
 
 
-def fit_exponential_law(xs, ys, window=None) -> FitResult:
-    """Least-squares line through (xs, ys) with optional amplitude window.
+def fit_exponential_law(xs, ys) -> FitResult:
+    """Least-squares line through the finite points of (xs, ys).
 
-    The window (lo, hi) keeps points whose raw quantity exp(y) lies inside
-    it.  Raises Error on fewer than four usable points or a degenerate
+    Raises Error on fewer than four usable points or a degenerate
     abscissa spread.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     keep = np.isfinite(ys) & np.isfinite(xs)
-    if window is not None:
-        lo, hi = window
-        keep &= (np.exp(ys) >= lo) & (np.exp(ys) <= hi)
     xs, ys = xs[keep], ys[keep]
     if xs.size < 4:
         raise Error(f"fit needs >= 4 points, have {xs.size}")
@@ -388,5 +384,5 @@ def _write_continuum_state(state_dir, hb, eta, cs):
     path = os.path.join(state_dir, f"continuum_h{hb:g}_eta{eta:+.6g}.npz")
     np.savez(path, hbar=hb, eta=eta, lam=cs.lam, gamma=cs.gamma,
              sigma=cs.sigma, phi=cs.phi, c=cs.c, perp_h1=cs.perp_h1,
-             residual_h=cs.residual_h, resolvent_shift=cs.resolvent_shift)
+             residual_h=cs.residual_h)
     return path

@@ -19,9 +19,6 @@ from .errors import BasisError
 from .operators import PeriodicDomain
 from .wannier import WannierBasis
 
-HALF_BANDWIDTH = 4
-
-
 @dataclass(frozen=True)
 class TBParams:
     """Extracted lattice parameters at one hbar.
@@ -43,12 +40,6 @@ class TBParams:
     h_row: np.ndarray
     dtilde_norm: float
     dtilde_ratio: float
-
-    @property
-    def h_band(self) -> np.ndarray:
-        """h_band[ell + 4] = <u_0, H u_ell> for ell in -4..4."""
-        ells = np.arange(-HALF_BANDWIDTH, HALF_BANDWIDTH + 1)
-        return self.h_row[ells % self.h_row.size]
 
 
 def h_matrix_elements(wb: WannierBasis, dom: PeriodicDomain,
@@ -96,13 +87,6 @@ def interaction_constant(wb: WannierBasis, dom: PeriodicDomain, sigma: float,
         raise ValueError("sigma must be >= 0")
     u = wb.orbital(site)
     return float(dom.dx * np.sum(np.abs(u) ** (2 * sigma + 2)))
-
-
-def effective_nonlinearity(c0: float, gamma: float, beta: float) -> float:
-    """eta = c0*gamma/beta."""
-    if beta <= 0:
-        raise BasisError(f"beta = {beta:.3e} <= 0")
-    return c0 * gamma / beta
 
 
 def gamma_for_eta(c0: float, eta: float, beta: float) -> float:

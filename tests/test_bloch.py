@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import warnings
 
@@ -8,8 +9,8 @@ import pytest
 import semitb as st
 from semitb.acceptance import REFERENCE_LADDER
 from semitb.bloch import (_floquet_diagonal, _floquet_eig, _tridiagonal_lowest,
-                          band_csv, half_bandwidth, potential_fourier)
-from semitb.cli import BundleCache
+                          half_bandwidth, potential_fourier)
+from semitb.cli import BundleCache, cmd_bands
 from semitb.scan import band_data
 
 
@@ -154,9 +155,11 @@ def test_config_validation():
         st.FloquetConfig(hbar=0.1, n_bands=1)  # no first gap
 
 
-def test_band_csv_shape(bundle_factory):
+def test_band_csv_shape(tmp_path, ref_cfg, bundle_factory):
     bd = bundle_factory(0.2).bd
-    lines = band_csv(bd).strip().split("\n")
+    cfg = dataclasses.replace(ref_cfg, hbar_ladder=(0.2,), output_dir=str(tmp_path))
+    cmd_bands(cfg, argparse.Namespace(cache=str(tmp_path / "cache")))
+    lines = (tmp_path / "bands_h0.2.csv").read_text().splitlines()
     assert lines[0] == "n,kappa,E"
     assert len(lines) == 1 + bd.n_bands * bd.n_kappa
     table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])

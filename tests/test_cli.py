@@ -56,9 +56,6 @@ def test_parse_and_roundtrip(tmp_path):
         cfg = cli.parse_config(str(_write(tmp_path, text)))
         assert cfg.hbar_ladder == (0.3, 0.25, 0.2, 0.15)
         assert cfg.n_bands == 5  # omitted: the default
-        path2 = tmp_path / "round.ini"
-        path2.write_text(cli.serialize_config(cfg))
-        assert cli.parse_config(str(path2)) == cfg
     assert cfg.family == "cos-series" and cfg.coeffs == (4.0, -0.5)
 
 
@@ -195,10 +192,16 @@ def test_torn_bundle_rebuilt(tmp_path, caplog, monkeypatch):
     (("hbar = 0.3, 0.25, 0.2, 0.15", "hbar = 0.3, nan, 0.2, 0.15"), r"sweep\.hbar"),
     (("points_per_cell = 32", "points_per_cell = 0"), r"numerics\.points_per_cell"),
     (("cells = 16\n", "cells = 16\nlowdin_band = -1\n"), r"numerics\.lowdin_band"),
+    (("n_pw = 33", "n_pw = 128"), r"numerics\.n_pw"),
+    (("n_pw = 33", "n_pw = 17"), r"numerics\.n_pw"),
+    (("n_kappa = 16", "n_kappa = 6"), r"numerics\.n_kappa"),
+    (("n_kappa = 16", "n_kappa = 16\nn_bands = 1"), r"numerics\.n_bands"),
+    (("family = sin2", "family = cos_series\ncoeffs = 4.0"), r"potential\.family"),
 ], ids=["hbar-order", "hbar-count", "eta-zero", "eta-near-zero", "cells-lowdin",
         "seed-site", "seed-site-even", "n-sites", "n-pw-cap", "eta-inf",
         "delta0-nan", "delta0-inf", "sigma-nan", "hbar-nan", "points-per-cell",
-        "lowdin-band"])
+        "lowdin-band", "n-pw-even", "n-pw-few", "n-kappa", "n-bands",
+        "family-alias"])
 def test_config_errors_exit_before_any_build(tmp_path, capsys, edit, key):
     text = GOOD.replace("lowdin_band = 4\n", "") if "lowdin" in edit[1] else GOOD
     assert edit[0] in text
@@ -207,6 +210,7 @@ def test_config_errors_exit_before_any_build(tmp_path, capsys, edit, key):
     assert re.search(key, capsys.readouterr().err)
     cache = tmp_path / "cache"
     assert not cache.exists() or not any(cache.iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 def test_wannier_command_writes_plain_floats(tmp_path):

@@ -10,7 +10,6 @@ from semitb.dnls import (
     linear_ground_state,
     newton_solve,
     operator_l1_norm,
-    quotient,
 )
 from semitb.errors import NonConvergenceError, SolverError, TailFitError
 
@@ -288,26 +287,6 @@ def test_no_normalized_solution_below_band_bottom():
             except (SolverError, NonConvergenceError):
                 continue
             assert s.e >= -2.0 - 1e-3
-
-
-def test_weinstein_below_critical_power():
-    res = st.weinstein_threshold(1.0, 41)
-    assert res.exists_for_all and res.threshold == 0.0
-
-
-def test_weinstein_threshold_stable():
-    r41 = st.weinstein_threshold(2.0, 41)
-    r83 = st.weinstein_threshold(2.0, 83)
-    assert not r41.exists_for_all
-    assert 4.5 <= r41.threshold <= 4.7
-    assert abs(r41.threshold - r83.threshold) / r41.threshold < 0.01
-
-
-def test_weinstein_quotient_scale_invariant():
-    rng = np.random.default_rng(5)
-    f = rng.standard_normal(31)
-    q = quotient(f, 2.0)
-    assert abs(quotient(3.0 * f, 2.0) - q) / q < 1e-12
 
 
 def test_problem_validation():

@@ -41,8 +41,11 @@ def test_double_well_cell_rejected():
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(PotentialError):
-        st.make_potential("quartic", a=1.0)
+    # one spelling per family: near-miss spellings are unknown too
+    well = 1.0 - np.cos(2 * np.pi * np.arange(16) / 16)
+    for family in ("quartic", "cos_series", "custom_samples", "custom"):
+        with pytest.raises(PotentialError, match="unknown potential family"):
+            st.make_potential(family, a=1.0, coeffs=[4.0], samples=well)
 
 
 def test_agmon_distance_analytic_values():

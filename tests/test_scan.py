@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import math
+import os
 import weakref
 
 import numpy as np
@@ -44,13 +45,6 @@ def test_fit_exponential_law_errors():
         fit_exponential_law([1, 2, 3], [1, 2, 3])
     with pytest.raises(Error):
         fit_exponential_law([1.0] * 5, [1, 2, 3, 4, 5])
-
-
-def test_fit_window_filters_amplitudes():
-    xs = np.arange(8.0)
-    ys = -xs
-    fr = fit_exponential_law(xs, ys, window=(math.exp(-6.5), 1.5))
-    assert fr.n_points == 7
 
 
 def test_continuum_column_reads_rows_by_header_name():
@@ -125,6 +119,19 @@ def test_written_order_is_files_then_dnls_then_continuum(cfg, mini_bundles, tmp_
     continuum = [out / "states" / f"continuum_h{hb:g}_eta{eta:+.6g}.npz"
                  for hb, eta in sorted(itertools.product(LADDER, ETAS[1:]))]
     assert rep.written == [str(p) for p in files + dnls + continuum]
+
+
+def test_state_files_hold_exactly_their_keys(cfg, mini_bundles, tmp_path):
+    rep = run_sweep(cfg, mini_bundles.__getitem__, out_dir=str(tmp_path / "run"))
+    want = {"dnls": {"eta", "sigma", "e", "f", "residual"},
+            "continuum": {"hbar", "eta", "lam", "gamma", "sigma", "phi", "c",
+                          "perp_h1", "residual_h"}}
+    states = {p: os.path.basename(p).split("_")[0]
+              for p in rep.written if p.endswith(".npz")}
+    assert set(states.values()) == set(want)
+    for path, kind in states.items():
+        with np.load(path) as z:
+            assert set(z.files) == want[kind], path
 
 
 def test_sweep_determinism(cfg, mini_bundles, tmp_path):

@@ -7,7 +7,7 @@ import semitb as st
 from conftest import full_zone_eigh
 from semitb.errors import BasisError
 from semitb.scan import build_pipeline
-from semitb.tightbinding import HALF_BANDWIDTH, band_hopping, ring_coupling
+from semitb.tightbinding import band_hopping, ring_coupling
 
 
 def test_lambda1_is_band_average(bundle_factory):
@@ -35,8 +35,8 @@ def test_hopping_slope_recovers_action(bundle_factory, ref_s0):
 
 def test_h_band_symmetric_and_uniform(bundle_factory, ref_spec):
     bun = bundle_factory(0.2)
-    h = bun.tbp.h_band
-    assert np.abs(h - h[::-1]).max() < 1e-10 * max(1.0, np.abs(h).max())
+    h = bun.tbp.h_row
+    assert np.abs(h - h[-np.arange(h.size)]).max() < 1e-10 * max(1.0, np.abs(h).max())
     # diagonal element is site independent: recompute from a shifted orbital
     c0_shift = st.interaction_constant(bun.wb, bun.dom, 1.0, site=5)
     assert abs(c0_shift - bun.tbp.c0) < 1e-8
@@ -55,12 +55,11 @@ def test_interaction_constant_scaling(bundle_factory):
 
 def test_effective_nonlinearity_algebra(bundle_factory):
     tbp = bundle_factory(0.16).tbp
-    assert st.effective_nonlinearity(tbp.c0, 0.0, tbp.beta) == 0.0
-    eta_star = -3.0
-    gamma = st.gamma_for_eta(tbp.c0, eta_star, tbp.beta)
-    assert abs(st.effective_nonlinearity(tbp.c0, gamma, tbp.beta) - eta_star) < 1e-12
+    assert st.with_eta(tbp, 0.0).gamma == 0.0
+    t = st.with_eta(tbp, -3.0)
+    assert abs(t.c0 * t.gamma / t.beta - t.eta) < 1e-12
     with pytest.raises(BasisError):
-        st.effective_nonlinearity(tbp.c0, 1.0, -tbp.beta)
+        st.gamma_for_eta(tbp.c0, 1.0, -tbp.beta)
 
 
 def test_gamma_shrinks_exponentially(bundle_factory):
@@ -75,10 +74,9 @@ def test_residual_coupling_structure(bundle_factory):
     ratios = []
     for hb in (0.25, 0.2, 0.16, 0.125, 0.1):
         tbp = bundle_factory(hb).tbp
-        h = tbp.h_band
-        c = HALF_BANDWIDTH
-        assert abs(h[c + 2]) < abs(h[c + 1])
-        assert abs(h[c + 2] - h[c - 2]) <= 1e-10 * max(1.0, abs(h[c + 2]))
+        h = tbp.h_row
+        assert abs(h[2]) < abs(h[1])
+        assert abs(h[2] - h[-2]) <= 1e-10 * max(1.0, abs(h[2]))
         assert tbp.dtilde_ratio < 0.1
         ratios.append(tbp.dtilde_ratio)
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
