@@ -10,6 +10,7 @@ newton_solve is a stack of one, and the brute-force oracle stacks them all.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,14 @@ def neighbor_sum(f: np.ndarray, boundary: str) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _stencil(n: int, boundary: str) -> np.ndarray:
+    """T as a read-only n x n matrix, built once per size and boundary."""
+    t = neighbor_sum(np.eye(n), boundary)
+    t.flags.writeable = False
+    return t
+
+
 def _power(f: np.ndarray, two_sigma: float) -> np.ndarray:
     if two_sigma >= 1.0 or two_sigma == 0.0:
         return np.abs(f) ** two_sigma
@@ -86,7 +95,7 @@ def dnls_residual(f: np.ndarray, e, prob: DnlsProblem) -> np.ndarray:
 def linearization_lplus(f: np.ndarray, e, prob: DnlsProblem) -> np.ndarray:
     """Real linearization at F: E + eta (2 sigma + 1)|F|^{2 sigma} - T, per row of F."""
     n = np.shape(f)[-1]
-    out = np.zeros(np.shape(f) + (n,)) - neighbor_sum(np.eye(n), prob.boundary)
+    out = np.zeros(np.shape(f) + (n,)) - _stencil(n, prob.boundary)
     idx = np.arange(n)
     out[..., idx, idx] = (np.asarray(e)[..., None]
                           + prob.eta * (2 * prob.sigma + 1) * _power(f, 2 * prob.sigma))
@@ -104,16 +113,19 @@ def _newton_stack(prob: DnlsProblem, f0: np.ndarray, e0: np.ndarray) -> list:
     n = f.shape[1]
     where = f"(eta={prob.eta}, n_sites={n})"
     history, out = [[] for _ in e], [None] * e.size
-    live = np.arange(e.size)
+    # fl, el are the rows of the live members; they are scattered back to
+    # f, e and gathered anew only when a member stops
+    live, fl, el = np.arange(e.size), f, e
     for it in range(1, 61):
-        fl, el = f[live], e[live]
         r = dnls_residual(fl, el, prob)
         g = 0.5 * (np.vecdot(fl, fl) - 1.0)
         res = np.sqrt(np.vecdot(r, r) + g * g)
         for i, v in zip(live, res):
             history[i].append(float(v))
         go = ~(res < 1e-13)
-        live, fl, el, r, g, res = live[go], fl[go], el[go], r[go], g[go], res[go]
+        if not go.all():
+            f[live], e[live] = fl, el
+            live, fl, el, r, g, res = live[go], fl[go], el[go], r[go], g[go], res[go]
         if not live.size:
             break
         jac = np.zeros((live.size, n + 1, n + 1))
@@ -132,6 +144,7 @@ def _newton_stack(prob: DnlsProblem, f0: np.ndarray, e0: np.ndarray) -> list:
                     ok[k] = False
                     out[live[k]] = SolverError(
                         f"singular bordered Jacobian at Newton iteration {it} {where}")
+            f[live], e[live] = fl, el
             live, fl, el, res, step = live[ok], fl[ok], el[ok], res[ok], step[ok]
         df, de = step[:, :n], step[:, n]
         scale, search = np.ones(live.size), np.ones(live.size, dtype=bool)
@@ -144,8 +157,9 @@ def _newton_stack(prob: DnlsProblem, f0: np.ndarray, e0: np.ndarray) -> list:
             if not search.any():
                 break
             scale[search] *= 0.5
-        f[live] = fl + scale[:, None] * df
-        e[live] = el + scale * de
+        fl = fl + scale[:, None] * df
+        el = el + scale * de
+    f[live], e[live] = fl, el
     r = dnls_residual(f, e, prob)
     rnorm = np.sqrt(np.vecdot(r, r))
     stalled = ((rnorm > RESIDUAL_TOL)
@@ -184,9 +198,9 @@ def solve_anticontinuum(prob: DnlsProblem, seed_site: int = 0,
     """Continue the single-site branch from the decoupled limit.
 
     The path must start at |eta| >= 50 where F = delta is a good seed;
-    intermediate steps are inserted by halving whenever Newton fails.  On
-    a persistent failure the result carries the path so far and a
-    turning-point flag.
+    intermediate steps are inserted by halving whenever Newton fails or
+    lands in the linear band, off the branch.  On a persistent failure the
+    result carries the path so far and a turning-point flag.
     """
     if eta_path is None:
         eta_path = [prob.eta]
@@ -217,25 +231,40 @@ def solve_anticontinuum(prob: DnlsProblem, seed_site: int = 0,
     return ContinuationResult(states=tuple(states), turning_point=turning)
 
 
+def _band_top(n_sites: int, boundary: str) -> float:
+    """lambda_max(T), the top of the linear band: 2 cos(pi/(n+1)), or 2 on a ring."""
+    return 2.0 if boundary == "periodic" else 2.0 * np.cos(np.pi / (n_sites + 1))
+
+
 def _continue_to(prob: DnlsProblem, f, e, start, target):
-    """March eta from start to target, halving the step at most 40 times."""
+    """March eta from start to target, halving the step at most 40 times.
+
+    A step fails when Newton does, or when it converges into the linear
+    band, -sign(eta) E <= lambda_max(T): the localized branch lies outside
+    it, so such a state belongs to another branch.
+    """
+    top = _band_top(prob.n_sites, prob.boundary)
     eta = start
-    state = None
     step = target - start
     depth = 0
     for _ in range(10000):
         nxt = target if abs(step) >= abs(target - eta) else eta + step
         try:
             state = newton_solve(dataclasses.replace(prob, eta=nxt), f, e)
-            f, e, eta = state.f, state.e, nxt
-        except (NonConvergenceError, SolverError):
+            if -np.sign(nxt) * state.e <= top:
+                raise SolverError(
+                    f"Newton converged to E={state.e:.6g} at eta={nxt}, inside the "
+                    f"linear band (-sign(eta) E <= lambda_max(T) = {top:.6g})")
+        except (NonConvergenceError, SolverError) as exc:
             depth += 1
             step *= 0.5
             if depth > 40 or abs(step) < 1e-9 * max(1.0, abs(target)):
                 raise SolverError(
-                    f"continuation stalled between eta={eta} and {target}"
-                )
-        if state is not None and eta == target:
+                    f"continuation stalled between eta={eta} and {target}: {exc}"
+                ) from exc
+            continue
+        f, e, eta = state.f, state.e, nxt
+        if eta == target:
             return state, f, e
     raise SolverError(f"continuation exceeded its step budget near eta={eta}")
 

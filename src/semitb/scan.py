@@ -99,6 +99,7 @@ def build_pipeline(cfg, hbar: float, bd: BandData | None = None,
 @dataclass
 class TransitionReport:
     s0: float
+    lattice_states: dict
     params_rows: list
     dnls_rows: list
     continuum_rows: list
@@ -210,6 +211,7 @@ def run_sweep(cfg, bundle_of, out_dir: str | None = None) -> TransitionReport:
     ladder order, and holds one bundle at a time: a row keeps only its
     CSV rows and the scalars the fits read.  The outputs are written to
     out_dir when one is given, each row's continuum states as the row ends.
+    The report also carries the lattice states, {eta: DnlsState}.
     """
     s0 = tunneling_action(cfg.potential())
     ladder = [float(h) for h in cfg.hbar_ladder]
@@ -267,9 +269,10 @@ def run_sweep(cfg, bundle_of, out_dir: str | None = None) -> TransitionReport:
         written.extend(state_paths[k] for k in sorted(state_paths))
 
     return TransitionReport(
-        s0=s0, params_rows=point_rows, dnls_rows=lattice_rows,
-        continuum_rows=continuum_rows, transition_rows=transition_rows,
-        fits=fits, gaps=gaps, eta_crossing=eta_crossing, written=written,
+        s0=s0, lattice_states=lattice_states, params_rows=point_rows,
+        dnls_rows=lattice_rows, continuum_rows=continuum_rows,
+        transition_rows=transition_rows, fits=fits, gaps=gaps,
+        eta_crossing=eta_crossing, written=written,
     )
 
 

@@ -7,16 +7,23 @@ gap at desk scale; it is asserted as stated and expected to fail until
 the ladder reaches much smaller hbar.
 """
 
+import collections
+import dataclasses
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
-from semitb import acceptance
+from semitb import acceptance, bloch, operators, scan, tightbinding
 
 
 @pytest.fixture(scope="session")
 def ctx(bundle_factory):
     context = acceptance.Context()
-    for hb in acceptance.REFERENCE_LADDER:
-        context._bundles[hb] = bundle_factory(hb)
+    for hb in acceptance.REFERENCE_LADDER:  # the bands and basis, not the bundle
+        bun = bundle_factory(hb)
+        context._parts[hb] = (bun.bd, bun.wb)
     yield context
     context.cleanup()
 
@@ -73,3 +80,98 @@ def test_criterion_10_localization_transition(ctx):
 
 def test_criterion_11_determinism(ctx):
     _run(ctx, "11")
+
+
+# -- one bundle at a time, and a rerun that re-derives what it compares --------
+
+SMALL_LADDER = (0.25, 0.2, 0.16, 0.125)
+
+
+@pytest.fixture(scope="module")
+def small_cfg(ref_cfg):
+    return dataclasses.replace(ref_cfg, hbar_ladder=SMALL_LADDER,
+                               eta_values=(0.0, -3.0, -50.0))
+
+
+def _seeded(cfg, bundle_factory):
+    ctx = acceptance.Context(cfg)
+    for hb in cfg.hbar_ladder:
+        bun = bundle_factory(hb)
+        ctx._parts[hb] = (bun.bd, bun.wb)
+    return ctx
+
+
+def _count_calls(monkeypatch, counts):
+    """Count the builds of one run by layer, each at every site it is called from."""
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr, name in ((bloch, "solve_bands", "solve_bands"),
+                              (scan, "solve_bands", "solve_bands"),
+                              (scan, "build_orthonormal_basis", "basis"),
+                              (operators.PeriodicDomain, "__init__", "domain"),
+                              (tightbinding, "extract_params", "extract_params"),
+                              (scan, "_dnls_ladder", "ladder"),
+                              (scan, "build_pipeline", "build_pipeline")):
+        monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
+
+
+def test_verify_holds_one_bundle_at_a_time(small_cfg, monkeypatch):
+    counts, watched, alive = collections.Counter(), [], []
+    _count_calls(monkeypatch, counts)
+    build = scan.build_pipeline
+
+    def watching_build(*args, **kwargs):
+        # run_all reports what a check raises, so the finding is kept instead
+        gc.collect()
+        alive.extend(ref().tbp.hbar for ref in watched if ref() is not None)
+        bun = build(*args, **kwargs)
+        watched.append(weakref.ref(bun))
+        return bun
+
+    monkeypatch.setattr(scan, "build_pipeline", watching_build)
+    acceptance.run_all(small_cfg)
+    assert alive == [], "an earlier bundle was alive at a build"
+    n = len(SMALL_LADDER)
+    # bands and basis once per hbar (and the free particle of check 1); the
+    # domain and parameters once per sweep and once for check 9's oracle
+    assert counts == {"solve_bands": n + 2, "basis": n + 1, "domain": 2 * n + 1,
+                      "extract_params": 2 * n + 1, "ladder": 2,
+                      "build_pipeline": 2 * n + 1}
+
+
+def test_checks_2_and_5_read_the_sweep(small_cfg, bundle_factory, monkeypatch):
+    ctx = _seeded(small_cfg, bundle_factory)
+    try:
+        ctx.report(1)
+        counts = collections.Counter()
+        _count_calls(monkeypatch, counts)
+        assert acceptance.check_harmonic_law(ctx).passed
+        assert acceptance.check_hopping_cross_oracle(ctx).passed
+        assert not counts
+    finally:
+        ctx.cleanup()
+
+
+def test_criterion_11_catches_a_one_ulp_drift(small_cfg, bundle_factory, monkeypatch):
+    # every extraction after the first sweep's raises beta by one ulp
+    calls, extract = [], tightbinding.extract_params
+
+    def drifting(*args, **kwargs):
+        tbp = extract(*args, **kwargs)
+        calls.append(tbp.hbar)
+        if len(calls) <= len(SMALL_LADDER):
+            return tbp
+        return dataclasses.replace(tbp, beta=float(np.nextafter(tbp.beta, np.inf)))
+
+    monkeypatch.setattr(tightbinding, "extract_params", drifting)
+    ctx = _seeded(small_cfg, bundle_factory)
+    try:
+        res = acceptance.check_determinism(ctx)
+    finally:
+        ctx.cleanup()
+    assert calls == [*SMALL_LADDER, *SMALL_LADDER]
+    assert not res.passed and "params.csv" in res.detail, res.detail

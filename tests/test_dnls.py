@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as hst
 
 import semitb as st
 from semitb import dnls
+from semitb.acceptance import REFERENCE_ETAS
 from semitb.dnls import (
     brute_force_states,
     linear_ground_state,
@@ -12,6 +15,7 @@ from semitb.dnls import (
     operator_l1_norm,
 )
 from semitb.errors import NonConvergenceError, SolverError, TailFitError
+from semitb.scan import _dnls_ladder
 
 
 def test_residual_decoupled_delta():
@@ -296,3 +300,55 @@ def test_problem_validation():
         st.DnlsProblem(eta=-1.0, sigma=1.0, n_sites=2)
     with pytest.raises(ValueError):
         st.DnlsProblem(eta=-1.0, sigma=1.0, boundary="absorbing")
+
+
+def _ladder_state(cfg, eta, others=()):
+    cfg = dataclasses.replace(cfg, eta_values=(0.0, eta, *others))
+    return _dnls_ladder(cfg)[0][eta]
+
+
+def test_coarse_eta_list_stays_on_the_branch(ref_cfg):
+    # one step from -50 to -1 converges into the linear band (E = 1.16249,
+    # P = 27.85); the band test halves it back onto the branch
+    s = _ladder_state(ref_cfg, -1.0)
+    assert abs(s.e - 2.06339) < 1e-5 and abs(s.participation - 11.79) < 1e-2
+    ref = _dnls_ladder(ref_cfg)[0][-1.0]
+    assert np.abs(s.f - ref.f).max() <= 1e-10
+
+
+_REF_NEG_ETAS = hst.sampled_from([e for e in REFERENCE_ETAS if e < 0])
+
+
+@_property(20)
+@given(eta=_REF_NEG_ETAS, a=hst.lists(_REF_NEG_ETAS, max_size=4),
+       b=hst.lists(_REF_NEG_ETAS, max_size=4))
+def test_branch_state_does_not_depend_on_the_other_etas(ref_cfg, eta, a, b):
+    sa, sb = _ladder_state(ref_cfg, eta, a), _ladder_state(ref_cfg, eta, b)
+    assert np.abs(sa.f - sb.f).max() <= 1e-10
+
+
+@pytest.mark.xfail(strict=True, reason="a jump that stays above lambda_max(T) "
+                   "needs a step control on the change of F")
+def test_jump_above_the_band_stays_on_the_branch(ref_cfg):
+    # -50 -> -25.75 -> -1.5 lands on E = 2.00646, P = 26.0, out of the band
+    # but off the branch (E = 2.14490, P = 7.72)
+    s = _ladder_state(ref_cfg, -1.5)
+    ref = _ladder_state(ref_cfg, -1.5, REFERENCE_ETAS)
+    assert np.abs(s.f - ref.f).max() <= 1e-10
+
+
+def test_persistent_rejection_names_the_band():
+    # Newton from the second linear mode stays in the band at every step
+    w, v = np.linalg.eigh(dnls.neighbor_sum(np.eye(11), "zero"))
+    prob = st.DnlsProblem(eta=-1e-3, sigma=1.0, n_sites=11)
+    with pytest.raises(SolverError, match=r"stalled between .* inside the linear "
+                       r"band \(-sign\(eta\) E <= lambda_max\(T\) = 1\.93185\)"):
+        dnls._continue_to(prob, v[:, -2], w[-2], -1e-3, -2e-3)
+
+
+def test_ladder_states_lie_above_the_band(ref_cfg):
+    top = 2 * np.cos(np.pi / 42)
+    assert abs(dnls._band_top(41, "zero") - 1.99441) < 1e-5
+    assert dnls._band_top(41, "periodic") == 2.0
+    states = _dnls_ladder(ref_cfg)[0]
+    assert all(s.e > top for eta, s in states.items() if eta != 0.0)
