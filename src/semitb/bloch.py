@@ -93,22 +93,15 @@ class BandData:
         return float(e.min()), float(e.max())
 
 
-# points per cell at which V is sampled for its Fourier coefficients; modes
-# |k| >= CELL_SAMPLES // 2 alias onto lower ones
-CELL_SAMPLES = 4096
-
-
 def potential_fourier(spec: PotentialSpec, kmax: int) -> np.ndarray:
     """Cell Fourier coefficients vhat[k] for |k| <= kmax, Hermitian by construction.
 
-    Sampled at CELL_SAMPLES points of one cell.  Returns an array of length
-    2*kmax + 1 indexed by k + kmax.
+    spec.vhat, padded with zeros or truncated to kmax.  Returns an array of
+    length 2*kmax + 1 indexed by k + kmax.
     """
-    n = CELL_SAMPLES
-    x = spec.a * np.arange(n) / n
-    vx = np.asarray(spec.v(x), dtype=float)
-    pos = np.fft.fft(vx)[:kmax + 1] / n  # of exp(+i 2 pi k x / a)
-    pos[0] = pos[0].real
+    pos = np.zeros(kmax + 1, dtype=complex)  # of exp(+i 2 pi k x / a)
+    head = spec.vhat[:kmax + 1]
+    pos[:head.size] = head
     return np.concatenate((pos[:0:-1].conj(), pos))
 
 
@@ -130,8 +123,8 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
     and this is asserted.  Its half-bandwidth K is the largest k with
     |vhat[k]| > n_pw * eps * max|vhat|; the entries dropped beyond it sit
     below the backward error of a dense eigensolver.  K = 1 for sin2,
-    len(coeffs) for cos-series, about n_pw - 1 for custom-samples and 0
-    for a free particle.  The (K + 1)-row lower band storage is filled
+    len(coeffs) for cos-series, the largest k of a fourier vhat and
+    0 for a free particle.  The (K + 1)-row lower band storage is filled
     once and kept in the BandData; only its diagonal changes with kappa.
 
     Only the half zone kappa_0 = -b/2 .. kappa_{n_kappa/2} = 0 is solved:

@@ -35,7 +35,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-CACHE_VERSION = 10
+CACHE_VERSION = 11
 
 
 _REQUIRED = dataclasses.MISSING
@@ -44,9 +44,9 @@ _REQUIRED = dataclasses.MISSING
 # The attributes stay flat on RunConfig because perfbench/gate.py reads them.
 _FIELDS = (
     ("potential", "family", "family", str, _REQUIRED),
-    ("potential", "v0", "v0", float, _REQUIRED),
+    ("potential", "v0", "v0", float, None),
     ("potential", "a", "a", float, _REQUIRED),
-    ("potential", "coeffs", "coeffs", "floats", ()),
+    ("potential", "coeffs", "coeffs", "floats", None),
     ("numerics", "n_pw", "n_pw", int, 129),
     ("numerics", "n_kappa", "n_kappa", int, 64),
     ("numerics", "cells", "cells", int, 32),
@@ -65,13 +65,23 @@ _FIELDS = (
 )
 
 
+# the one [potential] field each family reads besides a; it is required
+# for that family and refused for every other
+_FAMILY_FIELD = {"sin2": "v0", "cos-series": "coeffs"}
+
+
 class _RunConfigMethods:
     def potential(self) -> PotentialSpec:
-        if self.family == "sin2":
-            return make_potential("sin2", v0=self.v0, a=self.a)
-        if self.family == "cos-series":
-            return make_potential("cos-series", a=self.a, coeffs=list(self.coeffs))
-        raise ConfigError(f"potential.family: unsupported family {self.family!r}")
+        own = _FAMILY_FIELD.get(self.family)
+        if own is None:
+            raise ConfigError(f"potential.family: unsupported family {self.family!r}")
+        for field in _FAMILY_FIELD.values():
+            given = getattr(self, field) not in (None, ())
+            if given and field != own:
+                raise ConfigError(f"potential.{field}: not read by family {self.family}")
+            if not given and field == own:
+                raise ConfigError(f"potential.{field}: required by family {self.family}")
+        return make_potential(self.family, a=self.a, **{own: getattr(self, own)})
 
 
 RunConfig = dataclasses.make_dataclass(
@@ -156,10 +166,6 @@ def _validate(cfg: RunConfig, allow_low_sigma: bool):
     if not -(cfg.n_sites // 2) <= cfg.seed_site <= (cfg.n_sites - 1) // 2:
         raise ConfigError(f"sweep.seed_site: {cfg.seed_site} outside the lattice of "
                           f"sweep.n_sites = {cfg.n_sites} sites")
-    if cfg.n_pw > bloch.CELL_SAMPLES // 2:
-        raise ConfigError(f"numerics.n_pw: {cfg.n_pw} exceeds {bloch.CELL_SAMPLES // 2}; "
-                          f"V is sampled at {bloch.CELL_SAMPLES} points per cell, "
-                          "so higher plane waves would alias")
     try:
         bloch.FloquetConfig(hbar=ladder[0], n_pw=cfg.n_pw, n_kappa=cfg.n_kappa,
                             n_bands=cfg.n_bands)

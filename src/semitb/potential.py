@@ -1,16 +1,19 @@
 """Periodic potentials with a single nondegenerate well per cell.
 
-Provides the potential families used throughout the package, locates and
-validates the well, and tabulates the Agmon action d(x0, x), the integral
-of sqrt(V) from the well, by one bisected Gauss-Legendre rule; over one
-period it is the tunneling action s0.
+A potential is its Hermitian cell Fourier coefficient vector vhat_0 ..
+vhat_K on the period a (vhat_{-k} = conj vhat_k), and one kernel
+evaluates V and its derivatives from it.  This module maps the potential
+families onto that vector, locates and validates the well, and tabulates
+the Agmon action d(x0, x), the integral of sqrt(V) from the well, by one
+bisected Gauss-Legendre rule; over one period it is the tunneling action
+s0.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -18,106 +21,71 @@ from .errors import PotentialError, QuadratureError
 
 _SCAN_POINTS = 1024
 _CURVATURE_TOL = 1e-8
-_PERIODICITY_RTOL = 1e-12
 _GL_NODES = 32
 _GL_AGREE = 64  # two bisection levels agree to _GL_AGREE*eps*s0
 _MAX_PANELS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialSpec:
     """A periodic potential normalized so that min V = 0.
 
     Attributes:
         a: lattice period.
-        v: V, vectorized over numpy arrays.
+        vhat: complex coefficients vhat_0 .. vhat_K of exp(i k b x),
+            b = 2 pi / a, for k >= 0 (vhat_0 real); read-only.
         x0: location of the well minimum inside [-a/2, a/2).
         curvature: V''(x0), strictly positive except in free test mode.
-        family: family tag ("sin2", "cos-series", "custom-samples", "free").
-        knots: custom-samples spline knots in [0, a); empty otherwise.
+        family: family tag ("sin2", "cos-series", "fourier", "free").
     """
 
     a: float
-    v: Callable[[np.ndarray], np.ndarray]
+    vhat: np.ndarray
     x0: float
     curvature: float
-    family: str = "custom-samples"
-    knots: tuple = ()
+    family: str
+
+    def __post_init__(self):
+        vhat = np.array(self.vhat, dtype=complex)
+        vhat.flags.writeable = False
+        object.__setattr__(self, "vhat", vhat)
+        # vhat_k = r_k exp(i phi_k) with |phi_k| <= pi/2 and r_k signed: each
+        # term 2 r_k cos(k b x + phi_k) costs one cosine, and a real
+        # coefficient keeps phi_k = 0 exactly
+        sign = np.where(vhat[1:].real < 0, -1, 1)
+        object.__setattr__(self, "_terms", (
+            2 * math.pi / self.a * np.arange(1, vhat.size),
+            np.angle(sign * vhat[1:]), 2 * sign * np.abs(vhat[1:])))
+
+    def v(self, x, order: int = 0) -> np.ndarray:
+        """The order-th derivative of V at x (any shape):
+        delta_{order,0} vhat_0 + 2 Re sum_k (i k b)^order vhat_k exp(i k b x)."""
+        kb, phi, amp = self._terms
+        x = np.asarray(x, dtype=float)
+        # d^p/dt^p cos t is cos, -sin, -cos, sin for p = 0, 1, 2, 3 mod 4
+        waves = (np.cos, np.sin)[order % 2](np.multiply.outer(x.ravel(), kb) + phi)
+        series = np.dot(waves, (1, -1, -1, 1)[order % 4] * kb**order * amp)
+        series = series.reshape(x.shape)
+        return series + self.vhat[0].real if order == 0 else series
 
 
-def _raw_family(family: str, params: dict):
-    """Return (v, dv, d2v, a, knots) for a family before normalization."""
+def _family_vhat(family: str, params: dict) -> np.ndarray:
+    """The coefficient vector of a family before normalization."""
     if family == "sin2":
         v0 = float(params["v0"])
-        a = float(params["a"])
-        w = math.pi / a
-
-        def v(x):
-            return v0 * np.sin(w * np.asarray(x)) ** 2
-
-        def dv(x):
-            return v0 * w * np.sin(2 * w * np.asarray(x))
-
-        def d2v(x):
-            return 2 * v0 * w**2 * np.cos(2 * w * np.asarray(x))
-
-        return v, dv, d2v, a, ()
-
+        return np.array([v0 / 2, -v0 / 4])
     if family == "cos-series":
-        a = float(params["a"])
         coeffs = np.asarray(params["coeffs"], dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise PotentialError("cos-series requires a nonempty coefficient list")
-        ks = 2 * math.pi * np.arange(1, coeffs.size + 1) / a
-
-        def v(x):
-            x = np.asarray(x, dtype=float)
-            acc = np.zeros_like(x, dtype=float)
-            for c, k in zip(coeffs, ks):
-                acc = acc + c * (1.0 - np.cos(k * x))
-            return acc
-
-        def dv(x):
-            x = np.asarray(x, dtype=float)
-            acc = np.zeros_like(x, dtype=float)
-            for c, k in zip(coeffs, ks):
-                acc = acc + c * k * np.sin(k * x)
-            return acc
-
-        def d2v(x):
-            x = np.asarray(x, dtype=float)
-            acc = np.zeros_like(x, dtype=float)
-            for c, k in zip(coeffs, ks):
-                acc = acc + c * k**2 * np.cos(k * x)
-            return acc
-
-        return v, dv, d2v, a, ()
-
-    if family == "custom-samples":
-        a = float(params["a"])
-        samples = np.asarray(params["samples"], dtype=float)
-        if samples.ndim != 1 or samples.size < 8:
-            raise PotentialError("custom-samples requires >= 8 samples over one period")
-        from scipy.interpolate import CubicSpline  # slow; this family only
-
-        # periodic C2 spline on [0, a]; sample grid excludes the endpoint
-        xs = np.linspace(0.0, a, samples.size + 1)
-        ys = np.concatenate([samples, samples[:1]])
-        cs = CubicSpline(xs, ys, bc_type="periodic")
-        d1 = cs.derivative(1)
-        d2 = cs.derivative(2)
-
-        def v(x):
-            return cs(np.mod(np.asarray(x, dtype=float), a))
-
-        def dv(x):
-            return d1(np.mod(np.asarray(x, dtype=float), a))
-
-        def d2v(x):
-            return d2(np.mod(np.asarray(x, dtype=float), a))
-
-        return v, dv, d2v, a, tuple(xs[:-1].tolist())
-
+        return np.concatenate(([coeffs.sum()], -coeffs / 2))
+    if family == "fourier":
+        terms = dict(params["vhat"])
+        if min(terms, default=-1) < 0 or complex(terms.get(0, 0)).imag:
+            raise PotentialError("fourier requires vhat_k at k >= 0, vhat_0 real")
+        vhat = np.zeros(max(terms) + 1, dtype=complex)
+        vhat[list(terms)] = list(terms.values())
+        return vhat
     raise PotentialError(f"unknown potential family {family!r}")
 
 
@@ -125,68 +93,58 @@ def make_potential(family: str, **params) -> PotentialSpec:
     """Build and validate a PotentialSpec.
 
     Args:
-        family: one of "sin2" (v0, a), "cos-series" (a, coeffs),
-            "custom-samples" (a, samples).
+        family: one of "sin2" (v0, a): V0 sin^2(pi x / a), the vector
+            {0: V0/2, 1: -V0/4}; "cos-series" (a, coeffs):
+            sum_k c_k (1 - cos(2 pi k x / a)), the vector {0: sum c_k,
+            k: -c_k/2}; "fourier" (a, vhat): a mapping {k: vhat_k} over
+            k >= 0 with vhat_0 real.
         **params: family parameters, see above.
 
     Returns:
-        PotentialSpec with the minimum normalized to zero and the well
-        located by a grid scan refined by Newton iteration on V'.
+        PotentialSpec with the well located by a grid scan refined by
+        Newton iteration on V', and vhat_0 shifted by -V(x0) so that the
+        minimum is zero.
 
     Raises:
         PotentialError: period not positive, degenerate well curvature,
             or more than one equally deep well per period.
     """
-    raw_v, raw_dv, raw_d2v, a, knots = _raw_family(family, params)
+    vhat = _family_vhat(family, params)
+    a = float(params["a"])
     if a <= 0:
         raise PotentialError(f"period must be positive, got {a}")
+    raw = PotentialSpec(a=a, vhat=vhat, x0=0.0, curvature=0.0, family=family)
 
     xs = -a / 2 + a * np.arange(_SCAN_POINTS) / _SCAN_POINTS
-    vals = np.asarray(raw_v(xs), dtype=float)
-    _check_periodicity(raw_v, xs, vals)
-
+    vals = raw.v(xs)
     scale = float(vals.max() - vals.min())
     if scale <= _CURVATURE_TOL * max(1.0, abs(float(vals.max()))):
         raise PotentialError("potential is flat: degenerate minimum")
 
-    x0 = _refine_minimum(raw_dv, raw_d2v, float(xs[np.argmin(vals)]), a)
+    x0 = _refine_minimum(raw, float(xs[np.argmin(vals)]))
     x0 = (x0 + a / 2) % a - a / 2
-    curv = float(raw_d2v(x0))
+    curv = float(raw.v(x0, 2))
     if curv <= _CURVATURE_TOL:
         raise PotentialError(f"degenerate minimum: V''(x0) = {curv:.3e} <= tol")
 
-    _check_unique_minimum(raw_v, raw_dv, raw_d2v, xs, vals, x0, a, scale)
+    _check_unique_minimum(raw, xs, vals, x0, scale)
 
-    vmin = float(raw_v(x0))
-
-    def v(x):
-        return raw_v(x) - vmin
-
-    return PotentialSpec(a=a, v=v, x0=x0, curvature=curv, family=family,
-                         knots=knots)
+    vhat = raw.vhat.copy()
+    vhat[0] -= float(raw.v(x0))
+    return dataclasses.replace(raw, vhat=vhat, x0=x0, curvature=curv)
 
 
 def free_potential(a: float) -> PotentialSpec:
     """Test-only spec with V = 0, bypassing the degenerate-well rejection."""
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return PotentialSpec(a=float(a), v=zero, x0=0.0, curvature=0.0,
+    return PotentialSpec(a=float(a), vhat=[0.0], x0=0.0, curvature=0.0,
                          family="free")
 
 
-def _check_periodicity(v, xs, vals):
-    a = (xs[1] - xs[0]) * len(xs)
-    shifted = np.asarray(v(xs + a), dtype=float)
-    ref = max(1.0, float(np.abs(vals).max()))
-    err = float(np.abs(shifted - vals).max())
-    if err > _PERIODICITY_RTOL * ref:
-        raise PotentialError(f"potential not periodic: relative error {err / ref:.3e}")
-
-
-def _refine_minimum(dv, d2v, x_start, a):
+def _refine_minimum(spec, x_start):
     x = x_start
     for _ in range(60):
-        g = float(dv(x))
-        h = float(d2v(x))
+        g = float(spec.v(x, 1))
+        h = float(spec.v(x, 2))
         if h <= 0:
             break
         step = g / h
@@ -196,19 +154,20 @@ def _refine_minimum(dv, d2v, x_start, a):
     return x
 
 
-def _check_unique_minimum(v, dv, d2v, xs, vals, x0, a, scale):
+def _check_unique_minimum(spec, xs, vals, x0, scale):
+    a = spec.a
     left = np.roll(vals, 1)
     right = np.roll(vals, -1)
     is_local_min = (vals <= left) & (vals <= right)
     candidates = xs[is_local_min]
     minima = []
     for c in candidates:
-        xr = _refine_minimum(dv, d2v, float(c), a)
+        xr = _refine_minimum(spec, float(c))
         xr = (xr + a / 2) % a - a / 2
         if not any(abs(xr - m) < 1e-6 * a or abs(abs(xr - m) - a) < 1e-6 * a for m in minima):
             minima.append(xr)
-    vmin = float(v(x0))
-    equal_depth = [m for m in minima if float(v(m)) - vmin < 1e-8 * scale]
+    vmin = float(spec.v(x0))
+    equal_depth = [m for m in minima if float(spec.v(m)) - vmin < 1e-8 * scale]
     if len(equal_depth) > 1:
         raise PotentialError(
             f"{len(equal_depth)} equally deep minima per period; a single well is required"
@@ -218,9 +177,9 @@ def _check_unique_minimum(v, dv, d2v, xs, vals, x0, a, scale):
 def _signed_action(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
     """Signed action from x0: m*s0 + d(x0, x0 + r) for x = x0 + m*a + r.
 
-    The panels of [x0, x0 + a] start at the knots, with the well on an edge
-    so that sqrt(V) is analytic on each, and are all bisected until two levels
-    agree to _GL_AGREE*eps*s0 (QuadratureError past _MAX_PANELS panels); each
+    The cell [x0, x0 + a] has the well on its edges, so sqrt(V) is analytic
+    inside; it is bisected into panels until two levels agree to
+    _GL_AGREE*eps*s0 (QuadratureError past _MAX_PANELS panels), and each
     distinct offset r then adds one partial panel to the whole ones before it.
     """
     from numpy.polynomial.legendre import leggauss  # off the CLI import path
@@ -233,8 +192,7 @@ def _signed_action(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
         return half * (np.sqrt(np.maximum(spec.v(s), 0.0)) @ weights)
 
     a, x0 = spec.a, spec.x0
-    knots = np.mod(np.asarray(spec.knots, dtype=float) - x0, a)
-    edges = x0 + np.unique(np.concatenate([[0.0, a], knots]))
+    edges = np.array([x0, x0 + a])
     fine = rule(edges[:-1], edges[1:])
     while True:
         edges = np.insert(edges, np.arange(1, edges.size),

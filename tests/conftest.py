@@ -25,13 +25,14 @@ def ref_spec():
     return st.make_potential("sin2", v0=8.0, a=1.0)
 
 
+# 8 sin^2(pi x) + 1.5 sin(2 pi x) + 0.7 cos(6 pi x + 0.4), exactly
+SKEW_VHAT = {0: 4.0, 1: -2.0 - 0.75j, 3: 0.35 * np.exp(0.4j)}
+
+
 @pytest.fixture(scope="session")
 def skew_spec():
     """A well with no mirror symmetry: its Bloch blocks are complex."""
-    xs = np.arange(64) / 64
-    return st.make_potential("custom-samples", a=1.0, samples=(
-        8 * np.sin(np.pi * xs) ** 2 + 1.5 * np.sin(2 * np.pi * xs)
-        + 0.7 * np.cos(6 * np.pi * xs + 0.4)))
+    return st.make_potential("fourier", a=1.0, vhat=SKEW_VHAT)
 
 
 @pytest.fixture(scope="session")

@@ -50,7 +50,7 @@ def _write(tmp_path, text=None):
 
 
 def test_parse_and_roundtrip(tmp_path):
-    cos_series = GOOD.replace("family = sin2",
+    cos_series = GOOD.replace("family = sin2\nv0 = 8.0",
                               "family = cos-series\ncoeffs = 4.0, -0.5")
     for text in (GOOD, cos_series):
         cfg = cli.parse_config(str(_write(tmp_path, text)))
@@ -184,7 +184,6 @@ def test_torn_bundle_rebuilt(tmp_path, caplog, monkeypatch):
     (("n_sites = 21", "n_sites = 21\nseed_site = 11"), r"sweep\.seed_site"),
     (("n_sites = 21", "n_sites = 20\nseed_site = 10"), r"sweep\.seed_site"),
     (("n_sites = 21", "n_sites = 2"), r"sweep\.n_sites"),
-    (("n_pw = 33", "n_pw = 2049"), r"numerics\.n_pw"),
     (("eta = 0, -2, -50", "eta = 0, -0.5, -inf"), r"sweep\.eta"),
     (("delta0 = 8.0", "delta0 = nan"), r"numerics\.delta0"),
     (("delta0 = 8.0", "delta0 = inf"), r"numerics\.delta0"),
@@ -197,11 +196,17 @@ def test_torn_bundle_rebuilt(tmp_path, caplog, monkeypatch):
     (("n_kappa = 16", "n_kappa = 6"), r"numerics\.n_kappa"),
     (("n_kappa = 16", "n_kappa = 16\nn_bands = 1"), r"numerics\.n_bands"),
     (("family = sin2", "family = cos_series\ncoeffs = 4.0"), r"potential\.family"),
+    # each family reads its own field and refuses the other's
+    (("v0 = 8.0\n", ""), r"error: potential\.v0"),
+    (("v0 = 8.0", "v0 = 8.0\ncoeffs = 1, 2, 3"), r"error: potential\.coeffs"),
+    (("family = sin2", "family = cos-series\ncoeffs = 4.0"), r"error: potential\.v0"),
+    (("family = sin2\nv0 = 8.0", "family = cos-series"), r"error: potential\.coeffs"),
 ], ids=["hbar-order", "hbar-count", "eta-zero", "eta-near-zero", "cells-lowdin",
-        "seed-site", "seed-site-even", "n-sites", "n-pw-cap", "eta-inf",
+        "seed-site", "seed-site-even", "n-sites", "eta-inf",
         "delta0-nan", "delta0-inf", "sigma-nan", "hbar-nan", "points-per-cell",
         "lowdin-band", "n-pw-even", "n-pw-few", "n-kappa", "n-bands",
-        "family-alias"])
+        "family-alias", "sin2-without-v0", "sin2-with-coeffs",
+        "cos-series-with-v0", "cos-series-without-coeffs"])
 def test_config_errors_exit_before_any_build(tmp_path, capsys, edit, key):
     text = GOOD.replace("lowdin_band = 4\n", "") if "lowdin" in edit[1] else GOOD
     assert edit[0] in text
@@ -257,7 +262,7 @@ def test_version1_basis_bundle_rebuilt(tmp_path):
     assert (tmp_path / "out" / "params.csv").read_bytes() == want
     for key in keys:
         with np.load(cache.basis_path(key)) as z:
-            assert int(z["version"]) == cli.CACHE_VERSION == 10
+            assert int(z["version"]) == cli.CACHE_VERSION == 11
             assert "u" not in z.files
         got, ref = cache.load_basis(key), fresh.load_basis(key)
         assert np.array_equal(got.u0, ref.u0)
@@ -455,10 +460,10 @@ def _run_python(args, **env):
 def test_main_runs_blas_on_one_thread(tmp_path):
     for family, loaded in (
             # a tridiagonal band solve runs in numpy and loads no scipy BLAS
-            ("family = sin2", {"numpy"}),
+            ("family = sin2\nv0 = 8.0", {"numpy"}),
             # two cosines give half-bandwidth 2: eig_banded loads scipy's build
             ("family = cos-series\ncoeffs = 4.0, -0.5", {"numpy", "scipy"})):
-        path = _write(tmp_path, GOOD.replace("family = sin2", family))
+        path = _write(tmp_path, GOOD.replace("family = sin2\nv0 = 8.0", family))
         # one fresh interpreter per case: pinned by main, and set by the user
         for env, want in (({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)):
             shutil.rmtree(tmp_path / "cache", ignore_errors=True)

@@ -66,8 +66,8 @@ def _loaded_after(code, modules):
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.linalg (the band solve) and scipy.interpolate (the custom-samples
-    # spline) are imported on first use, and scipy.integrate by nothing
+    # scipy.linalg (the band solve) is imported on first use, and
+    # scipy.integrate and scipy.interpolate by nothing
     assert _loaded_after("import semitb.cli", ("scipy.linalg", "scipy.integrate",
                                                "scipy.interpolate")) == []
 
@@ -97,3 +97,15 @@ _SOLVE = ("import semitb as st; "
 ], ids=["sin2", "free", "cos-series-2"])
 def test_band_solve_loads_scipy_linalg_only_beyond_tridiagonal(spec, loaded):
     assert _loaded_after(_SOLVE.format(spec=spec), ("scipy.linalg",)) == loaded
+
+
+def test_no_potential_family_loads_scipy_interpolate():
+    # every family is a coefficient vector evaluated in numpy: no spline
+    code = ("import cmath, semitb as st; "
+            "st.make_potential('sin2', v0=8.0, a=1.0); "
+            "st.make_potential('cos-series', a=1.0, coeffs=[4.0, 1.0]); "
+            "st.free_potential(1.0); "
+            "skew = st.make_potential('fourier', a=1.0, vhat={0: 4.0, "
+            "1: -2.0 - 0.75j, 3: 0.35 * cmath.exp(0.4j)}); "
+            "st.solve_bands(skew, st.FloquetConfig(hbar=0.2, n_pw=41, n_kappa=8))")
+    assert _loaded_after(code, ("scipy.interpolate",)) == []

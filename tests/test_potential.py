@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
+from conftest import SKEW_VHAT
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -31,7 +32,7 @@ def test_sin2_scaled_curvature_against_symbolic_derivative():
 
 def test_constant_potential_rejected():
     with pytest.raises(PotentialError):
-        st.make_potential("custom-samples", a=1.0, samples=np.zeros(32))
+        st.make_potential("fourier", a=1.0, vhat={0: 3.0})
 
 
 def test_double_well_cell_rejected():
@@ -42,10 +43,9 @@ def test_double_well_cell_rejected():
 
 def test_unknown_family_rejected():
     # one spelling per family: near-miss spellings are unknown too
-    well = 1.0 - np.cos(2 * np.pi * np.arange(16) / 16)
-    for family in ("quartic", "cos_series", "custom_samples", "custom"):
+    for family in ("quartic", "cos_series", "Fourier", "custom-samples"):
         with pytest.raises(PotentialError, match="unknown potential family"):
-            st.make_potential(family, a=1.0, coeffs=[4.0], samples=well)
+            st.make_potential(family, a=1.0, coeffs=[4.0], vhat={1: -0.5})
 
 
 def test_agmon_distance_analytic_values():
@@ -141,6 +141,7 @@ def test_periodicity_of_families():
     specs = [
         st.make_potential("sin2", v0=8.0, a=1.0),
         st.make_potential("cos-series", a=2.0, coeffs=[1.0, 0.3]),
+        st.make_potential("fourier", a=1.0, vhat=SKEW_VHAT),
     ]
     for spec in specs:
         xs = np.linspace(-spec.a / 2, spec.a / 2, 1000, endpoint=False)
@@ -149,16 +150,40 @@ def test_periodicity_of_families():
         assert np.abs(vs - v).max() <= 1e-12 * max(1.0, np.abs(v).max())
 
 
-def test_custom_samples_spline_matches_source():
-    a = 1.0
-    xs = a * np.arange(256) / 256
-    samples = 8.0 * np.sin(np.pi * xs) ** 2 + 5.0  # offset removed by normalization
-    spec = st.make_potential("custom-samples", a=a, samples=samples)
-    assert abs(spec.x0) < 1e-6
-    assert abs(float(spec.v(spec.x0))) < 1e-12
-    assert abs(spec.curvature - 16 * np.pi**2) / (16 * np.pi**2) < 1e-3
-    s0 = st.tunneling_action(spec)
-    assert abs(s0 - np.sqrt(8.0) * 2 / np.pi) < 1e-3
+def _skew(x, order):
+    """The order-th derivative of the skewed well's closed form, before its
+    minimum is subtracted."""
+    t = 2 * np.pi * x
+    return [4 - 4 * np.cos(t) + 1.5 * np.sin(t) + 0.7 * np.cos(3 * t + 0.4),
+            2 * np.pi * (4 * np.sin(t) + 1.5 * np.cos(t)
+                         - 2.1 * np.sin(3 * t + 0.4)),
+            4 * np.pi**2 * (4 * np.cos(t) - 1.5 * np.sin(t)
+                            - 6.3 * np.cos(3 * t + 0.4))][order]
+
+
+def test_kernel_matches_the_skewed_well_closed_form():
+    spec = st.make_potential("fourier", a=1.0, vhat=SKEW_VHAT)
+    x = np.linspace(-2.0, 2.0, 801).reshape(3, 267)
+    vmin = _skew(spec.x0, 0)
+    assert abs(_skew(spec.x0, 1)) <= 1e-12
+    assert abs(spec.curvature - _skew(spec.x0, 2)) <= 1e-12 * spec.curvature
+    assert np.abs(spec.v(x) - (_skew(x, 0) - vmin)).max() <= 1e-12
+    for order, scale in ((1, 2 * np.pi), (2, 4 * np.pi**2)):
+        assert np.abs(spec.v(x, order) - _skew(x, order)).max() <= 1e-12 * scale
+
+
+def test_cos_series_coefficients():
+    # {0: sum c_k, k: -c_k / 2}; V(x0) = 0 moves vhat_0 by roundoff only
+    coeffs = [4.0, 1.0, 0.5]
+    vhat = st.make_potential("cos-series", a=1.0, coeffs=coeffs).vhat
+    assert np.array_equal(vhat[1:], [-2.0, -0.5, -0.25])
+    assert abs(vhat[0] - 5.5) <= 1e-14 and vhat[0].imag == 0
+
+
+def test_fourier_coefficients_refused():
+    for vhat in ({}, {-1: 1.0}, {0: 1j, 1: -0.5}):
+        with pytest.raises(PotentialError, match="fourier"):
+            st.make_potential("fourier", a=1.0, vhat=vhat)
 
 
 def test_agmon_tabulation_monotone_from_well():
@@ -169,16 +194,6 @@ def test_agmon_tabulation_monotone_from_well():
     assert d[mid] < 1e-12
     assert np.all(np.diff(d[mid:]) >= -1e-12)
     assert np.all(np.diff(d[:mid + 1]) <= 1e-12)
-
-
-def test_spline_panels_start_at_its_knots(monkeypatch):
-    # sqrt(V) is analytic on every spline piece off the well, so one
-    # bisection of the knot panels settles; an unsplit cell needs 256 panels
-    xs = np.arange(8) / 8
-    spline = st.make_potential("custom-samples", a=1.0,
-                               samples=8.0 * np.sin(np.pi * (xs - 0.1)) ** 2 + 5.0)
-    monkeypatch.setattr(potential, "_MAX_PANELS", 2 * (len(spline.knots) + 1))
-    assert st.tunneling_action(spline) > 0
 
 
 def test_agmon_tabulation_matches_sin2_closed_form():
@@ -193,21 +208,10 @@ def test_agmon_tabulation_matches_sin2_closed_form():
     assert np.abs(action_profile(spec, x) - ref).max() <= 1e-13
 
 
-def _mpmath_action(f, x0, a, knots, offsets):
-    """Reference (s0, d(x0, x0 + r) per offset r) from mpmath.quad.
-
-    Each panel between consecutive knots is integrated once, so no
-    integrand is quadratured across a knot.
-    """
-    edges = [x0] + sorted(x0 + (k - x0) % a for k in knots if (k - x0) % a) + [x0 + a]
-    cum = [mpmath.mpf(0)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        cum.append(cum[-1] + mpmath.quad(f, [lo, hi]))
-    arms = []
-    for r in offsets:
-        j = max(i for i, e in enumerate(edges[:-1]) if e <= x0 + r)
-        arms.append(float(cum[j] + mpmath.quad(f, [edges[j], x0 + r])))
-    return float(cum[-1]), np.array(arms)
+def _mpmath_action(f, x0, a, offsets):
+    """Reference (s0, d(x0, x0 + r) per offset r) from mpmath.quad."""
+    arms = np.array([float(mpmath.quad(f, [x0, x0 + r])) for r in offsets])
+    return float(mpmath.quad(f, [x0, x0 + a])), arms
 
 
 def test_agmon_tabulation_matches_pointwise_quadrature():
@@ -219,20 +223,21 @@ def test_agmon_tabulation_matches_pointwise_quadrature():
             c * (1 - mpmath.cos(2 * mpmath.pi * (k + 1) * t))
             for k, c in enumerate(coeffs)))
 
-    # a well off the knots at x0 = 0.1, so that no bisection level of the
-    # cell lands on the knots by itself
-    xs = np.arange(256) / 256
-    spline = st.make_potential("custom-samples", a=1.0,
-                               samples=8.0 * np.sin(np.pi * (xs - 0.1)) ** 2 + 5.0)
+    # a well off the cell centre, at x0 = -0.129
+    skew = st.make_potential("fourier", a=1.0, vhat=SKEW_VHAT)
+    vmin = mpmath.mpf(float(_skew(skew.x0, 0)))
 
-    def root_spline(t):
-        return mpmath.sqrt(max(float(spline.v(float(t))), 0.0))
+    def root_skew(t):
+        u = 2 * mpmath.pi * t
+        v = (4 - 4 * mpmath.cos(u) + 1.5 * mpmath.sin(u)
+             + 0.7 * mpmath.cos(3 * u + 0.4))
+        return mpmath.sqrt(max(v - vmin, 0))
 
     offsets = np.random.default_rng(7).uniform(0.0, 1.0, 12)
     m = np.arange(-2, 3)[:, None]
-    for spec, f in ((cos_series, root_cos), (spline, root_spline)):
+    for spec, f in ((cos_series, root_cos), (skew, root_skew)):
         with mpmath.workdps(20):
-            s0, arms = _mpmath_action(f, spec.x0, spec.a, spec.knots, offsets)
+            s0, arms = _mpmath_action(f, spec.x0, spec.a, offsets)
         d = action_profile(spec, spec.x0 + m * spec.a + offsets)
         assert abs(st.tunneling_action(spec) - s0) <= 1e-12
         assert np.abs(d - np.abs(m * s0 + arms)).max() <= 1e-12
