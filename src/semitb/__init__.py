@@ -24,11 +24,10 @@ from .potential import (
 )
 from .bloch import BandData, FloquetConfig, band_metrics, bloch_on_grid, solve_bands
 from .wannier import (
-    BasisDiagnostics,
     WannierBasis,
-    basis_diagnostics,
     build_orthonormal_basis,
     fix_gauge,
+    pair_overlap_l1,
 )
 from .operators import PeriodicDomain, domain_grid
 from .tightbinding import (

@@ -1,9 +1,9 @@
-"""Acceptance checks for the reference configuration.
+"""Acceptance checks for a run configuration.
 
 Each criterion is one function returning a CheckResult; `run_all` executes
 them in order and `semitb verify` prints one pass/fail line per criterion.
-Reference setup: V(x) = 8 sin^2(pi x), a = 1, sigma = 1, hbar ladder
-{0.25, 0.2, 0.16, 0.125, 0.1}, 32 cells x 64 points, 41 lattice sites.
+The thresholds are set for the reference configuration, `reference.ini`
+at the repository root.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ from . import bloch, dnls, nlse, scan, tightbinding
 from .errors import Error
 from .potential import free_potential, tunneling_action
 
-REFERENCE_LADDER = (0.25, 0.2, 0.16, 0.125, 0.1)
-REFERENCE_ETAS = (0.0, -0.5, -1.0, -2.0, -3.0, -5.0, -8.0, -12.0, -20.0,
-                  -30.0, -50.0)
 ORACLE_HBAR = 0.15
 ORACLE_ETA = -3.0
 
@@ -34,16 +31,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def reference_config():
-    from .cli import RunConfig
-
-    # delta0, the contraction budget: the lattice l1 norms reach ~5 at
-    # moderate eta, so the budget sits above that
-    return RunConfig(family="sin2", v0=8.0, a=1.0, delta0=8.0,
-                     hbar_ladder=REFERENCE_LADDER, eta_values=REFERENCE_ETAS,
-                     sigma=1.0)
 
 
 class Context:
@@ -57,8 +44,8 @@ class Context:
     sweeps that share only the bands and the basis.
     """
 
-    def __init__(self, cfg=None):
-        self.cfg = cfg if cfg is not None else reference_config()
+    def __init__(self, cfg):
+        self.cfg = cfg
         self._parts = {}
         self._reports = {}
         self._tmp = None

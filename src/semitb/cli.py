@@ -25,7 +25,7 @@ import zipfile
 import numpy as np
 
 from . import bloch, scan, wannier
-from .errors import ConfigError, Error, NonConvergenceError, SolverError
+from .errors import ConfigError, Error, NonConvergenceError, PotentialError, SolverError
 from .potential import PotentialSpec, make_potential, tunneling_action
 
 log = logging.getLogger(__name__)
@@ -81,7 +81,10 @@ class _RunConfigMethods:
                 raise ConfigError(f"potential.{field}: not read by family {self.family}")
             if not given and field == own:
                 raise ConfigError(f"potential.{field}: required by family {self.family}")
-        return make_potential(self.family, a=self.a, **{own: getattr(self, own)})
+        try:
+            return make_potential(self.family, a=self.a, **{own: getattr(self, own)})
+        except PotentialError as exc:
+            raise ConfigError(f"potential.{own}: {exc}") from exc
 
 
 RunConfig = dataclasses.make_dataclass(

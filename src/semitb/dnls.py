@@ -193,8 +193,8 @@ class ContinuationResult:
         raise KeyError(f"no state at eta={eta}")
 
 
-def solve_anticontinuum(prob: DnlsProblem, seed_site: int = 0,
-                        eta_path=None) -> ContinuationResult:
+def solve_anticontinuum(prob: DnlsProblem, seed_site: int,
+                        eta_path) -> ContinuationResult:
     """Continue the single-site branch from the decoupled limit.
 
     The path must start at |eta| >= 50 where F = delta is a good seed;
@@ -202,8 +202,6 @@ def solve_anticontinuum(prob: DnlsProblem, seed_site: int = 0,
     lands in the linear band, off the branch.  On a persistent failure the
     result carries the path so far and a turning-point flag.
     """
-    if eta_path is None:
-        eta_path = [prob.eta]
     eta_path = [float(v) for v in eta_path]
     if abs(eta_path[0]) < 50:
         raise ValueError("continuation path must start at |eta| >= 50")

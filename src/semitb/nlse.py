@@ -86,8 +86,6 @@ def solve_perp_fixed_point(c: np.ndarray, e_param: float, tbp: TBParams,
 
     gamma, sigma = tbp.gamma, tbp.sigma
     phi_band = wb.u.T @ c
-    if gamma == 0.0:
-        return np.zeros_like(phi_band), 0.0
     phi_perp = np.zeros_like(phi_band) if start is None else start
     where = f"at hbar={tbp.hbar}, eta={tbp.eta}, lambda={lam:.10g}"
     prev_diff = None
@@ -131,11 +129,9 @@ def lattice_map(state: DnlsState, wb: WannierBasis) -> np.ndarray:
 
 def _reduced_residual(c, e_param, tbp, f_remainder):
     """E c - T c + (D c)/beta + eta |c|^{2s} c + (gamma/beta) f."""
-    out = (e_param * c + ring_coupling(tbp) @ c
-           + tbp.eta * np.abs(c) ** (2 * tbp.sigma) * c)
-    if tbp.gamma != 0.0:
-        out += tbp.gamma / tbp.beta * f_remainder
-    return out
+    return (e_param * c + ring_coupling(tbp) @ c
+            + tbp.eta * np.abs(c) ** (2 * tbp.sigma) * c
+            + tbp.gamma / tbp.beta * f_remainder)
 
 
 def _remainder_term(c, phi, tbp, dom, wb):
@@ -178,16 +174,16 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
     equation, whose linear part is the whole band-1 row) until the full
     continuum residual drops below 1e-9 * max(|lambda|, hbar).
 
-    In the linear limit gamma = 0 the reduced lattice matrix is
-    diagonalized directly and the eigenvector closest to the seed is
-    returned; the continuum residual is then zero to roundoff.
+    Raises ValueError at gamma = 0: the equation is then linear and fixes
+    no norm, so the Newton steps would collapse onto phi = 0.  The eta = 0
+    state is the lattice lift itself (scan writes it as such).
     """
+    if tbp.gamma == 0.0:
+        raise ValueError("reconstruction needs gamma != 0: at gamma = 0 the "
+                         "equation is linear and Newton collapses onto phi = 0")
     e_param = state.e
     lam = tbp.lambda1 - tbp.beta * e_param
     c = lattice_map(state, wb)
-
-    if tbp.gamma == 0.0:
-        return _linear_reconstruction(c, tbp, dom, wb)
 
     # the entry guard's linearization serves the first Newton step, whose c
     # it was taken at
@@ -247,26 +243,6 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
     return ContinuumState(
         phi=phi, lam=lam, gamma=gamma, sigma=sigma, residual_h=rnorm,
         c=c, perp_h1=perp_h1, iterations=len(history),
-    )
-
-
-def _linear_reconstruction(seed, tbp, dom, wb):
-    """gamma = 0: the eigenvector of lambda1 + beta * ring_coupling nearest the seed."""
-    m = wb.cells
-    h = tbp.lambda1 * np.eye(m) + tbp.beta * ring_coupling(tbp)
-    w, v = np.linalg.eigh(h)
-    overlaps = np.abs(v.T @ seed)
-    pick = int(np.argmax(overlaps))
-    c = v[:, pick]
-    if c @ seed < 0:
-        c = -c
-    lam = float(w[pick])
-    phi = wb.u.T @ c
-    resid = dom.apply_h(phi) - lam * phi
-    rnorm = l2_norm(dom.dx, resid)
-    return ContinuumState(
-        phi=phi, lam=lam, gamma=0.0, sigma=tbp.sigma, residual_h=rnorm,
-        c=c, perp_h1=0.0, iterations=0,
     )
 
 

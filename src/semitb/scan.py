@@ -22,7 +22,7 @@ from .bloch import BandData, FloquetConfig, band_metrics, solve_bands
 from .errors import Error, SolverError, TailFitError
 from .operators import PeriodicDomain, l2_norm
 from .potential import tunneling_action
-from .wannier import WannierBasis, basis_diagnostics, build_orthonormal_basis, fix_gauge
+from .wannier import WannierBasis, build_orthonormal_basis, fix_gauge, pair_overlap_l1
 
 log = logging.getLogger(__name__)
 
@@ -98,15 +98,11 @@ def build_pipeline(cfg, hbar: float, bd: BandData | None = None,
 
 @dataclass
 class TransitionReport:
-    s0: float
     lattice_states: dict
     params_rows: list
-    dnls_rows: list
     continuum_rows: list
-    transition_rows: list
     fits: dict
     gaps: list
-    eta_crossing: float | None
     written: list
 
 
@@ -203,15 +199,15 @@ def _dnls_ladder(cfg):
     return states, turning
 
 
-def run_sweep(cfg, bundle_of, out_dir: str | None = None) -> TransitionReport:
-    """Execute the full (hbar, eta) sweep of a cli.RunConfig and assemble the report.
+def run_sweep(cfg, bundle_of, out_dir: str) -> TransitionReport:
+    """Execute the full (hbar, eta) sweep of a cli.RunConfig and write its outputs.
 
     bundle_of(hbar) returns the PipelineBundle of one ladder hbar (the CLI
     builds it through its cache).  The sweep asks for each hbar once, in
     ladder order, and holds one bundle at a time: a row keeps only its
     CSV rows and the scalars the fits read.  The outputs are written to
-    out_dir when one is given, each row's continuum states as the row ends.
-    The report also carries the lattice states, {eta: DnlsState}.
+    out_dir, each row's continuum states as the row ends.  The report also
+    carries the lattice states, {eta: DnlsState}.
     """
     s0 = tunneling_action(cfg.potential())
     ladder = [float(h) for h in cfg.hbar_ladder]
@@ -221,66 +217,59 @@ def run_sweep(cfg, bundle_of, out_dir: str | None = None) -> TransitionReport:
         log.warning("continuation hit a turning point; ladder incomplete")
 
     lattice_rows = dnls_rows(lattice_states)
-    transition_rows = [r[:2] + r[3:5] for r in lattice_rows]
 
-    state_dir = os.path.join(out_dir, "states") if out_dir else None
-    if state_dir:
-        os.makedirs(state_dir, exist_ok=True)
+    state_dir = os.path.join(out_dir, "states")
+    os.makedirs(state_dir, exist_ok=True)
     point_rows, continuum_rows, gaps, fit_scalars, state_paths = [], [], [], [], {}
     for hb in ladder:
         bun = bundle_of(hb)
         point_rows += params_rows(hb, bun, cfg.eta_values, s0)
         fit_scalars.append((bun.tbp.beta, bun.width1, bun.gap1,
                             abs(bun.wb.overlaps[1]),
-                            basis_diagnostics(bun.wb, bun.dom).pair_l1[1]))
+                            pair_overlap_l1(bun.wb, bun.dom.dx, 1)))
         rows, row_gaps, paths = _sweep_row(cfg, hb, bun, lattice_states, state_dir)
         continuum_rows += rows
         gaps += row_gaps
         state_paths.update(paths)
         del bun  # dropped before the next hbar's bundle is built
 
-    eta_crossing = _participation_crossing(lattice_states)
-
     fits = _assemble_fits(ladder, fit_scalars, continuum_rows, s0)
     fits["transition"] = {
-        "eta_at_participation_1.5": eta_crossing,
+        "eta_at_participation_1.5": _participation_crossing(lattice_states),
         "participation_at_eta0": lattice_states[0.0].participation,
     }
     fits["gaps"] = gaps
 
     written = []
-    if out_dir:
-        paths = {
-            "params.csv": (PARAMS_HEADER, point_rows),
-            "dnls_ladder.csv": (dnls_header(cfg.n_sites), lattice_rows),
-            "continuum.csv": (CONTINUUM_HEADER, continuum_rows),
-            "transition.csv": (TRANSITION_HEADER, transition_rows),
-        }
-        for name, (header, rows) in paths.items():
-            path = os.path.join(out_dir, name)
-            _write_csv(path, header, rows)
-            written.append(path)
-        fits_path = os.path.join(out_dir, "fits.json")
-        with open(fits_path, "w", encoding="utf-8") as fh:
-            json.dump(fits, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(fits_path)
-        written.extend(_write_dnls_states(state_dir, lattice_states))
-        written.extend(state_paths[k] for k in sorted(state_paths))
+    paths = {
+        "params.csv": (PARAMS_HEADER, point_rows),
+        "dnls_ladder.csv": (dnls_header(cfg.n_sites), lattice_rows),
+        "continuum.csv": (CONTINUUM_HEADER, continuum_rows),
+        "transition.csv": (TRANSITION_HEADER, [r[:2] + r[3:5] for r in lattice_rows]),
+    }
+    for name, (header, rows) in paths.items():
+        path = os.path.join(out_dir, name)
+        _write_csv(path, header, rows)
+        written.append(path)
+    fits_path = os.path.join(out_dir, "fits.json")
+    with open(fits_path, "w", encoding="utf-8") as fh:
+        json.dump(fits, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    written.append(fits_path)
+    written.extend(_write_dnls_states(state_dir, lattice_states))
+    written.extend(state_paths[k] for k in sorted(state_paths))
 
     return TransitionReport(
-        s0=s0, lattice_states=lattice_states, params_rows=point_rows,
-        dnls_rows=lattice_rows, continuum_rows=continuum_rows,
-        transition_rows=transition_rows, fits=fits, gaps=gaps,
-        eta_crossing=eta_crossing, written=written,
+        lattice_states=lattice_states, params_rows=point_rows,
+        continuum_rows=continuum_rows, fits=fits, gaps=gaps, written=written,
     )
 
 
 def _sweep_row(cfg, hb, bun, lattice_states, state_dir):
     """The eta row of one hbar: (continuum rows, gaps, {(hbar, eta): state path}).
 
-    The row's continuum states are written to state_dir, when one is
-    given, as the row ends, and none is kept.
+    The row's continuum states are written to state_dir as the row ends,
+    and none is kept.
     """
     rows, gaps, states = [], [], {}
     for eta in _eta_order(cfg.eta_values):
@@ -310,7 +299,7 @@ def _sweep_row(cfg, hb, bun, lattice_states, state_dir):
         except (SolverError, Error) as exc:
             gaps.append({"hbar": hb, "eta": eta, "reason": str(exc)})
     paths = {(hb, eta): _write_continuum_state(state_dir, hb, eta, cs)
-             for eta, cs in states.items()} if state_dir else {}
+             for eta, cs in states.items()}
     return rows, gaps, paths
 
 

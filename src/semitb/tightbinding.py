@@ -26,8 +26,8 @@ class TBParams:
     h_row[ell] = <u_ell, H u_0> on the circular lags 0..cells-1, exactly
     symmetric, its sub-floor lags beyond nearest neighbors zeroed.
     dtilde_norm is the row sum of those lags (the l1-induced operator norm
-    of the residual D), dtilde_ratio its ratio to beta; gamma is the
-    nonlinearity strength and eta = c0*gamma/beta.
+    of the residual D); gamma is the nonlinearity strength and
+    eta = c0*gamma/beta.
     """
 
     hbar: float
@@ -39,7 +39,6 @@ class TBParams:
     eta: float
     h_row: np.ndarray
     dtilde_norm: float
-    dtilde_ratio: float
 
 
 def h_matrix_elements(wb: WannierBasis, dom: PeriodicDomain,
@@ -96,10 +95,9 @@ def gamma_for_eta(c0: float, eta: float, beta: float) -> float:
     return eta * beta / c0
 
 
-def residual_coupling_norm(h_row: np.ndarray, beta: float):
-    """Row sum of |<u_ell, H u_0>| over the lags 2..cells-2, and its ratio to beta."""
-    tail = np.abs(h_row[2:h_row.size - 1]).sum()
-    return float(tail), float(tail / beta)
+def residual_coupling_norm(h_row: np.ndarray) -> float:
+    """Row sum of |<u_ell, H u_0>| over the lags 2..cells-2."""
+    return float(np.abs(h_row[2:h_row.size - 1]).sum())
 
 
 def ring_coupling(tbp: TBParams) -> np.ndarray:
@@ -144,10 +142,9 @@ def extract_params(wb: WannierBasis, dom: PeriodicDomain, sigma: float,
             f"{dom.points_per_cell} is too coarse a grid for this potential")
     h_row, lambda1, beta = h_matrix_elements(wb, dom, edges)
     c0 = interaction_constant(wb, dom, sigma)
-    dnorm, dratio = residual_coupling_norm(h_row, beta)
     return TBParams(hbar=dom.hbar, sigma=sigma, lambda1=lambda1, beta=beta,
                     c0=c0, gamma=0.0, eta=0.0, h_row=h_row,
-                    dtilde_norm=dnorm, dtilde_ratio=dratio)
+                    dtilde_norm=residual_coupling_norm(h_row))
 
 
 def with_eta(tbp: TBParams, eta: float) -> TBParams:

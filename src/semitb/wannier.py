@@ -202,17 +202,7 @@ def build_orthonormal_basis(dom: PeriodicDomain, w: np.ndarray,
                         lowdin_band=lowdin_band)
 
 
-@dataclass(frozen=True)
-class BasisDiagnostics:
-    sup_sum: float
-    pair_l1: dict
-
-
-def basis_diagnostics(wb: WannierBasis, dom: PeriodicDomain) -> BasisDiagnostics:
-    """sup_x sum_j |u_j(x)| and the L1 norms of orbital pair products, lags 0..4."""
-    sup_sum = float(np.abs(wb.u).sum(axis=0).max())
+def pair_overlap_l1(wb: WannierBasis, dx: float, ell: int) -> float:
+    """L1 norm of the orbital pair product u_0 u_ell on the domain grid."""
     u0 = wb.u0
-    pair = {}
-    for ell in range(5):
-        pair[ell] = float(dom.dx * np.abs(u0 * np.roll(u0, ell * wb.points_per_cell)).sum())
-    return BasisDiagnostics(sup_sum=sup_sum, pair_l1=pair)
+    return float(dx * np.abs(u0 * np.roll(u0, ell * wb.points_per_cell)).sum())

@@ -1,11 +1,15 @@
+import pathlib
+
 import numpy as np
 import pytest
 
 import semitb as st
-from semitb.acceptance import reference_config
+from semitb.cli import parse_config
 from semitb.scan import build_pipeline
 
-REF_LADDER = (0.25, 0.2, 0.16, 0.125, 0.1)
+# the reference RunConfig: sin2 potential, reference numerics, sigma 1
+REF_CFG = parse_config(str(pathlib.Path(__file__).resolve().parent.parent
+                           / "reference.ini"))
 
 
 def full_zone_eigh(dom):
@@ -42,8 +46,7 @@ def ref_s0(ref_spec):
 
 @pytest.fixture(scope="session")
 def ref_cfg():
-    """The reference RunConfig: sin2 potential, reference numerics, sigma 1."""
-    return reference_config()
+    return REF_CFG
 
 
 @pytest.fixture(scope="session")

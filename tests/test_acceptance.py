@@ -19,9 +19,9 @@ from semitb import acceptance, bloch, operators, scan, tightbinding
 
 
 @pytest.fixture(scope="session")
-def ctx(bundle_factory):
-    context = acceptance.Context()
-    for hb in acceptance.REFERENCE_LADDER:  # the bands and basis, not the bundle
+def ctx(ref_cfg, bundle_factory):
+    context = acceptance.Context(ref_cfg)
+    for hb in ref_cfg.hbar_ladder:  # the bands and basis, not the bundle
         bun = bundle_factory(hb)
         context._parts[hb] = (bun.bd, bun.wb)
     yield context

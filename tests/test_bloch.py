@@ -5,10 +5,9 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from conftest import SKEW_VHAT
+from conftest import REF_CFG, SKEW_VHAT
 
 import semitb as st
-from semitb.acceptance import REFERENCE_LADDER
 from semitb.bloch import (_floquet_diagonal, _floquet_eig, _tridiagonal_lowest,
                           half_bandwidth, potential_fourier)
 from semitb.cli import BundleCache, cmd_bands
@@ -212,7 +211,7 @@ def _sturm_lowest(diag, off, dps=40):
         return (lo + hi) / 2
 
 
-@pytest.mark.parametrize("hbar", REFERENCE_LADDER)
+@pytest.mark.parametrize("hbar", REF_CFG.hbar_ladder)
 def test_band_width_matches_high_precision_sturm(ref_cfg, hbar):
     # the exact sin2 Floquet matrix at a = 1: V0/2 + hbar^2 (kappa + 2 pi m)^2 on
     # the diagonal and -V0/4 beside it; band 1 has its edges at kappa = 0, -pi
@@ -247,7 +246,7 @@ def _banded_reference(bd):
                      for k in bd.kappa]).T
 
 
-@pytest.mark.parametrize("hbar", REFERENCE_LADDER)
+@pytest.mark.parametrize("hbar", REF_CFG.hbar_ladder)
 def test_tridiagonal_bands_match_eig_banded(ref_cfg, hbar):
     # at hbar = 0.125 some Sturm pivots are exactly zero; they must count
     # right without a numpy floating-point warning

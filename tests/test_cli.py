@@ -201,12 +201,15 @@ def test_torn_bundle_rebuilt(tmp_path, caplog, monkeypatch):
     (("v0 = 8.0", "v0 = 8.0\ncoeffs = 1, 2, 3"), r"error: potential\.coeffs"),
     (("family = sin2", "family = cos-series\ncoeffs = 4.0"), r"error: potential\.v0"),
     (("family = sin2\nv0 = 8.0", "family = cos-series"), r"error: potential\.coeffs"),
+    # a family field that make_potential refuses: two equal wells per cell
+    (("family = sin2\nv0 = 8.0", "family = cos-series\ncoeffs = 0, 1"),
+     r"error: potential\.coeffs: 2 equally deep minima"),
 ], ids=["hbar-order", "hbar-count", "eta-zero", "eta-near-zero", "cells-lowdin",
         "seed-site", "seed-site-even", "n-sites", "eta-inf",
         "delta0-nan", "delta0-inf", "sigma-nan", "hbar-nan", "points-per-cell",
         "lowdin-band", "n-pw-even", "n-pw-few", "n-kappa", "n-bands",
         "family-alias", "sin2-without-v0", "sin2-with-coeffs",
-        "cos-series-with-v0", "cos-series-without-coeffs"])
+        "cos-series-with-v0", "cos-series-without-coeffs", "two-wells"])
 def test_config_errors_exit_before_any_build(tmp_path, capsys, edit, key):
     text = GOOD.replace("lowdin_band = 4\n", "") if "lowdin" in edit[1] else GOOD
     assert edit[0] in text

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import semitb as st
+from conftest import REF_CFG
 from semitb import dnls
-from semitb.acceptance import REFERENCE_ETAS
 from semitb.dnls import (
     brute_force_states,
     linear_ground_state,
@@ -316,7 +316,7 @@ def test_coarse_eta_list_stays_on_the_branch(ref_cfg):
     assert np.abs(s.f - ref.f).max() <= 1e-10
 
 
-_REF_NEG_ETAS = hst.sampled_from([e for e in REFERENCE_ETAS if e < 0])
+_REF_NEG_ETAS = hst.sampled_from([e for e in REF_CFG.eta_values if e < 0])
 
 
 @_property(20)
@@ -333,7 +333,7 @@ def test_jump_above_the_band_stays_on_the_branch(ref_cfg):
     # -50 -> -25.75 -> -1.5 lands on E = 2.00646, P = 26.0, out of the band
     # but off the branch (E = 2.14490, P = 7.72)
     s = _ladder_state(ref_cfg, -1.5)
-    ref = _ladder_state(ref_cfg, -1.5, REFERENCE_ETAS)
+    ref = _ladder_state(ref_cfg, -1.5, ref_cfg.eta_values)
     assert np.abs(s.f - ref.f).max() <= 1e-10
 
 

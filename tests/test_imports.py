@@ -1,5 +1,6 @@
 """No module-level import goes unused, the heavy ones wait for their use,
-and the package itself reads every name it exports.
+and the package itself reads every name it exports and every field of the
+dataclasses it defines.
 
 No linter ships with the test dependencies, so an AST scan stands in for
 one over the package modules (`__init__.py` is left out: it re-exports)
@@ -7,6 +8,8 @@ and the test files.
 """
 
 import ast
+import dataclasses
+import importlib
 import inspect
 import os
 import pathlib
@@ -25,6 +28,15 @@ FILES = MODULES + sorted((ROOT / "tests").glob("*.py"))
 # exports that no package module reads, each with the reason it stays
 UNREAD_EXPORTS = {"bloch_on_grid": "plane-wave reference of the tests"}
 
+# dataclass fields that no package module reads as an attribute, each with
+# the reason it stays
+UNREAD_FIELDS = {
+    "RunConfig.v0": "read by getattr through cli._FAMILY_FIELD",
+    "RunConfig.coeffs": "read by getattr through cli._FAMILY_FIELD",
+    "WannierBasis.v0": "the seed of the Lowdin step, which the basis tests check",
+    "WannierBasis.lowdin": "the Lowdin coefficients, which the basis tests check",
+}
+
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_module_imports(path):
@@ -42,18 +54,41 @@ def test_no_unused_module_imports(path):
     assert not unused, f"unused imports in {path.name}: {', '.join(unused)}"
 
 
-def test_every_export_is_read_by_the_package():
-    read = set()
+def _package_reads():
+    """(names, attribute names) that the package modules load."""
+    names, attrs = set(), set()
     for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+    return names, attrs
+
+
+def test_every_export_is_read_by_the_package():
+    names, attrs = _package_reads()
+    read = names | attrs
     exports = {name for name in semitb.__all__
                if not inspect.ismodule(getattr(semitb, name))}
     assert sorted(exports - read - set(UNREAD_EXPORTS)) == []
     assert set(UNREAD_EXPORTS) <= exports - read  # no stale allowlist entry
+
+
+def test_every_dataclass_field_is_read_by_the_package():
+    # a match by name: a field counts as read wherever any attribute of
+    # that name is loaded, so a shared name can hide an unread field
+    _, attrs = _package_reads()
+    unread = set()
+    for path in MODULES:
+        module = importlib.import_module(f"semitb.{path.stem}")
+        for cls in vars(module).values():
+            if (inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                unread |= {f"{cls.__name__}.{f.name}" for f in dataclasses.fields(cls)
+                           if f.name not in attrs}
+    assert sorted(unread - set(UNREAD_FIELDS)) == []
+    assert set(UNREAD_FIELDS) <= unread  # no stale allowlist entry
 
 
 def _loaded_after(code, modules):

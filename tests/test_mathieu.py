@@ -12,7 +12,7 @@ data shares no code with the Floquet solve.
 import numpy as np
 import pytest
 
-from semitb.acceptance import REFERENCE_LADDER
+from conftest import REF_CFG
 from semitb.bloch import band_metrics
 from semitb.scan import fit_exponential_law
 
@@ -36,7 +36,7 @@ def v0(ref_cfg):
     return ref_cfg.v0
 
 
-@pytest.mark.parametrize("hbar", REFERENCE_LADDER)
+@pytest.mark.parametrize("hbar", REF_CFG.hbar_ladder)
 def test_band1_matches_mathieu_characteristic_values(v0, bundle_factory, hbar):
     bd = bundle_factory(hbar).bd
     bottom, width, gap = _mathieu_band1(v0, hbar)
@@ -49,7 +49,7 @@ def test_band1_matches_mathieu_characteristic_values(v0, bundle_factory, hbar):
     assert abs(got["width"] - width) <= 2 * floor
 
 
-@pytest.mark.parametrize("hbar", REFERENCE_LADDER)
+@pytest.mark.parametrize("hbar", REF_CFG.hbar_ladder)
 def test_band1_width_follows_dlmf_asymptotics(v0, bundle_factory, hbar):
     # DLMF 28.8.2 at m = 0 with h = sqrt(q):
     # b_1 - a_0 ~ 2^5 (2/pi)^(1/2) h^(3/2) e^(-4h) (1 - 7/(32h)) + O(h^-2)
@@ -64,13 +64,13 @@ def test_gap_slope_is_the_mathieu_slope(v0, bundle_factory):
     # criterion 3 reads 0.8075 on the reference ladder: that is the slope of
     # the exact sin2 gap there, not a program defect.  On the ladder scaled
     # by 1/5 the same law gives a slope inside 1 +- 0.1.
-    logs = np.log(REFERENCE_LADDER)
+    logs = np.log(REF_CFG.hbar_ladder)
     gaps = [band_metrics(bundle_factory(hb).bd, 1)["gap_above"]
-            for hb in REFERENCE_LADDER]
-    exact = [_mathieu_band1(v0, hb)[2] for hb in REFERENCE_LADDER]
+            for hb in REF_CFG.hbar_ladder]
+    exact = [_mathieu_band1(v0, hb)[2] for hb in REF_CFG.hbar_ladder]
     slope = fit_exponential_law(logs, np.log(gaps)).slope
     want = fit_exponential_law(logs, np.log(exact)).slope
     assert abs(want - 0.8075018005375549) <= 1e-12
     assert abs(slope - want) <= 1e-9
-    small = [_mathieu_band1(v0, hb / 5)[2] for hb in REFERENCE_LADDER]
+    small = [_mathieu_band1(v0, hb / 5)[2] for hb in REF_CFG.hbar_ladder]
     assert 0.9 <= fit_exponential_law(logs, np.log(small)).slope <= 1.1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import semitb as st
+from semitb.dnls import linear_ground_state
 from semitb.errors import NonConvergenceError, SolverError
 from semitb.nlse import (
     _kinetic_preconditioner,
@@ -254,22 +255,34 @@ def test_reconstruction_error_decays(bundle_factory, ladder_states):
 
 
 def test_linear_limit_reproduces_band_state(bundle_factory):
+    # at gamma = 0 the reduced operator lambda1 + beta * ring_coupling is H
+    # on the first band, so its eigenvector nearest the lifted seed lifts
+    # to a domain eigenstate
     bun = bundle_factory(0.16)
-    tbp = with_eta(bun.tbp, 0.0)
-    from semitb.dnls import linear_ground_state
-
-    state = linear_ground_state(41)
-    cs = st.reconstruct_and_correct(state, tbp, bun.dom, bun.wb, delta0=8.0)
-    assert cs.gamma == 0.0
-    assert cs.residual_h <= 1e-10
+    tbp = bun.tbp
+    seed = lattice_map(linear_ground_state(41), bun.wb)
+    w, v = np.linalg.eigh(tbp.lambda1 * np.eye(bun.wb.cells)
+                          + tbp.beta * ring_coupling(tbp))
+    pick = int(np.argmax(np.abs(v.T @ seed)))
+    lam, phi = w[pick], bun.wb.u.T @ v[:, pick]
+    assert l2_norm(bun.dom.dx, bun.dom.apply_h(phi) - lam * phi) <= 1e-10
     # the delocalized seed picks the zone-center state at the band bottom
     alpha1 = bun.dom.band_edges(1)[0]
-    assert abs(cs.lam - alpha1) < 1e-9
+    assert abs(lam - alpha1) < 1e-9
     phi_ref = st.bloch_on_grid(bun.bd, 1, 0.0, bun.dom.x).real
     phi_ref /= l2_norm(bun.dom.dx, phi_ref)
-    sgn = np.sign(np.sum(phi_ref * cs.phi))
-    assert l2_norm(bun.dom.dx, cs.phi / l2_norm(bun.dom.dx, cs.phi)
+    sgn = np.sign(np.sum(phi_ref * phi))
+    assert l2_norm(bun.dom.dx, phi / l2_norm(bun.dom.dx, phi)
                    - sgn * phi_ref) < 1e-7
+
+
+def test_reconstruction_refuses_zero_gamma(bundle_factory):
+    # at gamma = 0 the Newton steps would collapse onto phi = 0 and report
+    # convergence; the eta = 0 state is the lattice lift instead
+    bun = bundle_factory(0.16)
+    with pytest.raises(ValueError, match="gamma != 0"):
+        st.reconstruct_and_correct(linear_ground_state(41), with_eta(bun.tbp, 0.0),
+                                   bun.dom, bun.wb, delta0=8.0)
 
 
 def test_lattice_invertibility_guard(bundle_factory):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import filecmp
 import gc
@@ -72,13 +73,15 @@ def test_sweep_report_contents(cfg, mini_bundles, tmp_path):
     assert not rep.gaps
     assert len(rep.params_rows) == len(LADDER) * len(ETAS)
     assert len(rep.continuum_rows) == len(LADDER) * len(ETAS)
-    assert len(rep.dnls_rows) == len(ETAS)
-    assert rep.eta_crossing is not None and 2.0 < rep.eta_crossing < 12.0
-    assert abs(rep.s0 - math.sqrt(8.0) * 2 / math.pi) < 1e-10
     for name in ("params.csv", "dnls_ladder.csv", "continuum.csv",
                  "transition.csv", "fits.json"):
         assert any(p.endswith(name) for p in rep.written)
+    ladder = (tmp_path / "run" / "dnls_ladder.csv").read_text().splitlines()
+    assert len(ladder) == 1 + len(ETAS)
     fits = json.loads((tmp_path / "run" / "fits.json").read_text())
+    crossing = fits["transition"]["eta_at_participation_1.5"]
+    assert crossing is not None and 2.0 < crossing < 12.0
+    assert abs(fits["s0_quadrature"] - math.sqrt(8.0) * 2 / math.pi) < 1e-10
     for key in ("hopping_beta", "band_width", "overlap_a1", "pair_l1_u0u1"):
         assert fits[key]["available"]
     # the four estimators agree pairwise within 20 percent
@@ -144,15 +147,16 @@ def test_sweep_determinism(cfg, mini_bundles, tmp_path):
         assert filecmp.cmp(p1, p2, shallow=False), name
 
 
-def test_sweep_records_gaps_without_aborting(cfg, mini_bundles):
-    rep = run_sweep(dataclasses.replace(cfg, delta0=1e-3), mini_bundles.__getitem__)
+def test_sweep_records_gaps_without_aborting(cfg, mini_bundles, tmp_path):
+    rep = run_sweep(dataclasses.replace(cfg, delta0=1e-3), mini_bundles.__getitem__,
+                    out_dir=str(tmp_path))
     assert rep.gaps  # every nonlinear point exceeds the tiny budget
     kept = {(r[0], r[1]) for r in rep.continuum_rows}
     assert all(eta == 0.0 for _, eta in kept)
 
 
-def test_linear_reference_row(cfg, mini_bundles):
-    rep = run_sweep(cfg, mini_bundles.__getitem__)
+def test_linear_reference_row(cfg, mini_bundles, tmp_path):
+    rep = run_sweep(cfg, mini_bundles.__getitem__, out_dir=str(tmp_path))
     rows = [r for r in rep.continuum_rows if r[1] == 0.0]
     assert len(rows) == len(LADDER)
     state = _dnls_ladder(cfg)[0][0.0]
@@ -167,17 +171,19 @@ def test_linear_reference_row(cfg, mini_bundles):
         assert r[7] == l2_norm(bun.dom.dx, resid) > 0.0
 
 
-def test_participation_monotone_in_eta(cfg, mini_bundles):
-    rep = run_sweep(cfg, mini_bundles.__getitem__)
-    by_abs_eta = sorted(rep.transition_rows, key=lambda r: abs(r[0]))
-    ps = [r[2] for r in by_abs_eta]
+def test_participation_monotone_in_eta(cfg, mini_bundles, tmp_path):
+    run_sweep(cfg, mini_bundles.__getitem__, out_dir=str(tmp_path))
+    with open(tmp_path / "transition.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(ETAS)
+    ps = [float(r["P"]) for r in sorted(rows, key=lambda r: abs(float(r["eta"])))]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(ps, ps[1:]))
 
 
-def test_gap_fit_regression_value(cfg, mini_bundles):
+def test_gap_fit_regression_value(cfg, mini_bundles, tmp_path):
     # desk-scale value of the gap log-log slope; the asymptotic law
     # (slope -> 1) is only reached at much smaller hbar
-    rep = run_sweep(cfg, mini_bundles.__getitem__)
+    rep = run_sweep(cfg, mini_bundles.__getitem__, out_dir=str(tmp_path))
     entry = rep.fits["gap_loglog"]
     assert entry["available"] and entry["r2"] > 0.95
     assert 0.76 <= entry["slope"] <= 0.86

@@ -77,8 +77,10 @@ def test_residual_coupling_structure(bundle_factory):
         h = tbp.h_row
         assert abs(h[2]) < abs(h[1])
         assert abs(h[2] - h[-2]) <= 1e-10 * max(1.0, abs(h[2]))
-        assert tbp.dtilde_ratio < 0.1
-        ratios.append(tbp.dtilde_ratio)
+        # the beyond-nearest-neighbor couplings, relative to the hopping
+        ratio = tbp.dtilde_norm / tbp.beta
+        assert ratio < 0.1
+        ratios.append(ratio)
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
 

@@ -200,17 +200,20 @@ def test_first_band_completeness(bundle_factory):
 
 
 def test_diagnostics_scalings(bundle_factory, ref_s0):
-    def diagnostics(hbar):
-        bun = bundle_factory(hbar)
-        return st.basis_diagnostics(bun.wb, bun.dom)
+    def sup_sum(hbar):
+        # sup_x sum_j |u_j(x)|
+        return float(np.abs(bundle_factory(hbar).wb.u).sum(axis=0).max())
 
-    d2, d1 = diagnostics(0.2), diagnostics(0.1)
-    r = (d2.sup_sum * np.sqrt(0.2)) / (d1.sup_sum * np.sqrt(0.1))
+    def pair_l1(hbar, ell):
+        bun = bundle_factory(hbar)
+        return st.pair_overlap_l1(bun.wb, bun.dom.dx, ell)
+
+    r = (sup_sum(0.2) * np.sqrt(0.2)) / (sup_sum(0.1) * np.sqrt(0.1))
     assert 0.5 <= r <= 2.0
-    for d in (d2, d1):
-        assert d.pair_l1[2] <= 10 * d.pair_l1[1] ** 2
+    for hb in (0.2, 0.1):
+        assert pair_l1(hb, 2) <= 10 * pair_l1(hb, 1) ** 2
     hbars = (0.25, 0.2, 0.16, 0.125, 0.1)
-    vals = [diagnostics(h).pair_l1[1] for h in hbars]
+    vals = [pair_l1(h, 1) for h in hbars]
     slope = -np.polyfit([1 / h for h in hbars], np.log(vals), 1)[0]
     assert 0.85 <= slope / ref_s0 <= 1.15
 
