@@ -180,15 +180,12 @@ def check_dnls_solver(ctx: Context) -> CheckResult:
             problems.append(f"norm defect {abs(s.norm - 1):.1e} at eta={eta}")
 
     prob = dnls.DnlsProblem(eta=-3.0, sigma=1.0, n_sites=21)
-    rng = np.random.default_rng(11)
+    # a unit point and 20 unit directions: the f rows of 21 starts
+    (f, *directions), _ = dnls.random_starts(prob, 21, seed=11)
     worst_fd = 0.0
-    f = rng.standard_normal(21)
-    f /= np.linalg.norm(f)
     e = 2.5
     lp = dnls.linearization_lplus(f, e, prob)
-    for _ in range(20):
-        v = rng.standard_normal(21)
-        v /= np.linalg.norm(v)
+    for v in directions:
         eps = 1e-6
         fd = (dnls.dnls_residual(f + eps * v, e, prob)
               - dnls.dnls_residual(f - eps * v, e, prob)) / (2 * eps)

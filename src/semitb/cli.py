@@ -14,7 +14,6 @@ import ctypes
 import dataclasses
 import functools
 import glob
-import hashlib
 import importlib.util
 import json
 import logging
@@ -36,6 +35,16 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 CACHE_VERSION = 11
+
+# sha256 from CPython's built-in module, which gives hashlib's digests
+# without mapping OpenSSL's libcrypto into the process
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 _REQUIRED = dataclasses.MISSING
@@ -195,7 +204,7 @@ def config_hash(cfg: RunConfig, hbar: float) -> str:
     payload["version"] = CACHE_VERSION
     payload["hbar"] = hbar
     blob = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return _sha256(blob.encode()).hexdigest()[:16]
 
 
 class BundleCache:

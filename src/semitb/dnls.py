@@ -293,16 +293,50 @@ def operator_l1_norm(mat: np.ndarray) -> float:
     return float(np.abs(mat).sum(axis=0).max())
 
 
+def _splitmix64(seed: int, n: int) -> np.ndarray:
+    """The first n outputs of the splitmix64 stream of seed, as uint64.
+
+    Steele, Lea and Flood, OOPSLA 2014.  The oracle starts draw from it
+    rather than from numpy.random, whose import loads secrets, hmac and
+    hashlib, and with hashlib OpenSSL, into the process.
+    """
+    z = (np.uint64(seed % 2**64)
+         + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15))
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _uniforms(seed: int, n: int) -> np.ndarray:
+    """n uniforms on [0, 1), from the top 53 bits of each output."""
+    return (_splitmix64(seed, n) >> np.uint64(11)) * 2.0**-53
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Unit normals, two from each pair (u[2k], u[2k+1]) of uniforms."""
+    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))  # 1 - u in (0, 1]
+    t = 2.0 * np.pi * u[1::2]
+    return np.stack([r * np.cos(t), r * np.sin(t)], axis=1).ravel()
+
+
+def random_starts(prob: DnlsProblem, n_starts: int,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Newton starts (f0, e0) from one draw of seed's stream.
+
+    The rows of f0 are unit vectors along normal draws; e0 is uniform on
+    [-3, 3) - eta, drawn after every row.
+    """
+    n = n_starts * prob.n_sites
+    u = _uniforms(seed, n + n % 2 + n_starts)
+    f0 = _box_muller(u[:n + n % 2])[:n].reshape(n_starts, prob.n_sites)
+    f0 /= np.linalg.norm(f0, axis=1, keepdims=True)
+    return f0, 6.0 * u[n + n % 2:] - 3.0 - prob.eta
+
+
 def brute_force_states(prob: DnlsProblem, n_starts: int = 200,
                        seed: int = 0) -> list[DnlsState]:
     """Newton from random unit seeds in one stack; converged states in seed order."""
-    rng = np.random.default_rng(seed)
-    f0 = np.empty((n_starts, prob.n_sites))
-    e0 = np.empty(n_starts)
-    for k in range(n_starts):
-        f0[k] = rng.standard_normal(prob.n_sites)
-        f0[k] /= np.linalg.norm(f0[k])
-        e0[k] = rng.uniform(-3, 3) - prob.eta
+    f0, e0 = random_starts(prob, n_starts, seed)
     return [s for s in _newton_stack(prob, f0, e0) if isinstance(s, DnlsState)]
 
 

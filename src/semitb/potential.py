@@ -174,6 +174,40 @@ def _check_unique_minimum(spec, xs, vals, x0, scale):
         )
 
 
+def _legval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k c[k] P_k(x) by Clenshaw's recurrence, in legval's operation order."""
+    nd = len(c)
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], n >= 2.
+
+    numpy.polynomial.legendre.leggauss(n) step for step, so the two agree
+    bit for bit, without importing numpy.polynomial: eigenvalues of the
+    symmetric companion matrix, one Newton step, weights from P_n' and
+    P_{n-1}, then symmetrization.
+    """
+    k = np.arange(n)
+    scl = 1.0 / np.sqrt(2 * k + 1)
+    off = k[1:] * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    dc = np.where(k % 2 != n % 2, 2.0 * k + 1, 0.0)  # P_n' in the P_k basis
+    df = _legval(x, dc)
+    x -= _legval(x, c) / df
+    fm = _legval(x, c[1:])
+    w = 1 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    return x, w * (2.0 / w.sum())
+
+
 def _signed_action(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
     """Signed action from x0: m*s0 + d(x0, x0 + r) for x = x0 + m*a + r.
 
@@ -182,9 +216,7 @@ def _signed_action(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
     _GL_AGREE*eps*s0 (QuadratureError past _MAX_PANELS panels), and each
     distinct offset r then adds one partial panel to the whole ones before it.
     """
-    from numpy.polynomial.legendre import leggauss  # off the CLI import path
-
-    nodes, weights = leggauss(_GL_NODES)
+    nodes, weights = _gauss_legendre(_GL_NODES)
 
     def rule(lo, hi):
         half = 0.5 * (hi - lo)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import REF_CFG
 
 import semitb.cli as cli
 from semitb.errors import ConfigError
@@ -333,6 +335,15 @@ def test_config_hash_sensitivity(tmp_path, monkeypatch):
         assert cli.config_hash(dataclasses.replace(cfg, **unkeyed), 0.3) == base
     monkeypatch.setattr(cli, "CACHE_VERSION", cli.CACHE_VERSION + 1)
     assert cli.config_hash(cfg, 0.3) != base
+
+
+def test_cache_key_is_the_hashlib_digest():
+    # the built-in sha256 gives hashlib's digests, so a cache keyed by
+    # hashlib.sha256 is still hit: the key of the reference config at
+    # hbar = 0.25 is pinned to the hashlib value
+    assert cli.config_hash(REF_CFG, 0.25) == "393a29f1f8c51771"
+    for payload in (b"", b"abc", bytes(range(256)) * 5, "ħ = 0.25".encode()):
+        assert cli._sha256(payload).hexdigest() == hashlib.sha256(payload).hexdigest()
 
 
 def test_sigma_change_served_from_cache(tmp_path, monkeypatch):

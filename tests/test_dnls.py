@@ -180,12 +180,52 @@ def test_brute_force_oracle_matches_continuation():
 
 
 def _draws(prob, n_starts, seed):
-    """The brute-force starts, drawn f0 then e0 per seed."""
-    rng = np.random.default_rng(seed)
-    for _ in range(n_starts):
-        f0 = rng.standard_normal(prob.n_sites)
-        f0 /= np.linalg.norm(f0)
-        yield f0, float(rng.uniform(-3, 3) - prob.eta)
+    """The brute-force starts as (f0, e0) pairs, from the oracle's own draw."""
+    f0, e0 = dnls.random_starts(prob, n_starts, seed)
+    return list(zip(f0, e0.tolist()))
+
+
+# criterion 6's oracle: 200 starts at seed 3 on 7 sites at eta = -8
+_CRITERION_6 = (st.DnlsProblem(eta=-8.0, sigma=1.0, n_sites=7), 200, 3)
+
+
+def _splitmix64_reference(seed, n):
+    """splitmix64 in Python integers, mod 2**64."""
+    out = []
+    for _ in range(n):
+        seed = (seed + 0x9E3779B97F4A7C15) % 2**64
+        z = seed
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 1234567, 2**64 - 1])
+def test_generator_is_splitmix64(seed):
+    got = [int(z) for z in dnls._splitmix64(seed, 8)]
+    assert got == _splitmix64_reference(seed, 8)
+    if seed == 1234567:  # the published first output of this seed
+        assert got[0] == 6457827717110365317
+
+
+def test_generator_moments():
+    u = dnls._uniforms(11, 10**5)
+    assert u.min() >= 0.0 and u.max() < 1.0
+    assert abs(u.mean() - 0.5) < 0.005 and abs(u.var() - 1 / 12) < 0.002
+    z = dnls._box_muller(dnls._uniforms(12, 10**5))
+    assert z.size == 10**5 and np.isfinite(z).all()
+    assert abs(z.mean()) < 0.015 and abs(z.var() - 1.0) < 0.02
+    assert abs((z**3).mean()) < 0.05 and abs((z**4).mean() - 3.0) < 0.1
+
+
+def test_random_starts_are_unit_rows_then_shifted_energies():
+    f0, e0 = dnls.random_starts(*_CRITERION_6)
+    assert f0.shape == (200, 7) and e0.shape == (200,)
+    assert np.allclose(np.linalg.norm(f0, axis=1), 1.0, rtol=0, atol=1e-15)
+    # the energies come after all 1400 normals, uniform on [-3, 3) + 8
+    assert np.array_equal(e0, 6.0 * dnls._uniforms(3, 1600)[1400:] - 3.0 + 8.0)
+    assert e0.min() >= 5.0 and e0.max() < 11.0
 
 
 def _same_state(a, b):
@@ -194,9 +234,9 @@ def _same_state(a, b):
 
 
 def test_singular_member_fails_alone():
-    prob = st.DnlsProblem(eta=-8.0, sigma=1.0, n_sites=7)
+    prob = _CRITERION_6[0]
     # the first three criterion-6 starts: one stalls, two converge
-    starts = [(np.zeros(7), 8.0)] + list(_draws(prob, 3, seed=3))
+    starts = [(np.zeros(7), 8.0)] + _draws(*_CRITERION_6)[:3]
     out = dnls._newton_stack(prob, np.array([f for f, _ in starts]),
                              [e for _, e in starts])
     assert isinstance(out[0], SolverError)
@@ -215,8 +255,8 @@ def test_singular_member_fails_alone():
 
 def test_stall_names_its_cause():
     # the first start of the criterion-6 oracle stalls for the full budget
-    prob = st.DnlsProblem(eta=-8.0, sigma=1.0, n_sites=7)
-    f0, e0 = next(_draws(prob, 1, seed=3))
+    prob = _CRITERION_6[0]
+    f0, e0 = _draws(*_CRITERION_6)[0]
     with pytest.raises(NonConvergenceError,
                        match=r"after 60 iterations \(eta=-8\.0, n_sites=7\)") as err:
         newton_solve(prob, f0, e0)
@@ -224,14 +264,14 @@ def test_stall_names_its_cause():
 
 
 def test_brute_force_oracle_keeps_its_states():
-    # 123 of the 200 criterion-6 starts converge, in seed order: the first
+    # 129 of the 200 criterion-6 starts converge, in seed order: the first
     # start stalls and the next two converge, as they do alone
-    prob = st.DnlsProblem(eta=-8.0, sigma=1.0, n_sites=7)
-    states = brute_force_states(prob, n_starts=200, seed=3)
-    assert len(states) == 123
+    prob, n_starts, seed = _CRITERION_6
+    states = brute_force_states(prob, n_starts=n_starts, seed=seed)
+    assert len(states) == 129
     assert all(s.residual_norm <= 1e-10 and abs(s.norm - 1.0) <= 1e-12
                for s in states)
-    draws = list(_draws(prob, 3, seed=3))
+    draws = _draws(*_CRITERION_6)
     assert all(_same_state(states[k], newton_solve(prob, *draws[k + 1]))
                for k in (0, 1))
 
@@ -266,7 +306,7 @@ def test_brute_force_is_a_stack_of_solo_solves(seed, n_sites, eta):
 @given(seed=_SEEDS, n_sites=_SITES, eta=_ETAS)
 def test_sign_flipped_start_gives_sign_flipped_state(seed, n_sites, eta):
     prob = st.DnlsProblem(eta=eta, sigma=1.0, n_sites=n_sites)
-    f0, e0 = next(_draws(prob, 1, seed))
+    f0, e0 = _draws(prob, 1, seed)[0]
     try:
         s = newton_solve(prob, f0, e0)
     except SolverError as exc:

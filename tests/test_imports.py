@@ -97,7 +97,7 @@ def _loaded_after(code, modules):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    return out.stdout.split()
+    return out.stdout.splitlines()[-1].split()  # after whatever `code` printed
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
@@ -144,3 +144,42 @@ def test_no_potential_family_loads_scipy_interpolate():
             "1: -2.0 - 0.75j, 3: 0.35 * cmath.exp(0.4j)}); "
             "st.solve_bands(skew, st.FloquetConfig(hbar=0.2, n_pw=41, n_kappa=8))")
     assert _loaded_after(code, ("scipy.interpolate",)) == []
+
+
+_SMALL_RUN = """\
+[potential]
+family = sin2
+v0 = 8.0
+a = 1.0
+
+[numerics]
+n_pw = 33
+n_kappa = 16
+cells = 16
+points_per_cell = 32
+lowdin_band = 4
+delta0 = 8.0
+
+[sweep]
+hbar = 0.3, 0.25, 0.2, 0.15
+eta = 0, -2, -50
+sigma = 1.0
+n_sites = 21
+
+[io]
+output_dir = {out}
+cache_dir = {cache}
+"""
+
+
+def test_scan_and_verify_load_no_openssl_numpy_random_or_polynomial(tmp_path):
+    # the cache key's sha256 is CPython's built-in one, the oracle starts
+    # come from dnls's own generator and the action's rule is numpy-only
+    ini = tmp_path / "run.ini"
+    ini.write_text(_SMALL_RUN.format(out=tmp_path / "out", cache=tmp_path / "cache"))
+    code = ("import semitb.cli as cli; "
+            f"codes = [cli.main(['--config', {str(ini)!r}, cmd]) "
+            "for cmd in ('scan', 'verify')]; "
+            "assert codes[0] == 0 and codes[1] in (0, 1), codes")
+    assert _loaded_after(code, ("hashlib", "_hashlib", "numpy.random",
+                                "numpy.polynomial")) == []

@@ -137,6 +137,15 @@ def test_action_refinement_failure_is_named(monkeypatch):
     assert "cos-series" in str(info.value) and "8 panels" in str(info.value)
 
 
+@pytest.mark.parametrize("n", [8, 16, potential._GL_NODES])
+def test_gauss_legendre_rule_is_numpys_bit_for_bit(n):
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = potential._gauss_legendre(n)
+    ref_nodes, ref_weights = leggauss(n)
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+
+
 def test_periodicity_of_families():
     specs = [
         st.make_potential("sin2", v0=8.0, a=1.0),
