@@ -1,7 +1,8 @@
 """Acceptance checks for a run configuration.
 
-Each criterion is one function returning a CheckResult; `run_all` executes
-them in order and `semitb verify` prints one pass/fail line per criterion.
+Each criterion is one function returning (passed, detail) under the name
+`_criterion` gives it; `run_all` executes them in order into CheckResults,
+and `semitb verify` prints one pass/fail line per criterion.
 The thresholds are set for the reference configuration, `reference.ini`
 at the repository root.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import filecmp
 import os
-import shutil
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,14 +41,15 @@ class Context:
     from those parts on every call, and each caller drops it before it
     asks for the next, so at most one is alive.  Each sweep thus derives
     its own domains and lattice parameters, and criterion 11 compares two
-    sweeps that share only the bands and the basis.
+    sweeps that share only the bands and the basis.  Sweep n writes its
+    outputs to out_dir/run<n>.
     """
 
-    def __init__(self, cfg):
+    def __init__(self, cfg, out_dir: str):
         self.cfg = cfg
+        self.out_dir = out_dir
         self._parts = {}
         self._reports = {}
-        self._tmp = None
 
     # -- shared building blocks -------------------------------------------
 
@@ -71,21 +72,19 @@ class Context:
         self._parts[hbar] = (bun.bd, dataclasses.replace(bun.wb))
         return bun
 
+    def bands(self, hbar: float) -> bloch.BandData:
+        """The BandData of a hbar whose bundle was built."""
+        return self._parts[hbar][0]
+
     @property
     def ladder_states(self):
         return self.report(1).lattice_states
 
     def report(self, run: int) -> scan.TransitionReport:
         if run not in self._reports:
-            if self._tmp is None:
-                self._tmp = tempfile.mkdtemp(prefix="semitb_verify_")
-            out = os.path.join(self._tmp, f"run{run}")
+            out = os.path.join(self.out_dir, f"run{run}")
             self._reports[run] = scan.run_sweep(self.cfg, self.bundle, out_dir=out)
         return self._reports[run]
-
-    def cleanup(self):
-        if self._tmp and os.path.isdir(self._tmp):
-            shutil.rmtree(self._tmp, ignore_errors=True)
 
 
 def _ladder_params(ctx: Context) -> dict:
@@ -101,10 +100,34 @@ def _published_fit(ctx: Context, name: str) -> dict:
     return entry
 
 
+def _published_decay(ctx: Context, column: str, eta: float, fit: str):
+    """(values, monotone, S0 estimate) of a continuum.csv column at eta.
+
+    The values run down the ladder over the hbar the sweep delivered;
+    monotone says they strictly decrease, and the estimate is the fit's.
+    Raises Error on fewer than four values.
+    """
+    rows = scan.continuum_column(ctx.report(1).continuum_rows, column, eta)
+    vals = [rows[h] for h in ctx.cfg.hbar_ladder if h in rows]
+    if len(vals) < 4:
+        raise Error(f"only {len(vals)} points available")
+    monotone = all(b < a for a, b in zip(vals, vals[1:]))
+    return vals, monotone, _published_fit(ctx, fit)["s0_estimate"]
+
+
+def _criterion(name: str):
+    """Give a check the name `run_all` prints for it, whether it returns or raises."""
+    def named(check):
+        check.title = name
+        return check
+    return named
+
+
 # -- criteria ------------------------------------------------------------------
 
 
-def check_free_particle_bands(ctx: Context) -> CheckResult:
+@_criterion("free-particle bands")
+def check_free_particle_bands(ctx: Context) -> tuple[bool, str]:
     """Fourier-basis sanity: with V = 0 the bands are folded parabolas."""
     spec = free_potential(1.0)
     cfg = bloch.FloquetConfig(hbar=0.3, n_pw=41, n_kappa=16, n_bands=6)
@@ -114,11 +137,11 @@ def check_free_particle_bands(ctx: Context) -> CheckResult:
     for i, k in enumerate(bd.kappa):
         exact = np.sort((cfg.hbar * (k + b * bd.modes)) ** 2)[: bd.n_bands]
         worst = max(worst, float(np.abs(bd.energies[:, i] - exact).max()))
-    return CheckResult("free-particle bands", worst <= 1e-10,
-                       f"max |E - parabola| = {worst:.2e} (tol 1e-10)")
+    return worst <= 1e-10, f"max |E - parabola| = {worst:.2e} (tol 1e-10)"
 
 
-def check_harmonic_law(ctx: Context) -> CheckResult:
+@_criterion("harmonic law for lambda1")
+def check_harmonic_law(ctx: Context) -> tuple[bool, str]:
     """lambda1 = hbar sqrt(V''(x0)/2) + O(hbar^2) with a stable constant."""
     omega_half = np.sqrt(ctx.spec.curvature / 2.0)
     params = _ladder_params(ctx)
@@ -127,21 +150,22 @@ def check_harmonic_law(ctx: Context) -> CheckResult:
         lam1 = params[hb][0]
         ratios.append(abs(lam1 - hb * omega_half) / hb**2)
     spread = max(ratios) / min(ratios)
-    return CheckResult(
-        "harmonic law for lambda1", spread <= 2.0,
+    return (
+        spread <= 2.0,
         f"|lambda1 - hbar*sqrt(V''/2)|/hbar^2 in "
         f"[{min(ratios):.3f}, {max(ratios):.3f}], spread {spread:.3f} (tol 2)")
 
 
-def check_gap_scaling(ctx: Context) -> CheckResult:
+@_criterion("gap scaling ~ hbar")
+def check_gap_scaling(ctx: Context) -> tuple[bool, str]:
     """First gap is of order hbar: log-log slope 1 +- 0.1."""
     slope = _published_fit(ctx, "gap_loglog")["slope"]
-    return CheckResult("gap scaling ~ hbar", 0.9 <= slope <= 1.1,
-                       f"log(gap) vs log(hbar) slope = {slope:.4f} "
-                       f"(want 1 +- 0.1)")
+    return (0.9 <= slope <= 1.1,
+            f"log(gap) vs log(hbar) slope = {slope:.4f} (want 1 +- 0.1)")
 
 
-def check_tunneling_rates(ctx: Context) -> CheckResult:
+@_criterion("tunneling-rate consistency")
+def check_tunneling_rates(ctx: Context) -> tuple[bool, str]:
     """Four independent estimators recover the tunneling action."""
     cols = {
         "beta": ("hopping_beta", 0.10),
@@ -154,21 +178,22 @@ def check_tunneling_rates(ctx: Context) -> CheckResult:
         ratio = _published_fit(ctx, fit)["s0_ratio"]
         ok = ok and (1 - tol <= ratio <= 1 + tol)
         details.append(f"{name}: {ratio:.3f} (tol {tol:.0%})")
-    return CheckResult("tunneling-rate consistency", ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def check_hopping_cross_oracle(ctx: Context) -> CheckResult:
+@_criterion("hopping cross-oracle")
+def check_hopping_cross_oracle(ctx: Context) -> tuple[bool, str]:
     """Real-space hopping equals the band Fourier coefficient."""
     params = _ladder_params(ctx)
     worst = 0.0
     for hb in ctx.cfg.hbar_ladder:
-        ref = tightbinding.band_hopping(ctx._parts[hb][0])
+        ref = tightbinding.band_hopping(ctx.bands(hb))
         worst = max(worst, abs(params[hb][1] - ref) / abs(ref))
-    return CheckResult("hopping cross-oracle", worst <= 1e-6,
-                       f"max relative difference {worst:.2e} (tol 1e-6)")
+    return worst <= 1e-6, f"max relative difference {worst:.2e} (tol 1e-6)"
 
 
-def check_dnls_solver(ctx: Context) -> CheckResult:
+@_criterion("dnls solver quality")
+def check_dnls_solver(ctx: Context) -> tuple[bool, str]:
     """Residual/norm quality, Jacobian correctness, brute-force match."""
     problems = []
     for eta, s in ctx.ladder_states.items():
@@ -210,10 +235,11 @@ def check_dnls_solver(ctx: Context) -> CheckResult:
               f"oracle linf {dist:.1e}")
     if problems:
         detail = "; ".join(problems)
-    return CheckResult("dnls solver quality", not problems, detail)
+    return not problems, detail
 
 
-def check_anticontinuum(ctx: Context) -> CheckResult:
+@_criterion("anticontinuum regime")
+def check_anticontinuum(ctx: Context) -> tuple[bool, str]:
     """Single-site regime at eta = -50 and the measured energy convention."""
     s = ctx.ladder_states[-50.0]
     prob = dnls.DnlsProblem(eta=-50.0, sigma=1.0, n_sites=ctx.cfg.n_sites)
@@ -223,40 +249,29 @@ def check_anticontinuum(ctx: Context) -> CheckResult:
     d_shift = abs(s.e - 52.0)      # distance to E = 2 - eta
     conv = "-eta" if d_minus < d_shift else "2-eta"
     ok = (s.participation < 1.05 and inv_norm <= 2.0 and d_minus <= 10 / 50.0)
-    return CheckResult(
-        "anticontinuum regime", ok,
+    return (
+        ok,
         f"P = {s.participation:.4f} (<1.05), ||Lp^-1||_1 = {inv_norm:.3f} "
         f"(<=2), |E-(-eta)| = {d_minus:.2e}, |E-(2-eta)| = {d_shift:.2f}: "
         f"matches the {conv} convention")
 
 
-def check_perp_smallness(ctx: Context) -> CheckResult:
+@_criterion("perp component decay")
+def check_perp_smallness(ctx: Context) -> tuple[bool, str]:
     """Out-of-band component at eta = -2 decays exponentially in 1/hbar."""
-    rows = scan.continuum_column(ctx.report(1).continuum_rows, "perp_h1", -2.0)
-    ladder = [h for h in ctx.cfg.hbar_ladder if h in rows]
-    vals = [rows[h] for h in ladder]
-    if len(vals) < 4:
-        return CheckResult("perp component decay", False,
-                           f"only {len(vals)} points available")
-    monotone = all(b < a for a, b in zip(vals, vals[1:]))
-    slope = _published_fit(ctx, "perp_h1_eta_-2")["s0_estimate"]
+    _, monotone, slope = _published_decay(ctx, "perp_h1", -2.0, "perp_h1_eta_-2")
     ok = monotone and slope >= 0.5 * ctx.s0
-    return CheckResult(
-        "perp component decay", ok,
+    return (
+        ok,
         f"monotone={monotone}, slope = {slope:.3f} = {slope / ctx.s0:.2f}*S0 "
         f"(want >= 0.5*S0)")
 
 
-def check_reconstruction_closeness(ctx: Context) -> CheckResult:
+@_criterion("reconstruction closeness")
+def check_reconstruction_closeness(ctx: Context) -> tuple[bool, str]:
     """H1 distance to the lattice lift decays; oracle agrees."""
-    rows = scan.continuum_column(ctx.report(1).continuum_rows, "h1_error", -3.0)
-    ladder = [h for h in ctx.cfg.hbar_ladder if h in rows]
-    vals = [rows[h] for h in ladder]
-    if len(vals) < 4:
-        return CheckResult("reconstruction closeness", False,
-                           f"only {len(vals)} points available")
-    monotone = all(b < a for a, b in zip(vals, vals[1:]))
-    alpha = _published_fit(ctx, "h1_error_eta_-3")["s0_estimate"]
+    vals, monotone, alpha = _published_decay(ctx, "h1_error", -3.0,
+                                             "h1_error_eta_-3")
     pointwise = all(v < 1.0 for v in vals)
 
     bun = ctx.bundle(ORACLE_HBAR)
@@ -269,45 +284,46 @@ def check_reconstruction_closeness(ctx: Context) -> CheckResult:
     agree = bun.dom.h1_norm(orc.phi - cs.phi)
 
     ok = monotone and alpha > 0 and pointwise and agree <= 1e-7
-    return CheckResult(
-        "reconstruction closeness", ok,
+    return (
+        ok,
         f"monotone={monotone}, fitted alpha = {alpha:.3f} "
         f"({alpha / ctx.s0:.2f}*S0), oracle H1 agreement {agree:.2e} (tol 1e-7; "
         f"oracle {orc.iterations} Newton / {orc.minres_iterations} MINRES steps, "
         f"residual_h {orc.residual_h:.2e} oracle, {cs.residual_h:.2e} reconstruction)")
 
 
-def check_localization_transition(ctx: Context) -> CheckResult:
+@_criterion("localization transition")
+def check_localization_transition(ctx: Context) -> tuple[bool, str]:
     """Participation collapses from the linear value to one site."""
     p0 = ctx.ladder_states[0.0].participation
     p50 = ctx.ladder_states[-50.0].participation
     mass = scan.continuum_column(ctx.report(1).continuum_rows, "peak_cell_mass",
                                  -50.0).get(0.125)
     ok = p0 > 10 and p50 < 1.05 and mass is not None and mass > 0.95
-    return CheckResult(
-        "localization transition", ok,
+    return (
+        ok,
         f"P(0) = {p0:.1f} (>10), P(-50) = {p50:.4f} (<1.05), peak-cell mass "
         f"at hbar=0.125 = {mass if mass is None else f'{mass:.4f}'} (>0.95)")
 
 
-def check_determinism(ctx: Context) -> CheckResult:
+@_criterion("determinism")
+def check_determinism(ctx: Context) -> tuple[bool, str]:
     """A second sweep reproduces every output byte for byte.
 
     It shares only the bands and the basis with the first: each hbar's
     domain and lattice parameters are derived again.
     """
-    r1, r2 = ctx.report(1), ctx.report(2)
+    ctx.report(1)
+    ctx.report(2)
     names = ["params.csv", "dnls_ladder.csv", "continuum.csv",
              "transition.csv", "fits.json"]
-    mismatched = []
-    for name in names:
-        p1 = [p for p in r1.written if p.endswith(name)]
-        p2 = [p for p in r2.written if p.endswith(name)]
-        if not p1 or not p2 or not filecmp.cmp(p1[0], p2[0], shallow=False):
-            mismatched.append(name)
-    return CheckResult("determinism", not mismatched,
-                       "byte-identical outputs" if not mismatched
-                       else f"mismatch in {', '.join(mismatched)}")
+    run1, run2 = (os.path.join(ctx.out_dir, run) for run in ("run1", "run2"))
+    mismatched = [name for name in names
+                  if not filecmp.cmp(os.path.join(run1, name),
+                                     os.path.join(run2, name), shallow=False)]
+    return (not mismatched,
+            f"mismatch in {', '.join(mismatched)}" if mismatched
+            else "byte-identical outputs")
 
 
 CRITERIA = (
@@ -327,17 +343,13 @@ CRITERIA = (
 
 def run_all(cfg):
     """Run every acceptance criterion; never aborts on a single failure."""
-    ctx = Context(cfg)
     results = []
-    try:
+    with tempfile.TemporaryDirectory(prefix="semitb_verify_") as tmp:
+        ctx = Context(cfg, tmp)
         for num, fn in CRITERIA:
             try:
-                res = fn(ctx)
+                passed, detail = fn(ctx)
             except Exception as exc:  # noqa: BLE001 - report, don't abort
-                res = CheckResult(fn.__name__.replace("check_", "").replace("_", " "),
-                                  False, f"raised {type(exc).__name__}: {exc}")
-            res.name = f"{num}. {res.name}"
-            results.append(res)
-    finally:
-        ctx.cleanup()
+                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+            results.append(CheckResult(f"{num}. {fn.title}", passed, detail))
     return results

@@ -83,34 +83,19 @@ class BandData:
     def n_bands(self) -> int:
         return self.energies.shape[0]
 
-    @property
-    def n_kappa(self) -> int:
-        return self.kappa.size
-
     def band_edges(self, n: int) -> tuple[float, float]:
         """(alpha_n, beta_n) = (min, max) of band n, 1-based."""
         e = self.energies[n - 1]
         return float(e.min()), float(e.max())
 
 
-def potential_fourier(spec: PotentialSpec, kmax: int) -> np.ndarray:
-    """Cell Fourier coefficients vhat[k] for |k| <= kmax, Hermitian by construction.
-
-    spec.vhat, padded with zeros or truncated to kmax.  Returns an array of
-    length 2*kmax + 1 indexed by k + kmax.
-    """
-    pos = np.zeros(kmax + 1, dtype=complex)  # of exp(+i 2 pi k x / a)
-    head = spec.vhat[:kmax + 1]
-    pos[:head.size] = head
-    return np.concatenate((pos[:0:-1].conj(), pos))
-
-
 def half_bandwidth(vhat: np.ndarray, n_pw: int) -> int:
     """Largest k with |vhat[k]| > n_pw * eps * max|vhat|, 0 if there is none.
 
-    vhat is indexed by k + kmax as `potential_fourier` returns it.
+    vhat holds the coefficients of k = 0, 1, ...; those of k < 0 are
+    their conjugates and have the same moduli.
     """
-    mag = np.abs(vhat[vhat.size // 2:])
+    mag = np.abs(vhat)
     above = np.flatnonzero(mag > n_pw * np.finfo(float).eps * mag.max())
     return int(above.max(initial=0))
 
@@ -119,13 +104,15 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
     """Lowest n_bands energies of the Floquet matrix at every zone kappa.
 
     The matrix is hbar^2 (kappa + 2 pi m / a)^2 on the diagonal plus the
-    Toeplitz potential block vhat[m - n]; it is Hermitian by construction
-    and this is asserted.  Its half-bandwidth K is the largest k with
-    |vhat[k]| > n_pw * eps * max|vhat|; the entries dropped beyond it sit
-    below the backward error of a dense eigensolver.  K = 1 for sin2,
-    len(coeffs) for cos-series, the largest k of a fourier vhat and
-    0 for a free particle.  The (K + 1)-row lower band storage is filled
-    once and kept in the BandData; only its diagonal changes with kappa.
+    Toeplitz potential block vhat[m - n], with vhat[-k] = conj(vhat[k]):
+    it is Hermitian by construction, and only its lower band, the
+    coefficients of k >= 0, is stored.  Its half-bandwidth K is the
+    largest k with |vhat[k]| > n_pw * eps * max|vhat|; the entries
+    dropped beyond it sit below the backward error of a dense
+    eigensolver.  K = 1 for sin2, len(coeffs) for cos-series, the
+    largest k of a fourier vhat and 0 for a free particle.  The (K + 1)-row
+    lower band storage is filled once and kept in the BandData; only its
+    diagonal changes with kappa.
 
     Only the half zone kappa_0 = -b/2 .. kappa_{n_kappa/2} = 0 is solved:
     V is real, so H(-kappa) = P conj(H(kappa)) P with P the mode reversal
@@ -142,15 +129,18 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
     b = 2 * np.pi / a
     kappa = -b / 2 + b * np.arange(cfg.n_kappa) / cfg.n_kappa
 
-    vhat = potential_fourier(spec, cfg.n_pw - 1)
-    assert np.array_equal(vhat, vhat[::-1].conj()), "Floquet matrix not Hermitian"
+    # spec.vhat (k >= 0), padded with zeros or truncated to the n_pw - 1
+    # couplings the mode set has room for
+    vhat = np.zeros(cfg.n_pw, dtype=complex)
+    head = spec.vhat[:cfg.n_pw]
+    vhat[:head.size] = head
     K = half_bandwidth(vhat, cfg.n_pw)
 
     nb = cfg.n_bands
     # lower band storage: row d holds the d-th subdiagonal of the Toeplitz
     # block, the constant coefficient of k = d, padded with d zeros
     d = np.arange(K + 1)[:, None]
-    band = np.where(np.arange(cfg.n_pw) < cfg.n_pw - d, vhat[cfg.n_pw - 1 + d], 0)
+    band = np.where(np.arange(cfg.n_pw) < cfg.n_pw - d, vhat[d], 0)
 
     energies = np.empty((nb, cfg.n_kappa))
     bd = BandData(a=a, hbar=hbar, kappa=kappa, energies=energies, band=band)

@@ -49,6 +49,9 @@ except ImportError:
 
 _REQUIRED = dataclasses.MISSING
 
+# the output formats io.formats may name
+_FORMATS = ("csv", "json")
+
 # (section, key, attribute, kind, default): the one list of INI fields.
 # The attributes stay flat on RunConfig because perfbench/gate.py reads them.
 _FIELDS = (
@@ -62,7 +65,7 @@ _FIELDS = (
     ("numerics", "points_per_cell", "points_per_cell", int, 64),
     ("numerics", "lowdin_band", "lowdin_band", int, 6),
     ("numerics", "n_bands", "n_bands", int, 5),
-    ("numerics", "delta0", "delta0", float, 2.0),
+    ("numerics", "delta0", "delta0", float, 8.0),
     ("sweep", "hbar", "hbar_ladder", "floats", _REQUIRED),
     ("sweep", "eta", "eta_values", "floats", _REQUIRED),
     ("sweep", "sigma", "sigma", float, _REQUIRED),
@@ -70,7 +73,7 @@ _FIELDS = (
     ("sweep", "seed_site", "seed_site", int, 0),
     ("io", "output_dir", "output_dir", str, "out"),
     ("io", "cache_dir", "cache_dir", str, "cache"),
-    ("io", "formats", "formats", "strs", ("csv", "json")),
+    ("io", "formats", "formats", "strs", _FORMATS),
 )
 
 
@@ -190,6 +193,10 @@ def _validate(cfg: RunConfig, allow_low_sigma: bool):
                           f"(need cells > 2*lowdin_band + 1)")
     if cfg.a <= 0:
         raise ConfigError("potential.a: must be positive")
+    unknown = [f for f in cfg.formats if f not in _FORMATS]
+    if unknown:
+        raise ConfigError(f"io.formats: unknown format {unknown[0]!r} "
+                          f"(choose from {', '.join(_FORMATS)})")
     cfg.potential()  # an unknown family fails here, whatever the subcommand
 
 
@@ -286,9 +293,9 @@ def _pipeline_bundle(cfg: RunConfig, cache: BundleCache, hb: float):
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_bands(cfg: RunConfig, args) -> int:
+def cmd_bands(cfg: RunConfig) -> int:
     """Solve the Floquet bands and write bands_h*.csv."""
-    cache = BundleCache(args.cache or cfg.cache_dir)
+    cache = BundleCache(cfg.cache_dir)
     os.makedirs(cfg.output_dir, exist_ok=True)
     for hb in cfg.hbar_ladder:
         key = config_hash(cfg, hb)
@@ -306,9 +313,9 @@ def cmd_bands(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_wannier(cfg: RunConfig, args) -> int:
+def cmd_wannier(cfg: RunConfig) -> int:
     """Build the localized basis and write wannier_h*.csv."""
-    cache = BundleCache(args.cache or cfg.cache_dir)
+    cache = BundleCache(cfg.cache_dir)
     os.makedirs(cfg.output_dir, exist_ok=True)
     for hb in cfg.hbar_ladder:
         bun = _pipeline_bundle(cfg, cache, hb)
@@ -320,9 +327,9 @@ def cmd_wannier(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_params(cfg: RunConfig, args) -> int:
+def cmd_params(cfg: RunConfig) -> int:
     """Extract the lattice parameters into params.csv."""
-    cache = BundleCache(args.cache or cfg.cache_dir)
+    cache = BundleCache(cfg.cache_dir)
     os.makedirs(cfg.output_dir, exist_ok=True)
     s0 = tunneling_action(cfg.potential())
     rows = []
@@ -335,7 +342,7 @@ def cmd_params(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_dnls(cfg: RunConfig, args) -> int:
+def cmd_dnls(cfg: RunConfig) -> int:
     """Continue the DNLS branch into dnls_ladder.csv/json."""
     states, turning = scan._dnls_ladder(cfg)
     rows = scan.dnls_rows(states)
@@ -358,9 +365,9 @@ def cmd_dnls(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_scan(cfg: RunConfig, args) -> int:
+def cmd_scan(cfg: RunConfig) -> int:
     """Run the (hbar, eta) sweep and write every output."""
-    cache = BundleCache(args.cache or cfg.cache_dir)
+    cache = BundleCache(cfg.cache_dir)
     report = scan.run_sweep(cfg, functools.partial(_pipeline_bundle, cfg, cache),
                             out_dir=cfg.output_dir)
     for path in report.written:
@@ -370,7 +377,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
+def cmd_verify(cfg: RunConfig) -> int:
     """Check the 11 acceptance criteria, one line each."""
     from . import acceptance
     results = acceptance.run_all(cfg)
@@ -458,7 +465,9 @@ def main(argv=None) -> int:
                             format="%(levelname)s %(name)s: %(message)s")
         try:
             cfg = parse_config(args.config, allow_low_sigma=args.allow_low_sigma)
-            return args.func(cfg, args)
+            if args.cache:
+                cfg = dataclasses.replace(cfg, cache_dir=args.cache)
+            return args.func(cfg)
         except (ConfigError, ValueError, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -29,17 +29,10 @@ log = logging.getLogger(__name__)
 PARTICIPATION_CROSSING = 1.5
 
 
-@dataclass(frozen=True)
-class FitResult:
-    slope: float
-    intercept: float
-    r2: float
-    n_points: int
-
-
-def fit_exponential_law(xs, ys) -> FitResult:
+def fit_exponential_law(xs, ys) -> dict:
     """Least-squares line through the finite points of (xs, ys).
 
+    Returns the fit's fits.json fields: slope, intercept, r2 and n_points.
     Raises Error on fewer than four usable points or a degenerate
     abscissa spread.
     """
@@ -56,8 +49,8 @@ def fit_exponential_law(xs, ys) -> FitResult:
     ss_res = float(np.sum((ys - pred) ** 2))
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return FitResult(slope=float(slope), intercept=float(intercept),
-                     r2=r2, n_points=int(xs.size))
+    return {"slope": float(slope), "intercept": float(intercept), "r2": r2,
+            "n_points": int(xs.size)}
 
 
 @dataclass
@@ -330,15 +323,13 @@ def _assemble_fits(ladder, fit_scalars, continuum_rows, s0) -> dict:
 
     def _try(name, xs, ys, ratio_to_s0=False):
         try:
-            fr = fit_exponential_law(xs, ys)
+            entry = {"available": True, **fit_exponential_law(xs, ys)}
         except Error as exc:
             fits[name] = {"available": False, "reason": str(exc)}
             return
-        entry = {"available": True, "slope": fr.slope, "intercept": fr.intercept,
-                 "r2": fr.r2, "n_points": fr.n_points}
         if ratio_to_s0:
-            entry["s0_estimate"] = -fr.slope
-            entry["s0_ratio"] = -fr.slope / s0
+            entry["s0_estimate"] = -entry["slope"]
+            entry["s0_ratio"] = -entry["slope"] / s0
         fits[name] = entry
 
     beta, width, gap, a1, u0u1 = zip(*fit_scalars)

@@ -79,13 +79,14 @@ def h_matrix_elements(wb: WannierBasis, dom: PeriodicDomain,
     return row, lambda1, beta
 
 
-def interaction_constant(wb: WannierBasis, dom: PeriodicDomain, sigma: float,
-                         site: int = 0) -> float:
-    """c0 = integral of |u_site|^(2*sigma + 2) on the domain grid."""
+def interaction_constant(wb: WannierBasis, dom: PeriodicDomain, sigma: float) -> float:
+    """c0 = integral of |u_0|^(2*sigma + 2) on the domain grid.
+
+    Every orbital is a whole-cell shift of u_0, so c0 is site independent.
+    """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    u = wb.orbital(site)
-    return float(dom.dx * np.sum(np.abs(u) ** (2 * sigma + 2)))
+    return float(dom.dx * np.sum(np.abs(wb.u0) ** (2 * sigma + 2)))
 
 
 def gamma_for_eta(c0: float, eta: float, beta: float) -> float:

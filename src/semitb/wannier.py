@@ -58,7 +58,6 @@ class WannierBasis:
     u0: np.ndarray
     overlaps: np.ndarray
     lowdin: np.ndarray
-    lowdin_band: int
 
     @property
     def cells(self) -> int:
@@ -76,17 +75,6 @@ class WannierBasis:
     def u(self) -> np.ndarray:
         ppc = self.points_per_cell
         return np.stack([np.roll(self.u0, s * ppc) for s in self.sites])
-
-    def site_index(self, j: int) -> int:
-        sites = self.sites
-        idx = int(j - sites[0])
-        if not 0 <= idx < self.cells:
-            raise IndexError(f"site {j} outside domain sites "
-                             f"[{sites[0]}, {sites[-1]}]")
-        return idx
-
-    def orbital(self, j: int) -> np.ndarray:
-        return self.u[self.site_index(j)]
 
 
 def fix_gauge(dom: PeriodicDomain) -> np.ndarray:
@@ -198,8 +186,7 @@ def build_orthonormal_basis(dom: PeriodicDomain, w: np.ndarray,
     overlaps = gram.copy()
     overlaps[0] -= 1.0
 
-    return WannierBasis(w=w, v0=v0, u0=u0, overlaps=overlaps, lowdin=b,
-                        lowdin_band=lowdin_band)
+    return WannierBasis(w=w, v0=v0, u0=u0, overlaps=overlaps, lowdin=b)
 
 
 def pair_overlap_l1(wb: WannierBasis, dx: float, ell: int) -> float:

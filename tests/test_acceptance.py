@@ -15,27 +15,23 @@ import weakref
 import numpy as np
 import pytest
 
-from semitb import acceptance, bloch, operators, scan, tightbinding
+from semitb import acceptance, bloch, cli, operators, scan, tightbinding
+from semitb.errors import Error
 
 
 @pytest.fixture(scope="session")
-def ctx(ref_cfg, bundle_factory):
-    context = acceptance.Context(ref_cfg)
-    for hb in ref_cfg.hbar_ladder:  # the bands and basis, not the bundle
-        bun = bundle_factory(hb)
-        context._parts[hb] = (bun.bd, bun.wb)
-    yield context
-    context.cleanup()
+def ctx(ref_cfg, bundle_factory, tmp_path_factory):
+    return _seeded(ref_cfg, bundle_factory, tmp_path_factory.mktemp("verify"))
 
 
 CHECKS = {name: fn for name, fn in acceptance.CRITERIA}
 
 
 def _run(ctx, num):
-    result = CHECKS[num](ctx)
-    print(f"[criterion {num}] {'PASS' if result.passed else 'FAIL'} "
-          f"{result.name}: {result.detail}")
-    assert result.passed, result.detail
+    passed, detail = CHECKS[num](ctx)
+    print(f"[criterion {num}] {'PASS' if passed else 'FAIL'} "
+          f"{CHECKS[num].title}: {detail}")
+    assert passed, detail
 
 
 def test_criterion_01_free_particle_bands(ctx):
@@ -82,6 +78,23 @@ def test_criterion_11_determinism(ctx):
     _run(ctx, "11")
 
 
+def test_a_raising_check_keeps_its_name(ref_cfg, monkeypatch, capsys):
+    # criterion 1 as it is, then with its band solve raising: the two lines
+    # open with the same name
+    monkeypatch.setattr(acceptance, "CRITERIA", acceptance.CRITERIA[:1])
+    cli.cmd_verify(ref_cfg)
+    normal = capsys.readouterr().out.splitlines()[0]
+
+    def no_bands(*args, **kwargs):
+        raise Error("no bands")
+
+    monkeypatch.setattr(bloch, "solve_bands", no_bands)
+    assert cli.cmd_verify(ref_cfg) == cli.EXIT_VERIFY_FAILED
+    raised = capsys.readouterr().out.splitlines()[0]
+    assert normal.startswith("[PASS] 1. free-particle bands  max |E - parabola|")
+    assert raised == "[FAIL] 1. free-particle bands  raised Error: no bands"
+
+
 # -- one bundle at a time, and a rerun that re-derives what it compares --------
 
 SMALL_LADDER = (0.25, 0.2, 0.16, 0.125)
@@ -93,8 +106,9 @@ def small_cfg(ref_cfg):
                                eta_values=(0.0, -3.0, -50.0))
 
 
-def _seeded(cfg, bundle_factory):
-    ctx = acceptance.Context(cfg)
+def _seeded(cfg, bundle_factory, out_dir):
+    """A Context whose bands and basis come from the session bundles."""
+    ctx = acceptance.Context(cfg, str(out_dir))
     for hb in cfg.hbar_ladder:
         bun = bundle_factory(hb)
         ctx._parts[hb] = (bun.bd, bun.wb)
@@ -143,20 +157,19 @@ def test_verify_holds_one_bundle_at_a_time(small_cfg, monkeypatch):
                       "build_pipeline": 2 * n + 1}
 
 
-def test_checks_2_and_5_read_the_sweep(small_cfg, bundle_factory, monkeypatch):
-    ctx = _seeded(small_cfg, bundle_factory)
-    try:
-        ctx.report(1)
-        counts = collections.Counter()
-        _count_calls(monkeypatch, counts)
-        assert acceptance.check_harmonic_law(ctx).passed
-        assert acceptance.check_hopping_cross_oracle(ctx).passed
-        assert not counts
-    finally:
-        ctx.cleanup()
+def test_checks_2_and_5_read_the_sweep(small_cfg, bundle_factory, monkeypatch,
+                                      tmp_path):
+    ctx = _seeded(small_cfg, bundle_factory, tmp_path)
+    ctx.report(1)
+    counts = collections.Counter()
+    _count_calls(monkeypatch, counts)
+    assert acceptance.check_harmonic_law(ctx)[0]
+    assert acceptance.check_hopping_cross_oracle(ctx)[0]
+    assert not counts
 
 
-def test_criterion_11_catches_a_one_ulp_drift(small_cfg, bundle_factory, monkeypatch):
+def test_criterion_11_catches_a_one_ulp_drift(small_cfg, bundle_factory, monkeypatch,
+                                              tmp_path):
     # every extraction after the first sweep's raises beta by one ulp
     calls, extract = [], tightbinding.extract_params
 
@@ -168,10 +181,7 @@ def test_criterion_11_catches_a_one_ulp_drift(small_cfg, bundle_factory, monkeyp
         return dataclasses.replace(tbp, beta=float(np.nextafter(tbp.beta, np.inf)))
 
     monkeypatch.setattr(tightbinding, "extract_params", drifting)
-    ctx = _seeded(small_cfg, bundle_factory)
-    try:
-        res = acceptance.check_determinism(ctx)
-    finally:
-        ctx.cleanup()
+    passed, detail = acceptance.check_determinism(_seeded(small_cfg, bundle_factory,
+                                                          tmp_path))
     assert calls == [*SMALL_LADDER, *SMALL_LADDER]
-    assert not res.passed and "params.csv" in res.detail, res.detail
+    assert not passed and "params.csv" in detail, detail

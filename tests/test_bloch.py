@@ -1,4 +1,3 @@
-import argparse
 import dataclasses
 import warnings
 
@@ -8,8 +7,7 @@ import pytest
 from conftest import REF_CFG, SKEW_VHAT
 
 import semitb as st
-from semitb.bloch import (_floquet_diagonal, _floquet_eig, _tridiagonal_lowest,
-                          half_bandwidth, potential_fourier)
+from semitb.bloch import _floquet_diagonal, _floquet_eig, _tridiagonal_lowest
 from semitb.cli import BundleCache, cmd_bands
 from semitb.scan import band_data
 
@@ -38,8 +36,8 @@ def test_free_bands_touch_at_crossings():
 def test_band_symmetry_and_ordering(bundle_factory):
     bd = bundle_factory(0.2).bd
     # kappa grid contains +k and -k pairs away from the zone edge
-    for i in range(1, bd.n_kappa // 2):
-        j = bd.n_kappa - i
+    for i in range(1, bd.kappa.size // 2):
+        j = bd.kappa.size - i
         assert np.abs(bd.energies[:, i] - bd.energies[:, j]).max() < 1e-10
     for n in range(1, bd.n_bands):
         assert bd.band_edges(n)[1] <= bd.band_edges(n + 1)[0] + 1e-12
@@ -158,14 +156,15 @@ def test_config_validation():
 
 def test_band_csv_shape(tmp_path, ref_cfg, bundle_factory):
     bd = bundle_factory(0.2).bd
-    cfg = dataclasses.replace(ref_cfg, hbar_ladder=(0.2,), output_dir=str(tmp_path))
-    cmd_bands(cfg, argparse.Namespace(cache=str(tmp_path / "cache")))
+    cfg = dataclasses.replace(ref_cfg, hbar_ladder=(0.2,), output_dir=str(tmp_path),
+                              cache_dir=str(tmp_path / "cache"))
+    cmd_bands(cfg)
     lines = (tmp_path / "bands_h0.2.csv").read_text().splitlines()
     assert lines[0] == "n,kappa,E"
-    assert len(lines) == 1 + bd.n_bands * bd.n_kappa
+    assert len(lines) == 1 + bd.n_bands * bd.kappa.size
     table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     assert np.array_equal(table[:, 0], np.repeat(np.arange(1, bd.n_bands + 1),
-                                                 bd.n_kappa))
+                                                 bd.kappa.size))
     assert np.array_equal(table[:, 1], np.tile(bd.kappa, bd.n_bands))
     assert np.array_equal(table[:, 2], bd.energies.ravel())
 
@@ -226,8 +225,9 @@ def test_band_width_matches_high_precision_sturm(ref_cfg, hbar):
                     for k in m]
         edges.append(_sturm_lowest(diag, -v0 / 4))
     # each edge within 4 ulp of the 40-digit one (measured: at most 4, at hbar 0.1)
-    assert bd.kappa[0] == -np.pi and bd.kappa[bd.n_kappa // 2] == 0
-    got = bd.energies[0, [bd.n_kappa // 2, 0]]
+    mid = bd.kappa.size // 2
+    assert bd.kappa[0] == -np.pi and bd.kappa[mid] == 0
+    got = bd.energies[0, [mid, 0]]
     assert _ulps(got, np.array([float(e) for e in edges])) <= 4
     with mpmath.workdps(40):
         want = float(abs(edges[0] - edges[1]))
@@ -258,7 +258,7 @@ def test_tridiagonal_bands_match_eig_banded(ref_cfg, hbar):
     assert _ulps(bd.energies, _banded_reference(bd)) <= 4
     # the half kappa_{n/2+1} .. kappa_{n-1} is mirrored from -kappa; solved
     # there directly it agrees to the same 4 ulp
-    half = bd.n_kappa // 2 + 1
+    half = bd.kappa.size // 2 + 1
     direct = _tridiagonal_lowest(_floquet_diagonal(bd, bd.kappa[half:]).real,
                                  abs(bd.band[1, 0]) ** 2, bd.n_bands).T
     assert _ulps(bd.energies[:, half:], direct) <= 4
@@ -282,7 +282,7 @@ def test_tridiagonal_bands_of_a_complex_coupling(ref_cfg, ref_spec):
 def _eigh_reference(spec, cfg):
     """Full-spectrum dense eigh of every Floquet block."""
     modes = np.arange(cfg.n_pw) - cfg.n_pw // 2
-    vhat = potential_fourier(spec, cfg.n_pw - 1)
+    vhat = _looped_fourier(spec, cfg.n_pw - 1)
     vblock = vhat[modes[:, None] - modes[None, :] + cfg.n_pw - 1]
     b = 2 * np.pi / spec.a
     kappa = -b / 2 + b * np.arange(cfg.n_kappa) / cfg.n_kappa
@@ -307,8 +307,8 @@ def test_solver_agrees_with_full_eigh_at_every_bandwidth(family):
     make, want_k = _SPECS[family]
     spec = make()
     cfg = st.FloquetConfig(hbar=0.2, n_pw=41, n_kappa=8, n_bands=5)
-    assert half_bandwidth(potential_fourier(spec, cfg.n_pw - 1), cfg.n_pw) == want_k
     bd = st.solve_bands(spec, cfg)
+    assert bd.band.shape[0] == want_k + 1
     scale = np.abs(bd.energies).max()
     # 64 points over one cell resolve the 41 modes exactly, so the grid sum
     # is the plane-wave inner product
@@ -327,13 +327,16 @@ def test_solver_agrees_with_full_eigh_at_every_bandwidth(family):
 # V0 = 7.615339, a benchmark draw, once lost an ulp of vhat_0 to sampling
 @pytest.mark.parametrize("v0", [8.0, 7.615339])
 def test_sin2_coefficients_are_exact(v0):
-    vhat = potential_fourier(st.make_potential("sin2", v0=v0, a=1.0), 1)
-    assert np.array_equal(vhat.real, [-v0 / 4, v0 / 2, -v0 / 4])
-    assert not vhat.imag.any()
+    spec = st.make_potential("sin2", v0=v0, a=1.0)
+    band = st.solve_bands(spec, st.FloquetConfig(hbar=0.2, n_pw=41, n_kappa=8)).band
+    # the diagonal and the first subdiagonal of the Toeplitz block
+    assert np.array_equal(band[:, 0].real, [v0 / 2, -v0 / 4])
+    assert not band.imag.any()
 
 
 def _looped_fourier(spec, kmax):
-    """potential_fourier one mode at a time."""
+    """The Hermitian coefficient vector of spec, indexed by k + kmax for
+    |k| <= kmax, one mode at a time."""
     out = np.zeros(2 * kmax + 1, dtype=complex)
     for k, c in enumerate(spec.vhat[:kmax + 1]):
         out[kmax + k] = c
@@ -351,7 +354,6 @@ def test_band_storage_is_the_toeplitz_block_diagonals(make, want_k):
     spec = make()
     cfg = st.FloquetConfig(hbar=0.2, n_pw=129, n_kappa=8)
     vhat = _looped_fourier(spec, cfg.n_pw - 1)
-    assert np.array_equal(potential_fourier(spec, cfg.n_pw - 1), vhat)
     modes = np.arange(cfg.n_pw)
     vblock = vhat[modes[:, None] - modes[None, :] + cfg.n_pw - 1]
     want = np.array([np.pad(np.diagonal(vblock, -d), (0, d))

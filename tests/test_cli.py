@@ -66,6 +66,21 @@ def test_negative_zero_eta_is_the_linear_reference(tmp_path):
     assert cli.parse_config(str(path)).eta_values == (0.0, -2.0, -50.0)
 
 
+def test_delta0_defaults_to_the_reference_value(tmp_path):
+    # the lattice l1 norms reach about 5 at moderate eta: a budget of 2
+    # refused every eta >= -3 point of the reference sweep
+    cfg = cli.parse_config(str(_write(tmp_path, GOOD.replace("delta0 = 8.0\n", ""))))
+    assert cfg.delta0 == REF_CFG.delta0 == 8.0
+
+
+def test_cache_flag_overrides_the_config(tmp_path):
+    path = _write(tmp_path)
+    other = tmp_path / "other"
+    assert cli.main(["--config", str(path), "--cache", str(other), "bands"]) == 0
+    assert len(list(other.iterdir())) == 4  # one band bundle per ladder hbar
+    assert not (tmp_path / "cache").exists()
+
+
 def test_missing_section_named(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[numerics]\nn_pw = 33\n")
@@ -206,12 +221,16 @@ def test_torn_bundle_rebuilt(tmp_path, caplog, monkeypatch):
     # a family field that make_potential refuses: two equal wells per cell
     (("family = sin2\nv0 = 8.0", "family = cos-series\ncoeffs = 0, 1"),
      r"error: potential\.coeffs: 2 equally deep minima"),
+    # a typo would silently drop the JSON output
+    (("cache_dir = {cache}\n", "cache_dir = {cache}\nformats = csv, jsn\n"),
+     r"io\.formats: unknown format 'jsn'"),
 ], ids=["hbar-order", "hbar-count", "eta-zero", "eta-near-zero", "cells-lowdin",
         "seed-site", "seed-site-even", "n-sites", "eta-inf",
         "delta0-nan", "delta0-inf", "sigma-nan", "hbar-nan", "points-per-cell",
         "lowdin-band", "n-pw-even", "n-pw-few", "n-kappa", "n-bands",
         "family-alias", "sin2-without-v0", "sin2-with-coeffs",
-        "cos-series-with-v0", "cos-series-without-coeffs", "two-wells"])
+        "cos-series-with-v0", "cos-series-without-coeffs", "two-wells",
+        "formats-typo"])
 def test_config_errors_exit_before_any_build(tmp_path, capsys, edit, key):
     text = GOOD.replace("lowdin_band = 4\n", "") if "lowdin" in edit[1] else GOOD
     assert edit[0] in text
@@ -261,7 +280,7 @@ def test_version1_basis_bundle_rebuilt(tmp_path):
                  points_per_cell=np.int64(wb.points_per_cell), x=dom.x,
                  dx=dom.dx, sites=dom.sites, w=wb.w, v0=wb.v0, u=wb.u,
                  overlaps=wb.overlaps, lowdin=wb.lowdin,
-                 lowdin_band=np.int64(wb.lowdin_band), decay_rate=0.5)
+                 lowdin_band=np.int64(cfg.lowdin_band), decay_rate=0.5)
     (tmp_path / "out" / "params.csv").unlink()
     assert cli.main(["--config", str(path), "params"]) == 0
     assert (tmp_path / "out" / "params.csv").read_bytes() == want

@@ -1,6 +1,6 @@
 """No module-level import goes unused, the heavy ones wait for their use,
 and the package itself reads every name it exports and every field of the
-dataclasses it defines.
+dataclasses it defines, and passes every defaulted parameter somewhere.
 
 No linter ships with the test dependencies, so an AST scan stands in for
 one over the package modules (`__init__.py` is left out: it re-exports)
@@ -8,6 +8,7 @@ and the test files.
 """
 
 import ast
+import collections
 import dataclasses
 import importlib
 import inspect
@@ -35,6 +36,13 @@ UNREAD_FIELDS = {
     "RunConfig.coeffs": "read by getattr through cli._FAMILY_FIELD",
     "WannierBasis.v0": "the seed of the Lowdin step, which the basis tests check",
     "WannierBasis.lowdin": "the Lowdin coefficients, which the basis tests check",
+}
+
+# defaulted parameters that no call site in the package passes, each with
+# the reason it stays
+UNPASSED_PARAMETERS = {
+    "nlse.direct_newton_oracle.max_iter": "the tests force a non-convergence with it",
+    "cli.main.argv": "None for the console entry point, which reads sys.argv",
 }
 
 
@@ -89,6 +97,62 @@ def test_every_dataclass_field_is_read_by_the_package():
                            if f.name not in attrs}
     assert sorted(unread - set(UNREAD_FIELDS)) == []
     assert set(UNREAD_FIELDS) <= unread  # no stale allowlist entry
+
+
+def _defaulted_parameters(tree, prefix):
+    """(qualified name, callee name, parameter, call position or None) of
+    every defaulted parameter of the functions and methods in tree.
+
+    A method's position counts its call arguments after self, and an
+    __init__ is called by its class name.
+    """
+    found = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}", True)
+            elif isinstance(child, ast.FunctionDef):
+                qual = f"{prefix}.{child.name}"
+                callee = child.name
+                if callee == "__init__":
+                    callee = prefix.rsplit(".", 1)[-1]
+                args = child.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    found.append((f"{qual}.{arg.arg}", callee, arg.arg, i - in_class))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((f"{qual}.{arg.arg}", callee, arg.arg, None))
+                visit(child, qual, False)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(tree, prefix, False)
+    return found
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    # a match by callee name, as the field check matches by attribute name:
+    # a parameter counts as passed wherever a call of a function of that
+    # name gives it by keyword or reaches its position
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    passed = collections.defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                passed[name].append(({k.arg for k in node.keywords}, len(node.args)))
+    unpassed = set()
+    for stem, tree in trees.items():
+        for qual, callee, param, position in _defaulted_parameters(tree, stem):
+            if not any(param in keywords or (position is not None and n > position)
+                       for keywords, n in passed[callee]):
+                unpassed.add(qual)
+    assert sorted(unpassed - set(UNPASSED_PARAMETERS)) == []
+    assert set(UNPASSED_PARAMETERS) <= unpassed  # no stale allowlist entry
 
 
 def _loaded_after(code, modules):

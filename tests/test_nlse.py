@@ -28,9 +28,9 @@ def _split(phi, bun):
 def test_projection_recovers_single_orbital(bundle_factory):
     bun = bundle_factory(0.16)
     wb = bun.wb
-    c, band, perp = _split(wb.orbital(3), bun)
+    c, band, perp = _split(wb.u[3 - wb.sites[0]], bun)
     expect = np.zeros(wb.cells)
-    expect[wb.site_index(3)] = 1.0
+    expect[3 - wb.sites[0]] = 1.0
     assert np.abs(c - expect).max() < 1e-8
     assert l2_norm(bun.dom.dx, perp) < 1e-8
 

@@ -36,9 +36,10 @@ def test_fit_exponential_law_exact():
     xs = np.array([4.0, 5.0, 6.25, 8.0, 10.0])
     ys = -1.8 * xs + 1.0
     fr = fit_exponential_law(xs, ys)
-    assert abs(fr.slope + 1.8) < 1e-12
-    assert abs(fr.intercept - 1.0) < 1e-12
-    assert abs(fr.r2 - 1.0) < 1e-12
+    assert abs(fr["slope"] + 1.8) < 1e-12
+    assert abs(fr["intercept"] - 1.0) < 1e-12
+    assert abs(fr["r2"] - 1.0) < 1e-12
+    assert fr["n_points"] == 5
 
 
 def test_fit_exponential_law_errors():

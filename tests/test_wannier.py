@@ -30,8 +30,8 @@ def _plane_wave_w1(bd, dom):
     assert np.abs(links).min() / np.sum(np.abs(periodic[0]) ** 2) > 0.99
     periodic[1:] *= np.cumprod(np.conj(links) / np.abs(links))[:, None]
     closure = np.vdot(periodic[-1], np.exp(-1j * bd.b * cell) * periodic[0])
-    periodic *= np.exp(1j * np.angle(closure) * np.arange(bd.n_kappa)
-                       / bd.n_kappa)[:, None]
+    periodic *= np.exp(1j * np.angle(closure) * np.arange(bd.kappa.size)
+                       / bd.kappa.size)[:, None]
     w = np.mean(np.exp(1j * np.outer(bd.kappa, dom.x))
                 * np.tile(periodic, dom.cells), axis=0)
     w *= np.exp(-0.5j * np.angle(np.sum(w**2)))
@@ -110,10 +110,9 @@ def test_orthonormality_and_translation_covariance(bundle_factory):
     wb = bun.wb
     gram = bun.dom.dx * (wb.u @ wb.u.T)
     assert np.abs(gram - np.eye(wb.cells)).max() < 1e-8
-    u0 = wb.orbital(0)
     for j in (-5, -1, 2, 7):
-        assert np.abs(wb.orbital(j)
-                      - np.roll(u0, j * wb.points_per_cell)).max() < 1e-8
+        assert np.abs(wb.u[j - wb.sites[0]]
+                      - np.roll(wb.u0, j * wb.points_per_cell)).max() < 1e-8
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -124,8 +123,8 @@ def test_orbitals_are_translates_on_drawn_lags(bundle_factory, hbar, data):
     lo, hi = int(wb.sites[0]), int(wb.sites[-1])
     j = data.draw(hst.integers(lo, hi), label="site")
     ell = data.draw(hst.integers(lo - j, hi - j), label="lag")
-    moved = np.roll(wb.orbital(j), ell * wb.points_per_cell)
-    assert np.abs(wb.orbital(j + ell) - moved).max() <= 1e-14 * np.abs(moved).max()
+    moved = np.roll(wb.u[j - lo], ell * wb.points_per_cell)
+    assert np.abs(wb.u[j + ell - lo] - moved).max() <= 1e-14 * np.abs(moved).max()
 
 
 def test_dense_lowdin_cross_check(ref_spec):
@@ -142,7 +141,7 @@ def test_dense_lowdin_cross_check(ref_spec):
 
 def test_first_band_leakage(bundle_factory, ref_spec):
     bun = bundle_factory(0.16)
-    u0 = bun.wb.orbital(0)
+    u0 = bun.wb.u0
     leak = l2_norm(bun.dom.dx, u0 - bun.dom.project_band1(u0))
     assert leak < 1e-6
 
@@ -226,10 +225,9 @@ def test_incommensurate_domain_builds_basis(ref_spec):
     wb = st.build_orthonormal_basis(dom, fix_gauge(dom))
     gram = dom.dx * (wb.u @ wb.u.T)
     assert np.abs(gram - np.eye(wb.cells)).max() < 1e-8
-    u0 = wb.orbital(0)
     for j in (-5, -1, 2, 7):
-        assert np.abs(wb.orbital(j)
-                      - np.roll(u0, j * wb.points_per_cell)).max() < 1e-8
+        assert np.abs(wb.u[j - wb.sites[0]]
+                      - np.roll(wb.u0, j * wb.points_per_cell)).max() < 1e-8
     beta = st.extract_params(wb, dom, sigma=1.0, bd=bd).beta
     ref = st.band_hopping(bd)
     assert abs(beta - ref) / ref < 1e-6
@@ -260,7 +258,7 @@ def test_basis_bundle_roundtrip(tmp_path, bundle_factory):
     for name in ("w", "v0", "u0", "overlaps", "lowdin"):
         assert np.array_equal(getattr(back, name), getattr(wb, name)), name
     assert np.array_equal(back.u, wb.u)
-    assert back.cells == wb.cells and back.lowdin_band == wb.lowdin_band
+    assert back.cells == wb.cells
 
 
 def test_basis_bundle_version_mismatch(tmp_path, bundle_factory):
