@@ -145,17 +145,18 @@ def check_lattice_invertibility(c, e_param, tbp):
 
     The linearization is that of the reduced equation: ring_coupling, the
     whole band-1 row over beta, plus the diagonal of E and the
-    nonlinearity.  Raises SolverError when it falls below 1e-6, naming
-    every site index where the near-singular direction is within 1e-6
-    relative of its peak (so both mirror-image peaks).
+    nonlinearity.  It is real symmetric, so its singular values are the
+    magnitudes of its eigenvalues.  Raises SolverError when the smallest
+    falls below 1e-6, naming every site index where the near-singular
+    direction is within 1e-6 relative of its peak (so both mirror-image
+    peaks).
     """
     diag = e_param + tbp.eta * (2 * tbp.sigma + 1) * np.abs(c) ** (2 * tbp.sigma)
     lp = ring_coupling(tbp) + np.diag(diag)
-    svals = np.linalg.svd(lp, compute_uv=False)
-    smin = float(svals[-1])
+    smin = float(np.abs(np.linalg.eigvalsh(lp)).min())
     if smin < 1e-6:
-        _, _, vt = np.linalg.svd(lp)
-        mag = np.abs(vt[-1])
+        nu, vecs = np.linalg.eigh(lp)
+        mag = np.abs(vecs[:, np.abs(nu).argmin()])
         sites = np.flatnonzero(mag >= (1 - 1e-6) * mag.max()).tolist()
         raise SolverError(
             f"lattice linearization nearly singular (s_min = {smin:.2e}); "

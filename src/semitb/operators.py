@@ -12,7 +12,9 @@ projector and the resolvent on its complement exact and cheap.  V is
 real, so block -r (mod cells) is the conjugate mirror of block r (modes
 g -> -g): one stacked `eigh` diagonalizes the half stack, blocks
 0..cells//2, into `block_evals` and `block_evecs` of `cells//2 + 1`
-rows, and every spectral method reads that one layout.
+rows, and every spectral method reads that one layout.  A caller that
+kept that pair (the CLI's bundle cache) passes it back, and the domain
+is then built without any eigendecomposition.
 
 Every method takes real grid functions, in one layout: the `rfft` (a
 complex input raises TypeError).  The projector and the resolvent act on
@@ -46,6 +48,11 @@ def domain_grid(a: float, cells: int, points_per_cell: int):
     return x, dx, sites
 
 
+def half_stack_shape(cells: int, points_per_cell: int) -> tuple[int, int]:
+    """Shape of block_evals; block_evecs has one more axis of points_per_cell."""
+    return cells // 2 + 1, points_per_cell
+
+
 def l2_norm(dx: float, f: np.ndarray) -> float:
     return float(np.sqrt(dx * np.sum(np.abs(f) ** 2)))
 
@@ -61,7 +68,12 @@ class PeriodicDomain:
     """Discrete -hbar^2 d2/dx2 + V on the periodic multi-cell grid."""
 
     def __init__(self, spec: PotentialSpec, hbar: float, cells: int,
-                 points_per_cell: int):
+                 points_per_cell: int,
+                 blocks: tuple[np.ndarray, np.ndarray] | None = None):
+        """blocks, when given, is (block_evals, block_evecs) of a domain built
+        from the same arguments; it is taken in place of the stacked eigh.
+        Raises ValueError when its shapes are not this domain's half stack.
+        """
         self.spec = spec
         self.hbar = float(hbar)
         self.cells = int(cells)
@@ -72,7 +84,7 @@ class PeriodicDomain:
         self.length = spec.a * cells
         self.g = np.rint(np.fft.fftfreq(self.n) * self.n).astype(int)
         self.k = 2 * np.pi * self.g / self.length
-        self._build_blocks()
+        self._build_blocks(blocks)
         # the rfft symbol of -hbar^2 d2/dx2, and the rfft weights of the H1
         # norm: an interior mode stands for its conjugate partner too; the
         # even-n Nyquist mode has no real derivative
@@ -83,27 +95,37 @@ class PeriodicDomain:
         self._h1_weight = ((1 + ~nyq * k2) * np.where((j == 0) | nyq, 1, 2)
                            * self.dx / self.n)
 
-    def _build_blocks(self):
-        # row r holds the modes g = r (mod cells) in increasing order; the
+    def _build_blocks(self, blocks):
+        # row r holds the modes g = r (mod cells) in increasing order, from
+        # the least g >= -(n//2) in that class up in steps of cells; the
         # sampled V couples modes g, g' through fft(vx)[(g - g') mod n] / n,
         # so each block gathers those and adds the kinetic diagonal; only the
         # half stack, blocks 0..cells//2, is diagonalized
-        self.block_index = np.lexsort((self.g, self.g % self.cells)).reshape(
-            self.cells, self.points_per_cell)
-        idx = self.block_index[:self.cells // 2 + 1]
-        vg = np.fft.fft(self.vx) / self.n
-        gb = self.g[idx]
-        h = vg[(gb[:, :, None] - gb[:, None, :]) % self.n]
-        off = np.arange(self.points_per_cell)
-        h[:, off, off] += self.hbar**2 * self.k[idx] ** 2
-        self.block_evals, self.block_evecs = np.linalg.eigh(h)
+        cells, ppc, n = self.cells, self.points_per_cell, self.n
+        g0 = -(n // 2) + (np.arange(cells) + n // 2) % cells
+        self.block_index = (g0[:, None] + cells * np.arange(ppc)) % n
+        idx = self.block_index[:cells // 2 + 1]
+        if blocks is None:
+            vg = np.fft.fft(self.vx) / n
+            gb = self.g[idx]
+            h = vg[(gb[:, :, None] - gb[:, None, :]) % n]
+            off = np.arange(ppc)
+            h[:, off, off] += self.hbar**2 * self.k[idx] ** 2
+            blocks = np.linalg.eigh(h)
+        self.block_evals, self.block_evecs = blocks
+        shapes = (self.block_evals.shape, self.block_evecs.shape)
+        want = half_stack_shape(cells, ppc)
+        if shapes != (want, want + (ppc,)):
+            raise ValueError(f"block eigenpairs of shapes {shapes} are not the "
+                             f"half stack {want} of {cells} cells of {ppc} points")
         # the half stack reads a mode i > n//2 as conj(rfft[n - i]); result
         # mode j <= n//2 is the flattened stack's entry, or the conjugate of
         # mode n - j where the stack does not hold j
-        half, m = self.n // 2 + 1, idx.size
-        self._half_in = np.where(idx < half, idx, half + self.n - idx)
-        pos, j = np.argsort(self.block_index.ravel()), np.arange(half)
-        self._half_out = np.where(pos[j] < m, pos[j], m + pos[-j % self.n])
+        half, m = n // 2 + 1, idx.size
+        self._half_in = np.where(idx < half, idx, half + n - idx)
+        pos, j = np.empty(n, dtype=int), np.arange(half)
+        pos[self.block_index.ravel()] = np.arange(n)
+        self._half_out = np.where(pos[j] < m, pos[j], m + pos[-j % n])
 
     # -- operator applications ------------------------------------------------
 

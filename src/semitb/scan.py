@@ -73,14 +73,18 @@ def band_data(cfg, hbar: float) -> BandData:
 
 
 def build_pipeline(cfg, hbar: float, bd: BandData | None = None,
-                   wb: WannierBasis | None = None) -> PipelineBundle:
-    """Build the bundle of a cli.RunConfig at one hbar, reusing bd and wb.
+                   wb: WannierBasis | None = None,
+                   blocks: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> PipelineBundle:
+    """Build the bundle of a cli.RunConfig at one hbar, reusing bd, wb and
+    the domain's block eigenpairs (see PeriodicDomain).
 
     Whatever the caller does not pass is built here.
     """
     if bd is None:
         bd = band_data(cfg, hbar)
-    dom = PeriodicDomain(cfg.potential(), hbar, cfg.cells, cfg.points_per_cell)
+    dom = PeriodicDomain(cfg.potential(), hbar, cfg.cells, cfg.points_per_cell,
+                         blocks=blocks)
     if wb is None:
         wb = build_orthonormal_basis(dom, fix_gauge(dom), cfg.lowdin_band)
     tbp = tightbinding.extract_params(wb, dom, sigma=cfg.sigma, bd=bd)

@@ -53,7 +53,10 @@ def h_matrix_elements(wb: WannierBasis, dom: PeriodicDomain,
     """
     cells = wb.cells
     row = np.empty(cells)
-    row[wb.sites % cells] = dom.dx * np.sum(wb.u * dom.apply_h(wb.u0), axis=1)
+    # one orbital at a time, with no (cells, n) product; each row is the
+    # same pairwise sum that np.sum(..., axis=1) of the product takes
+    hu0 = dom.apply_h(wb.u0)
+    row[wb.sites % cells] = [dom.dx * np.sum(uj * hu0) for uj in wb.u]
 
     asym = np.abs(row - row[-np.arange(cells)]).max()
     if asym > 1e-10 * max(1.0, np.abs(row).max()):

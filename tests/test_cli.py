@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -180,12 +181,12 @@ def test_torn_bundle_rebuilt(tmp_path, caplog, monkeypatch):
     assert bundle.read_bytes() == whole
 
     # a store cut short leaves the bundle it would replace, and no other file
-    def torn_savez(fh, **fields):
+    def torn_write(fh, arrays):
         fh.write(b"PK\x03\x04")
         raise OSError("disk full")
 
     files = sorted(p.name for p in (tmp_path / "cache").iterdir())
-    monkeypatch.setattr(cli.np, "savez", torn_savez)
+    monkeypatch.setattr(cli, "_write_npz", torn_write)
     with pytest.raises(OSError, match="disk full"):
         cache.store_bands(key, cache.load_bands(key))
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == files
@@ -371,14 +372,14 @@ def test_sigma_change_served_from_cache(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     filled = {p.name: (p.stat().st_mtime_ns, p.read_bytes())
               for p in cache.iterdir()}
-    assert len(filled) == 2 * 4  # bands and basis per ladder hbar
+    assert len(filled) == 3 * 4  # bands, basis and domain per ladder hbar
 
     hits = []
-    for name in ("load_bands", "load_basis"):
+    for name in ("load_bands", "load_basis", "load_domain"):
         load = getattr(cli.BundleCache, name)
 
-        def counted(self, key, load=load):
-            got = load(self, key)
+        def counted(self, key, *shape, load=load):
+            got = load(self, key, *shape)
             hits.append(got is not None)
             return got
 
@@ -427,11 +428,93 @@ def _scan_outputs(tmp_path):
             for name in SCAN_OUTPUTS}
 
 
-def test_scan_warm_cache_reproduces_cold(tmp_path):
+def _state_arrays(tmp_path):
+    arrays = {}
+    for path in sorted((tmp_path / "out" / "states").glob("*.npz")):
+        with np.load(path) as z:
+            arrays[path.name] = dict(z)
+    return arrays
+
+
+def test_scan_warm_cache_reproduces_cold(tmp_path, monkeypatch):
+    # a warm scan takes bands, basis and the domain's block eigenpairs from
+    # the cache: it runs no complex (block) eigh, and writes what a cold
+    # scan writes
     _write(tmp_path)
-    cold = _scan_outputs(tmp_path)
-    assert any((tmp_path / "cache").glob("basis_*.npz"))
+    complex_eighs = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        complex_eighs.append(np.iscomplexobj(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    cold, cold_states = _scan_outputs(tmp_path), _state_arrays(tmp_path)
+    assert sum(complex_eighs) == 4  # one stacked block eigh per ladder hbar
+    kinds = sorted(p.name.split("_")[0] for p in (tmp_path / "cache").iterdir())
+    assert kinds == ["bands"] * 4 + ["basis"] * 4 + ["domain"] * 4
+    shutil.rmtree(tmp_path / "out")
+    complex_eighs.clear()
     assert _scan_outputs(tmp_path) == cold
+    assert not any(complex_eighs)
+    warm_states = _state_arrays(tmp_path)
+    assert warm_states.keys() == cold_states.keys() and len(cold_states) > 4
+    for name, arrays in cold_states.items():
+        assert arrays.keys() == warm_states[name].keys(), name
+        for field, value in arrays.items():
+            assert np.array_equal(warm_states[name][field], value), (name, field)
+
+
+def test_torn_or_misshapen_domain_bundle_rebuilt(tmp_path, caplog):
+    path = _write(tmp_path)
+    assert cli.main(["--config", str(path), "params"]) == 0
+    cfg = cli.parse_config(str(path))
+    cache = cli.BundleCache(cfg.cache_dir)
+    key = cli.config_hash(cfg, cfg.hbar_ladder[0])
+    shape = (cfg.cells, cfg.points_per_cell)
+    bundle = Path(cache.domain_path(key))
+    whole = cache.load_domain(key, *shape)
+    assert whole[0].shape == (cfg.cells // 2 + 1, cfg.points_per_cell)
+    assert whole[1].dtype == complex
+
+    def assert_rebuilt(why):
+        with caplog.at_level(logging.WARNING, logger="semitb.cli"):
+            assert cache.load_domain(key, *shape) is None
+        assert str(bundle) in caplog.text and why in caplog.text
+        caplog.clear()
+        assert cli.main(["--config", str(path), "params"]) == 0
+        again = cache.load_domain(key, *shape)
+        assert all(np.array_equal(a, b) for a, b in zip(again, whole))
+
+    data = bundle.read_bytes()
+    bundle.write_bytes(data[:len(data) // 2])  # what a killed write leaves
+    assert_rebuilt("rebuilding")
+    # a readable bundle of this version whose stack is one block short
+    np.savez(bundle, version=np.int64(cli.CACHE_VERSION),
+             block_evals=whole[0][:-1], block_evecs=whole[1][:-1])
+    assert_rebuilt("block_evals has shape")
+    # the stack of another grid, stored under this key
+    np.savez(bundle, version=np.int64(cli.CACHE_VERSION),
+             block_evals=whole[0][:, :-1], block_evecs=whole[1][:, :-1, :-1])
+    assert_rebuilt("has shape")
+
+
+def test_storing_the_reference_stack_copies_no_array(tmp_path, bundle_factory):
+    dom = bundle_factory(0.25).dom
+    assert dom.block_evecs.nbytes > 2**20
+    cache = cli.BundleCache(str(tmp_path))
+    tracemalloc.start()
+    try:
+        cache.store_domain("key", dom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 2**20
+    with np.load(cache.domain_path("key")) as z:
+        assert sorted(z.files) == ["block_evals", "block_evecs", "version"]
+        assert np.array_equal(z["block_evecs"], dom.block_evecs)
+        assert z["block_evecs"].dtype == dom.block_evecs.dtype
+        assert np.array_equal(z["block_evals"], dom.block_evals)
 
 
 def test_every_subcommand_has_help():

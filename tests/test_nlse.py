@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,43 @@ def test_lattice_invertibility_guard(bundle_factory):
             check_lattice_invertibility(cv, 5e-7 - nu[12], tbp)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+def _svd_guard(lp):
+    """The guard by SVD: (s_min, message of its SolverError or None)."""
+    _, svals, vt = np.linalg.svd(lp)
+    smin = float(svals[-1])
+    if smin >= 1e-6:
+        return smin, None
+    mag = np.abs(vt[-1])
+    sites = np.flatnonzero(mag >= (1 - 1e-6) * mag.max()).tolist()
+    return smin, (f"lattice linearization nearly singular (s_min = {smin:.2e}); "
+                  f"worst direction peaks at site indices {sites}")
+
+
+def test_lattice_invertibility_matches_the_svd(bundle_factory):
+    # random symmetric linearizations: a random symmetric ring row and a
+    # random nonlinear diagonal; the eigenvalue route gives the SVD's s_min
+    # and, once E makes it near-singular, the SVD's message
+    bun = bundle_factory(0.16)
+    rng = np.random.default_rng(5)
+    lag = np.minimum(np.arange(bun.wb.cells), bun.wb.cells - np.arange(bun.wb.cells))
+    for _ in range(10):
+        row = rng.standard_normal(bun.wb.cells // 2 + 1)[lag]
+        row[[1, -1]] = -abs(row[1])
+        tbp = dataclasses.replace(with_eta(bun.tbp, -1.0), h_row=row,
+                                  beta=-row[1], eta=rng.uniform(-5, 0))
+        c = rng.standard_normal(bun.wb.cells)
+        lp, smin = check_lattice_invertibility(c, 0.0, tbp)
+        want, _ = _svd_guard(lp)
+        assert abs(smin - want) <= 1e-12 * want
+        nu = np.linalg.eigvalsh(lp)
+        e_sing = 3e-7 - nu[rng.integers(nu.size)]
+        _, message = _svd_guard(check_lattice_invertibility(c, 0.0, tbp)[0]
+                                + e_sing * np.eye(nu.size))
+        with pytest.raises(SolverError) as err:
+            check_lattice_invertibility(c, e_sing, tbp)
+        assert str(err.value) == message
 
 
 def test_reduced_jacobian_matches_finite_differences(bundle_factory,

@@ -27,6 +27,32 @@ def test_block_index_is_a_permutation(dom):
     assert np.all(residues == np.arange(dom.cells)[:, None])
 
 
+@pytest.mark.parametrize("cells, ppc", [(32, 64), (6, 16), (5, 16), (5, 15)])
+def test_index_maps_match_the_sorted_construction(ref_spec, cells, ppc):
+    dom = PeriodicDomain(ref_spec, 0.25, cells, ppc)
+    # block r by a stable sort on (g mod cells, g), and the half stack's
+    # scatter back to rfft modes through the sort's inverse permutation
+    ref = np.lexsort((dom.g, dom.g % cells)).reshape(cells, ppc)
+    assert np.array_equal(dom.block_index, ref)
+    pos, j = np.argsort(ref.ravel()), np.arange(dom.n // 2 + 1)
+    m = (cells // 2 + 1) * ppc
+    ref_out = np.where(pos[j] < m, pos[j], m + pos[-j % dom.n])
+    assert np.array_equal(dom._half_out, ref_out)
+
+
+def test_given_blocks_replace_the_eigh(dom, ref_spec, monkeypatch):
+    blocks = (dom.block_evals, dom.block_evecs)
+    monkeypatch.setattr(np.linalg, "eigh", None)  # a call would raise
+    again = PeriodicDomain(ref_spec, 0.25, dom.cells, PPC, blocks=blocks)
+    assert again.block_evecs is dom.block_evecs
+    f, z = _input(dom), float(dom.block_evals[:, 0].mean())
+    assert np.array_equal(again.resolvent_perp(f, z), dom.resolvent_perp(f, z))
+    cut = (dom.block_evals[:-1], dom.block_evecs[:-1])
+    for wrong, other_ppc in ((cut, PPC), (blocks, PPC + 1)):
+        with pytest.raises(ValueError, match="not the half stack"):
+            PeriodicDomain(ref_spec, 0.25, dom.cells, other_ppc, blocks=wrong)
+
+
 def _reassembled(evals, evecs):
     """The block matrices V diag(E) V^H of a stack of eigenpairs."""
     return (evecs * evals[:, None, :]) @ np.conj(evecs).transpose(0, 2, 1)

@@ -18,6 +18,22 @@ def test_lambda1_is_band_average(bundle_factory):
         assert lo - 1e-8 <= bun.tbp.lambda1 <= hi + 1e-8
 
 
+@pytest.mark.parametrize("hb", [0.25, 0.2, 0.16, 0.125, 0.1])
+def test_h_row_is_the_product_form_bit_for_bit(bundle_factory, hb):
+    # the row from the whole (cells, n) product <u_ell, H u_0>, then
+    # folded onto lags and cut below the floor as h_matrix_elements does
+    bun = bundle_factory(hb)
+    wb, dom, cells = bun.wb, bun.dom, bun.wb.cells
+    raw = np.empty(cells)
+    raw[wb.sites % cells] = dom.dx * np.sum(wb.u * dom.apply_h(wb.u0), axis=1)
+    lag = np.minimum(np.arange(cells), cells - np.arange(cells))
+    floor = np.finfo(float).eps * np.abs(dom.block_evals).max()
+    ref = np.where((lag >= 2) & (np.abs(raw[lag]) < floor), 0.0, raw[lag])
+    row, _, _ = st.h_matrix_elements(wb, dom, bun.bd.band_edges(1))
+    assert np.array_equal(row, ref)
+    assert np.array_equal(bun.tbp.h_row, ref)
+
+
 def test_hopping_positive_and_cross_checked(bundle_factory):
     for hb in (0.25, 0.16, 0.1):
         bun = bundle_factory(hb)
