@@ -22,7 +22,7 @@ from .potential import (
     make_potential,
     tunneling_action,
 )
-from .bloch import BandData, FloquetConfig, band_metrics, bloch_on_grid, solve_bands
+from .bloch import BandData, FloquetConfig, band_metrics, solve_bands
 from .wannier import (
     WannierBasis,
     build_orthonormal_basis,

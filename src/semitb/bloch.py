@@ -5,12 +5,11 @@ the operator -hbar^2 d^2/dx^2 + V(x) acting on functions with boundary
 condition phi(x + a) = exp(i*kappa*a) phi(x) is represented on the modes
 exp(i*(kappa + 2*pi*m/a)*x).  The matrix is banded with the Fourier
 support of V, and only the lowest n_bands energies are computed, on the
-half zone [-b/2, 0]: a real V has E_n(-kappa) = E_n(kappa).  A tridiagonal
-matrix (sin2, a free particle) is solved by Sturm bisection in numpy, a
-wider band by scipy's banded Hermitian solver.  The Bloch vectors the
-pipeline uses come from the periodic domain (`operators`), and
-`bloch_on_grid` solves one kappa with its eigenvector as their plane-wave
-reference.
+half zone [-b/2, 0]: a real V has E_n(-kappa) = E_n(kappa).  V is even,
+so its coefficients are real and so is the matrix.  A tridiagonal matrix
+(sin2, a free particle) is solved by Sturm bisection in numpy, a wider
+band by scipy's banded symmetric solver.  The Bloch vectors the pipeline
+uses come from the periodic domain (`operators`).
 Band widths are exponentially small in 1/hbar, so the spectrally accurate
 plane-wave discretization is required; finite differences would bury them
 in O(h^2) error.
@@ -59,9 +58,9 @@ class BandData:
     """Band energies on a kappa grid, and the Floquet matrix behind them.
 
     energies[n, i] = E_n(kappa_i), sorted ascending in n.  band is the
-    potential part of the Floquet matrix in lower band storage (row d
-    holds the d-th subdiagonal); the solver adds the kinetic diagonal of
-    a kappa to it, so `bloch_on_grid` can solve any kappa again.
+    real potential part of the Floquet matrix in lower band storage (row
+    d holds the d-th subdiagonal); the solver adds the kinetic diagonal of
+    a kappa to it.
     """
 
     a: float
@@ -92,8 +91,7 @@ class BandData:
 def half_bandwidth(vhat: np.ndarray, n_pw: int) -> int:
     """Largest k with |vhat[k]| > n_pw * eps * max|vhat|, 0 if there is none.
 
-    vhat holds the coefficients of k = 0, 1, ...; those of k < 0 are
-    their conjugates and have the same moduli.
+    vhat holds the coefficients of k = 0, 1, ...; those of -k are the same.
     """
     mag = np.abs(vhat)
     above = np.flatnonzero(mag > n_pw * np.finfo(float).eps * mag.max())
@@ -104,18 +102,17 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
     """Lowest n_bands energies of the Floquet matrix at every zone kappa.
 
     The matrix is hbar^2 (kappa + 2 pi m / a)^2 on the diagonal plus the
-    Toeplitz potential block vhat[m - n], with vhat[-k] = conj(vhat[k]):
-    it is Hermitian by construction, and only its lower band, the
-    coefficients of k >= 0, is stored.  Its half-bandwidth K is the
-    largest k with |vhat[k]| > n_pw * eps * max|vhat|; the entries
-    dropped beyond it sit below the backward error of a dense
-    eigensolver.  K = 1 for sin2, len(coeffs) for cos-series, the
-    largest k of a fourier vhat and 0 for a free particle.  The (K + 1)-row
-    lower band storage is filled once and kept in the BandData; only its
-    diagonal changes with kappa.
+    Toeplitz potential block vhat[|m - n|]: it is real symmetric by
+    construction, and only its lower band, the coefficients of k >= 0, is
+    stored.  Its half-bandwidth K is the largest k with |vhat[k]| >
+    n_pw * eps * max|vhat|; the entries dropped beyond it sit below the
+    backward error of a dense eigensolver.  K = 1 for sin2, len(coeffs)
+    for cos-series and 0 for a free particle.  The (K + 1)-row lower band
+    storage is filled once and kept in the BandData; only its diagonal
+    changes with kappa.
 
     Only the half zone kappa_0 = -b/2 .. kappa_{n_kappa/2} = 0 is solved:
-    V is real, so H(-kappa) = P conj(H(kappa)) P with P the mode reversal
+    V is real, so H(-kappa) = P H(kappa) P with P the mode reversal
     m -> -m, and E_n(-kappa) = E_n(kappa) fills the rest.  For K <= 1 the
     matrix is tridiagonal and `_tridiagonal_lowest` solves every kappa at
     once in numpy; a wider band goes through `eig_banded`, one kappa at a
@@ -131,9 +128,8 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
 
     # spec.vhat (k >= 0), padded with zeros or truncated to the n_pw - 1
     # couplings the mode set has room for
-    vhat = np.zeros(cfg.n_pw, dtype=complex)
-    head = spec.vhat[:cfg.n_pw]
-    vhat[:head.size] = head
+    vhat = np.zeros(cfg.n_pw)
+    vhat[:spec.vhat.size] = spec.vhat[:cfg.n_pw]
     K = half_bandwidth(vhat, cfg.n_pw)
 
     nb = cfg.n_bands
@@ -146,12 +142,12 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
     bd = BandData(a=a, hbar=hbar, kappa=kappa, energies=energies, band=band)
     half = cfg.n_kappa // 2 + 1
     if K <= 1:
-        e2 = abs(band[1, 0]) ** 2 if K else 0.0
+        e2 = band[1, 0] ** 2 if K else 0.0
         energies[:, :half] = _tridiagonal_lowest(
-            _floquet_diagonal(bd, kappa[:half]).real, e2, nb).T
+            _floquet_diagonal(bd, kappa[:half]), e2, nb).T
     else:
         for i, k in enumerate(kappa[:half]):
-            energies[:, i] = _floquet_eig(bd, k, (0, nb - 1), vectors=False)
+            energies[:, i] = _floquet_eig(bd, k, (0, nb - 1))
     # kappa_{n_kappa - i} = -kappa_i
     energies[:, half:] = energies[:, half - 2:0:-1]
 
@@ -178,7 +174,7 @@ _PROBES = np.array([0.25, 0.5, 0.75])
 def _tridiagonal_lowest(d: np.ndarray, e2: float, n_bands: int) -> np.ndarray:
     """Lowest n_bands eigenvalues of each row's tridiagonal matrix, ascending.
 
-    Row r of d (shape (rows, n)) is the real diagonal of a Hermitian
+    Row r of d (shape (rows, n)) is the diagonal of a real symmetric
     tridiagonal matrix whose off-diagonal entries all have modulus
     sqrt(e2); the result has shape (rows, n_bands).  Sturm-sequence
     bisection (Barth, Martin and Wilkinson, Numer. Math. 9, 386 (1967)):
@@ -220,18 +216,16 @@ def _tridiagonal_lowest(d: np.ndarray, e2: float, n_bands: int) -> np.ndarray:
             lo, hi = new_lo, new_hi
 
 
-def _floquet_eig(bd: BandData, kappa: float, select: tuple[int, int],
-                 vectors: bool):
-    """Eigenvalues select[0]..select[1] (0-based) of the Floquet matrix at
-    kappa, with their unit eigenvectors when `vectors` is set."""
+def _floquet_eig(bd: BandData, kappa: float, select: tuple[int, int]) -> np.ndarray:
+    """Eigenvalues select[0]..select[1] (0-based) of the Floquet matrix at kappa."""
     # scipy.linalg costs about half of the package's import time, and only
-    # a band wider than tridiagonal and `bloch_on_grid` need it
+    # a band wider than tridiagonal needs it
     import scipy.linalg
 
     band = bd.band.copy()
     band[0] = _floquet_diagonal(bd, kappa)
     try:
-        return scipy.linalg.eig_banded(band, lower=True, eigvals_only=not vectors,
+        return scipy.linalg.eig_banded(band, lower=True, eigvals_only=True,
                                        select="i", select_range=select)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise Error(f"eigensolver failed at kappa={kappa:.6g}") from exc
@@ -244,17 +238,3 @@ def band_metrics(bd: BandData, n: int) -> dict:
     alpha_n, beta_n = bd.band_edges(n)
     alpha_next, _ = bd.band_edges(n + 1)
     return {"width": beta_n - alpha_n, "gap_above": alpha_next - beta_n}
-
-
-def bloch_on_grid(bd: BandData, n: int, kappa: float, x: np.ndarray) -> np.ndarray:
-    """Bloch function of band n (1-based) at any kappa, evaluated on x.
-
-    The plane-wave reference for the domain's band-1 blocks: it solves
-    the Floquet matrix of bd at this kappa alone, with its eigenvector,
-    and scales the function to unit L2 norm over one cell.  Its phase is
-    whatever the eigensolver returns.
-    """
-    _, u = _floquet_eig(bd, kappa, (n - 1, n - 1), vectors=True)
-    freqs = kappa + bd.b * bd.modes
-    x = np.asarray(x, dtype=float)
-    return np.exp(1j * np.outer(x, freqs)) @ u[:, 0] / np.sqrt(bd.a)

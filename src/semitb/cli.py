@@ -35,7 +35,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-CACHE_VERSION = 11
+CACHE_VERSION = 12
 
 # sha256 from CPython's built-in module, which gives hashlib's digests
 # without mapping OpenSSL's libcrypto into the process
@@ -222,7 +222,7 @@ class BundleCache:
     name: every field of a BandData or WannierBasis, or the block
     eigenpairs of a PeriodicDomain.  A file of any other version, one that
     cannot be read (a torn write) or a domain stack of other shapes than
-    the configuration's is rebuilt, never served.
+    the configuration's, or not float64, is rebuilt, never served.
     """
 
     def __init__(self, cache_dir: str):
@@ -239,7 +239,8 @@ class BundleCache:
 
     def _load(self, path, shapes):
         """{name: array} for each name of shapes, or None when the bundle is
-        missing or unusable; a name mapped to a shape must have it."""
+        missing or unusable; a name mapped to a shape must be a float64
+        array of it."""
         if not os.path.exists(path):
             return None
         try:
@@ -249,8 +250,10 @@ class BundleCache:
                     raise Error(f"bundle version {version} != {CACHE_VERSION}")
                 stored = {name: z[name] for name in shapes}
             for name, shape in shapes.items():
-                if shape is not None and stored[name].shape != shape:
-                    raise Error(f"{name} has shape {stored[name].shape}, not {shape}")
+                got = (stored[name].shape, stored[name].dtype)
+                if shape is not None and got != (shape, np.float64):
+                    raise Error(f"{name} has shape {got[0]} and dtype {got[1]}, "
+                                f"not {shape} and float64")
         except (Error, OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
             log.warning("cache bundle %s unusable (%s); rebuilding", path, exc)
             return None

@@ -22,7 +22,7 @@ from .dnls import DnlsState
 from .errors import NonConvergenceError, SolverError
 from .operators import PeriodicDomain, l2_norm
 from .tightbinding import TBParams, ring_coupling
-from .wannier import WannierBasis
+from .wannier import WannierBasis, analyze, synthesize
 
 # successive-iterate gap in H1; the equation residual picks up a factor of
 # the spectral radius of H, so this sits well below the outer tolerance
@@ -85,7 +85,7 @@ def solve_perp_fixed_point(c: np.ndarray, e_param: float, tbp: TBParams,
         )
 
     gamma, sigma = tbp.gamma, tbp.sigma
-    phi_band = wb.u.T @ c
+    phi_band = synthesize(wb, c)
     phi_perp = np.zeros_like(phi_band) if start is None else start
     where = f"at hbar={tbp.hbar}, eta={tbp.eta}, lambda={lam:.10g}"
     prev_diff = None
@@ -137,7 +137,7 @@ def _reduced_residual(c, e_param, tbp, f_remainder):
 def _remainder_term(c, phi, tbp, dom, wb):
     """f_j = <u_j, |phi|^{2s} phi> - c0 |c_j|^{2s} c_j."""
     nl = _nonlinear_term(phi, tbp.sigma)
-    return dom.dx * (wb.u @ nl) - tbp.c0 * np.abs(c) ** (2 * tbp.sigma) * c
+    return analyze(wb, dom.dx, nl) - tbp.c0 * np.abs(c) ** (2 * tbp.sigma) * c
 
 
 def check_lattice_invertibility(c, e_param, tbp):
@@ -196,7 +196,7 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
     def _evaluate(cv, start):
         perp, perp_h1 = solve_perp_fixed_point(cv, e_param, tbp, dom, wb,
                                                delta0=delta0, start=start)
-        full = wb.u.T @ cv + perp
+        full = synthesize(wb, cv) + perp
         resid = dom.apply_h(full) + gamma * _nonlinear_term(full, sigma) - lam * full
         return full, perp_h1, l2_norm(dom.dx, resid), perp
 

@@ -4,22 +4,21 @@ The domain covers `cells` lattice periods with a uniform grid and periodic
 boundary.  The sampled potential repeats every `points_per_cell` points,
 so its discrete Fourier transform couples only plane-wave modes whose
 indices agree modulo `cells`, and the Hamiltonian splits into `cells`
-independent blocks, one per domain quasimomentum.  The blocks are
-gathered from that transform, so they hold exactly the operator that
-`apply_h` and `dense_h` apply.  Diagonalizing them yields the complete
-eigenbasis of the discrete operator, which makes the first-band
-projector and the resolvent on its complement exact and cheap.  V is
-real, so block -r (mod cells) is the conjugate mirror of block r (modes
-g -> -g): one stacked `eigh` diagonalizes the half stack, blocks
-0..cells//2, into `block_evals` and `block_evecs` of `cells//2 + 1`
-rows, and every spectral method reads that one layout.  A caller that
-kept that pair (the CLI's bundle cache) passes it back, and the domain
-is then built without any eigendecomposition.
+independent blocks, one per domain quasimomentum.  V is even, so each
+block is real symmetric, built from vhat in closed form (`half_blocks`)
+as exactly the operator that `apply_h` and `dense_h` apply.  Block -r
+(mod cells) is the mirror of block r (modes g -> -g): one real stacked
+`eigh` diagonalizes the half stack, blocks 0..cells//2, into float64
+`block_evals` and `block_evecs` of `cells//2 + 1` rows: the complete
+eigenbasis, which makes the first-band projector and the resolvent on
+its complement exact and cheap.  A caller that kept that pair (the CLI's
+bundle cache) passes it back, and no eigendecomposition runs.
 
 Every method takes real grid functions, in one layout: the `rfft` (a
-complex input raises TypeError).  The projector and the resolvent act on
-the half stack, the other modes following by conjugate mirror.  H is
-applied through the `rfft` symbol, and the H1 norm by Parseval.
+complex input raises TypeError).  The projector and the resolvent apply
+the real eigenvectors to its half stack as (re, im) column pairs, the
+other modes following by conjugate mirror.  H is applied through the
+`rfft` symbol, and the H1 norm by Parseval.
 """
 
 from __future__ import annotations
@@ -72,7 +71,8 @@ class PeriodicDomain:
                  blocks: tuple[np.ndarray, np.ndarray] | None = None):
         """blocks, when given, is (block_evals, block_evecs) of a domain built
         from the same arguments; it is taken in place of the stacked eigh.
-        Raises ValueError when its shapes are not this domain's half stack.
+        Raises ValueError when its shapes are not this domain's half stack,
+        or its dtypes are not float64.
         """
         self.spec = spec
         self.hbar = float(hbar)
@@ -97,27 +97,22 @@ class PeriodicDomain:
 
     def _build_blocks(self, blocks):
         # row r holds the modes g = r (mod cells) in increasing order, from
-        # the least g >= -(n//2) in that class up in steps of cells; the
-        # sampled V couples modes g, g' through fft(vx)[(g - g') mod n] / n,
-        # so each block gathers those and adds the kinetic diagonal; only the
+        # the least g >= -(n//2) in that class up in steps of cells; only the
         # half stack, blocks 0..cells//2, is diagonalized
         cells, ppc, n = self.cells, self.points_per_cell, self.n
         g0 = -(n // 2) + (np.arange(cells) + n // 2) % cells
         self.block_index = (g0[:, None] + cells * np.arange(ppc)) % n
         idx = self.block_index[:cells // 2 + 1]
         if blocks is None:
-            vg = np.fft.fft(self.vx) / n
-            gb = self.g[idx]
-            h = vg[(gb[:, :, None] - gb[:, None, :]) % n]
-            off = np.arange(ppc)
-            h[:, off, off] += self.hbar**2 * self.k[idx] ** 2
-            blocks = np.linalg.eigh(h)
+            blocks = np.linalg.eigh(self.half_blocks())
         self.block_evals, self.block_evecs = blocks
-        shapes = (self.block_evals.shape, self.block_evecs.shape)
+        got = (self.block_evals.shape, self.block_evecs.shape,
+               self.block_evals.dtype, self.block_evecs.dtype)
         want = half_stack_shape(cells, ppc)
-        if shapes != (want, want + (ppc,)):
-            raise ValueError(f"block eigenpairs of shapes {shapes} are not the "
-                             f"half stack {want} of {cells} cells of {ppc} points")
+        if got != (want, want + (ppc,), np.float64, np.float64):
+            raise ValueError(f"block eigenpairs of shapes {got[:2]}, dtypes {got[2]}, "
+                             f"{got[3]} are not the half stack {want} of {cells} "
+                             f"cells of {ppc} points in float64")
         # the half stack reads a mode i > n//2 as conj(rfft[n - i]); result
         # mode j <= n//2 is the flattened stack's entry, or the conjugate of
         # mode n - j where the stack does not hold j
@@ -127,15 +122,35 @@ class PeriodicDomain:
         pos[self.block_index.ravel()] = np.arange(n)
         self._half_out = np.where(pos[j] < m, pos[j], m + pos[-j % n])
 
+    def half_blocks(self) -> np.ndarray:
+        """The real symmetric blocks 0..cells//2 of H, (cells//2 + 1, ppc, ppc).
+
+        The grid starts at x = (sites[0] - 1/2) a, so the sampled V couples
+        modes g - g' = cells * l of a block through fft(vx)[cells * l] / n,
+        the sum of (-1)^k vhat_|k| over k = l (mod ppc): one circulant for
+        every block, aliases folded in, plus the kinetic diagonal.
+        """
+        ppc, vhat = self.points_per_cell, self.spec.vhat
+        k = np.arange(1 - vhat.size, vhat.size)
+        lag = np.bincount(k % ppc, weights=(1 - 2 * (k % 2)) * vhat[np.abs(k)],
+                          minlength=ppc)
+        j = np.arange(ppc)
+        idx = self.block_index[:self.cells // 2 + 1]
+        h = np.repeat(lag[None, (j[:, None] - j) % ppc], len(idx), axis=0)
+        h[:, j, j] += self.hbar**2 * self.k[idx] ** 2
+        return h
+
     # -- operator applications ------------------------------------------------
 
     def _to_half(self, phi: np.ndarray) -> np.ndarray:
-        """The rfft of a real phi as blocks 0..cells//2, (cells//2 + 1, ppc)."""
+        """The rfft of a real phi as blocks 0..cells//2 in (re, im) pairs,
+        (cells//2 + 1, ppc, 2)."""
         rf = _rfft(phi)
-        return np.concatenate((rf, rf.conj()))[self._half_in]
+        fb = np.concatenate((rf, rf.conj()))[self._half_in]
+        return fb.view(float).reshape(*fb.shape, 2)
 
     def _from_half(self, fb: np.ndarray) -> np.ndarray:
-        """The real grid function whose blocks 0..cells//2 are fb."""
+        """The real grid function whose rfft, as blocks 0..cells//2, is fb."""
         fb = fb.ravel()
         return np.fft.irfft(np.concatenate((fb, fb.conj()))[self._half_out], self.n)
 
@@ -150,19 +165,18 @@ class PeriodicDomain:
 
     def project_band1(self, phi: np.ndarray) -> np.ndarray:
         """Spectral projector onto the lowest band of the domain operator."""
-        fb = self._to_half(phi)
-        v0 = self.block_evecs[:, :, 0]
-        return self._from_half(v0 * np.vecdot(v0, fb)[:, None])
+        v0 = self.block_evecs[:, :, :1]
+        coef = np.matmul(v0.transpose(0, 2, 1), self._to_half(phi))
+        return self._from_half((v0 * coef).view(complex))
 
     def resolvent_perp(self, phi: np.ndarray, z: float) -> np.ndarray:
         """(H - z)^{-1} on the complement of the first band, for a real phi."""
-        fb = self._to_half(phi)
         v, evals = self.block_evecs, self.block_evals
-        # V^H f per block, as conj(f^H V), so V^H is never materialized
-        coef = np.matmul(fb.conj()[:, None, :], v)[:, 0, :].conj()
+        # V^T f per block, the real and imaginary parts of f as two columns
+        coef = np.matmul(v.transpose(0, 2, 1), self._to_half(phi))
         coef[:, 0] = 0.0
-        coef[:, 1:] /= evals[:, 1:] - z
-        return self._from_half(np.matmul(v, coef[:, :, None]))
+        coef[:, 1:] /= (evals[:, 1:] - z)[:, :, None]
+        return self._from_half(np.matmul(v, coef).view(complex))
 
     # -- spectral data ---------------------------------------------------------
 

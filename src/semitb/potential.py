@@ -1,9 +1,10 @@
 """Periodic potentials with a single nondegenerate well per cell.
 
-A potential is its Hermitian cell Fourier coefficient vector vhat_0 ..
-vhat_K on the period a (vhat_{-k} = conj vhat_k), and one kernel
-evaluates V and its derivatives from it.  This module maps the potential
-families onto that vector, locates and validates the well, and tabulates
+A potential is its real cell Fourier coefficient vector vhat_0 .. vhat_K
+on the period a: both families are even, V(-x) = V(x), so V = vhat_0 +
+2 sum_k vhat_k cos(k b x), and one kernel evaluates V and its
+derivatives from it.  This module maps the potential families onto that
+vector, locates and validates the well, and tabulates
 the Agmon action d(x0, x), the integral of sqrt(V) from the well, by one
 bisected Gauss-Legendre rule; over one period it is the tunneling action
 s0.
@@ -32,11 +33,11 @@ class PotentialSpec:
 
     Attributes:
         a: lattice period.
-        vhat: complex coefficients vhat_0 .. vhat_K of exp(i k b x),
-            b = 2 pi / a, for k >= 0 (vhat_0 real); read-only.
-        x0: location of the well minimum inside [-a/2, a/2).
+        vhat: real coefficients vhat_0 .. vhat_K of exp(+-i k b x),
+            b = 2 pi / a; read-only.
+        x0: location of the well minimum inside [-a/2, a/2): 0 or -a/2.
         curvature: V''(x0), strictly positive except in free test mode.
-        family: family tag ("sin2", "cos-series", "fourier", "free").
+        family: family tag ("sin2", "cos-series", "free").
     """
 
     a: float
@@ -46,27 +47,20 @@ class PotentialSpec:
     family: str
 
     def __post_init__(self):
-        vhat = np.array(self.vhat, dtype=complex)
+        vhat = np.array(self.vhat, dtype=float)
         vhat.flags.writeable = False
         object.__setattr__(self, "vhat", vhat)
-        # vhat_k = r_k exp(i phi_k) with |phi_k| <= pi/2 and r_k signed: each
-        # term 2 r_k cos(k b x + phi_k) costs one cosine, and a real
-        # coefficient keeps phi_k = 0 exactly
-        sign = np.where(vhat[1:].real < 0, -1, 1)
-        object.__setattr__(self, "_terms", (
-            2 * math.pi / self.a * np.arange(1, vhat.size),
-            np.angle(sign * vhat[1:]), 2 * sign * np.abs(vhat[1:])))
 
     def v(self, x, order: int = 0) -> np.ndarray:
         """The order-th derivative of V at x (any shape):
-        delta_{order,0} vhat_0 + 2 Re sum_k (i k b)^order vhat_k exp(i k b x)."""
-        kb, phi, amp = self._terms
+        delta_{order,0} vhat_0 + 2 sum_k vhat_k d^order/dx^order cos(k b x)."""
+        kb = 2 * math.pi / self.a * np.arange(1, self.vhat.size)
         x = np.asarray(x, dtype=float)
         # d^p/dt^p cos t is cos, -sin, -cos, sin for p = 0, 1, 2, 3 mod 4
-        waves = (np.cos, np.sin)[order % 2](np.multiply.outer(x.ravel(), kb) + phi)
-        series = np.dot(waves, (1, -1, -1, 1)[order % 4] * kb**order * amp)
-        series = series.reshape(x.shape)
-        return series + self.vhat[0].real if order == 0 else series
+        waves = (np.cos, np.sin)[order % 2](np.multiply.outer(x.ravel(), kb))
+        amp = (1, -1, -1, 1)[order % 4] * kb**order * 2 * self.vhat[1:]
+        series = np.dot(waves, amp).reshape(x.shape)
+        return series + self.vhat[0] if order == 0 else series
 
 
 def _family_vhat(family: str, params: dict) -> np.ndarray:
@@ -79,13 +73,6 @@ def _family_vhat(family: str, params: dict) -> np.ndarray:
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise PotentialError("cos-series requires a nonempty coefficient list")
         return np.concatenate(([coeffs.sum()], -coeffs / 2))
-    if family == "fourier":
-        terms = dict(params["vhat"])
-        if min(terms, default=-1) < 0 or complex(terms.get(0, 0)).imag:
-            raise PotentialError("fourier requires vhat_k at k >= 0, vhat_0 real")
-        vhat = np.zeros(max(terms) + 1, dtype=complex)
-        vhat[list(terms)] = list(terms.values())
-        return vhat
     raise PotentialError(f"unknown potential family {family!r}")
 
 
@@ -94,10 +81,8 @@ def make_potential(family: str, **params) -> PotentialSpec:
 
     Args:
         family: one of "sin2" (v0, a): V0 sin^2(pi x / a), the vector
-            {0: V0/2, 1: -V0/4}; "cos-series" (a, coeffs):
-            sum_k c_k (1 - cos(2 pi k x / a)), the vector {0: sum c_k,
-            k: -c_k/2}; "fourier" (a, vhat): a mapping {k: vhat_k} over
-            k >= 0 with vhat_0 real.
+            {0: V0/2, 1: -V0/4}; "cos-series" (a, coeffs): the sum
+            sum_k c_k (1 - cos(2 pi k x / a)), {0: sum c_k, k: -c_k/2}.
         **params: family parameters, see above.
 
     Returns:

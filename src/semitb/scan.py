@@ -22,7 +22,8 @@ from .bloch import BandData, FloquetConfig, band_metrics, solve_bands
 from .errors import Error, SolverError, TailFitError
 from .operators import PeriodicDomain, l2_norm
 from .potential import tunneling_action
-from .wannier import WannierBasis, build_orthonormal_basis, fix_gauge, pair_overlap_l1
+from .wannier import (WannierBasis, build_orthonormal_basis, fix_gauge,
+                      pair_overlap_l1, synthesize)
 
 log = logging.getLogger(__name__)
 
@@ -275,7 +276,7 @@ def _sweep_row(cfg, hb, bun, lattice_states, state_dir):
             gaps.append({"hbar": hb, "eta": eta, "reason": "no lattice state"})
             continue
         tbp = tightbinding.with_eta(bun.tbp, eta)
-        seed = bun.wb.u.T @ nlse.lattice_map(state, bun.wb)
+        seed = synthesize(bun.wb, nlse.lattice_map(state, bun.wb))
         if eta == 0.0:
             # linear reference row: the reconstruction is the lattice lift
             lam = tbp.lambda1 - tbp.beta * state.e

@@ -51,12 +51,13 @@ def h_matrix_elements(wb: WannierBasis, dom: PeriodicDomain,
     checks |beta| against that floor, its sign under the positive-well
     gauge, and that lambda1 lies inside the first band (band1_edges).
     """
-    cells = wb.cells
+    cells, ppc = wb.cells, wb.points_per_cell
     row = np.empty(cells)
     # one orbital at a time, with no (cells, n) product; each row is the
     # same pairwise sum that np.sum(..., axis=1) of the product takes
     hu0 = dom.apply_h(wb.u0)
-    row[wb.sites % cells] = [dom.dx * np.sum(uj * hu0) for uj in wb.u]
+    row[wb.sites % cells] = [dom.dx * np.sum(np.roll(wb.u0, s * ppc) * hu0)
+                             for s in wb.sites]
 
     asym = np.abs(row - row[-np.arange(cells)]).max()
     if asym > 1e-10 * max(1.0, np.abs(row).max()):

@@ -2,28 +2,29 @@
 
 The construction runs in three steps.  First the first-band Bloch vectors
 of the periodic domain's half stack, quasimomenta 0..cells//2, are brought
-into a smooth gauge: block 0 is made its own conjugate mirror, the phases
-are parallel transported along the half zone, and the winding against the
-conjugate mirror at the zone edge is spread uniformly, so the zone average
-W1 is real by construction; its sign makes it positive at the well.
-W1 is kept as a diagnostic; the basis itself does not depend on the
-gauge.  Second, a semiclassical well profile exp(-d(x, x0)/hbar) at the
-central well is projected onto the first band by the spectral projector
-of the periodic domain; its
-lattice translates v_j carry the tunneling action in their overlaps (the
-zone average itself has exactly orthonormal translates, which would leave
-nothing to measure).  Third, the translates are symmetrically
-orthogonalized: their Gram matrix is circulant on the periodic domain, so
-the inverse square root is computed from its Fourier symbol, truncated to
-a small band of lags.  The result is orthonormal to machine precision,
-exactly translation covariant, lies in the domain's first band, and
-agrees with the zone average up to exponentially small corrections.
+into a smooth gauge.  They are real, so the gauge is a sign per block,
+set by parallel transport along the half zone; a well half a cell from
+the grid's cell edges adds a Zak phase pi at the zone edge, spread
+uniformly.  The zone average W1 is real by construction and positive at
+the well; it is kept as a diagnostic, and the basis does not depend on
+the gauge.  Second, a semiclassical well profile exp(-d(x, x0)/hbar) at
+the central well is projected onto the first band by the spectral
+projector of the periodic domain; its lattice translates v_j carry the
+tunneling action in their overlaps (the zone average itself has exactly
+orthonormal translates, which would leave nothing to measure).  Third,
+the translates are symmetrically orthogonalized: their Gram matrix is
+circulant on the periodic domain, so the inverse square root is computed
+from its Fourier symbol, truncated to a small band of lags.  The result
+is orthonormal to machine precision, exactly translation covariant, lies
+in the domain's first band, and agrees with the zone average up to
+exponentially small corrections.  Every orbital is u0 moved by whole
+cells, so synthesis and analysis are circulant products on the
+(cells, ppc) reshape (`synthesize`, `analyze`), with no orbital stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 import warnings
 
 import numpy as np
@@ -42,22 +43,17 @@ class WannierBasis:
 
     The grid belongs to the PeriodicDomain the basis was built on; the
     basis keeps only what it adds to it.  u0 is the orbital of site 0,
-    and every other orbital is its circular shift by whole cells, so the
-    cell count and the points per cell follow from the array sizes and
-    the sites from the domain_grid convention.  u[i] is the orbital of
-    sites[i], built once from u0 on first use.  w is W1, the zone average
-    of the domain's gauge-fixed first band (`fix_gauge`), and v0 the
-    band-projected well seed whose translates were orthogonalized.
-    overlaps[ell] holds <v_0, v_ell> - delta on circular lags, and
-    lowdin[ell] the banded inverse-square-root coefficients that build u0
-    from the translates.
+    and that of site s is np.roll(u0, s * points_per_cell), so the cell
+    count and the points per cell follow from the array sizes and the
+    sites from the domain_grid convention.  w is W1, the zone average of
+    the domain's gauge-fixed first band (`fix_gauge`), and overlaps[ell]
+    holds <v_0, v_ell> - delta on circular lags, v_0 the band-projected
+    well seed whose translates were orthogonalized.
     """
 
     w: np.ndarray
-    v0: np.ndarray
     u0: np.ndarray
     overlaps: np.ndarray
-    lowdin: np.ndarray
 
     @property
     def cells(self) -> int:
@@ -71,10 +67,31 @@ class WannierBasis:
     def sites(self) -> np.ndarray:
         return domain_sites(self.cells)
 
-    @cached_property
-    def u(self) -> np.ndarray:
-        ppc = self.points_per_cell
-        return np.stack([np.roll(self.u0, s * ppc) for s in self.sites])
+
+def _ring_lags(cells: int) -> np.ndarray:
+    q = np.arange(cells)
+    return (q[:, None] - q) % cells  # (q - p) mod cells
+
+
+def synthesize(wb: WannierBasis, c: np.ndarray) -> np.ndarray:
+    """sum_j c_j u_j on the domain grid, c indexed like wb.sites.
+
+    Row q of u_j on the (cells, ppc) reshape is row q - s_j of u0's: the
+    sum is the circulant of c (by site mod cells) times that reshape.
+    """
+    ring = np.roll(c, wb.sites[0])
+    return (ring[_ring_lags(wb.cells)] @ wb.u0.reshape(wb.cells, -1)).ravel()
+
+
+def analyze(wb: WannierBasis, dx: float, f: np.ndarray) -> np.ndarray:
+    """<u_j, f> = dx sum_x u_j(x) f(x), indexed like wb.sites.
+
+    Entry (q, p) of f u0^T on the (cells, ppc) reshapes pairs row q of f
+    with row p of u0: site s_j sums those with q - p = s_j (mod cells).
+    """
+    pairs = f.reshape(wb.cells, -1) @ wb.u0.reshape(wb.cells, -1).T
+    ring = np.take_along_axis(pairs, _ring_lags(wb.cells), axis=1).sum(axis=0)
+    return dx * np.roll(ring, -wb.sites[0])
 
 
 def fix_gauge(dom: PeriodicDomain) -> np.ndarray:
@@ -82,19 +99,21 @@ def fix_gauge(dom: PeriodicDomain) -> np.ndarray:
 
     Block r of the domain holds the modes g = r + cells*m, so its band-1
     vector is the Bloch function at kappa_r = 2 pi r / (cells a) with
-    plane-wave coefficients indexed by m.  V is real, so block -r is the
-    conjugate mirror (m -> -m-1) of block r, and the gauge is fixed on
-    the half stack, blocks 0..cells//2: one phase makes block 0 its own
-    conjugate mirror (m -> -m); parallel transport aligns each later block
-    with the previous one (their overlap over matching m made real
-    positive); the winding theta of the last block against its conjugate
-    mirror, the first block of the other half, is spread as
-    theta * r / cells.  The mirrored half then follows smoothly, and W1,
-    scattered from the half stack by one irfft, is real.  This is the
-    1-D maximally localized gauge up to a sign and a whole-cell
-    translation, so W1 is made positive at its peak and moved by whole
-    cells onto the site-0 well.  It has unit norm on the domain grid.  A
-    phase on any block vector changes nothing.
+    plane-wave coefficients indexed by m.  The blocks are real and block
+    -r is the mirror (m -> -m-1) of block r, so the gauge is fixed on the
+    half stack, blocks 0..cells//2, by signs: block 0, the ground state
+    of an even V at kappa = 0, is its own mirror (m -> -m); parallel
+    transport makes each later block's overlap with the previous one
+    positive.  The last block's overlap with its mirror, the first block
+    of the other half, is then positive, or negative when the well sits
+    half a cell from the grid's cell edges (x0 = 0): that Zak phase pi is
+    the one step that is not a sign, spread as the phase -pi r / cells.
+    The mirrored half then follows smoothly, and W1, scattered from the
+    half stack by one irfft, is real.  This is the 1-D maximally
+    localized gauge up to a sign and a whole-cell translation, so W1 is
+    made positive at its peak and moved by whole cells onto the site-0
+    well.  It has unit norm on the domain grid.  A sign on any block
+    vector changes nothing.
 
     Raises GaugeError when an overlap along the half zone or at its edge
     falls below 0.9 (band degenerate or the domain too short).
@@ -105,24 +124,22 @@ def fix_gauge(dom: PeriodicDomain) -> np.ndarray:
     # columns hold m = -top-1..top, so reversing them maps m -> -m-1
     top = max(m.max(), -m.min() - 1)
     col = m + top + 1
-    c = np.zeros((len(rows), 2 * top + 2), dtype=complex)
+    c = np.zeros((len(rows), 2 * top + 2))
     c[rows, col] = dom.block_evecs[:, :, 0]
-    c[0] *= np.exp(-0.5j * np.angle(np.sum(c[0, 1:] * c[0, :0:-1])))
 
-    links = np.sum(np.conj(c[:-1]) * c[1:], axis=1)
-    mags = np.abs(links)
-    # the edge link <c_last, its conjugate mirror> is conj(sum_m c[m] c[-m-1])
-    min_link = min(mags.min(initial=np.inf), abs(np.sum(c[-1] * c[-1, ::-1])))
+    links = np.sum(c[:-1] * c[1:], axis=1)
+    # the edge link <c_last, its mirror> is sum_m c[m] c[-m-1]
+    edge = np.sum(c[-1] * c[-1, ::-1])
+    min_link = min(np.abs(links).min(initial=np.inf), abs(edge))
     if min_link < _ALIGN_FLOOR:
         raise GaugeError(f"adjacent Bloch overlap {min_link:.3f} < "
                          f"{_ALIGN_FLOOR}; increase cells")
     if min_link < _ALIGN_SMOOTH:
         warnings.warn(f"gauge smoothness marginal: min adjacent overlap "
                       f"{min_link:.4f}", stacklevel=2)
-    c[1:] *= np.cumprod(np.conj(links) / mags)[:, None]
-
-    theta = -np.angle(np.sum(c[-1] * c[-1, ::-1]))
-    c *= np.exp(1j * theta * rows / cells)
+    c[1:] *= np.cumprod(np.sign(links))[:, None]
+    if edge < 0:
+        c = c * np.exp(-1j * np.pi * rows / cells)
 
     w = dom._from_half(c[rows, col])
     peak = int(np.argmax(np.abs(w)))
@@ -174,8 +191,7 @@ def build_orthonormal_basis(dom: PeriodicDomain, w: np.ndarray,
             "for an exponentially localized basis"
         )
 
-    bsym = 1.0 / np.sqrt(symbol)
-    b = np.fft.ifft(bsym).real
+    b = np.fft.ifft(1.0 / np.sqrt(symbol)).real
     lag = np.minimum(np.arange(cells), cells - np.arange(cells))
     b = np.where(lag <= lowdin_band, b, 0.0)
 
@@ -186,7 +202,7 @@ def build_orthonormal_basis(dom: PeriodicDomain, w: np.ndarray,
     overlaps = gram.copy()
     overlaps[0] -= 1.0
 
-    return WannierBasis(w=w, v0=v0, u0=u0, overlaps=overlaps, lowdin=b)
+    return WannierBasis(w=w, u0=u0, overlaps=overlaps)
 
 
 def pair_overlap_l1(wb: WannierBasis, dx: float, ell: int) -> float:

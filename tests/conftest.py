@@ -5,6 +5,7 @@ import pytest
 
 import semitb as st
 from semitb.cli import parse_config
+from semitb.potential import action_profile
 from semitb.scan import build_pipeline
 
 # the reference RunConfig: sin2 potential, reference numerics, sigma 1
@@ -29,14 +30,51 @@ def ref_spec():
     return st.make_potential("sin2", v0=8.0, a=1.0)
 
 
-# 8 sin^2(pi x) + 1.5 sin(2 pi x) + 0.7 cos(6 pi x + 0.4), exactly
-SKEW_VHAT = {0: 4.0, 1: -2.0 - 0.75j, 3: 0.35 * np.exp(0.4j)}
+# a 3-term cos-series with c1 < 0: the well sits at the cell edge, x0 = -a/2
+EDGE_COEFFS = [-4.0, 1.0, 0.5]
 
 
 @pytest.fixture(scope="session")
-def skew_spec():
-    """A well with no mirror symmetry: its Bloch blocks are complex."""
-    return st.make_potential("fourier", a=1.0, vhat=SKEW_VHAT)
+def edge_spec():
+    return st.make_potential("cos-series", a=1.0, coeffs=EDGE_COEFFS)
+
+
+def bloch_on_grid(bd, n, kappa, x):
+    """Bloch function of band n (1-based) at any kappa, evaluated on x.
+
+    The plane-wave reference for the domain's band-1 blocks: it solves
+    the Floquet matrix of bd at this kappa alone, with its eigenvector,
+    by scipy's banded solver, and scales the function to unit L2 norm
+    over one cell.  Its sign is whatever the eigensolver returns.
+    """
+    import scipy.linalg
+
+    modes = bd.modes
+    band = bd.band.copy()
+    band[0] = bd.band[0] + bd.hbar**2 * (kappa + bd.b * modes) ** 2
+    _, u = scipy.linalg.eig_banded(band, lower=True, select="i",
+                                   select_range=(n - 1, n - 1))
+    x = np.asarray(x, dtype=float)
+    return np.exp(1j * np.outer(x, kappa + bd.b * modes)) @ u[:, 0] / np.sqrt(bd.a)
+
+
+def orbitals(wb):
+    """The (cells, n) stack of the basis orbitals, row i that of wb.sites[i]."""
+    return np.stack([np.roll(wb.u0, s * wb.points_per_cell) for s in wb.sites])
+
+
+def lowdin_parts(dom, lowdin_band=6):
+    """(v0, b): the band-projected well seed and the banded Lowdin
+    coefficients that build_orthonormal_basis(dom, ...) combines into u0,
+    rebuilt from its inputs."""
+    g = np.exp(-action_profile(dom.spec, dom.x) / dom.hbar)
+    v0 = dom.project_band1(g / np.sqrt(dom.dx * np.sum(g**2)))
+    translates = np.stack([np.roll(v0, ell * dom.points_per_cell)
+                           for ell in range(dom.cells)])
+    gram = dom.dx * translates @ v0
+    b = np.fft.ifft(1 / np.sqrt(np.fft.fft(gram).real)).real
+    lag = np.minimum(np.arange(dom.cells), dom.cells - np.arange(dom.cells))
+    return v0, np.where(lag <= lowdin_band, b, 0.0)
 
 
 @pytest.fixture(scope="session")

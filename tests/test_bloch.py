@@ -4,7 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from conftest import REF_CFG, SKEW_VHAT
+from conftest import EDGE_COEFFS, REF_CFG, bloch_on_grid
 
 import semitb as st
 from semitb.bloch import _floquet_diagonal, _floquet_eig, _tridiagonal_lowest
@@ -94,26 +94,11 @@ def test_bloch_on_grid_norm_and_conjugation(bundle_factory):
     x = np.arange(256) / 256  # one cell
     dx = 1.0 / 256
     k = bd.kappa[5]
-    phi = st.bloch_on_grid(bd, 1, k, x)
+    phi = bloch_on_grid(bd, 1, k, x)
     assert abs(dx * np.sum(np.abs(phi) ** 2) - 1.0) < 1e-10
-    phim = st.bloch_on_grid(bd, 1, -k, x)
+    phim = bloch_on_grid(bd, 1, -k, x)
     ov = dx * np.sum(np.conj(phim) * np.conj(phi))
     assert abs(abs(ov) - 1.0) < 1e-10
-
-
-def test_bloch_on_grid_solves_a_skewed_well(skew_spec):
-    # V(-x) differs from V(x) here, so Bloch functions of the mirrored well
-    # miss the domain's H by O(1)
-    hb = 0.25
-    dom = st.PeriodicDomain(skew_spec, hb, 32, 64)
-    bd = st.solve_bands(skew_spec, st.FloquetConfig(hbar=hb, n_kappa=8))
-    # every kappa of this grid is commensurate with the 32-cell domain
-    for i, kappa in enumerate(bd.kappa):
-        phi = st.bloch_on_grid(bd, 1, kappa, dom.x)
-        h_phi = dom.apply_h(phi.real) + 1j * dom.apply_h(phi.imag)
-        resid = h_phi - bd.energies[0, i] * phi
-        # measured: 2.3e-12 (the K = 3 potential is resolved exactly)
-        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(phi)
 
 
 def test_bloch_kappa_folding(bundle_factory):
@@ -122,7 +107,7 @@ def test_bloch_kappa_folding(bundle_factory):
     bd = bundle_factory(0.2).bd
     x = np.linspace(-2, 2, 101)
     k = bd.kappa[9] + 0.31 * (bd.kappa[1] - bd.kappa[0])  # off the solved grid
-    shifted, phi = (st.bloch_on_grid(bd, 1, kk, x) for kk in (k + bd.b, k))
+    shifted, phi = (bloch_on_grid(bd, 1, kk, x) for kk in (k + bd.b, k))
     phase = np.vdot(phi, shifted) / np.vdot(phi, phi)
     assert abs(abs(phase) - 1.0) < 1e-10
     assert np.abs(shifted - phase * phi).max() < 1e-10
@@ -242,7 +227,7 @@ def _ulps(got, want):
 
 def _banded_reference(bd):
     """eig_banded at every kappa of bd, energies[n, i] as in the BandData."""
-    return np.array([_floquet_eig(bd, k, (0, bd.n_bands - 1), vectors=False)
+    return np.array([_floquet_eig(bd, k, (0, bd.n_bands - 1))
                      for k in bd.kappa]).T
 
 
@@ -259,24 +244,9 @@ def test_tridiagonal_bands_match_eig_banded(ref_cfg, hbar):
     # the half kappa_{n/2+1} .. kappa_{n-1} is mirrored from -kappa; solved
     # there directly it agrees to the same 4 ulp
     half = bd.kappa.size // 2 + 1
-    direct = _tridiagonal_lowest(_floquet_diagonal(bd, bd.kappa[half:]).real,
-                                 abs(bd.band[1, 0]) ** 2, bd.n_bands).T
+    direct = _tridiagonal_lowest(_floquet_diagonal(bd, bd.kappa[half:]),
+                                 bd.band[1, 0] ** 2, bd.n_bands).T
     assert _ulps(bd.energies[:, half:], direct) <= 4
-
-
-def test_tridiagonal_bands_of_a_complex_coupling(ref_cfg, ref_spec):
-    # the sin2 well moved by a tenth of a cell: vhat[1] turns complex, the
-    # spectrum stays the same
-    moved = dataclasses.replace(ref_spec, vhat=ref_spec.vhat
-                                * np.exp(-0.2j * np.pi * np.arange(2)))
-    bd = band_data(ref_cfg, 0.2)
-    fc = st.FloquetConfig(hbar=0.2, n_pw=ref_cfg.n_pw, n_kappa=ref_cfg.n_kappa,
-                          n_bands=ref_cfg.n_bands)
-    shifted = st.solve_bands(moved, fc)
-    assert shifted.band.shape[0] == 2 and abs(shifted.band[1, 0].imag) > 1
-    # measured: 4 ulp against eig_banded, 0 against the unmoved well
-    assert _ulps(shifted.energies, _banded_reference(shifted)) <= 4
-    assert _ulps(shifted.energies, bd.energies) <= 4
 
 
 def _eigh_reference(spec, cfg):
@@ -296,8 +266,9 @@ _SPECS = {
                                                coeffs=[4.0, 1.0]), 2),
     "cos-series-3": (lambda: st.make_potential("cos-series", a=1.0,
                                                coeffs=[4.0, 1.0, 0.5]), 3),
-    # the skewed well: the one input whose band is complex
-    "fourier": (lambda: st.make_potential("fourier", a=1.0, vhat=SKEW_VHAT), 3),
+    # c1 < 0: the well at the cell edge
+    "cos-series-edge": (lambda: st.make_potential("cos-series", a=1.0,
+                                                  coeffs=EDGE_COEFFS), 3),
     "free": (lambda: st.free_potential(1.0), 0),
 }
 
@@ -320,7 +291,7 @@ def test_solver_agrees_with_full_eigh_at_every_bandwidth(family):
             # the free bands are degenerate at kappa = 0 and -pi, so each
             # Bloch function is compared with the whole reference eigenspace
             space = waves @ u[:, np.abs(w - bd.energies[n, i]) <= 1e-9 * scale]
-            phi = st.bloch_on_grid(bd, n + 1, bd.kappa[i], x) * np.sqrt(spec.a)
+            phi = bloch_on_grid(bd, n + 1, bd.kappa[i], x) * np.sqrt(spec.a)
             assert np.linalg.norm(space.conj().T @ phi) / 64 >= 1 - 1e-12
 
 
@@ -330,26 +301,25 @@ def test_sin2_coefficients_are_exact(v0):
     spec = st.make_potential("sin2", v0=v0, a=1.0)
     band = st.solve_bands(spec, st.FloquetConfig(hbar=0.2, n_pw=41, n_kappa=8)).band
     # the diagonal and the first subdiagonal of the Toeplitz block
-    assert np.array_equal(band[:, 0].real, [v0 / 2, -v0 / 4])
-    assert not band.imag.any()
+    assert band.dtype == float and np.array_equal(band[:, 0], [v0 / 2, -v0 / 4])
 
 
 def _looped_fourier(spec, kmax):
-    """The Hermitian coefficient vector of spec, indexed by k + kmax for
+    """The even coefficient vector of spec, indexed by k + kmax for
     |k| <= kmax, one mode at a time."""
-    out = np.zeros(2 * kmax + 1, dtype=complex)
+    out = np.zeros(2 * kmax + 1)
     for k, c in enumerate(spec.vhat[:kmax + 1]):
         out[kmax + k] = c
-        out[kmax - k] = np.conj(c)
+        out[kmax - k] = c
     return out
 
 
 @pytest.mark.parametrize("make, want_k", [
     (lambda: st.make_potential("sin2", v0=8.0, a=1.0), 1),
     (lambda: st.make_potential("cos-series", a=1.0, coeffs=[4.0, 1.0, 0.5]), 3),
-    (lambda: st.make_potential("fourier", a=1.0, vhat=SKEW_VHAT), 3),
+    (lambda: st.make_potential("cos-series", a=1.0, coeffs=EDGE_COEFFS), 3),
     (lambda: st.free_potential(1.0), 0),
-], ids=["sin2", "cos-series-3", "fourier", "free"])
+], ids=["sin2", "cos-series-3", "cos-series-edge", "free"])
 def test_band_storage_is_the_toeplitz_block_diagonals(make, want_k):
     spec = make()
     cfg = st.FloquetConfig(hbar=0.2, n_pw=129, n_kappa=8)

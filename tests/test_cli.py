@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import REF_CFG
+from conftest import REF_CFG, orbitals
 
 import semitb.cli as cli
 from semitb.errors import ConfigError
@@ -268,7 +268,9 @@ def test_version1_basis_bundle_rebuilt(tmp_path):
     want = (tmp_path / "out" / "params.csv").read_bytes()
 
     # the version-1 layout: a copy of the domain grid and every cell shift
-    # of u0, stored under the key the current configuration hashes to
+    # of u0, stored under the key the current configuration hashes to; the
+    # fields the basis no longer has are stood in for by arrays of their
+    # shapes
     cache = cli.BundleCache(str(tmp_path / "cache"))
     (tmp_path / "cache").mkdir()
     dom = PeriodicDomain(cfg.potential(), cfg.hbar_ladder[0], cfg.cells,
@@ -279,15 +281,15 @@ def test_version1_basis_bundle_rebuilt(tmp_path):
         np.savez(cache.basis_path(key), version=np.int64(1), a=cfg.a, hbar=hb,
                  cells=np.int64(wb.cells),
                  points_per_cell=np.int64(wb.points_per_cell), x=dom.x,
-                 dx=dom.dx, sites=dom.sites, w=wb.w, v0=wb.v0, u=wb.u,
-                 overlaps=wb.overlaps, lowdin=wb.lowdin,
+                 dx=dom.dx, sites=dom.sites, w=wb.w, v0=wb.w, u=orbitals(wb),
+                 overlaps=wb.overlaps, lowdin=wb.overlaps,
                  lowdin_band=np.int64(cfg.lowdin_band), decay_rate=0.5)
     (tmp_path / "out" / "params.csv").unlink()
     assert cli.main(["--config", str(path), "params"]) == 0
     assert (tmp_path / "out" / "params.csv").read_bytes() == want
     for key in keys:
         with np.load(cache.basis_path(key)) as z:
-            assert int(z["version"]) == cli.CACHE_VERSION == 11
+            assert int(z["version"]) == cli.CACHE_VERSION == 12
             assert "u" not in z.files
         got, ref = cache.load_basis(key), fresh.load_basis(key)
         assert np.array_equal(got.u0, ref.u0)
@@ -361,7 +363,7 @@ def test_cache_key_is_the_hashlib_digest():
     # the built-in sha256 gives hashlib's digests, so a cache keyed by
     # hashlib.sha256 is still hit: the key of the reference config at
     # hbar = 0.25 is pinned to the hashlib value
-    assert cli.config_hash(REF_CFG, 0.25) == "393a29f1f8c51771"
+    assert cli.config_hash(REF_CFG, 0.25) == "64ab316a4af94817"
     for payload in (b"", b"abc", bytes(range(256)) * 5, "ħ = 0.25".encode()):
         assert cli._sha256(payload).hexdigest() == hashlib.sha256(payload).hexdigest()
 
@@ -438,25 +440,27 @@ def _state_arrays(tmp_path):
 
 def test_scan_warm_cache_reproduces_cold(tmp_path, monkeypatch):
     # a warm scan takes bands, basis and the domain's block eigenpairs from
-    # the cache: it runs no complex (block) eigh, and writes what a cold
-    # scan writes
+    # the cache: it runs no block eigh, and writes what a cold scan writes;
+    # neither runs a complex eigh
     _write(tmp_path)
-    complex_eighs = []
+    eighs = []
     eigh = np.linalg.eigh
 
     def counted(a, *args, **kwargs):
-        complex_eighs.append(np.iscomplexobj(a))
+        eighs.append((np.iscomplexobj(a), a.ndim))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     cold, cold_states = _scan_outputs(tmp_path), _state_arrays(tmp_path)
-    assert sum(complex_eighs) == 4  # one stacked block eigh per ladder hbar
+    assert not any(is_complex for is_complex, _ in eighs)
+    # one real stacked block eigh per ladder hbar
+    assert sum(ndim == 3 for _, ndim in eighs) == 4
     kinds = sorted(p.name.split("_")[0] for p in (tmp_path / "cache").iterdir())
     assert kinds == ["bands"] * 4 + ["basis"] * 4 + ["domain"] * 4
     shutil.rmtree(tmp_path / "out")
-    complex_eighs.clear()
+    eighs.clear()
     assert _scan_outputs(tmp_path) == cold
-    assert not any(complex_eighs)
+    assert not any(is_complex or ndim == 3 for is_complex, ndim in eighs)
     warm_states = _state_arrays(tmp_path)
     assert warm_states.keys() == cold_states.keys() and len(cold_states) > 4
     for name, arrays in cold_states.items():
@@ -475,7 +479,7 @@ def test_torn_or_misshapen_domain_bundle_rebuilt(tmp_path, caplog):
     bundle = Path(cache.domain_path(key))
     whole = cache.load_domain(key, *shape)
     assert whole[0].shape == (cfg.cells // 2 + 1, cfg.points_per_cell)
-    assert whole[1].dtype == complex
+    assert whole[0].dtype == whole[1].dtype == np.float64
 
     def assert_rebuilt(why):
         with caplog.at_level(logging.WARNING, logger="semitb.cli"):
@@ -497,11 +501,20 @@ def test_torn_or_misshapen_domain_bundle_rebuilt(tmp_path, caplog):
     np.savez(bundle, version=np.int64(cli.CACHE_VERSION),
              block_evals=whole[0][:, :-1], block_evecs=whole[1][:, :-1, :-1])
     assert_rebuilt("has shape")
+    # the complex eigenvectors an older build stored, under this version:
+    # neither the cache nor the domain takes them
+    np.savez(bundle, version=np.int64(cli.CACHE_VERSION),
+             block_evals=whole[0], block_evecs=whole[1].astype(complex))
+    with np.load(bundle) as z:
+        stored = (z["block_evals"], z["block_evecs"])
+    with pytest.raises(ValueError, match="dtypes float64, complex128"):
+        PeriodicDomain(cfg.potential(), cfg.hbar_ladder[0], *shape, blocks=stored)
+    assert_rebuilt("and dtype complex128")
 
 
 def test_storing_the_reference_stack_copies_no_array(tmp_path, bundle_factory):
     dom = bundle_factory(0.25).dom
-    assert dom.block_evecs.nbytes > 2**20
+    assert dom.block_evecs.nbytes > 2**19
     cache = cli.BundleCache(str(tmp_path))
     tracemalloc.start()
     try:

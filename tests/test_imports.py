@@ -27,15 +27,13 @@ MODULES = sorted(p for p in (ROOT / "src" / "semitb").glob("*.py")
 FILES = MODULES + sorted((ROOT / "tests").glob("*.py"))
 
 # exports that no package module reads, each with the reason it stays
-UNREAD_EXPORTS = {"bloch_on_grid": "plane-wave reference of the tests"}
+UNREAD_EXPORTS = {}
 
 # dataclass fields that no package module reads as an attribute, each with
 # the reason it stays
 UNREAD_FIELDS = {
     "RunConfig.v0": "read by getattr through cli._FAMILY_FIELD",
     "RunConfig.coeffs": "read by getattr through cli._FAMILY_FIELD",
-    "WannierBasis.v0": "the seed of the Lowdin step, which the basis tests check",
-    "WannierBasis.lowdin": "the Lowdin coefficients, which the basis tests check",
 }
 
 # defaulted parameters that no call site in the package passes, each with
@@ -200,13 +198,10 @@ def test_band_solve_loads_scipy_linalg_only_beyond_tridiagonal(spec, loaded):
 
 def test_no_potential_family_loads_scipy_interpolate():
     # every family is a coefficient vector evaluated in numpy: no spline
-    code = ("import cmath, semitb as st; "
+    code = ("import semitb as st; "
             "st.make_potential('sin2', v0=8.0, a=1.0); "
             "st.make_potential('cos-series', a=1.0, coeffs=[4.0, 1.0]); "
-            "st.free_potential(1.0); "
-            "skew = st.make_potential('fourier', a=1.0, vhat={0: 4.0, "
-            "1: -2.0 - 0.75j, 3: 0.35 * cmath.exp(0.4j)}); "
-            "st.solve_bands(skew, st.FloquetConfig(hbar=0.2, n_pw=41, n_kappa=8))")
+            "st.free_potential(1.0)")
     assert _loaded_after(code, ("scipy.interpolate",)) == []
 
 

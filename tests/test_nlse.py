@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import semitb as st
+from conftest import bloch_on_grid, orbitals
 from semitb.dnls import linear_ground_state
 from semitb.errors import NonConvergenceError, SolverError
 from semitb.nlse import (
@@ -18,19 +19,20 @@ from semitb.nlse import (
 from semitb.operators import PeriodicDomain, l2_norm
 from semitb.potential import action_profile
 from semitb.tightbinding import ring_coupling, with_eta
+from semitb.wannier import analyze, synthesize
 
 
 def _split(phi, bun):
     """(c, phi_band, phi_perp) with c_j = <u_j, phi> by grid quadrature."""
-    c = bun.dom.dx * (bun.wb.u @ phi)
-    band = bun.wb.u.T @ c
+    c = analyze(bun.wb, bun.dom.dx, phi)
+    band = synthesize(bun.wb, c)
     return c, band, phi - band
 
 
 def test_projection_recovers_single_orbital(bundle_factory):
     bun = bundle_factory(0.16)
     wb = bun.wb
-    c, band, perp = _split(wb.u[3 - wb.sites[0]], bun)
+    c, band, perp = _split(orbitals(wb)[3 - wb.sites[0]], bun)
     expect = np.zeros(wb.cells)
     expect[3 - wb.sites[0]] = 1.0
     assert np.abs(c - expect).max() < 1e-8
@@ -39,7 +41,7 @@ def test_projection_recovers_single_orbital(bundle_factory):
 
 def test_projection_annihilates_second_band(bundle_factory):
     bun = bundle_factory(0.16)
-    phi = st.bloch_on_grid(bun.bd, 2, bun.bd.kappa[8], bun.dom.x).real
+    phi = bloch_on_grid(bun.bd, 2, bun.bd.kappa[8], bun.dom.x).real
     phi /= l2_norm(bun.dom.dx, phi)
     c, _, _ = _split(phi, bun)
     assert np.linalg.norm(c) <= 1e-6
@@ -172,7 +174,7 @@ def test_perp_first_iterate_homogeneity(bundle_factory, ladder_states):
     lam = tbp.lambda1 - tbp.beta * s.e
 
     def first_iterate(cv):
-        band = bun.wb.u.T @ cv
+        band = synthesize(bun.wb, cv)
         return -tbp.gamma * bun.dom.resolvent_perp(_nonlinear_term(band, 1.0), lam)
 
     ratio = (bun.dom.h1_norm(first_iterate(2 * c))
@@ -249,7 +251,7 @@ def test_reconstruction_error_decays(bundle_factory, ladder_states):
         tbp = with_eta(bun.tbp, -3.0)
         cs = st.reconstruct_and_correct(ladder_states[-3.0], tbp, bun.dom,
                                         bun.wb, delta0=8.0)
-        seed = bun.wb.u.T @ lattice_map(ladder_states[-3.0], bun.wb)
+        seed = synthesize(bun.wb, lattice_map(ladder_states[-3.0], bun.wb))
         errs.append(bun.dom.h1_norm(cs.phi - seed))
         norms.append(abs(l2_norm(bun.dom.dx, cs.phi) - 1.0))
     assert errs[1] < errs[0] < 1.0
@@ -266,12 +268,12 @@ def test_linear_limit_reproduces_band_state(bundle_factory):
     w, v = np.linalg.eigh(tbp.lambda1 * np.eye(bun.wb.cells)
                           + tbp.beta * ring_coupling(tbp))
     pick = int(np.argmax(np.abs(v.T @ seed)))
-    lam, phi = w[pick], bun.wb.u.T @ v[:, pick]
+    lam, phi = w[pick], synthesize(bun.wb, v[:, pick])
     assert l2_norm(bun.dom.dx, bun.dom.apply_h(phi) - lam * phi) <= 1e-10
     # the delocalized seed picks the zone-center state at the band bottom
     alpha1 = bun.dom.band_edges(1)[0]
     assert abs(lam - alpha1) < 1e-9
-    phi_ref = st.bloch_on_grid(bun.bd, 1, 0.0, bun.dom.x).real
+    phi_ref = bloch_on_grid(bun.bd, 1, 0.0, bun.dom.x).real
     phi_ref /= l2_norm(bun.dom.dx, phi_ref)
     sgn = np.sign(np.sum(phi_ref * phi))
     assert l2_norm(bun.dom.dx, phi / l2_norm(bun.dom.dx, phi)
@@ -356,7 +358,7 @@ def test_reduced_jacobian_matches_finite_differences(bundle_factory,
     s = ladder_states[-3.0]
     c = lattice_map(s, bun.wb)
     # the remainder is held fixed: the Jacobian is the lattice part only
-    f_rem = _remainder_term(c, bun.wb.u.T @ c, tbp, bun.dom, bun.wb)
+    f_rem = _remainder_term(c, synthesize(bun.wb, c), tbp, bun.dom, bun.wb)
     lp, _ = check_lattice_invertibility(c, s.e, tbp)
     rng = np.random.default_rng(13)
     for _ in range(20):
@@ -419,7 +421,7 @@ def test_oracle_agrees_with_reconstruction(bundle_factory, ladder_states):
 
 def test_oracle_keeps_exact_linear_state(bundle_factory):
     bun = bundle_factory(0.16)
-    phi = st.bloch_on_grid(bun.bd, 1, 0.0, bun.dom.x).real
+    phi = bloch_on_grid(bun.bd, 1, 0.0, bun.dom.x).real
     phi /= l2_norm(bun.dom.dx, phi)
     lam = float(bun.bd.energies[0, np.argmin(np.abs(bun.bd.kappa))])
     orc = st.direct_newton_oracle(bun.dom, lam, 0.0, 1.0, phi)
@@ -428,7 +430,7 @@ def test_oracle_keeps_exact_linear_state(bundle_factory):
 
 def test_oracle_below_spectrum_defocusing_vanishes(bundle_factory):
     bun = bundle_factory(0.16)
-    phi = st.bloch_on_grid(bun.bd, 1, 0.0, bun.dom.x).real
+    phi = bloch_on_grid(bun.bd, 1, 0.0, bun.dom.x).real
     phi /= l2_norm(bun.dom.dx, phi)
     lam = bun.dom.band_edges(1)[0] - 0.5
     orc = st.direct_newton_oracle(bun.dom, lam, 0.5, 1.0, 0.5 * phi,

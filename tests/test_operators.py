@@ -4,7 +4,8 @@ import inspect
 import numpy as np
 import pytest
 
-from conftest import full_zone_eigh
+import semitb as st
+from conftest import EDGE_COEFFS, full_zone_eigh
 from semitb import operators
 from semitb.operators import PeriodicDomain
 
@@ -51,6 +52,11 @@ def test_given_blocks_replace_the_eigh(dom, ref_spec, monkeypatch):
     for wrong, other_ppc in ((cut, PPC), (blocks, PPC + 1)):
         with pytest.raises(ValueError, match="not the half stack"):
             PeriodicDomain(ref_spec, 0.25, dom.cells, other_ppc, blocks=wrong)
+    # the eigenpairs of the complex blocks an older build stored
+    for wrong in ((blocks[0], blocks[1].astype(complex)),
+                  (blocks[0].astype(np.float32), blocks[1])):
+        with pytest.raises(ValueError, match=f"{wrong[0].dtype}, {wrong[1].dtype}"):
+            PeriodicDomain(ref_spec, 0.25, dom.cells, PPC, blocks=wrong)
 
 
 def _reassembled(evals, evecs):
@@ -62,6 +68,7 @@ def test_blocks_reassemble_dense_h_in_fourier_space(dom):
     half = dom.cells // 2 + 1
     assert dom.block_evals.shape == (half, PPC)
     assert dom.block_evecs.shape == (half, PPC, PPC)
+    assert dom.block_evals.dtype == dom.block_evecs.dtype == np.float64
     ref = _reassembled(*full_zone_eigh(dom))[:half]
     assert np.abs(_reassembled(dom.block_evals, dom.block_evecs) - ref).max() <= 1e-12
 
@@ -122,16 +129,18 @@ def _full_block_projector(dom, ref, phi):
 
 def _half_stack_resolvent(dom, phi, z):
     """The half-stack resolvent written out in one piece: the rfft gathered
-    into blocks 0..cells//2, two stacked products, the mirror scattered
-    back through irfft."""
+    into blocks 0..cells//2 as (re, im) pairs, two stacked real products,
+    the mirror scattered back through irfft."""
     h = dom.cells // 2 + 1
     rf = np.fft.rfft(phi)
     fb = np.concatenate((rf, rf.conj()))[dom._half_in].reshape(h, -1)
+    pairs = np.stack((fb.real, fb.imag), axis=-1)
     v = dom.block_evecs[:h]
-    coef = np.matmul(fb.conj()[:, None, :], v)[:, 0, :].conj()
+    coef = np.matmul(v.transpose(0, 2, 1), pairs)
     coef[:, 0] = 0.0
-    coef[:, 1:] /= dom.block_evals[:h, 1:] - z
-    back = np.matmul(v, coef[:, :, None]).reshape(-1)
+    coef[:, 1:] /= (dom.block_evals[:h, 1:] - z)[:, :, None]
+    back = np.matmul(v, coef)
+    back = (back[..., 0] + 1j * back[..., 1]).reshape(-1)
     return np.fft.irfft(np.concatenate((back, back.conj()))[dom._half_out], dom.n)
 
 
@@ -165,11 +174,11 @@ def test_half_spectrum_projector_matches_full_blocks(ref_spec, cells, ppc):
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("skewed", [False, True], ids=["sin2", "skewed"])
+@pytest.mark.parametrize("edge", [False, True], ids=["sin2", "edge"])
 @pytest.mark.parametrize("cells, ppc", SHAPES)
-def test_half_stack_spectrum_matches_full_zone(ref_spec, skew_spec, skewed,
+def test_half_stack_spectrum_matches_full_zone(ref_spec, edge_spec, edge,
                                                cells, ppc):
-    dom = PeriodicDomain(skew_spec if skewed else ref_spec, 0.25, cells, ppc)
+    dom = PeriodicDomain(edge_spec if edge else ref_spec, 0.25, cells, ppc)
     evals, evecs = full_zone_eigh(dom)
     for n in (1, 2):
         ref = evals[:, n - 1]
@@ -179,7 +188,7 @@ def test_half_stack_spectrum_matches_full_zone(ref_spec, skew_spec, skewed,
     for z in (evals[:, 0].mean(), evals[:, 1].mean(), evals[:, 2].max() + 0.3):
         assert abs(dom.perp_distance(z) - np.abs(evals[:, 1:] - z).min()) <= 1e-11
     # reference block cells - r holds the modes -g of domain block r, and
-    # is its conjugate mirror
+    # is its mirror
     pos = np.argsort(dom.block_index.ravel()) % ppc
     ref_blocks, blocks = _reassembled(evals, evecs), _reassembled(dom.block_evals,
                                                                   dom.block_evecs)
@@ -187,8 +196,38 @@ def test_half_stack_spectrum_matches_full_zone(ref_spec, skew_spec, skewed,
     for r in range(dom.cells // 2 + 1):
         mirror = pos[-dom.block_index[r] % dom.n]
         ref = ref_blocks[-r % cells][mirror[:, None], mirror]
-        assert np.abs(ref - blocks[r].conj()).max() <= 1e-13 * scale
+        assert np.abs(ref - blocks[r]).max() <= 1e-13 * scale
         assert np.abs(evals[-r % cells] - dom.block_evals[r]).max() <= 1e-13 * scale
+
+
+def _fft_gathered_blocks(dom):
+    """Blocks 0..cells//2 gathered from fft(vx), each entry of modes g, g'
+    the coefficient fft(vx)[g - g'] / n, plus the kinetic diagonal: complex,
+    with FFT roundoff in the imaginary parts."""
+    n, idx = dom.n, dom.block_index[:dom.cells // 2 + 1]
+    gb = dom.g[idx]
+    h = (np.fft.fft(dom.vx) / n)[(gb[:, :, None] - gb[:, None, :]) % n]
+    off = np.arange(dom.points_per_cell)
+    h[:, off, off] += dom.hbar**2 * dom.k[idx] ** 2
+    return h
+
+
+_BLOCK_SPECS = {
+    "sin2": dict(family="sin2", v0=8.0),
+    "cos-series-3": dict(family="cos-series", coeffs=[4.0, 1.0, 0.5]),
+    "cos-series-edge": dict(family="cos-series", coeffs=EDGE_COEFFS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_SPECS))
+@pytest.mark.parametrize("cells, ppc", SHAPES + [(5, 15), (6, 4), (5, 3), (5, 2)])
+def test_blocks_from_vhat_match_the_fft_gathered_blocks(name, cells, ppc):
+    # ppc <= 2K on the last three grids: the circulant folds aliases in
+    spec = st.make_potential(a=1.0, **_BLOCK_SPECS[name])
+    dom = PeriodicDomain(spec, 0.25, cells, ppc)
+    got, ref = dom.half_blocks(), _fft_gathered_blocks(dom)
+    assert got.dtype == np.float64 and np.array_equal(got, got.transpose(0, 2, 1))
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("cells, ppc", SHAPES + [(5, 15)])

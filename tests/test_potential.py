@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from conftest import SKEW_VHAT
+from conftest import EDGE_COEFFS
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -31,8 +31,8 @@ def test_sin2_scaled_curvature_against_symbolic_derivative():
 
 
 def test_constant_potential_rejected():
-    with pytest.raises(PotentialError):
-        st.make_potential("fourier", a=1.0, vhat={0: 3.0})
+    with pytest.raises(PotentialError, match="flat"):
+        st.make_potential("cos-series", a=1.0, coeffs=[0.0])
 
 
 def test_double_well_cell_rejected():
@@ -150,7 +150,7 @@ def test_periodicity_of_families():
     specs = [
         st.make_potential("sin2", v0=8.0, a=1.0),
         st.make_potential("cos-series", a=2.0, coeffs=[1.0, 0.3]),
-        st.make_potential("fourier", a=1.0, vhat=SKEW_VHAT),
+        st.make_potential("cos-series", a=1.0, coeffs=EDGE_COEFFS),
     ]
     for spec in specs:
         xs = np.linspace(-spec.a / 2, spec.a / 2, 1000, endpoint=False)
@@ -159,26 +159,29 @@ def test_periodicity_of_families():
         assert np.abs(vs - v).max() <= 1e-12 * max(1.0, np.abs(v).max())
 
 
-def _skew(x, order):
-    """The order-th derivative of the skewed well's closed form, before its
-    minimum is subtracted."""
+def _cos_series(coeffs, x, order):
+    """The order-th derivative of sum_k c_k (1 - cos(2 pi k x)) in closed
+    form, before its minimum is subtracted."""
     t = 2 * np.pi * x
-    return [4 - 4 * np.cos(t) + 1.5 * np.sin(t) + 0.7 * np.cos(3 * t + 0.4),
-            2 * np.pi * (4 * np.sin(t) + 1.5 * np.cos(t)
-                         - 2.1 * np.sin(3 * t + 0.4)),
-            4 * np.pi**2 * (4 * np.cos(t) - 1.5 * np.sin(t)
-                            - 6.3 * np.cos(3 * t + 0.4))][order]
+    terms = [(1 - np.cos(k * t), 2 * np.pi * k * np.sin(k * t),
+              4 * np.pi**2 * k**2 * np.cos(k * t))[order] * c
+             for k, c in enumerate(coeffs, start=1)]
+    return sum(terms)
 
 
-def test_kernel_matches_the_skewed_well_closed_form():
-    spec = st.make_potential("fourier", a=1.0, vhat=SKEW_VHAT)
+@pytest.mark.parametrize("coeffs, x0", [([4.0, 1.0, 0.5], 0.0),
+                                        (EDGE_COEFFS, -0.5)],
+                         ids=["centre", "edge"])
+def test_kernel_matches_the_cos_series_closed_form(coeffs, x0):
+    spec = st.make_potential("cos-series", a=1.0, coeffs=coeffs)
+    assert spec.x0 == x0
     x = np.linspace(-2.0, 2.0, 801).reshape(3, 267)
-    vmin = _skew(spec.x0, 0)
-    assert abs(_skew(spec.x0, 1)) <= 1e-12
-    assert abs(spec.curvature - _skew(spec.x0, 2)) <= 1e-12 * spec.curvature
-    assert np.abs(spec.v(x) - (_skew(x, 0) - vmin)).max() <= 1e-12
+    vmin = _cos_series(coeffs, x0, 0)
+    assert abs(spec.curvature - _cos_series(coeffs, x0, 2)) <= 1e-12 * spec.curvature
+    assert np.abs(spec.v(x) - (_cos_series(coeffs, x, 0) - vmin)).max() <= 1e-12
     for order, scale in ((1, 2 * np.pi), (2, 4 * np.pi**2)):
-        assert np.abs(spec.v(x, order) - _skew(x, order)).max() <= 1e-12 * scale
+        err = np.abs(spec.v(x, order) - _cos_series(coeffs, x, order)).max()
+        assert err <= 1e-12 * scale * sum(np.abs(coeffs))
 
 
 def test_cos_series_coefficients():
@@ -186,12 +189,14 @@ def test_cos_series_coefficients():
     coeffs = [4.0, 1.0, 0.5]
     vhat = st.make_potential("cos-series", a=1.0, coeffs=coeffs).vhat
     assert np.array_equal(vhat[1:], [-2.0, -0.5, -0.25])
-    assert abs(vhat[0] - 5.5) <= 1e-14 and vhat[0].imag == 0
+    assert abs(vhat[0] - 5.5) <= 1e-14 and vhat.dtype == float
 
 
 def test_fourier_coefficients_refused():
-    for vhat in ({}, {-1: 1.0}, {0: 1j, 1: -0.5}):
-        with pytest.raises(PotentialError, match="fourier"):
+    # the complex coefficient family is gone: every even potential is a
+    # cos-series, and a vhat mapping is no family at all
+    for vhat in ({0: 4.0, 1: -2.0}, {0: 4.0, 1: -2.0 - 0.75j}):
+        with pytest.raises(PotentialError, match="unknown potential family 'fourier'"):
             st.make_potential("fourier", a=1.0, vhat=vhat)
 
 
@@ -232,19 +237,18 @@ def test_agmon_tabulation_matches_pointwise_quadrature():
             c * (1 - mpmath.cos(2 * mpmath.pi * (k + 1) * t))
             for k, c in enumerate(coeffs)))
 
-    # a well off the cell centre, at x0 = -0.129
-    skew = st.make_potential("fourier", a=1.0, vhat=SKEW_VHAT)
-    vmin = mpmath.mpf(float(_skew(skew.x0, 0)))
+    # the well at the cell edge, x0 = -a/2
+    edge = st.make_potential("cos-series", a=1.0, coeffs=EDGE_COEFFS)
+    vmin = mpmath.mpf(float(_cos_series(EDGE_COEFFS, edge.x0, 0)))
 
-    def root_skew(t):
-        u = 2 * mpmath.pi * t
-        v = (4 - 4 * mpmath.cos(u) + 1.5 * mpmath.sin(u)
-             + 0.7 * mpmath.cos(3 * u + 0.4))
+    def root_edge(t):
+        v = mpmath.fsum(c * (1 - mpmath.cos(2 * mpmath.pi * (k + 1) * t))
+                        for k, c in enumerate(EDGE_COEFFS))
         return mpmath.sqrt(max(v - vmin, 0))
 
     offsets = np.random.default_rng(7).uniform(0.0, 1.0, 12)
     m = np.arange(-2, 3)[:, None]
-    for spec, f in ((cos_series, root_cos), (skew, root_skew)):
+    for spec, f in ((cos_series, root_cos), (edge, root_edge)):
         with mpmath.workdps(20):
             s0, arms = _mpmath_action(f, spec.x0, spec.a, offsets)
         d = action_profile(spec, spec.x0 + m * spec.a + offsets)

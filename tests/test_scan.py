@@ -15,6 +15,7 @@ from semitb import nlse
 from semitb.cli import _validate
 from semitb.errors import ConfigError, Error
 from semitb.operators import l2_norm
+from semitb.wannier import synthesize
 from semitb.scan import (CONTINUUM_HEADER, _dnls_ladder, continuum_column,
                          fit_exponential_law, run_sweep)
 
@@ -167,7 +168,7 @@ def test_linear_reference_row(cfg, mini_bundles, tmp_path):
         assert abs(r[8] - 0.0487) < 1e-4 and r[8] < 0.1
         # residual_h is measured on the lift, not assumed
         bun = mini_bundles[r[0]]
-        lift = bun.wb.u.T @ nlse.lattice_map(state, bun.wb)
+        lift = synthesize(bun.wb, nlse.lattice_map(state, bun.wb))
         resid = bun.dom.apply_h(lift) - r[2] * lift
         assert r[7] == l2_norm(bun.dom.dx, resid) > 0.0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import semitb as st
-from conftest import full_zone_eigh
+from conftest import full_zone_eigh, orbitals
 from semitb.errors import BasisError
 from semitb.scan import build_pipeline
 from semitb.tightbinding import band_hopping, ring_coupling
@@ -25,7 +25,7 @@ def test_h_row_is_the_product_form_bit_for_bit(bundle_factory, hb):
     bun = bundle_factory(hb)
     wb, dom, cells = bun.wb, bun.dom, bun.wb.cells
     raw = np.empty(cells)
-    raw[wb.sites % cells] = dom.dx * np.sum(wb.u * dom.apply_h(wb.u0), axis=1)
+    raw[wb.sites % cells] = dom.dx * np.sum(orbitals(wb) * dom.apply_h(wb.u0), axis=1)
     lag = np.minimum(np.arange(cells), cells - np.arange(cells))
     floor = np.finfo(float).eps * np.abs(dom.block_evals).max()
     ref = np.where((lag >= 2) & (np.abs(raw[lag]) < floor), 0.0, raw[lag])
@@ -54,7 +54,7 @@ def test_h_band_symmetric_and_uniform(bundle_factory, ref_spec):
     h = bun.tbp.h_row
     assert np.abs(h - h[-np.arange(h.size)]).max() < 1e-10 * max(1.0, np.abs(h).max())
     # diagonal element is site independent: recompute from a shifted orbital
-    c0_shift = bun.dom.dx * np.sum(np.abs(bun.wb.u[5 - bun.wb.sites[0]]) ** 4)
+    c0_shift = bun.dom.dx * np.sum(np.abs(orbitals(bun.wb)[5 - bun.wb.sites[0]]) ** 4)
     assert abs(c0_shift - bun.tbp.c0) < 1e-8
 
 
@@ -136,7 +136,7 @@ def test_beta_below_roundoff_floor_refused(ref_cfg):
 def test_ring_coupling_is_the_galerkin_matrix(bundle_factory):
     for hb in (0.25, 0.16, 0.1):
         bun = bundle_factory(hb)
-        u, m = bun.wb.u, bun.wb.cells
+        u, m = orbitals(bun.wb), bun.wb.cells
         galerkin = bun.dom.dx * u @ np.array([bun.dom.apply_h(r) for r in u]).T
         k = ring_coupling(bun.tbp)
         lattice = bun.tbp.lambda1 * np.eye(m) + bun.tbp.beta * k

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import semitb as st
-from conftest import full_zone_eigh
+from conftest import bloch_on_grid, full_zone_eigh, lowdin_parts, orbitals
 from semitb.cli import BundleCache
 from semitb.errors import BasisError, GaugeError
 from semitb.operators import PeriodicDomain, l2_norm
 from semitb.potential import action_profile
-from semitb.wannier import fix_gauge
+from semitb.wannier import analyze, fix_gauge, synthesize
 
 
 def _plane_wave_w1(bd, dom):
@@ -24,7 +24,7 @@ def _plane_wave_w1(bd, dom):
     real by one global phase and positive at its peak, with unit norm.
     """
     cell = dom.x[:dom.points_per_cell]
-    periodic = np.stack([st.bloch_on_grid(bd, 1, k, cell) * np.exp(-1j * k * cell)
+    periodic = np.stack([bloch_on_grid(bd, 1, k, cell) * np.exp(-1j * k * cell)
                          for k in bd.kappa])
     links = np.sum(np.conj(periodic[:-1]) * periodic[1:], axis=1)
     assert np.abs(links).min() / np.sum(np.abs(periodic[0]) ** 2) > 0.99
@@ -57,22 +57,42 @@ def test_w1_matches_plane_wave_reference(bundle_factory, hbar):
     assert np.abs(bun.wb.w - ref).max() <= 1e-12
 
 
+def test_w1_of_the_edge_well_matches_plane_wave_reference(edge_spec):
+    # the well at the grid's cell edges: the gauge is signs alone
+    hb = 0.25
+    dom = PeriodicDomain(edge_spec, hb, 32, 64)
+    bd = st.solve_bands(edge_spec, st.FloquetConfig(hbar=hb))
+    w = fix_gauge(dom)
+    peak = np.argmax(np.abs(w))
+    assert w[peak] > 0 and dom.x[peak] == edge_spec.x0
+    assert np.abs(w - _plane_wave_w1(bd, dom)).max() <= 1e-12
+
+
 def _with_band1(dom, vecs):
-    """A copy of dom whose band-1 vectors are the first cells//2 + 1 rows of vecs."""
+    """A copy of dom whose band-1 vectors are the first cells//2 + 1 rows of
+    the real vecs."""
     out = copy.copy(dom)
     out.block_evecs = dom.block_evecs.copy()
     out.block_evecs[:, :, 0] = vecs[:len(dom.block_evecs)]
     return out
 
 
-def test_gauge_idempotent(ref_spec):
-    dom = PeriodicDomain(ref_spec, 0.2, 32, 64)
-    w = fix_gauge(dom)
-    # the block vectors of W1 are the gauge-fixed band-1 vectors, moved by
-    # whole cells; the gauge leaves them where they are
-    gauged = np.fft.fft(w)[dom.block_index]
-    gauged /= np.linalg.norm(gauged, axis=1, keepdims=True)
-    assert np.abs(fix_gauge(_with_band1(dom, gauged)) - w).max() < 1e-12
+def test_gauge_idempotent(ref_spec, edge_spec):
+    # the block vectors of W1, moved back by the whole cells that took it
+    # onto the site-0 well, are the gauge-fixed band-1 vectors: real for
+    # the well at the grid's cell edges, and turned by the spread Zak phase
+    # exp(-i pi r / cells) for the well half a cell from them; the gauge
+    # leaves their signs as they are
+    for spec, zak in ((edge_spec, 0.0), (ref_spec, np.pi)):
+        dom = PeriodicDomain(spec, 0.2, 32, 64)
+        w = fix_gauge(dom)
+        unwind = np.exp(1j * zak * np.arange(dom.cells) / dom.cells)[:, None]
+        moved = [unwind * np.fft.fft(np.roll(w, s * dom.points_per_cell))
+                 [dom.block_index] for s in dom.sites]
+        gauged = min(moved, key=lambda blocks: np.abs(blocks.imag).max())
+        assert np.abs(gauged.imag).max() <= 1e-13 * np.abs(gauged).max()
+        gauged = gauged.real / np.linalg.norm(gauged.real, axis=1, keepdims=True)
+        assert np.abs(fix_gauge(_with_band1(dom, gauged)) - w).max() < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -82,17 +102,22 @@ def dom_02(ref_spec):
 
 @pytest.fixture(scope="module")
 def band1_02(dom_02):
-    """Band-1 vectors of blocks 0..cells//2 from the full-zone reference eigh."""
-    return full_zone_eigh(dom_02)[1][:dom_02.cells // 2 + 1, :, 0]
+    """Real band-1 vectors of blocks 0..cells//2 from the full-zone
+    reference eigh, each turned by the phase of its largest entry."""
+    vecs = full_zone_eigh(dom_02)[1][:dom_02.cells // 2 + 1, :, 0]
+    top = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=1)[:, None], axis=1)
+    vecs = vecs * np.conj(top) / np.abs(top)
+    assert np.abs(vecs.imag).max() <= 1e-13
+    return vecs.real
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)
-@given(angles=hst.lists(hst.floats(-np.pi, np.pi), min_size=17, max_size=17))
-def test_gauge_seed_phase_changes_nothing_but_sign(dom_02, band1_02, angles):
-    # the seed vectors come from an eigensolver of their own, each block
-    # turned by a random phase
+@given(flips=hst.lists(hst.booleans(), min_size=17, max_size=17))
+def test_gauge_seed_phase_changes_nothing_but_sign(dom_02, band1_02, flips):
+    # the seed vectors come from an eigensolver of their own, the sign of
+    # each block flipped at random
     w = fix_gauge(dom_02)
-    turned = band1_02 * np.exp(1j * np.array(angles))[:, None]
+    turned = band1_02 * np.where(flips, -1.0, 1.0)[:, None]
     w_turned = fix_gauge(_with_band1(dom_02, turned))
     sign = np.sign(np.sum(w * w_turned))
     assert np.abs(w - sign * w_turned).max() <= 1e-12
@@ -105,14 +130,32 @@ def test_gauge_rejects_degenerate_band():
         fix_gauge(dom)
 
 
+def _orbital(wb, site):
+    """u_site, synthesized from the unit amplitude on that site."""
+    return synthesize(wb, (wb.sites == site).astype(float))
+
+
 def test_orthonormality_and_translation_covariance(bundle_factory):
     bun = bundle_factory(0.2)
     wb = bun.wb
-    gram = bun.dom.dx * (wb.u @ wb.u.T)
+    u = orbitals(wb)
+    gram = bun.dom.dx * (u @ u.T)
     assert np.abs(gram - np.eye(wb.cells)).max() < 1e-8
     for j in (-5, -1, 2, 7):
-        assert np.abs(wb.u[j - wb.sites[0]]
+        assert np.abs(_orbital(wb, j)
                       - np.roll(wb.u0, j * wb.points_per_cell)).max() < 1e-8
+
+
+@pytest.mark.parametrize("cells, ppc", [(32, 64), (31, 33)])
+def test_synthesis_and_analysis_match_rolled_orbitals(ref_spec, cells, ppc):
+    dom = PeriodicDomain(ref_spec, 0.25, cells, ppc)
+    wb = st.build_orthonormal_basis(dom, fix_gauge(dom), lowdin_band=4)
+    u, rng = orbitals(wb), np.random.default_rng(5)
+    c, f = rng.standard_normal(cells), rng.standard_normal(dom.n)
+    ref = u.T @ c
+    assert np.abs(synthesize(wb, c) - ref).max() <= 1e-14 * np.abs(ref).max()
+    ref = dom.dx * (u @ f)
+    assert np.abs(analyze(wb, dom.dx, f) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -123,20 +166,21 @@ def test_orbitals_are_translates_on_drawn_lags(bundle_factory, hbar, data):
     lo, hi = int(wb.sites[0]), int(wb.sites[-1])
     j = data.draw(hst.integers(lo, hi), label="site")
     ell = data.draw(hst.integers(lo - j, hi - j), label="lag")
-    moved = np.roll(wb.u[j - lo], ell * wb.points_per_cell)
-    assert np.abs(wb.u[j + ell - lo] - moved).max() <= 1e-14 * np.abs(moved).max()
+    moved = np.roll(_orbital(wb, j), ell * wb.points_per_cell)
+    assert np.abs(_orbital(wb, j + ell) - moved).max() <= 1e-14 * np.abs(moved).max()
 
 
 def test_dense_lowdin_cross_check(ref_spec):
     # odd cell count, symbol-truncated coefficients vs dense inverse sqrt
     dom = PeriodicDomain(ref_spec, 0.25, 31, 64)
     wb = st.build_orthonormal_basis(dom, fix_gauge(dom))
-    v = np.stack([np.roll(wb.v0, s * wb.points_per_cell) for s in dom.sites])
+    v0, _ = lowdin_parts(dom)
+    v = np.stack([np.roll(v0, s * wb.points_per_cell) for s in dom.sites])
     gram = dom.dx * (v @ v.T)
     vals, vecs = np.linalg.eigh(gram)
     binv = vecs @ np.diag(vals**-0.5) @ vecs.T
     u_dense = binv @ v
-    assert np.abs(u_dense - wb.u).max() < 1e-10
+    assert np.abs(u_dense - orbitals(wb)).max() < 1e-10
 
 
 def test_first_band_leakage(bundle_factory, ref_spec):
@@ -182,17 +226,18 @@ def test_overlap_slope_recovers_action(bundle_factory, ref_s0):
 
 def test_lowdin_leading_order(bundle_factory):
     for hb in (0.2, 0.1):
-        wb = bundle_factory(hb).wb
-        a1 = wb.overlaps[1]
-        assert abs(wb.lowdin[1] + 0.5 * a1) < 0.01 * abs(a1)
+        bun = bundle_factory(hb)
+        a1 = bun.wb.overlaps[1]
+        lowdin = lowdin_parts(bun.dom)[1]
+        assert abs(lowdin[1] + 0.5 * a1) < 0.01 * abs(a1)
 
 
 def test_first_band_completeness(bundle_factory):
     bun = bundle_factory(0.16)
     wb, bd, dom = bun.wb, bun.bd, bun.dom
     for i in (4, 20, 50):
-        phi = st.bloch_on_grid(bd, 1, bd.kappa[i], dom.x)
-        coeffs = dom.dx * (wb.u @ phi)
+        phi = bloch_on_grid(bd, 1, bd.kappa[i], dom.x)
+        coeffs = analyze(wb, dom.dx, phi)
         total = float(np.sum(np.abs(coeffs) ** 2))
         ref = l2_norm(dom.dx, phi) ** 2
         assert abs(total - ref) / ref < 1e-6
@@ -201,7 +246,7 @@ def test_first_band_completeness(bundle_factory):
 def test_diagnostics_scalings(bundle_factory, ref_s0):
     def sup_sum(hbar):
         # sup_x sum_j |u_j(x)|
-        return float(np.abs(bundle_factory(hbar).wb.u).sum(axis=0).max())
+        return float(np.abs(orbitals(bundle_factory(hbar).wb)).sum(axis=0).max())
 
     def pair_l1(hbar, ell):
         bun = bundle_factory(hbar)
@@ -223,10 +268,11 @@ def test_incommensurate_domain_builds_basis(ref_spec):
     bd = st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.2))
     dom = PeriodicDomain(ref_spec, 0.2, 24, 64)
     wb = st.build_orthonormal_basis(dom, fix_gauge(dom))
-    gram = dom.dx * (wb.u @ wb.u.T)
+    u = orbitals(wb)
+    gram = dom.dx * (u @ u.T)
     assert np.abs(gram - np.eye(wb.cells)).max() < 1e-8
     for j in (-5, -1, 2, 7):
-        assert np.abs(wb.u[j - wb.sites[0]]
+        assert np.abs(_orbital(wb, j)
                       - np.roll(wb.u0, j * wb.points_per_cell)).max() < 1e-8
     beta = st.extract_params(wb, dom, sigma=1.0, bd=bd).beta
     ref = st.band_hopping(bd)
@@ -255,17 +301,16 @@ def test_basis_bundle_roundtrip(tmp_path, bundle_factory):
     cache = BundleCache(str(tmp_path))
     cache.store_basis("key", wb)
     back = cache.load_basis("key")
-    for name in ("w", "v0", "u0", "overlaps", "lowdin"):
+    for name in ("w", "u0", "overlaps"):
         assert np.array_equal(getattr(back, name), getattr(wb, name)), name
-    assert np.array_equal(back.u, wb.u)
     assert back.cells == wb.cells
 
 
 def test_basis_bundle_version_mismatch(tmp_path, bundle_factory):
     wb = bundle_factory(0.2).wb
     cache = BundleCache(str(tmp_path))
-    np.savez(cache.basis_path("key"), version=np.int64(99), w=wb.w, v0=wb.v0,
-             u0=wb.u0, overlaps=wb.overlaps, lowdin=wb.lowdin, lowdin_band=6)
+    np.savez(cache.basis_path("key"), version=np.int64(99), w=wb.w, u0=wb.u0,
+             overlaps=wb.overlaps)
     assert cache.load_basis("key") is None
 
 
