@@ -1,8 +1,9 @@
-"""Command-line entry point: config parsing, caching, subcommands.
+"""Command-line entry point: config parsing and subcommands.
 
 Configuration is an INI file with [potential], [numerics], [sweep] and
-[io] sections.  Cache bundles are keyed by a hash of the potential and
-numerics fields plus hbar, so a stale cache is never silently reused.
+[io] sections.  Cache bundles (cache.BundleCache) are keyed by a hash of
+the potential and numerics fields plus hbar, so a stale cache is never
+silently reused.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import json
 import logging
 import os
 import sys
-import zipfile
 
 import numpy as np
 
-from . import bloch, scan, wannier
+from . import bloch, scan
+from .cache import CACHE_VERSION, BundleCache
 from .errors import ConfigError, Error, NonConvergenceError, PotentialError, SolverError
-from .operators import half_stack_shape
 from .potential import PotentialSpec, make_potential, tunneling_action
 
 log = logging.getLogger(__name__)
@@ -34,8 +34,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
-
-CACHE_VERSION = 12
 
 # sha256 from CPython's built-in module, which gives hashlib's digests
 # without mapping OpenSSL's libcrypto into the process
@@ -194,11 +192,19 @@ def _validate(cfg: RunConfig, allow_low_sigma: bool):
                           f"(need cells > 2*lowdin_band + 1)")
     if cfg.a <= 0:
         raise ConfigError("potential.a: must be positive")
+    for key in ("output_dir", "cache_dir"):
+        _refuse_non_directory(f"io.{key}", getattr(cfg, key))
     unknown = [f for f in cfg.formats if f not in _FORMATS]
     if unknown:
         raise ConfigError(f"io.formats: unknown format {unknown[0]!r} "
                           f"(choose from {', '.join(_FORMATS)})")
     cfg.potential()  # an unknown family fails here, whatever the subcommand
+
+
+def _refuse_non_directory(key: str, path: str):
+    """A directory the run writes to must not be an existing file."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise ConfigError(f"{key}: {path!r} exists and is not a directory")
 
 
 def config_hash(cfg: RunConfig, hbar: float) -> str:
@@ -213,117 +219,6 @@ def config_hash(cfg: RunConfig, hbar: float) -> str:
     payload["hbar"] = hbar
     blob = json.dumps(payload, sort_keys=True)
     return _sha256(blob.encode()).hexdigest()[:16]
-
-
-class BundleCache:
-    """Band, basis and domain bundles on disk, keyed by configuration hash.
-
-    A bundle is one npz holding version = CACHE_VERSION and its arrays by
-    name: every field of a BandData or WannierBasis, or the block
-    eigenpairs of a PeriodicDomain.  A file of any other version, one that
-    cannot be read (a torn write) or a domain stack of other shapes than
-    the configuration's, or not float64, is rebuilt, never served.
-    """
-
-    def __init__(self, cache_dir: str):
-        self.dir = cache_dir
-
-    def band_path(self, key: str) -> str:
-        return os.path.join(self.dir, f"bands_{key}.npz")
-
-    def basis_path(self, key: str) -> str:
-        return os.path.join(self.dir, f"basis_{key}.npz")
-
-    def domain_path(self, key: str) -> str:
-        return os.path.join(self.dir, f"domain_{key}.npz")
-
-    def _load(self, path, shapes):
-        """{name: array} for each name of shapes, or None when the bundle is
-        missing or unusable; a name mapped to a shape must be a float64
-        array of it."""
-        if not os.path.exists(path):
-            return None
-        try:
-            with np.load(path) as z:
-                version = int(z["version"])
-                if version != CACHE_VERSION:
-                    raise Error(f"bundle version {version} != {CACHE_VERSION}")
-                stored = {name: z[name] for name in shapes}
-            for name, shape in shapes.items():
-                got = (stored[name].shape, stored[name].dtype)
-                if shape is not None and got != (shape, np.float64):
-                    raise Error(f"{name} has shape {got[0]} and dtype {got[1]}, "
-                                f"not {shape} and float64")
-        except (Error, OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-            log.warning("cache bundle %s unusable (%s); rebuilding", path, exc)
-            return None
-        return stored
-
-    def _load_record(self, path, cls):
-        stored = self._load(path, {f.name: None for f in dataclasses.fields(cls)})
-        if stored is None:
-            return None
-        # a scalar field comes back as a 0-d array; item() restores the
-        # Python type it was saved from
-        return cls(**{name: v.item() if v.ndim == 0 else v
-                      for name, v in stored.items()})
-
-    def _store(self, path, arrays: dict) -> None:
-        # written whole to a temporary file, then renamed over the bundle, so
-        # a run killed mid-write never leaves a torn bundle under its name
-        os.makedirs(self.dir, exist_ok=True)
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                _write_npz(fh, {"version": np.int64(CACHE_VERSION), **arrays})
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-
-    def _store_record(self, path, obj) -> None:
-        self._store(path, {f.name: getattr(obj, f.name)
-                           for f in dataclasses.fields(obj)})
-
-    def load_bands(self, key: str):
-        return self._load_record(self.band_path(key), bloch.BandData)
-
-    def store_bands(self, key: str, bd) -> None:
-        self._store_record(self.band_path(key), bd)
-
-    def load_basis(self, key: str):
-        return self._load_record(self.basis_path(key), wannier.WannierBasis)
-
-    def store_basis(self, key: str, wb) -> None:
-        self._store_record(self.basis_path(key), wb)
-
-    def load_domain(self, key: str, cells: int, points_per_cell: int):
-        """(block_evals, block_evecs) of a domain of that grid, or None."""
-        shape = half_stack_shape(cells, points_per_cell)
-        stored = self._load(self.domain_path(key),
-                            {"block_evals": shape, "block_evecs": shape + shape[-1:]})
-        if stored is None:
-            return None
-        return stored["block_evals"], stored["block_evecs"]
-
-    def store_domain(self, key: str, dom) -> None:
-        self._store(self.domain_path(key), {"block_evals": dom.block_evals,
-                                            "block_evecs": dom.block_evecs})
-
-
-def _write_npz(fh, arrays: dict) -> None:
-    """np.savez's format, one uncompressed .npy member per array of arrays.
-
-    Each array goes to the zip member from its own buffer: np.savez copies
-    every array to a bytes object first, as large as the array.
-    """
-    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
-        for name, value in arrays.items():
-            a = np.asarray(value, order="C")
-            with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array_header_1_0(
-                    member, np.lib.format.header_data_from_array_1_0(a))
-                member.write(memoryview(a))
 
 
 def _pipeline_bundle(cfg: RunConfig, cache: BundleCache, hb: float):
@@ -520,10 +415,14 @@ def main(argv=None) -> int:
         try:
             cfg = parse_config(args.config, allow_low_sigma=args.allow_low_sigma)
             if args.cache:
+                _refuse_non_directory("--cache", args.cache)
                 cfg = dataclasses.replace(cfg, cache_dir=args.cache)
             return args.func(cfg)
-        except (ConfigError, ValueError, OSError) as exc:
+        except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except OSError as exc:
+            print(f"I/O error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except (NonConvergenceError, SolverError) as exc:
             print(f"solver error: {exc}", file=sys.stderr)

@@ -268,7 +268,8 @@ def _continue_to(prob: DnlsProblem, f, e, start, target):
 
 
 def decay_rate(f: np.ndarray) -> float:
-    """Least-squares tail rate of log|F_j| against distance from the peak.
+    """Least-squares tail rate of log|F_j| against distance from the peak,
+    the negated slope of fit_line.
 
     Requires a localized profile (participation < N/4) and at least four
     sites with |F| inside [1e-12, 1e-2].
@@ -284,8 +285,20 @@ def decay_rate(f: np.ndarray) -> float:
     mask = (mag >= 1e-12) & (mag <= 1e-2)
     if mask.sum() < 4:
         raise TailFitError(f"only {int(mask.sum())} usable tail sites (< 4)")
-    slope = np.polyfit(dist[mask], np.log(mag[mask]), 1)[0]
-    return -float(slope)
+    return -fit_line(dist[mask], np.log(mag[mask]))[0]
+
+
+def fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line through (xs, ys).
+
+    The centred closed form: slope = sum (x - xm)(y - ym) / sum (x - xm)^2
+    and intercept = ym - slope xm, so no SVD least squares runs.  The
+    abscissas must not all be equal.
+    """
+    xm, ym = xs.mean(), ys.mean()
+    dx = xs - xm
+    slope = float(dx @ (ys - ym) / (dx @ dx))
+    return slope, float(ym - slope * xm)
 
 
 def operator_l1_norm(mat: np.ndarray) -> float:
@@ -343,12 +356,16 @@ def brute_force_states(prob: DnlsProblem, n_starts: int = 200,
 def linear_ground_state(n_sites: int, boundary: str = "zero") -> DnlsState:
     """The eta = 0 reference: top eigenvector of the neighbor-sum stencil.
 
+    It has a closed form, f_j = sin(pi j/(N+1)) for j = 1..N with zero
+    ends and the uniform 1/sqrt(N) on a ring, normalized; its eigenvalue
+    is _band_top, the one lambda_max(T) of the continuation's band test.
     This is the state the focusing branch connects to as eta -> 0-, with
     all positive amplitudes and participation proportional to N.
     """
-    w, v = np.linalg.eigh(neighbor_sum(np.eye(n_sites), boundary))
-    f = v[:, -1]
-    if f[np.argmax(np.abs(f))] < 0:
-        f = -f
+    if boundary == "periodic":
+        f = np.full(n_sites, 1.0 / np.sqrt(n_sites))
+    else:
+        f = np.sin(np.pi / (n_sites + 1) * np.arange(1, n_sites + 1))
+        f /= np.linalg.norm(f)
     return DnlsState(eta=0.0, sigma=1.0, boundary=boundary, f=f,
-                     e=float(w[-1]), residual_norm=0.0)
+                     e=float(_band_top(n_sites, boundary)), residual_norm=0.0)

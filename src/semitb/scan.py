@@ -31,7 +31,8 @@ PARTICIPATION_CROSSING = 1.5
 
 
 def fit_exponential_law(xs, ys) -> dict:
-    """Least-squares line through the finite points of (xs, ys).
+    """Least-squares line through the finite points of (xs, ys), in
+    dnls.fit_line's closed form.
 
     Returns the fit's fits.json fields: slope, intercept, r2 and n_points.
     Raises Error on fewer than four usable points or a degenerate
@@ -45,12 +46,12 @@ def fit_exponential_law(xs, ys) -> dict:
         raise Error(f"fit needs >= 4 points, have {xs.size}")
     if xs.max() - xs.min() < 1e-6:
         raise Error("degenerate abscissa spread")
-    slope, intercept = np.polyfit(xs, ys, 1)
+    slope, intercept = dnls.fit_line(xs, ys)
     pred = slope * xs + intercept
     ss_res = float(np.sum((ys - pred) ** 2))
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return {"slope": float(slope), "intercept": float(intercept), "r2": r2,
+    return {"slope": slope, "intercept": intercept, "r2": r2,
             "n_points": int(xs.size)}
 
 

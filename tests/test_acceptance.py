@@ -34,6 +34,29 @@ def _run(ctx, num):
     assert passed, detail
 
 
+def test_published_fits_match_polyfit_on_the_reference_ladder(ctx):
+    # the closed-form line of fits.json against SVD least squares on the
+    # same inputs: the params.csv columns and the continuum.csv tails
+    rep = ctx.report(1)
+    ladder = ctx.cfg.hbar_ladder
+    cols = {row[0]: row for row in rep.params_rows}
+    beta, gap, width = (np.array([cols[h][scan.PARAMS_HEADER.index(c)] for h in ladder])
+                        for c in ("beta", "gap", "width"))
+    inputs = {"hopping_beta": (1 / np.array(ladder), np.log(beta)),
+              "band_width": (1 / np.array(ladder), np.log(width)),
+              "gap_loglog": (np.log(ladder), np.log(gap))}
+    for name, col, eta in (("perp_h1_eta_-2", "perp_h1", -2.0),
+                           ("h1_error_eta_-3", "h1_error", -3.0)):
+        vals = scan.continuum_column(rep.continuum_rows, col, eta)
+        inputs[name] = (1 / np.array(list(vals)), np.log(list(vals.values())))
+    for name, (xs, ys) in inputs.items():
+        assert xs.size == len(ladder), name
+        slope, intercept = np.polyfit(xs, ys, 1)
+        fit = rep.fits[name]
+        assert abs(fit["slope"] - slope) <= 1e-12 * abs(slope), name
+        assert abs(fit["intercept"] - intercept) <= 1e-12 * abs(intercept), name
+
+
 def test_criterion_01_free_particle_bands(ctx):
     _run(ctx, "1")
 

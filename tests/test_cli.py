@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from conftest import REF_CFG, orbitals
 
+import semitb.cache as cache_module
 import semitb.cli as cli
 from semitb.errors import ConfigError
 from semitb.operators import PeriodicDomain
@@ -127,6 +128,49 @@ def test_main_config_error_exit_code(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("key, name, other", [("output_dir", "out", "cache"),
+                                             ("cache_dir", "cache", "out")])
+def test_a_file_named_as_an_io_directory_is_a_config_error(tmp_path, capsys, key, name,
+                                                           other):
+    # refused before anything is built: `dnls` once ran its whole ladder and
+    # then reported os.makedirs' "[Errno 17] File exists" as a config error
+    path = _write(tmp_path)
+    (tmp_path / name).write_text("")
+    with pytest.raises(ConfigError, match=rf"io\.{key}: .* exists and is not a directory"):
+        cli.parse_config(str(path))
+    assert cli.main(["--config", str(path), "scan"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: io.{key}: ")
+    assert not (tmp_path / other).exists()
+
+
+def test_a_file_named_by_the_cache_flag_is_a_config_error(tmp_path, capsys):
+    path = _write(tmp_path)
+    (tmp_path / "other").write_text("")
+    rc = cli.main(["--config", str(path), "--cache", str(tmp_path / "other"), "scan"])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --cache: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_os_error_during_a_run_is_an_io_error(tmp_path, capsys):
+    # the states directory cannot be made where a file of that name sits
+    path = _write(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "states").write_text("")
+    assert cli.main(["--config", str(path), "scan"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: [Errno 17] File exists") and "config error" not in err
+
+
+def test_a_value_error_is_a_program_fault_not_a_config_error(tmp_path, monkeypatch):
+    def fault(cfg):
+        raise ValueError("a program fault")
+
+    monkeypatch.setattr(cli.scan, "_dnls_ladder", fault)
+    with pytest.raises(ValueError, match="a program fault"):
+        cli.main(["--config", str(_write(tmp_path)), "dnls"])
+
+
 def test_bands_command_caches(tmp_path, capsys):
     path = _write(tmp_path)
     assert cli.main(["--config", str(path), "bands"]) == 0
@@ -174,7 +218,7 @@ def test_torn_bundle_rebuilt(tmp_path, caplog, monkeypatch):
     bundle = tmp_path / "cache" / f"bands_{key}.npz"
     whole = bundle.read_bytes()
     bundle.write_bytes(whole[:len(whole) // 2])  # what a killed write leaves
-    with caplog.at_level(logging.WARNING, logger="semitb.cli"):
+    with caplog.at_level(logging.WARNING, logger="semitb.cache"):
         assert cache.load_bands(key) is None
     assert str(bundle) in caplog.text and "rebuilding" in caplog.text
     assert cli.main(["--config", str(path), "bands"]) == 0
@@ -186,7 +230,7 @@ def test_torn_bundle_rebuilt(tmp_path, caplog, monkeypatch):
         raise OSError("disk full")
 
     files = sorted(p.name for p in (tmp_path / "cache").iterdir())
-    monkeypatch.setattr(cli, "_write_npz", torn_write)
+    monkeypatch.setattr(cache_module, "_write_npz", torn_write)
     with pytest.raises(OSError, match="disk full"):
         cache.store_bands(key, cache.load_bands(key))
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == files
@@ -440,17 +484,25 @@ def _state_arrays(tmp_path):
 
 def test_scan_warm_cache_reproduces_cold(tmp_path, monkeypatch):
     # a warm scan takes bands, basis and the domain's block eigenpairs from
-    # the cache: it runs no block eigh, and writes what a cold scan writes;
-    # neither runs a complex eigh
+    # the cache and writes what a cold scan writes; with no lattice guard
+    # failing on this config, it runs no eigh at all (the eta = 0 state has
+    # a closed form); neither runs a complex eigh, and neither fits a line
+    # by least squares
     _write(tmp_path)
-    eighs = []
+    eighs, lstsqs = [], []
     eigh = np.linalg.eigh
 
     def counted(a, *args, **kwargs):
         eighs.append((np.iscomplexobj(a), a.ndim))
         return eigh(a, *args, **kwargs)
 
+    def refused(*args, **kwargs):
+        lstsqs.append(args)
+        raise AssertionError("least squares called")
+
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "lstsq", refused)
+    monkeypatch.setattr(np, "polyfit", refused)
     cold, cold_states = _scan_outputs(tmp_path), _state_arrays(tmp_path)
     assert not any(is_complex for is_complex, _ in eighs)
     # one real stacked block eigh per ladder hbar
@@ -460,7 +512,7 @@ def test_scan_warm_cache_reproduces_cold(tmp_path, monkeypatch):
     shutil.rmtree(tmp_path / "out")
     eighs.clear()
     assert _scan_outputs(tmp_path) == cold
-    assert not any(is_complex or ndim == 3 for is_complex, ndim in eighs)
+    assert eighs == [] and lstsqs == []
     warm_states = _state_arrays(tmp_path)
     assert warm_states.keys() == cold_states.keys() and len(cold_states) > 4
     for name, arrays in cold_states.items():
@@ -482,7 +534,7 @@ def test_torn_or_misshapen_domain_bundle_rebuilt(tmp_path, caplog):
     assert whole[0].dtype == whole[1].dtype == np.float64
 
     def assert_rebuilt(why):
-        with caplog.at_level(logging.WARNING, logger="semitb.cli"):
+        with caplog.at_level(logging.WARNING, logger="semitb.cache"):
             assert cache.load_domain(key, *shape) is None
         assert str(bundle) in caplog.text and why in caplog.text
         caplog.clear()

@@ -87,8 +87,14 @@ def test_stencil_matrices_match_explicit_tridiagonal():
             f = rng.standard_normal(n)
             lp = st.linearization_lplus(f, 0.7, prob)
             assert np.array_equal(lp, np.diag(0.7 - 7.5 * f**2) - t)
+            # the closed-form reference state against eigh's top eigenpair
             s = linear_ground_state(n, boundary)
-            assert s.e == np.linalg.eigh(t)[0][-1]
+            assert s.e == dnls._band_top(n, boundary)
+            w, v = np.linalg.eigh(t)
+            assert abs(s.e - w[-1]) <= 4 * np.spacing(s.e)
+            top = v[:, -1] * np.sign(v[np.argmax(np.abs(v[:, -1])), -1])
+            assert np.abs(s.f - top).max() <= 1e-14
+            assert np.linalg.norm(t @ s.f - s.e * s.f) <= 1e-14
 
 
 def test_linearization_matches_finite_differences():
@@ -151,13 +157,47 @@ def test_decay_rate_values(ladder_states):
     assert all(b < a for a, b in zip(taus, taus[1:]))
 
 
+def _polyfit_rate(f):
+    """decay_rate's reference: SVD least squares on the same tail sites."""
+    mag = np.abs(f)
+    dist = np.abs(np.arange(f.size) - np.argmax(mag))
+    mask = (mag >= 1e-12) & (mag <= 1e-2)
+    return -np.polyfit(dist[mask], np.log(mag[mask]), 1)[0]
+
+
+def test_decay_rate_matches_polyfit_on_ladder_tails(ladder_states):
+    for eta, s in ladder_states.items():
+        tau = st.decay_rate(s.f)
+        assert abs(tau - _polyfit_rate(s.f)) <= 1e-12 * abs(tau), eta
+
+
+def test_fit_line_matches_polyfit_on_seeded_data():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        n = int(rng.integers(4, 40))
+        xs = np.sort(rng.uniform(-3.0, 12.0, n))
+        ys = rng.normal(-2.0, 1.5) * xs + rng.normal(0.0, 5.0) + rng.normal(0.0, 0.3, n)
+        slope, intercept = dnls.fit_line(xs, ys)
+        want = np.polyfit(xs, ys, 1)
+        assert abs(slope - want[0]) <= 1e-12 * abs(want[0])
+        assert abs(intercept - want[1]) <= 1e-12 * abs(want[1])
+        # a peak at site 0 with a noisy exponential tail of n sites
+        f = np.zeros(41)
+        f[0] = 1.0
+        f[1:n + 1] = np.exp(-0.7 * np.arange(1, n + 1) + rng.normal(0.0, 0.2, n)) * 1e-3
+        assert abs(st.decay_rate(f) - _polyfit_rate(f)) <= 1e-12 * st.decay_rate(f)
+
+
 def test_decay_rate_error_paths():
-    with pytest.raises(TailFitError):
-        st.decay_rate(linear_ground_state(41).f)   # delocalized
+    with pytest.raises(TailFitError, match=r"profile delocalized: participation .* >= N/4"):
+        st.decay_rate(linear_ground_state(41).f)
     f = np.zeros(41)
     f[20] = 1.0
-    with pytest.raises(TailFitError):
-        st.decay_rate(f)                           # no usable tail sites
+    with pytest.raises(TailFitError, match=r"only 0 usable tail sites \(< 4\)"):
+        st.decay_rate(f)
+    f[21:24] = 1e-3  # three tail sites are one too few
+    with pytest.raises(TailFitError, match=r"only 3 usable tail sites \(< 4\)"):
+        st.decay_rate(f)
 
 
 def test_sign_flipped_solution_also_solves(ladder_states):

@@ -153,6 +153,46 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
     assert set(UNPASSED_PARAMETERS) <= unpassed  # no stale allowlist entry
 
 
+# the numpy.linalg routines the package may call: symmetric eigen solves,
+# linear solves, the inverse and norms
+NUMPY_LINALG_CALLS = {"eigh", "eigvalsh", "solve", "inv", "norm"}
+
+# least squares, SVD, QR and the general eigen solver, from any module
+REFUSED_CALLS = {"polyfit", "lstsq", "svd", "pinv", "qr", "eig"}
+
+
+def _dotted(node):
+    """'np.linalg.eigh' for a Name or Attribute chain, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def test_package_calls_no_svd_least_squares_qr_or_general_eigen():
+    # a straight-line fit has a closed form and every eigenproblem here is
+    # symmetric, so no run needs LAPACK's SVD, QR or nonsymmetric routines
+    refused, linalg_calls = [], set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Call):
+                names = [_dotted(node.func) or ""]
+            else:
+                continue
+            for name in names:
+                *module, attr = name.split(".")
+                if attr in REFUSED_CALLS:
+                    refused.append(f"{path.name}:{node.lineno} {name}")
+                if module[:1] in (["np"], ["numpy"]) and module[-1:] == ["linalg"]:
+                    linalg_calls.add(attr)
+    assert refused == []
+    assert sorted(linalg_calls - NUMPY_LINALG_CALLS) == []
+    assert linalg_calls == NUMPY_LINALG_CALLS  # no stale allowlist entry
+
+
 def _loaded_after(code, modules):
     """Those of `modules` that a fresh interpreter has loaded after `code`."""
     code += f"; import sys; print(*(m for m in {modules!r} if m in sys.modules))"

@@ -43,10 +43,24 @@ def test_fit_exponential_law_exact():
     assert fr["n_points"] == 5
 
 
+def test_fit_exponential_law_matches_polyfit_on_seeded_data():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        n = int(rng.integers(4, 12))
+        xs = 1.0 / np.sort(rng.uniform(0.08, 0.3, n))[::-1]  # 1/hbar of a ladder
+        ys = rng.uniform(-2.5, -1.0) * xs + rng.uniform(-3.0, 3.0) + rng.normal(0.0, 0.1, n)
+        fr = fit_exponential_law(xs, ys)
+        slope, intercept = np.polyfit(xs, ys, 1)
+        assert abs(fr["slope"] - slope) <= 1e-12 * abs(slope)
+        assert abs(fr["intercept"] - intercept) <= 1e-12 * abs(intercept)
+
+
 def test_fit_exponential_law_errors():
-    with pytest.raises(Error):
+    with pytest.raises(Error, match=r"fit needs >= 4 points, have 3"):
         fit_exponential_law([1, 2, 3], [1, 2, 3])
-    with pytest.raises(Error):
+    with pytest.raises(Error, match=r"fit needs >= 4 points, have 3"):
+        fit_exponential_law([1, 2, 3, 4], [1, 2, np.nan, 4])  # non-finite dropped
+    with pytest.raises(Error, match=r"degenerate abscissa spread"):
         fit_exponential_law([1.0] * 5, [1, 2, 3, 4, 5])
 
 
