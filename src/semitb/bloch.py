@@ -55,28 +55,19 @@ class FloquetConfig:
 
 @dataclass(frozen=True)
 class BandData:
-    """Band energies on a kappa grid, and the Floquet matrix behind them.
+    """Band energies on a kappa grid.
 
-    energies[n, i] = E_n(kappa_i), sorted ascending in n.  band is the
-    real potential part of the Floquet matrix in lower band storage (row
-    d holds the d-th subdiagonal); the solver adds the kinetic diagonal of
-    a kappa to it.
+    energies[n, i] = E_n(kappa_i), sorted ascending in n.
     """
 
     a: float
     hbar: float
     kappa: np.ndarray
     energies: np.ndarray
-    band: np.ndarray
 
     @property
     def b(self) -> float:
         return 2 * np.pi / self.a
-
-    @property
-    def modes(self) -> np.ndarray:
-        n_pw = self.band.shape[1]
-        return np.arange(n_pw) - n_pw // 2
 
     @property
     def n_bands(self) -> int:
@@ -88,14 +79,27 @@ class BandData:
         return float(e.min()), float(e.max())
 
 
-def half_bandwidth(vhat: np.ndarray, n_pw: int) -> int:
-    """Largest k with |vhat[k]| > n_pw * eps * max|vhat|, 0 if there is none.
+def floquet_band(spec: PotentialSpec, n_pw: int) -> np.ndarray:
+    """The potential part of the Floquet matrix on n_pw modes, in lower
+    band storage.
 
-    vhat holds the coefficients of k = 0, 1, ...; those of -k are the same.
+    Row d holds the d-th subdiagonal of the Toeplitz block vhat[|m - n|],
+    the constant coefficient of k = d padded with d zeros.  There are
+    K + 1 rows, K the half-bandwidth: the largest k with |vhat[k]| >
+    n_pw * eps * max|vhat|, 0 if there is none.  The entries dropped
+    beyond it sit below the backward error of a dense eigensolver.  K = 1
+    for sin2, len(coeffs) for cos-series and 0 for a free particle.  The
+    storage depends on neither hbar nor kappa: the kinetic diagonal
+    hbar^2 (kappa + 2 pi m / a)^2 adds to row 0.
     """
+    # spec.vhat (k >= 0), padded with zeros or truncated to the n_pw - 1
+    # couplings the mode set has room for
+    vhat = np.zeros(n_pw)
+    vhat[:spec.vhat.size] = spec.vhat[:n_pw]
     mag = np.abs(vhat)
     above = np.flatnonzero(mag > n_pw * np.finfo(float).eps * mag.max())
-    return int(above.max(initial=0))
+    d = np.arange(above.max(initial=0) + 1)[:, None]  # 0 .. K
+    return np.where(np.arange(n_pw) < n_pw - d, vhat[d], 0)
 
 
 def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
@@ -103,13 +107,9 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
 
     The matrix is hbar^2 (kappa + 2 pi m / a)^2 on the diagonal plus the
     Toeplitz potential block vhat[|m - n|]: it is real symmetric by
-    construction, and only its lower band, the coefficients of k >= 0, is
-    stored.  Its half-bandwidth K is the largest k with |vhat[k]| >
-    n_pw * eps * max|vhat|; the entries dropped beyond it sit below the
-    backward error of a dense eigensolver.  K = 1 for sin2, len(coeffs)
-    for cos-series and 0 for a free particle.  The (K + 1)-row lower band
-    storage is filled once and kept in the BandData; only its diagonal
-    changes with kappa.
+    construction, and only its lower band, `floquet_band`, is stored.  It
+    is filled once; only its diagonal changes with kappa, and the
+    diagonals of all solved kappa are built at once.
 
     Only the half zone kappa_0 = -b/2 .. kappa_{n_kappa/2} = 0 is solved:
     V is real, so H(-kappa) = P H(kappa) P with P the mode reversal
@@ -125,29 +125,20 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
     a, hbar = spec.a, cfg.hbar
     b = 2 * np.pi / a
     kappa = -b / 2 + b * np.arange(cfg.n_kappa) / cfg.n_kappa
-
-    # spec.vhat (k >= 0), padded with zeros or truncated to the n_pw - 1
-    # couplings the mode set has room for
-    vhat = np.zeros(cfg.n_pw)
-    vhat[:spec.vhat.size] = spec.vhat[:cfg.n_pw]
-    K = half_bandwidth(vhat, cfg.n_pw)
+    band = floquet_band(spec, cfg.n_pw)
+    modes = np.arange(cfg.n_pw) - cfg.n_pw // 2
+    half = cfg.n_kappa // 2 + 1
+    # row i: the Floquet matrix's diagonal at kappa_i
+    diagonal = band[0] + hbar**2 * np.add.outer(kappa[:half], b * modes) ** 2
 
     nb = cfg.n_bands
-    # lower band storage: row d holds the d-th subdiagonal of the Toeplitz
-    # block, the constant coefficient of k = d, padded with d zeros
-    d = np.arange(K + 1)[:, None]
-    band = np.where(np.arange(cfg.n_pw) < cfg.n_pw - d, vhat[d], 0)
-
     energies = np.empty((nb, cfg.n_kappa))
-    bd = BandData(a=a, hbar=hbar, kappa=kappa, energies=energies, band=band)
-    half = cfg.n_kappa // 2 + 1
-    if K <= 1:
-        e2 = band[1, 0] ** 2 if K else 0.0
-        energies[:, :half] = _tridiagonal_lowest(
-            _floquet_diagonal(bd, kappa[:half]), e2, nb).T
+    if len(band) <= 2:
+        e2 = band[1, 0] ** 2 if len(band) == 2 else 0.0
+        energies[:, :half] = _tridiagonal_lowest(diagonal, e2, nb).T
     else:
-        for i, k in enumerate(kappa[:half]):
-            energies[:, i] = _floquet_eig(bd, k, (0, nb - 1))
+        for i, d in enumerate(diagonal):
+            energies[:, i] = _floquet_eig(band, d, (0, nb - 1))
     # kappa_{n_kappa - i} = -kappa_i
     energies[:, half:] = energies[:, half - 2:0:-1]
 
@@ -158,13 +149,7 @@ def solve_bands(spec: PotentialSpec, cfg: FloquetConfig) -> BandData:
             f"plane-wave safety cutoff {cutoff:.3g}; increase n_pw",
             stacklevel=2,
         )
-    return bd
-
-
-def _floquet_diagonal(bd: BandData, kappa) -> np.ndarray:
-    """Diagonal of the Floquet matrix at kappa, a scalar or an array whose
-    axes come first."""
-    return bd.band[0] + bd.hbar**2 * np.add.outer(kappa, bd.b * bd.modes) ** 2
+    return BandData(a=a, hbar=hbar, kappa=kappa, energies=energies)
 
 
 # the interior probes of a bracket in one quadrisection pass
@@ -216,19 +201,21 @@ def _tridiagonal_lowest(d: np.ndarray, e2: float, n_bands: int) -> np.ndarray:
             lo, hi = new_lo, new_hi
 
 
-def _floquet_eig(bd: BandData, kappa: float, select: tuple[int, int]) -> np.ndarray:
-    """Eigenvalues select[0]..select[1] (0-based) of the Floquet matrix at kappa."""
+def _floquet_eig(band: np.ndarray, diagonal: np.ndarray,
+                 select: tuple[int, int]) -> np.ndarray:
+    """Eigenvalues select[0]..select[1] (0-based) of the Floquet matrix with
+    the lower band storage band and the diagonal diagonal."""
     # scipy.linalg costs about half of the package's import time, and only
     # a band wider than tridiagonal needs it
     import scipy.linalg
 
-    band = bd.band.copy()
-    band[0] = _floquet_diagonal(bd, kappa)
+    band = band.copy()
+    band[0] = diagonal
     try:
         return scipy.linalg.eig_banded(band, lower=True, eigvals_only=True,
                                        select="i", select_range=select)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise Error(f"eigensolver failed at kappa={kappa:.6g}") from exc
+        raise Error("banded eigensolver failed on a Floquet matrix") from exc
 
 
 def band_metrics(bd: BandData, n: int) -> dict:

@@ -26,9 +26,10 @@ class BundleCache:
 
     A bundle is one npz holding version = CACHE_VERSION and its arrays by
     name: every field of a BandData or WannierBasis, or the block
-    eigenpairs of a PeriodicDomain.  A file of any other version, one that
-    cannot be read (a torn write) or a domain stack of other shapes than
-    the configuration's, or not float64, is rebuilt, never served.
+    eigenpairs of a PeriodicDomain; a member of any other name is not
+    read.  A file of any other version, one that cannot be read (a torn
+    write) or a domain stack of other shapes than the configuration's, or
+    not float64, is rebuilt, never served.
     """
 
     def __init__(self, cache_dir: str):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bloch, scan
 from .cache import CACHE_VERSION, BundleCache
-from .errors import ConfigError, Error, NonConvergenceError, PotentialError, SolverError
+from .errors import ConfigError, Error, PotentialError, SolverError
 from .potential import PotentialSpec, make_potential, tunneling_action
 
 log = logging.getLogger(__name__)
@@ -48,9 +48,6 @@ except ImportError:
 
 _REQUIRED = dataclasses.MISSING
 
-# the output formats io.formats may name
-_FORMATS = ("csv", "json")
-
 # (section, key, attribute, kind, default): the one list of INI fields.
 # The attributes stay flat on RunConfig because perfbench/gate.py reads them.
 _FIELDS = (
@@ -72,8 +69,12 @@ _FIELDS = (
     ("sweep", "seed_site", "seed_site", int, 0),
     ("io", "output_dir", "output_dir", str, "out"),
     ("io", "cache_dir", "cache_dir", str, "cache"),
-    ("io", "formats", "formats", "strs", _FORMATS),
 )
+
+# (section, key) pairs read by no run that the parser still accepts, unparsed
+# and unstored: perfbench/workloads.py writes "formats = csv, json" into
+# every INI it makes
+_RETIRED = {("io", "formats")}
 
 
 # the one [potential] field each family reads besides a; it is required
@@ -100,7 +101,7 @@ class _RunConfigMethods:
 
 RunConfig = dataclasses.make_dataclass(
     "RunConfig",
-    [(attr, tuple if kind in ("floats", "strs") else kind,
+    [(attr, tuple if kind == "floats" else kind,
       dataclasses.field(default=default))
      for _, _, attr, kind, default in _FIELDS],
     bases=(_RunConfigMethods,), namespace={"__module__": __name__},
@@ -119,8 +120,6 @@ def _convert(section, key, kind, raw):
             return int(raw)
         if kind is str:
             return raw.strip()
-        if kind == "strs":
-            return tuple(t.strip() for t in raw.replace(",", " ").split() if t.strip())
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from exc
     raise ConfigError(f"{section}.{key}: unknown field kind")
@@ -142,7 +141,7 @@ def parse_config(path: str, allow_low_sigma: bool = False) -> RunConfig:
             raise ConfigError(f"missing section [{section}]")
         known = {key for sec, key, *_ in _FIELDS if sec == section}
         for key in cp.options(section):
-            if key not in known:
+            if key not in known and (section, key) not in _RETIRED:
                 raise ConfigError(f"{section}.{key}: unknown field")
     values = {}
     for section, key, attr, kind, default in _FIELDS:
@@ -194,10 +193,6 @@ def _validate(cfg: RunConfig, allow_low_sigma: bool):
         raise ConfigError("potential.a: must be positive")
     for key in ("output_dir", "cache_dir"):
         _refuse_non_directory(f"io.{key}", getattr(cfg, key))
-    unknown = [f for f in cfg.formats if f not in _FORMATS]
-    if unknown:
-        raise ConfigError(f"io.formats: unknown format {unknown[0]!r} "
-                          f"(choose from {', '.join(_FORMATS)})")
     cfg.potential()  # an unknown family fails here, whatever the subcommand
 
 
@@ -292,25 +287,14 @@ def cmd_params(cfg: RunConfig) -> int:
 
 
 def cmd_dnls(cfg: RunConfig) -> int:
-    """Continue the DNLS branch into dnls_ladder.csv/json."""
+    """Continue the DNLS branch into dnls_ladder.csv."""
     states, turning = scan._dnls_ladder(cfg)
-    rows = scan.dnls_rows(states)
     os.makedirs(cfg.output_dir, exist_ok=True)
     out = os.path.join(cfg.output_dir, "dnls_ladder.csv")
-    scan._write_csv(out, scan.dnls_header(cfg.n_sites), rows)
-    written = [out]
-    if "json" in cfg.formats:
-        n = len(scan.DNLS_COLUMNS)
-        records = [dict(zip(scan.DNLS_COLUMNS, r[:n]), F=r[n:]) for r in rows]
-        jout = os.path.join(cfg.output_dir, "dnls_ladder.json")
-        with open(jout, "w", encoding="utf-8") as fh:
-            json.dump(records, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(jout)
+    scan._write_csv(out, scan.dnls_header(cfg.n_sites), scan.dnls_rows(states))
     if turning:
         print("warning: continuation stopped at a turning point")
-    for path in written:
-        print(f"wrote {path}")
+    print(f"wrote {out}")
     return EXIT_OK
 
 
@@ -424,7 +408,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"I/O error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        except (NonConvergenceError, SolverError) as exc:
+        except SolverError as exc:
             print(f"solver error: {exc}", file=sys.stderr)
             return EXIT_SOLVER
         except Error as exc:

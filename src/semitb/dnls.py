@@ -45,7 +45,6 @@ class DnlsState:
 
     eta: float
     sigma: float
-    boundary: str
     f: np.ndarray
     e: float
     residual_norm: float
@@ -168,8 +167,8 @@ def _newton_stack(prob: DnlsProblem, f0: np.ndarray, e0: np.ndarray) -> list:
         out[i] = out[i] or NonConvergenceError(
             f"Newton stalled at residual {rnorm[i]:.3e} after "
             f"{len(history[i])} iterations {where}", history=history[i])
-    return [o or DnlsState(eta=prob.eta, sigma=prob.sigma, boundary=prob.boundary,
-                           f=f[i].copy(), e=e[i], residual_norm=float(rnorm[i]))
+    return [o or DnlsState(eta=prob.eta, sigma=prob.sigma, f=f[i].copy(), e=e[i],
+                           residual_norm=float(rnorm[i]))
             for i, o in enumerate(out)]
 
 
@@ -253,7 +252,7 @@ def _continue_to(prob: DnlsProblem, f, e, start, target):
                 raise SolverError(
                     f"Newton converged to E={state.e:.6g} at eta={nxt}, inside the "
                     f"linear band (-sign(eta) E <= lambda_max(T) = {top:.6g})")
-        except (NonConvergenceError, SolverError) as exc:
+        except SolverError as exc:
             depth += 1
             step *= 0.5
             if depth > 40 or abs(step) < 1e-9 * max(1.0, abs(target)):
@@ -367,5 +366,5 @@ def linear_ground_state(n_sites: int, boundary: str = "zero") -> DnlsState:
     else:
         f = np.sin(np.pi / (n_sites + 1) * np.arange(1, n_sites + 1))
         f /= np.linalg.norm(f)
-    return DnlsState(eta=0.0, sigma=1.0, boundary=boundary, f=f,
-                     e=float(_band_top(n_sites, boundary)), residual_norm=0.0)
+    return DnlsState(eta=0.0, sigma=1.0, f=f, e=float(_band_top(n_sites, boundary)),
+                     residual_norm=0.0)

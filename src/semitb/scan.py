@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dnls, nlse, tightbinding
 from .bloch import BandData, FloquetConfig, band_metrics, solve_bands
-from .errors import Error, SolverError, TailFitError
+from .errors import Error, TailFitError
 from .operators import PeriodicDomain, l2_norm
 from .potential import tunneling_action
 from .wannier import (WannierBasis, build_orthonormal_basis, fix_gauge,
@@ -295,7 +295,7 @@ def _sweep_row(cfg, hb, bun, lattice_states, state_dir):
                 cs.iterations, cs.residual_h, mass,
             ])
             states[eta] = cs
-        except (SolverError, Error) as exc:
+        except Error as exc:
             gaps.append({"hbar": hb, "eta": eta, "reason": str(exc)})
     paths = {(hb, eta): _write_continuum_state(state_dir, hb, eta, cs)
              for eta, cs in states.items()}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import semitb as st
+from semitb.bloch import floquet_band
 from semitb.cli import parse_config
 from semitb.potential import action_profile
 from semitb.scan import build_pipeline
@@ -39,23 +40,25 @@ def edge_spec():
     return st.make_potential("cos-series", a=1.0, coeffs=EDGE_COEFFS)
 
 
-def bloch_on_grid(bd, n, kappa, x):
+def bloch_on_grid(spec, hbar, n, kappa, x, n_pw=REF_CFG.n_pw):
     """Bloch function of band n (1-based) at any kappa, evaluated on x.
 
     The plane-wave reference for the domain's band-1 blocks: it solves
-    the Floquet matrix of bd at this kappa alone, with its eigenvector,
-    by scipy's banded solver, and scales the function to unit L2 norm
-    over one cell.  Its sign is whatever the eigensolver returns.
+    the Floquet matrix of spec at hbar on n_pw modes at this kappa alone,
+    with its eigenvector, by scipy's banded solver, and scales the
+    function to unit L2 norm over one cell.  Its sign is whatever the
+    eigensolver returns.
     """
     import scipy.linalg
 
-    modes = bd.modes
-    band = bd.band.copy()
-    band[0] = bd.band[0] + bd.hbar**2 * (kappa + bd.b * modes) ** 2
+    b = 2 * np.pi / spec.a
+    modes = np.arange(n_pw) - n_pw // 2
+    band = floquet_band(spec, n_pw)
+    band[0] += hbar**2 * (kappa + b * modes) ** 2
     _, u = scipy.linalg.eig_banded(band, lower=True, select="i",
                                    select_range=(n - 1, n - 1))
     x = np.asarray(x, dtype=float)
-    return np.exp(1j * np.outer(x, kappa + bd.b * modes)) @ u[:, 0] / np.sqrt(bd.a)
+    return np.exp(1j * np.outer(x, kappa + b * modes)) @ u[:, 0] / np.sqrt(spec.a)
 
 
 def orbitals(wb):

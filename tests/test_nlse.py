@@ -41,7 +41,7 @@ def test_projection_recovers_single_orbital(bundle_factory):
 
 def test_projection_annihilates_second_band(bundle_factory):
     bun = bundle_factory(0.16)
-    phi = bloch_on_grid(bun.bd, 2, bun.bd.kappa[8], bun.dom.x).real
+    phi = bloch_on_grid(bun.dom.spec, bun.bd.hbar, 2, bun.bd.kappa[8], bun.dom.x).real
     phi /= l2_norm(bun.dom.dx, phi)
     c, _, _ = _split(phi, bun)
     assert np.linalg.norm(c) <= 1e-6
@@ -273,7 +273,7 @@ def test_linear_limit_reproduces_band_state(bundle_factory):
     # the delocalized seed picks the zone-center state at the band bottom
     alpha1 = bun.dom.band_edges(1)[0]
     assert abs(lam - alpha1) < 1e-9
-    phi_ref = bloch_on_grid(bun.bd, 1, 0.0, bun.dom.x).real
+    phi_ref = bloch_on_grid(bun.dom.spec, bun.bd.hbar, 1, 0.0, bun.dom.x).real
     phi_ref /= l2_norm(bun.dom.dx, phi_ref)
     sgn = np.sign(np.sum(phi_ref * phi))
     assert l2_norm(bun.dom.dx, phi / l2_norm(bun.dom.dx, phi)
@@ -421,7 +421,7 @@ def test_oracle_agrees_with_reconstruction(bundle_factory, ladder_states):
 
 def test_oracle_keeps_exact_linear_state(bundle_factory):
     bun = bundle_factory(0.16)
-    phi = bloch_on_grid(bun.bd, 1, 0.0, bun.dom.x).real
+    phi = bloch_on_grid(bun.dom.spec, bun.bd.hbar, 1, 0.0, bun.dom.x).real
     phi /= l2_norm(bun.dom.dx, phi)
     lam = float(bun.bd.energies[0, np.argmin(np.abs(bun.bd.kappa))])
     orc = st.direct_newton_oracle(bun.dom, lam, 0.0, 1.0, phi)
@@ -430,7 +430,7 @@ def test_oracle_keeps_exact_linear_state(bundle_factory):
 
 def test_oracle_below_spectrum_defocusing_vanishes(bundle_factory):
     bun = bundle_factory(0.16)
-    phi = bloch_on_grid(bun.bd, 1, 0.0, bun.dom.x).real
+    phi = bloch_on_grid(bun.dom.spec, bun.bd.hbar, 1, 0.0, bun.dom.x).real
     phi /= l2_norm(bun.dom.dx, phi)
     lam = bun.dom.band_edges(1)[0] - 0.5
     orc = st.direct_newton_oracle(bun.dom, lam, 0.5, 1.0, 0.5 * phi,

@@ -24,8 +24,8 @@ def _plane_wave_w1(bd, dom):
     real by one global phase and positive at its peak, with unit norm.
     """
     cell = dom.x[:dom.points_per_cell]
-    periodic = np.stack([bloch_on_grid(bd, 1, k, cell) * np.exp(-1j * k * cell)
-                         for k in bd.kappa])
+    periodic = np.stack([bloch_on_grid(dom.spec, bd.hbar, 1, k, cell)
+                         * np.exp(-1j * k * cell) for k in bd.kappa])
     links = np.sum(np.conj(periodic[:-1]) * periodic[1:], axis=1)
     assert np.abs(links).min() / np.sum(np.abs(periodic[0]) ** 2) > 0.99
     periodic[1:] *= np.cumprod(np.conj(links) / np.abs(links))[:, None]
@@ -236,7 +236,7 @@ def test_first_band_completeness(bundle_factory):
     bun = bundle_factory(0.16)
     wb, bd, dom = bun.wb, bun.bd, bun.dom
     for i in (4, 20, 50):
-        phi = bloch_on_grid(bd, 1, bd.kappa[i], dom.x)
+        phi = bloch_on_grid(dom.spec, bd.hbar, 1, bd.kappa[i], dom.x)
         coeffs = analyze(wb, dom.dx, phi)
         total = float(np.sum(np.abs(coeffs) ** 2))
         ref = l2_norm(dom.dx, phi) ** 2
