@@ -34,10 +34,8 @@ from .tightbinding import (
     TBParams,
     band_hopping,
     extract_params,
-    gamma_for_eta,
     h_matrix_elements,
     interaction_constant,
-    residual_coupling_norm,
     with_eta,
 )
 from .dnls import (

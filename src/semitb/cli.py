@@ -110,19 +110,17 @@ RunConfig = dataclasses.make_dataclass(
 
 def _convert(section, key, kind, raw):
     try:
-        if kind is float or kind == "floats":
-            value = (float(raw) if kind is float
-                     else tuple(float(t) for t in raw.replace(",", " ").split()))
-            if np.isfinite(value).all():
-                return value
-            raise ConfigError(f"{section}.{key}: {raw.strip()!r} is not finite")
-        if kind is int:
-            return int(raw)
         if kind is str:
             return raw.strip()
+        if kind is int:
+            return int(raw)
+        value = (float(raw) if kind is float
+                 else tuple(float(t) for t in raw.replace(",", " ").split()))
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from exc
-    raise ConfigError(f"{section}.{key}: unknown field kind")
+    if np.isfinite(value).all():
+        return value
+    raise ConfigError(f"{section}.{key}: {raw.strip()!r} is not finite")
 
 
 def parse_config(path: str, allow_low_sigma: bool = False) -> RunConfig:
@@ -136,12 +134,12 @@ def parse_config(path: str, allow_low_sigma: bool = False) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
-    for section in dict.fromkeys(row[0] for row in _FIELDS):
+    known = {row[:2] for row in _FIELDS} | _RETIRED
+    for section in [*dict.fromkeys(row[0] for row in _FIELDS), *cp.sections()]:
         if not cp.has_section(section):
             raise ConfigError(f"missing section [{section}]")
-        known = {key for sec, key, *_ in _FIELDS if sec == section}
         for key in cp.options(section):
-            if key not in known and (section, key) not in _RETIRED:
+            if (section, key) not in known:
                 raise ConfigError(f"{section}.{key}: unknown field")
     values = {}
     for section, key, attr, kind, default in _FIELDS:
@@ -172,7 +170,9 @@ def _validate(cfg: RunConfig, allow_low_sigma: bool):
         raise ConfigError("sweep.hbar: ladder needs >= 4 points for slope fits")
     if 0.0 not in cfg.eta_values:
         raise ConfigError("sweep.eta: must include 0 exactly (linear reference)")
-    for section, key, least in (("sweep", "n_sites", 3), ("numerics", "points_per_cell", 1),
+    if len(set(cfg.eta_values)) < len(cfg.eta_values):
+        raise ConfigError("sweep.eta: values must be distinct (-0 counts as 0)")
+    for section, key, least in (("sweep", "n_sites", 3), ("numerics", "points_per_cell", 2),
                                 ("numerics", "lowdin_band", 0)):
         if getattr(cfg, key) < least:
             raise ConfigError(f"{section}.{key}: {getattr(cfg, key)} must be >= {least}")
@@ -265,7 +265,7 @@ def cmd_wannier(cfg: RunConfig) -> int:
         bun = _pipeline_bundle(cfg, cache, hb)
         out = os.path.join(cfg.output_dir, f"wannier_h{hb:g}.csv")
         scan._write_csv(out, ("x", "W", "u0"),
-                        zip(bun.dom.x, bun.wb.w, bun.wb.u0))
+                        zip(bun.dom.x, scan.fix_gauge(bun.dom), bun.wb.u0))
         print(f"wrote {out}")
         del bun  # dropped before the next hbar's bundle is built
     return EXIT_OK

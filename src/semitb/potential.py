@@ -36,14 +36,12 @@ class PotentialSpec:
         vhat: real coefficients vhat_0 .. vhat_K of exp(+-i k b x),
             b = 2 pi / a; read-only.
         x0: location of the well minimum inside [-a/2, a/2): 0 or -a/2.
-        curvature: V''(x0), strictly positive except in free test mode.
         family: family tag ("sin2", "cos-series", "free").
     """
 
     a: float
     vhat: np.ndarray
     x0: float
-    curvature: float
     family: str
 
     def __post_init__(self):
@@ -61,6 +59,11 @@ class PotentialSpec:
         amp = (1, -1, -1, 1)[order % 4] * kb**order * 2 * self.vhat[1:]
         series = np.dot(waves, amp).reshape(x.shape)
         return series + self.vhat[0] if order == 0 else series
+
+    @property
+    def curvature(self) -> float:
+        """V''(x0), strictly positive except in free test mode."""
+        return float(self.v(self.x0, 2))
 
 
 def _family_vhat(family: str, params: dict) -> np.ndarray:
@@ -98,7 +101,7 @@ def make_potential(family: str, **params) -> PotentialSpec:
     a = float(params["a"])
     if a <= 0:
         raise PotentialError(f"period must be positive, got {a}")
-    raw = PotentialSpec(a=a, vhat=vhat, x0=0.0, curvature=0.0, family=family)
+    raw = PotentialSpec(a=a, vhat=vhat, x0=0.0, family=family)
 
     xs = -a / 2 + a * np.arange(_SCAN_POINTS) / _SCAN_POINTS
     vals = raw.v(xs)
@@ -116,13 +119,12 @@ def make_potential(family: str, **params) -> PotentialSpec:
 
     vhat = raw.vhat.copy()
     vhat[0] -= float(raw.v(x0))
-    return dataclasses.replace(raw, vhat=vhat, x0=x0, curvature=curv)
+    return dataclasses.replace(raw, vhat=vhat, x0=x0)
 
 
 def free_potential(a: float) -> PotentialSpec:
     """Test-only spec with V = 0, bypassing the degenerate-well rejection."""
-    return PotentialSpec(a=float(a), vhat=[0.0], x0=0.0, curvature=0.0,
-                         family="free")
+    return PotentialSpec(a=float(a), vhat=[0.0], x0=0.0, family="free")
 
 
 def _refine_minimum(spec, x_start):

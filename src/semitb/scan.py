@@ -63,8 +63,6 @@ class PipelineBundle:
     wb: WannierBasis
     dom: PeriodicDomain
     tbp: tightbinding.TBParams
-    width1: float
-    gap1: float
 
 
 def band_data(cfg, hbar: float) -> BandData:
@@ -88,11 +86,10 @@ def build_pipeline(cfg, hbar: float, bd: BandData | None = None,
     dom = PeriodicDomain(cfg.potential(), hbar, cfg.cells, cfg.points_per_cell,
                          blocks=blocks)
     if wb is None:
-        wb = build_orthonormal_basis(dom, fix_gauge(dom), cfg.lowdin_band)
+        fix_gauge(dom)  # the gauge guard: raises GaugeError on a bad band
+        wb = build_orthonormal_basis(dom, cfg.lowdin_band)
     tbp = tightbinding.extract_params(wb, dom, sigma=cfg.sigma, bd=bd)
-    m = band_metrics(bd, 1)
-    return PipelineBundle(bd=bd, wb=wb, dom=dom, tbp=tbp,
-                          width1=m["width"], gap1=m["gap_above"])
+    return PipelineBundle(bd=bd, wb=wb, dom=dom, tbp=tbp)
 
 
 @dataclass
@@ -131,10 +128,11 @@ def _eta_order(etas):
 def params_rows(hb: float, bun: PipelineBundle, eta_values, s0: float) -> list:
     """params.csv rows (PARAMS_HEADER) of one hbar: one per eta point."""
     rows = []
+    m = band_metrics(bun.bd, 1)
     for eta in _eta_order(eta_values):
         tbp = tightbinding.with_eta(bun.tbp, eta)
         rows.append([hb, tbp.lambda1, tbp.beta, tbp.c0, tbp.gamma, tbp.eta,
-                     tbp.dtilde_norm, s0, bun.gap1, bun.width1])
+                     tbp.dtilde_norm, s0, m["gap_above"], m["width"]])
     return rows
 
 
@@ -223,7 +221,8 @@ def run_sweep(cfg, bundle_of, out_dir: str) -> TransitionReport:
     for hb in ladder:
         bun = bundle_of(hb)
         point_rows += params_rows(hb, bun, cfg.eta_values, s0)
-        fit_scalars.append((bun.tbp.beta, bun.width1, bun.gap1,
+        m = band_metrics(bun.bd, 1)
+        fit_scalars.append((bun.tbp.beta, m["width"], m["gap_above"],
                             abs(bun.wb.overlaps[1]),
                             pair_overlap_l1(bun.wb, bun.dom.dx, 1)))
         rows, row_gaps, paths = _sweep_row(cfg, hb, bun, lattice_states, state_dir)

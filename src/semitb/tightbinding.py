@@ -24,28 +24,42 @@ class TBParams:
     """Extracted lattice parameters at one hbar.
 
     h_row[ell] = <u_ell, H u_0> on the circular lags 0..cells-1, exactly
-    symmetric, its sub-floor lags beyond nearest neighbors zeroed.
-    dtilde_norm is the row sum of those lags (the l1-induced operator norm
-    of the residual D); gamma is the nonlinearity strength and
-    eta = c0*gamma/beta.
+    symmetric, its sub-floor lags beyond nearest neighbors zeroed; it
+    fixes lambda1 = h_row[0], the hopping beta = -h_row[1] and the
+    residual norm dtilde_norm.  eta is the effective nonlinearity and
+    gamma = eta*beta/c0 the nonlinearity strength it fixes.
     """
 
     hbar: float
     sigma: float
-    lambda1: float
-    beta: float
     c0: float
-    gamma: float
     eta: float
     h_row: np.ndarray
-    dtilde_norm: float
+
+    @property
+    def lambda1(self) -> float:
+        return float(self.h_row[0])
+
+    @property
+    def beta(self) -> float:
+        return -float(self.h_row[1])
+
+    @property
+    def gamma(self) -> float:
+        return self.eta * self.beta / self.c0
+
+    @property
+    def dtilde_norm(self) -> float:
+        """Row sum of |<u_ell, H u_0>| over the lags 2..cells-2: the
+        l1-induced operator norm of the residual D."""
+        return float(np.abs(self.h_row[2:self.h_row.size - 1]).sum())
 
 
 def h_matrix_elements(wb: WannierBasis, dom: PeriodicDomain,
                       band1_edges: tuple[float, float]):
     """The row <u_ell, H u_0> of the reduced operator on circular lags 0..cells-1.
 
-    Returns (h_row, lambda1, beta): lambda1 = h_row[0], beta = -h_row[1].
+    Returns h_row (TBParams reads lambda1 = h_row[0], beta = -h_row[1]).
     Checks the row's symmetry, symmetrizes it from lags 0..cells//2, and
     zeroes the lags >= 2 below the roundoff floor eps * max|E| of H; then
     checks |beta| against that floor, its sign under the positive-well
@@ -80,7 +94,7 @@ def h_matrix_elements(wb: WannierBasis, dom: PeriodicDomain,
             f"lambda1 = {lambda1:.8g} outside first band [{lo:.8g}, {hi:.8g}]: "
             "basis leaks out of the band subspace"
         )
-    return row, lambda1, beta
+    return row
 
 
 def interaction_constant(wb: WannierBasis, dom: PeriodicDomain, sigma: float) -> float:
@@ -91,18 +105,6 @@ def interaction_constant(wb: WannierBasis, dom: PeriodicDomain, sigma: float) ->
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     return float(dom.dx * np.sum(np.abs(wb.u0) ** (2 * sigma + 2)))
-
-
-def gamma_for_eta(c0: float, eta: float, beta: float) -> float:
-    """Inverse map gamma(eta) = eta*beta/c0 used by the multiscale sweep."""
-    if beta <= 0:
-        raise BasisError(f"beta = {beta:.3e} <= 0")
-    return eta * beta / c0
-
-
-def residual_coupling_norm(h_row: np.ndarray) -> float:
-    """Row sum of |<u_ell, H u_0>| over the lags 2..cells-2."""
-    return float(np.abs(h_row[2:h_row.size - 1]).sum())
 
 
 def ring_coupling(tbp: TBParams) -> np.ndarray:
@@ -123,7 +125,7 @@ def band_hopping(bd: BandData) -> float:
 
 def extract_params(wb: WannierBasis, dom: PeriodicDomain, sigma: float,
                    bd: BandData) -> TBParams:
-    """Assemble TBParams from a basis built on dom, at gamma = eta = 0; see with_eta.
+    """Assemble TBParams from a basis built on dom, at eta = 0; see with_eta.
 
     bd supplies the first-band edges that lambda1 must lie in.  Raises
     BasisError when bd and dom disagree in hbar or period, or when the
@@ -145,14 +147,11 @@ def extract_params(wb: WannierBasis, dom: PeriodicDomain, sigma: float,
             f"the domain's first band misses the Floquet band by {miss:.2e} > "
             f"{bound:.2e} at hbar = {dom.hbar:g}: numerics.points_per_cell = "
             f"{dom.points_per_cell} is too coarse a grid for this potential")
-    h_row, lambda1, beta = h_matrix_elements(wb, dom, edges)
-    c0 = interaction_constant(wb, dom, sigma)
-    return TBParams(hbar=dom.hbar, sigma=sigma, lambda1=lambda1, beta=beta,
-                    c0=c0, gamma=0.0, eta=0.0, h_row=h_row,
-                    dtilde_norm=residual_coupling_norm(h_row))
+    h_row = h_matrix_elements(wb, dom, edges)
+    return TBParams(hbar=dom.hbar, sigma=sigma,
+                    c0=interaction_constant(wb, dom, sigma), eta=0.0, h_row=h_row)
 
 
 def with_eta(tbp: TBParams, eta: float) -> TBParams:
-    """Same parameters at a different effective nonlinearity."""
-    gamma = gamma_for_eta(tbp.c0, eta, tbp.beta)
-    return replace(tbp, gamma=gamma, eta=eta)
+    """Same parameters at a different effective nonlinearity; gamma follows."""
+    return replace(tbp, eta=eta)

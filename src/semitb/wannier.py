@@ -6,15 +6,16 @@ into a smooth gauge.  They are real, so the gauge is a sign per block,
 set by parallel transport along the half zone; a well half a cell from
 the grid's cell edges adds a Zak phase pi at the zone edge, spread
 uniformly.  The zone average W1 is real by construction and positive at
-the well; it is kept as a diagnostic, and the basis does not depend on
-the gauge.  Second, a semiclassical well profile exp(-d(x, x0)/hbar) at
-the central well is projected onto the first band by the spectral
-projector of the periodic domain; its lattice translates v_j carry the
-tunneling action in their overlaps (the zone average itself has exactly
-orthonormal translates, which would leave nothing to measure).  Third,
-the translates are symmetrically orthogonalized: their Gram matrix is
-circulant on the periodic domain, so the inverse square root is computed
-from its Fourier symbol, truncated to a small band of lags.  The result
+the well; `semitb wannier` writes it as a diagnostic, and the basis
+neither stores it nor depends on the gauge.  Second, a semiclassical
+well profile exp(-d(x, x0)/hbar) at the central well is projected onto
+the first band by the spectral projector of the periodic domain; its
+lattice translates v_j carry the tunneling action in their overlaps
+(the zone average itself has exactly orthonormal translates, which would
+leave nothing to measure).  Third, the translates are symmetrically
+orthogonalized: their Gram matrix is circulant on the periodic domain,
+so the inverse square root is computed from its Fourier symbol,
+truncated to a small band of lags.  The result
 is orthonormal to machine precision, exactly translation covariant, lies
 in the domain's first band, and agrees with the zone average up to
 exponentially small corrections.  Every orbital is u0 moved by whole
@@ -45,13 +46,12 @@ class WannierBasis:
     basis keeps only what it adds to it.  u0 is the orbital of site 0,
     and that of site s is np.roll(u0, s * points_per_cell), so the cell
     count and the points per cell follow from the array sizes and the
-    sites from the domain_grid convention.  w is W1, the zone average of
-    the domain's gauge-fixed first band (`fix_gauge`), and overlaps[ell]
-    holds <v_0, v_ell> - delta on circular lags, v_0 the band-projected
-    well seed whose translates were orthogonalized.
+    sites from the domain_grid convention.  overlaps[ell] holds
+    <v_0, v_ell> - delta on circular lags, v_0 the band-projected well
+    seed whose translates were orthogonalized.  The zone average W1 is
+    not kept: `fix_gauge(dom)` computes it from the domain.
     """
 
-    w: np.ndarray
     u0: np.ndarray
     overlaps: np.ndarray
 
@@ -149,8 +149,7 @@ def fix_gauge(dom: PeriodicDomain) -> np.ndarray:
     return w / l2_norm(dom.dx, w)
 
 
-def build_orthonormal_basis(dom: PeriodicDomain, w: np.ndarray,
-                            lowdin_band: int = 6) -> WannierBasis:
+def build_orthonormal_basis(dom: PeriodicDomain, lowdin_band: int = 6) -> WannierBasis:
     """Orthonormalize band-projected well states over the periodic domain.
 
     The seed is a semiclassical well profile exp(-d(x, x0)/hbar) built
@@ -161,8 +160,8 @@ def build_orthonormal_basis(dom: PeriodicDomain, w: np.ndarray,
     The translates have a circulant Gram matrix; the inverse square root
     is taken through the Fourier symbol (1 + a(kappa))^(-1/2), truncated
     to lags |ell| <= lowdin_band, which is exact up to the exponentially
-    small dropped coefficients.  w is the zone average `fix_gauge(dom)`,
-    kept in the basis as a diagnostic.
+    small dropped coefficients.  The result does not depend on the gauge
+    of `fix_gauge`, which the basis does not read.
 
     Raises BasisError when the domain is too short for the lag band, or
     the overlap matrix stops being positive definite (hbar too large for
@@ -202,7 +201,7 @@ def build_orthonormal_basis(dom: PeriodicDomain, w: np.ndarray,
     overlaps = gram.copy()
     overlaps[0] -= 1.0
 
-    return WannierBasis(w=w, u0=u0, overlaps=overlaps)
+    return WannierBasis(u0=u0, overlaps=overlaps)
 
 
 def pair_overlap_l1(wb: WannierBasis, dx: float, ell: int) -> float:

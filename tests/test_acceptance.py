@@ -193,7 +193,8 @@ def test_checks_2_and_5_read_the_sweep(small_cfg, bundle_factory, monkeypatch,
 
 def test_criterion_11_catches_a_one_ulp_drift(small_cfg, bundle_factory, monkeypatch,
                                               tmp_path):
-    # every extraction after the first sweep's raises beta by one ulp
+    # every extraction after the first sweep's raises beta = -h_row[+-1] by
+    # one ulp
     calls, extract = [], tightbinding.extract_params
 
     def drifting(*args, **kwargs):
@@ -201,7 +202,9 @@ def test_criterion_11_catches_a_one_ulp_drift(small_cfg, bundle_factory, monkeyp
         calls.append(tbp.hbar)
         if len(calls) <= len(SMALL_LADDER):
             return tbp
-        return dataclasses.replace(tbp, beta=float(np.nextafter(tbp.beta, np.inf)))
+        row = tbp.h_row.copy()
+        row[[1, -1]] = np.nextafter(row[1], -np.inf)
+        return dataclasses.replace(tbp, h_row=row)
 
     monkeypatch.setattr(tightbinding, "extract_params", drifting)
     passed, detail = acceptance.check_determinism(_seeded(small_cfg, bundle_factory,

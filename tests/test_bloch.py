@@ -87,8 +87,8 @@ def test_band_edges_at_zone_center_or_boundary(ref_spec):
 
 def test_first_band_nondegenerate(bundle_factory):
     for hb in (0.25, 0.1):
-        bun = bundle_factory(hb)
-        assert bun.gap1 > 10 * bun.width1
+        m = st.band_metrics(bundle_factory(hb).bd, 1)
+        assert m["gap_above"] > 10 * m["width"]
 
 
 def test_bloch_on_grid_norm_and_conjugation(ref_spec):

@@ -309,6 +309,14 @@ def test_torn_bundle_rebuilt(tmp_path, caplog, monkeypatch):
     (("sigma = 1.0", "sigma = nan"), r"sweep\.sigma"),
     (("hbar = 0.3, 0.25, 0.2, 0.15", "hbar = 0.3, nan, 0.2, 0.15"), r"sweep\.hbar"),
     (("points_per_cell = 32", "points_per_cell = 0"), r"numerics\.points_per_cell"),
+    # one point per cell leaves one mode per block: no band 2 and no gap
+    (("points_per_cell = 32", "points_per_cell = 1"),
+     r"numerics\.points_per_cell: 1 must be >= 2"),
+    # a repeated eta, -0 among the zeros, would repeat its rows
+    (("eta = 0, -2, -50", "eta = 0, -0, -2, -50"), r"sweep\.eta: .*distinct"),
+    (("eta = 0, -2, -50", "eta = 0, -2, -50, -2.0"), r"sweep\.eta: .*distinct"),
+    # a key is refused in a section that no field belongs to
+    (("[io]", "[plot]\ndpi = 300\n\n[io]"), r"plot\.dpi: unknown field"),
     (("cells = 16\n", "cells = 16\nlowdin_band = -1\n"), r"numerics\.lowdin_band"),
     (("n_pw = 33", "n_pw = 128"), r"numerics\.n_pw"),
     (("n_pw = 33", "n_pw = 17"), r"numerics\.n_pw"),
@@ -326,6 +334,7 @@ def test_torn_bundle_rebuilt(tmp_path, caplog, monkeypatch):
 ], ids=["hbar-order", "hbar-count", "eta-zero", "eta-near-zero", "cells-lowdin",
         "seed-site", "seed-site-even", "n-sites", "eta-inf",
         "delta0-nan", "delta0-inf", "sigma-nan", "hbar-nan", "points-per-cell",
+        "points-per-cell-1", "eta-zero-twice", "eta-repeated", "unknown-section",
         "lowdin-band", "n-pw-even", "n-pw-few", "n-kappa", "n-bands",
         "family-alias", "sin2-without-v0", "sin2-with-coeffs",
         "cos-series-with-v0", "cos-series-without-coeffs", "two-wells"])
@@ -357,6 +366,29 @@ def test_wannier_command_writes_plain_floats(tmp_path):
             assert abs(dom.dx * np.sum(table[:, col] ** 2) - 1.0) < 1e-8
 
 
+def test_basis_bundle_with_a_w_member_is_served(tmp_path):
+    # a bundle of the same version that still carries W1 as a member w: it
+    # is served, w unread, and the warm wannier table, whose W column is
+    # computed from the domain, is the cold one byte for byte
+    path = _write(tmp_path)
+    cfg = cli.parse_config(str(path))
+    assert cli.main(["--config", str(path), "wannier"]) == 0
+    cold = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    assert len(cold) == len(cfg.hbar_ladder)
+    cache = cli.BundleCache(cfg.cache_dir)
+    for hb in cfg.hbar_ladder:
+        key = cli.config_hash(cfg, hb)
+        wb = cache.load_basis(key)
+        dom = PeriodicDomain(cfg.potential(), hb, cfg.cells, cfg.points_per_cell)
+        np.savez(cache.basis_path(key), version=np.int64(cli.CACHE_VERSION),
+                 w=cli.scan.fix_gauge(dom), u0=wb.u0, overlaps=wb.overlaps)
+    shutil.rmtree(tmp_path / "out")
+    stored = {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()}
+    assert cli.main(["--config", str(path), "wannier"]) == 0
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == cold
+    assert {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()} == stored
+
+
 def test_version1_basis_bundle_rebuilt(tmp_path):
     path = _write(tmp_path)
     cfg = cli.parse_config(str(path))
@@ -378,7 +410,7 @@ def test_version1_basis_bundle_rebuilt(tmp_path):
         np.savez(cache.basis_path(key), version=np.int64(1), a=cfg.a, hbar=hb,
                  cells=np.int64(wb.cells),
                  points_per_cell=np.int64(wb.points_per_cell), x=dom.x,
-                 dx=dom.dx, sites=dom.sites, w=wb.w, v0=wb.w, u=orbitals(wb),
+                 dx=dom.dx, sites=dom.sites, w=wb.u0, v0=wb.u0, u=orbitals(wb),
                  overlaps=wb.overlaps, lowdin=wb.overlaps,
                  lowdin_band=np.int64(cfg.lowdin_band), decay_rate=0.5)
     (tmp_path / "out" / "params.csv").unlink()

@@ -337,7 +337,7 @@ def test_lattice_invertibility_matches_the_svd(bundle_factory):
         row = rng.standard_normal(bun.wb.cells // 2 + 1)[lag]
         row[[1, -1]] = -abs(row[1])
         tbp = dataclasses.replace(with_eta(bun.tbp, -1.0), h_row=row,
-                                  beta=-row[1], eta=rng.uniform(-5, 0))
+                                  eta=rng.uniform(-5, 0))
         c = rng.standard_normal(bun.wb.cells)
         lp, smin = check_lattice_invertibility(c, 0.0, tbp)
         want, _ = _svd_guard(lp)

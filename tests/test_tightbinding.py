@@ -29,7 +29,7 @@ def test_h_row_is_the_product_form_bit_for_bit(bundle_factory, hb):
     lag = np.minimum(np.arange(cells), cells - np.arange(cells))
     floor = np.finfo(float).eps * np.abs(dom.block_evals).max()
     ref = np.where((lag >= 2) & (np.abs(raw[lag]) < floor), 0.0, raw[lag])
-    row, _, _ = st.h_matrix_elements(wb, dom, bun.bd.band_edges(1))
+    row = st.h_matrix_elements(wb, dom, bun.bd.band_edges(1))
     assert np.array_equal(row, ref)
     assert np.array_equal(bun.tbp.h_row, ref)
 
@@ -74,16 +74,32 @@ def test_effective_nonlinearity_algebra(bundle_factory):
     assert st.with_eta(tbp, 0.0).gamma == 0.0
     t = st.with_eta(tbp, -3.0)
     assert abs(t.c0 * t.gamma / t.beta - t.eta) < 1e-12
-    with pytest.raises(BasisError):
-        st.gamma_for_eta(tbp.c0, 1.0, -tbp.beta)
+    assert t.gamma == -3.0 * tbp.beta / tbp.c0
+    assert (t.lambda1, t.beta, t.dtilde_norm) == (tbp.lambda1, tbp.beta,
+                                                  tbp.dtilde_norm)
 
 
 def test_gamma_shrinks_exponentially(bundle_factory):
-    g2 = st.gamma_for_eta(bundle_factory(0.2).tbp.c0, -3.0,
-                          bundle_factory(0.2).tbp.beta)
-    g1 = st.gamma_for_eta(bundle_factory(0.1).tbp.c0, -3.0,
-                          bundle_factory(0.1).tbp.beta)
+    g2 = st.with_eta(bundle_factory(0.2).tbp, -3.0).gamma
+    g1 = st.with_eta(bundle_factory(0.1).tbp, -3.0).gamma
     assert abs(g2) > 100 * abs(g1)
+
+
+def test_a_new_row_moves_every_derived_parameter(bundle_factory):
+    # lambda1, beta, gamma and D_norm are read off h_row: replacing the row
+    # moves all four, with nothing else to keep in step
+    tbp = st.with_eta(bundle_factory(0.25).tbp, -2.0)
+    row = 2.0 * tbp.h_row
+    row[[2, -2]] += 1e-3
+    new = dataclasses.replace(tbp, h_row=row)
+    assert [f.name for f in dataclasses.fields(new)] == ["hbar", "sigma", "c0",
+                                                         "eta", "h_row"]
+    assert new.lambda1 == float(row[0]) == 2.0 * tbp.lambda1
+    assert new.beta == -float(row[1]) == 2.0 * tbp.beta
+    assert new.gamma == -2.0 * new.beta / tbp.c0 == 2.0 * tbp.gamma
+    assert new.dtilde_norm == float(np.abs(row[2:row.size - 1]).sum())
+    assert new.dtilde_norm > tbp.dtilde_norm
+    assert np.array_equal(ring_coupling(new)[0, [1, -1]], [-1.0, -1.0])
 
 
 def test_residual_coupling_structure(bundle_factory):
@@ -105,7 +121,7 @@ def test_parameters_stable_under_grid_doubling(ref_spec):
     tb = {}
     for ppc in (64, 128):
         dom = st.PeriodicDomain(ref_spec, 0.16, 32, ppc)
-        wb = st.build_orthonormal_basis(dom, st.fix_gauge(dom))
+        wb = st.build_orthonormal_basis(dom)
         tb[ppc] = st.extract_params(wb, dom, sigma=1.0, bd=bd)
     assert abs(tb[64].lambda1 - tb[128].lambda1) < 1e-10
     assert abs(tb[64].beta - tb[128].beta) / tb[64].beta < 1e-8

@@ -42,7 +42,7 @@ def _plane_wave_w1(bd, dom):
 
 def test_gauge_produces_real_positive_wannier(bundle_factory):
     bun = bundle_factory(0.2)
-    w = bun.wb.w
+    w = fix_gauge(bun.dom)
     # realness is enforced inside fix_gauge; the sign convention is
     # positive at the well peak, which lies in the cell of site 0
     peak = np.argmax(np.abs(w))
@@ -54,7 +54,7 @@ def test_gauge_produces_real_positive_wannier(bundle_factory):
 def test_w1_matches_plane_wave_reference(bundle_factory, hbar):
     bun = bundle_factory(hbar)
     ref = _plane_wave_w1(bun.bd, bun.dom)
-    assert np.abs(bun.wb.w - ref).max() <= 1e-12
+    assert np.abs(fix_gauge(bun.dom) - ref).max() <= 1e-12
 
 
 def test_w1_of_the_edge_well_matches_plane_wave_reference(edge_spec):
@@ -149,7 +149,7 @@ def test_orthonormality_and_translation_covariance(bundle_factory):
 @pytest.mark.parametrize("cells, ppc", [(32, 64), (31, 33)])
 def test_synthesis_and_analysis_match_rolled_orbitals(ref_spec, cells, ppc):
     dom = PeriodicDomain(ref_spec, 0.25, cells, ppc)
-    wb = st.build_orthonormal_basis(dom, fix_gauge(dom), lowdin_band=4)
+    wb = st.build_orthonormal_basis(dom, lowdin_band=4)
     u, rng = orbitals(wb), np.random.default_rng(5)
     c, f = rng.standard_normal(cells), rng.standard_normal(dom.n)
     ref = u.T @ c
@@ -173,7 +173,7 @@ def test_orbitals_are_translates_on_drawn_lags(bundle_factory, hbar, data):
 def test_dense_lowdin_cross_check(ref_spec):
     # odd cell count, symbol-truncated coefficients vs dense inverse sqrt
     dom = PeriodicDomain(ref_spec, 0.25, 31, 64)
-    wb = st.build_orthonormal_basis(dom, fix_gauge(dom))
+    wb = st.build_orthonormal_basis(dom)
     v0, _ = lowdin_parts(dom)
     v = np.stack([np.roll(v0, s * wb.points_per_cell) for s in dom.sites])
     gram = dom.dx * (v @ v.T)
@@ -198,7 +198,7 @@ def test_wannier_close_to_oscillator_ground_state(bundle_factory, ref_spec):
         width = np.sqrt(ref_spec.curvature / 2) / (2 * hb)
         g = np.exp(-width * x**2)
         g /= np.sqrt(dx * np.sum(g**2))
-        dists.append(l2_norm(dx, bun.wb.w - g))
+        dists.append(l2_norm(dx, fix_gauge(bun.dom) - g))
     assert dists[0] < 0.08 and dists[1] < 0.04
     assert dists[1] < dists[0]
 
@@ -210,7 +210,7 @@ def test_wannier_tail_follows_action_rate(bundle_factory, ref_spec):
     for hb in (0.2, 0.16, 0.1):
         bun = bundle_factory(hb)
         d = action_profile(ref_spec, bun.dom.x)
-        aw = np.abs(bun.wb.w)
+        aw = np.abs(fix_gauge(bun.dom))
         mask = (aw >= 1e-10) & (aw <= 1e-3)
         slopes.append(np.polyfit(d[mask] / hb, np.log(aw[mask]), 1)[0])
     assert all(abs(b + 1) < abs(a + 1) for a, b in zip(slopes, slopes[1:]))
@@ -267,7 +267,7 @@ def test_incommensurate_domain_builds_basis(ref_spec):
     # basis, so no kappa point needs to be shared with the domain
     bd = st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.2))
     dom = PeriodicDomain(ref_spec, 0.2, 24, 64)
-    wb = st.build_orthonormal_basis(dom, fix_gauge(dom))
+    wb = st.build_orthonormal_basis(dom)
     u = orbitals(wb)
     gram = dom.dx * (u @ u.T)
     assert np.abs(gram - np.eye(wb.cells)).max() < 1e-8
@@ -293,15 +293,17 @@ def test_band_domain_mismatch_named(bundle_factory, ref_spec):
 def test_small_domain_warns(ref_spec):
     dom = PeriodicDomain(ref_spec, 0.25, 8, 64)
     with pytest.warns(UserWarning, match="interior"):
-        st.build_orthonormal_basis(dom, fix_gauge(dom), lowdin_band=3)
+        st.build_orthonormal_basis(dom, lowdin_band=3)
 
 
 def test_basis_bundle_roundtrip(tmp_path, bundle_factory):
     wb = bundle_factory(0.2).wb
     cache = BundleCache(str(tmp_path))
     cache.store_basis("key", wb)
+    with np.load(cache.basis_path("key")) as z:
+        assert sorted(z.files) == ["overlaps", "u0", "version"]
     back = cache.load_basis("key")
-    for name in ("w", "u0", "overlaps"):
+    for name in ("u0", "overlaps"):
         assert np.array_equal(getattr(back, name), getattr(wb, name)), name
     assert back.cells == wb.cells
 
@@ -309,7 +311,7 @@ def test_basis_bundle_roundtrip(tmp_path, bundle_factory):
 def test_basis_bundle_version_mismatch(tmp_path, bundle_factory):
     wb = bundle_factory(0.2).wb
     cache = BundleCache(str(tmp_path))
-    np.savez(cache.basis_path("key"), version=np.int64(99), w=wb.w, u0=wb.u0,
+    np.savez(cache.basis_path("key"), version=np.int64(99), u0=wb.u0,
              overlaps=wb.overlaps)
     assert cache.load_basis("key") is None
 
@@ -317,16 +319,16 @@ def test_basis_bundle_version_mismatch(tmp_path, bundle_factory):
 def test_even_and_odd_cell_counts(ref_spec):
     def basis(cells, ppc):
         dom = PeriodicDomain(ref_spec, 0.25, cells, ppc)
-        return dom, st.build_orthonormal_basis(dom, fix_gauge(dom))
+        return dom, st.build_orthonormal_basis(dom)
 
     wb_even = basis(32, 32)[1]
     assert wb_even.sites[0] == -15 and wb_even.sites[-1] == 16
     wb_odd = basis(31, 32)[1]
     assert wb_odd.sites[0] == -15 and wb_odd.sites[-1] == 15
     # an odd count of cells or points gives block rows whose plane-wave
-    # indices m do not all start at the same position; W1 still matches
-    # the plane-wave reference
+    # indices m do not all start at the same position; the basis builds
+    # and W1 still matches the plane-wave reference
     bd = st.solve_bands(ref_spec, st.FloquetConfig(hbar=0.25))
     for cells, ppc in ((31, 32), (32, 33), (31, 33)):
-        dom, wb = basis(cells, ppc)
-        assert np.abs(wb.w - _plane_wave_w1(bd, dom)).max() <= 1e-12
+        dom, _ = basis(cells, ppc)
+        assert np.abs(fix_gauge(dom) - _plane_wave_w1(bd, dom)).max() <= 1e-12
