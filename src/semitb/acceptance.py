@@ -35,13 +35,13 @@ class CheckResult:
 class Context:
     """Lazily built state of one acceptance run.
 
-    Per hbar it keeps what the bundle cache keeps: the BandData and the
-    WannierBasis fields.  It keeps no PipelineBundle: `bundle` builds one
-    from those parts on every call, and each caller drops it before it
-    asks for the next, so at most one is alive.  Each sweep thus derives
-    its own domains and lattice parameters, and criterion 11 compares two
-    sweeps that share only the bands and the basis.  Sweep n writes its
-    outputs to out_dir/run<n>.
+    Per hbar it keeps the BandData and the WannierBasis, and not the
+    domain eigenpairs the bundle cache also keeps.  It keeps no
+    PipelineBundle: `bundle` builds one from those parts on every call,
+    and each caller drops it before it asks for the next, so at most one
+    is alive.  Each sweep thus derives its own domains and lattice
+    parameters, and criterion 11 compares two sweeps that share only the
+    bands and the basis.  Sweep n writes its outputs to out_dir/run<n>.
     """
 
     def __init__(self, cfg, out_dir: str):

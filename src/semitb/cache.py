@@ -1,4 +1,5 @@
-"""The bundle cache: band, basis and domain bundles as npz files on disk.
+"""The bundle cache: band, basis and domain bundles as npz files on disk,
+and write_file, the one writer of every file semitb writes.
 
 A bundle is keyed by cli.config_hash, which includes CACHE_VERSION.
 """
@@ -76,17 +77,7 @@ class BundleCache:
                       for name, v in stored.items()})
 
     def _store(self, path, arrays: dict) -> None:
-        # written whole to a temporary file, then renamed over the bundle, so
-        # a run killed mid-write never leaves a torn bundle under its name
-        os.makedirs(self.dir, exist_ok=True)
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                _write_npz(fh, {"version": np.int64(CACHE_VERSION), **arrays})
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        write_npz(path, version=np.int64(CACHE_VERSION), **arrays)
 
     def _store_record(self, path, obj) -> None:
         self._store(path, {f.name: getattr(obj, f.name)
@@ -118,16 +109,35 @@ class BundleCache:
                                             "block_evecs": dom.block_evecs})
 
 
-def _write_npz(fh, arrays: dict) -> None:
-    """np.savez's format, one uncompressed .npy member per array of arrays.
+def write_file(path: str, write) -> None:
+    """Write path whole, its directory made first: write(fh) fills a
+    temporary file beside it, opened "wb", which is renamed over path.  A
+    write cut short leaves the old file (or none) and no temporary file."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
-    Each array goes to the zip member from its own buffer: np.savez copies
+
+def write_npz(path: str, **arrays) -> None:
+    """Write arrays to path as np.savez does, one uncompressed .npy member
+    each, through write_file.
+
+    Each array goes to its zip member from its own buffer: np.savez copies
     every array to a bytes object first, as large as the array.
     """
-    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
-        for name, value in arrays.items():
-            a = np.asarray(value, order="C")
-            with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array_header_1_0(
-                    member, np.lib.format.header_data_from_array_1_0(a))
-                member.write(memoryview(a))
+    def write(fh):
+        with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+            for name, value in arrays.items():
+                a = np.asarray(value, order="C")
+                with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array_header_1_0(
+                        member, np.lib.format.header_data_from_array_1_0(a))
+                    member.write(memoryview(a))
+
+    write_file(path, write)

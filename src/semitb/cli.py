@@ -240,7 +240,6 @@ def _pipeline_bundle(cfg: RunConfig, cache: BundleCache, hb: float):
 def cmd_bands(cfg: RunConfig) -> int:
     """Solve the Floquet bands and write bands_h*.csv."""
     cache = BundleCache(cfg.cache_dir)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     for hb in cfg.hbar_ladder:
         key = config_hash(cfg, hb)
         bd = cache.load_bands(key)
@@ -260,7 +259,6 @@ def cmd_bands(cfg: RunConfig) -> int:
 def cmd_wannier(cfg: RunConfig) -> int:
     """Build the localized basis and write wannier_h*.csv."""
     cache = BundleCache(cfg.cache_dir)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     for hb in cfg.hbar_ladder:
         bun = _pipeline_bundle(cfg, cache, hb)
         out = os.path.join(cfg.output_dir, f"wannier_h{hb:g}.csv")
@@ -274,7 +272,6 @@ def cmd_wannier(cfg: RunConfig) -> int:
 def cmd_params(cfg: RunConfig) -> int:
     """Extract the lattice parameters into params.csv."""
     cache = BundleCache(cfg.cache_dir)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     s0 = tunneling_action(cfg.potential())
     rows = []
     for hb in cfg.hbar_ladder:
@@ -289,7 +286,6 @@ def cmd_params(cfg: RunConfig) -> int:
 def cmd_dnls(cfg: RunConfig) -> int:
     """Continue the DNLS branch into dnls_ladder.csv."""
     states, turning = scan._dnls_ladder(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     out = os.path.join(cfg.output_dir, "dnls_ladder.csv")
     scan._write_csv(out, scan.dnls_header(cfg.n_sites), scan.dnls_rows(states))
     if turning:

@@ -78,17 +78,10 @@ def _stencil(n: int, boundary: str) -> np.ndarray:
     return t
 
 
-def _power(f: np.ndarray, two_sigma: float) -> np.ndarray:
-    if two_sigma >= 1.0 or two_sigma == 0.0:
-        return np.abs(f) ** two_sigma
-    # sub-C1 powers: floor the base so the Jacobian stays finite at f = 0
-    return (f * np.conj(f) + 1e-300).real ** (two_sigma / 2)
-
-
 def dnls_residual(f: np.ndarray, e, prob: DnlsProblem) -> np.ndarray:
     """Componentwise E F - (T F) + eta |F|^{2 sigma} F, per row of F (E one per row)."""
     return (np.asarray(e)[..., None] * f - neighbor_sum(f, prob.boundary)
-            + prob.eta * _power(f, 2 * prob.sigma) * f)
+            + prob.eta * np.abs(f) ** (2 * prob.sigma) * f)
 
 
 def linearization_lplus(f: np.ndarray, e, prob: DnlsProblem) -> np.ndarray:
@@ -96,8 +89,8 @@ def linearization_lplus(f: np.ndarray, e, prob: DnlsProblem) -> np.ndarray:
     n = np.shape(f)[-1]
     out = np.zeros(np.shape(f) + (n,)) - _stencil(n, prob.boundary)
     idx = np.arange(n)
-    out[..., idx, idx] = (np.asarray(e)[..., None]
-                          + prob.eta * (2 * prob.sigma + 1) * _power(f, 2 * prob.sigma))
+    out[..., idx, idx] = (np.asarray(e)[..., None] + prob.eta * (2 * prob.sigma + 1)
+                          * np.abs(f) ** (2 * prob.sigma))
     return out
 
 

@@ -119,11 +119,10 @@ def solve_perp_fixed_point(c: np.ndarray, e_param: float, tbp: TBParams,
 def lattice_map(state: DnlsState, wb: WannierBasis) -> np.ndarray:
     """Restrict lattice amplitudes to the domain sites (tails dropped)."""
     n = state.f.size
+    k = wb.sites + n // 2
+    inside = (k >= 0) & (k < n)
     c = np.zeros(wb.cells)
-    for i, s in enumerate(wb.sites):
-        k = int(s) + n // 2
-        if 0 <= k < n:
-            c[i] = state.f[k]
+    c[inside] = state.f[k[inside]]
     return c
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import dnls, nlse, tightbinding
 from .bloch import BandData, FloquetConfig, band_metrics, solve_bands
+from .cache import write_file, write_npz
 from .errors import Error, TailFitError
 from .operators import PeriodicDomain, l2_norm
 from .potential import tunneling_action
@@ -163,10 +164,8 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    write_file(path, lambda fh: fh.writelines(
+        (",".join(_fmt(v) for v in row) + "\n").encode() for row in [header, *rows]))
 
 
 def _dnls_ladder(cfg):
@@ -216,7 +215,6 @@ def run_sweep(cfg, bundle_of, out_dir: str) -> TransitionReport:
     lattice_rows = dnls_rows(lattice_states)
 
     state_dir = os.path.join(out_dir, "states")
-    os.makedirs(state_dir, exist_ok=True)
     point_rows, continuum_rows, gaps, fit_scalars, state_paths = [], [], [], [], {}
     for hb in ladder:
         bun = bundle_of(hb)
@@ -250,9 +248,8 @@ def run_sweep(cfg, bundle_of, out_dir: str) -> TransitionReport:
         _write_csv(path, header, rows)
         written.append(path)
     fits_path = os.path.join(out_dir, "fits.json")
-    with open(fits_path, "w", encoding="utf-8") as fh:
-        json.dump(fits, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(fits, indent=2, sort_keys=True) + "\n"
+    write_file(fits_path, lambda fh: fh.write(text.encode()))
     written.append(fits_path)
     written.extend(_write_dnls_states(state_dir, lattice_states))
     written.extend(state_paths[k] for k in sorted(state_paths))
@@ -362,15 +359,15 @@ def _write_dnls_states(state_dir, lattice_states):
     for eta in _eta_order(lattice_states):
         s = lattice_states[eta]
         path = os.path.join(state_dir, f"dnls_eta{eta:+.6g}.npz")
-        np.savez(path, eta=s.eta, sigma=s.sigma, e=s.e, f=s.f,
-                 residual=s.residual_norm)
+        write_npz(path, eta=s.eta, sigma=s.sigma, e=s.e, f=s.f,
+                  residual=s.residual_norm)
         out.append(path)
     return out
 
 
 def _write_continuum_state(state_dir, hb, eta, cs):
     path = os.path.join(state_dir, f"continuum_h{hb:g}_eta{eta:+.6g}.npz")
-    np.savez(path, hbar=hb, eta=eta, lam=cs.lam, gamma=cs.gamma,
-             sigma=cs.sigma, phi=cs.phi, c=cs.c, perp_h1=cs.perp_h1,
-             residual_h=cs.residual_h)
+    write_npz(path, hbar=hb, eta=eta, lam=cs.lam, gamma=cs.gamma,
+              sigma=cs.sigma, phi=cs.phi, c=cs.c, perp_h1=cs.perp_h1,
+              residual_h=cs.residual_h)
     return path

@@ -211,3 +211,13 @@ def test_criterion_11_catches_a_one_ulp_drift(small_cfg, bundle_factory, monkeyp
                                                           tmp_path))
     assert calls == [*SMALL_LADDER, *SMALL_LADDER]
     assert not passed and "params.csv" in detail, detail
+
+
+def test_an_unavailable_fit_is_named(small_cfg, bundle_factory, tmp_path):
+    # the small sweep has no eta = -2 column, so fits.json marks that perp
+    # fit unavailable, and a check that reads it gets the fit and the reason
+    ctx = _seeded(small_cfg, bundle_factory, tmp_path)
+    assert not ctx.report(1).fits["perp_h1_eta_-2"]["available"]
+    with pytest.raises(Error, match=r"fit perp_h1_eta_-2 unavailable: "
+                                    r"fit needs >= 4 points, have 0"):
+        acceptance._published_fit(ctx, "perp_h1_eta_-2")

@@ -35,6 +35,14 @@ def test_free_bands_touch_at_crossings():
     assert st.band_metrics(bd, 1)["gap_above"] <= 1e-12
 
 
+@pytest.mark.parametrize("n", [0, 4])
+def test_band_metrics_refuses_a_band_without_one_above(n):
+    bd = st.solve_bands(st.free_potential(1.0),
+                        st.FloquetConfig(hbar=0.3, n_pw=41, n_kappa=16, n_bands=4))
+    with pytest.raises(ValueError, match=rf"band index {n} out of range 1\.\.3"):
+        st.band_metrics(bd, n)
+
+
 def test_band_symmetry_and_ordering(bundle_factory):
     bd = bundle_factory(0.2).bd
     # kappa grid contains +k and -k pairs away from the zone edge

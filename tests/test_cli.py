@@ -1,7 +1,9 @@
 import configparser
+import errno
 import functools
 import hashlib
 import importlib.util
+import io
 import json
 import logging
 import os
@@ -19,7 +21,7 @@ from conftest import REF_CFG, orbitals
 
 import semitb.cache as cache_module
 import semitb.cli as cli
-from semitb.errors import ConfigError
+from semitb.errors import ConfigError, NonConvergenceError
 from semitb.operators import PeriodicDomain
 
 GOOD = """\
@@ -174,6 +176,18 @@ def test_a_value_error_is_a_program_fault_not_a_config_error(tmp_path, monkeypat
         cli.main(["--config", str(_write(tmp_path)), "dnls"])
 
 
+def test_a_solver_error_exits_3(tmp_path, monkeypatch, capsys):
+    # no config input reaches this: the continuation and the sweep record
+    # their solver failures, so the error is raised by hand
+    def fault(cfg):
+        raise NonConvergenceError("budget exceeded")
+
+    monkeypatch.setattr(cli.scan, "_dnls_ladder", fault)
+    assert cli.main(["--config", str(_write(tmp_path)), "dnls"]) == cli.EXIT_SOLVER
+    assert capsys.readouterr().err == "solver error: budget exceeded\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_bands_command_caches(tmp_path, capsys):
     path = _write(tmp_path)
     assert cli.main(["--config", str(path), "bands"]) == 0
@@ -266,7 +280,7 @@ def test_stale_cache_rebuilt(tmp_path, capsys):
     assert out.startswith("n,kappa,E")
 
 
-def test_torn_bundle_rebuilt(tmp_path, caplog, monkeypatch):
+def test_torn_bundle_rebuilt(tmp_path, caplog):
     path = _write(tmp_path)
     assert cli.main(["--config", str(path), "bands"]) == 0
     cfg = cli.parse_config(str(path))
@@ -281,17 +295,61 @@ def test_torn_bundle_rebuilt(tmp_path, caplog, monkeypatch):
     assert cli.main(["--config", str(path), "bands"]) == 0
     assert bundle.read_bytes() == whole
 
-    # a store cut short leaves the bundle it would replace, and no other file
-    def torn_write(fh, arrays):
-        fh.write(b"PK\x03\x04")
-        raise OSError("disk full")
 
-    files = sorted(p.name for p in (tmp_path / "cache").iterdir())
-    monkeypatch.setattr(cache_module, "_write_npz", torn_write)
-    with pytest.raises(OSError, match="disk full"):
-        cache.store_bands(key, cache.load_bands(key))
-    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == files
-    assert bundle.read_bytes() == whole
+class _DiskFull(io.FileIO):
+    """A file that takes 100 bytes and then fails as a full disk does."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.room = 100
+
+    def write(self, b):
+        b = memoryview(b).cast("B")
+        if len(b) > self.room:
+            super().write(b[:self.room])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(b)
+        return super().write(b)
+
+
+def _files(root):
+    """{relative path: bytes} of every file under root."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("kind, command", [("bundle", "bands"), ("state", "scan"),
+                                           ("csv", "dnls")])
+def test_a_write_cut_short_leaves_the_old_file_or_none(tmp_path, monkeypatch, capsys,
+                                                       kind, command):
+    # every file goes through cache.write_file: a write that fails part way
+    # leaves the file it would replace under its name, or none, and no
+    # temporary file.  A warm scan's first write is a state file, and dnls
+    # writes only its CSV.
+    path = _write(tmp_path)
+    assert cli.main(["--config", str(path), command]) == 0
+    root = tmp_path / ("cache" if kind == "bundle" else "out")
+    before = _files(root)
+    assert any(name.endswith(".csv" if kind == "csv" else ".npz") for name in before)
+    cfg = cli.parse_config(str(path))
+    cache = cli.BundleCache(cfg.cache_dir)
+    key = cli.config_hash(cfg, cfg.hbar_ladder[0])
+
+    def cut_short():
+        if kind == "bundle":
+            with pytest.raises(OSError, match="No space left on device"):
+                cache.store_bands(key, cli.scan.band_data(cfg, cfg.hbar_ladder[0]))
+        else:
+            assert cli.main(["--config", str(path), command]) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err.startswith("I/O error: [Errno 28]")
+
+    monkeypatch.setattr(cache_module, "open", _DiskFull, raising=False)
+    capsys.readouterr()
+    cut_short()
+    assert _files(root) == before
+    shutil.rmtree(root)
+    cut_short()
+    assert _files(root) == {}
 
 
 @pytest.mark.parametrize("edit, key", [
@@ -331,13 +389,19 @@ def test_torn_bundle_rebuilt(tmp_path, caplog, monkeypatch):
     # a family field that make_potential refuses: two equal wells per cell
     (("family = sin2\nv0 = 8.0", "family = cos-series\ncoeffs = 0, 1"),
      r"error: potential\.coeffs: 2 equally deep minima"),
+    (("sigma = 1.0", "sigma = 0"), r"sweep\.sigma: must be positive"),
+    (("delta0 = 8.0", "delta0 = -1"), r"numerics\.delta0: must be positive"),
+    (("hbar = 0.3, 0.25, 0.2, 0.15", "hbar = 0.3, 0.25, 0.2, 0"),
+     r"sweep\.hbar: entries must be positive"),
+    (("v0 = 8.0\na = 1.0", "v0 = 8.0\na = 0"), r"potential\.a: must be positive"),
 ], ids=["hbar-order", "hbar-count", "eta-zero", "eta-near-zero", "cells-lowdin",
         "seed-site", "seed-site-even", "n-sites", "eta-inf",
         "delta0-nan", "delta0-inf", "sigma-nan", "hbar-nan", "points-per-cell",
         "points-per-cell-1", "eta-zero-twice", "eta-repeated", "unknown-section",
         "lowdin-band", "n-pw-even", "n-pw-few", "n-kappa", "n-bands",
         "family-alias", "sin2-without-v0", "sin2-with-coeffs",
-        "cos-series-with-v0", "cos-series-without-coeffs", "two-wells"])
+        "cos-series-with-v0", "cos-series-without-coeffs", "two-wells",
+        "sigma-zero", "delta0-negative", "hbar-zero", "a-zero"])
 def test_config_errors_exit_before_any_build(tmp_path, capsys, edit, key):
     text = GOOD.replace("lowdin_band = 4\n", "") if "lowdin" in edit[1] else GOOD
     assert edit[0] in text
@@ -458,20 +522,24 @@ def test_params_command(tmp_path):
     assert len(rows) == 1 + 4 * 3
 
 
-@pytest.mark.parametrize("ppc, hbar", [(4, 0.25), (8, 0.16), (12, 0.1)])
-def test_coarse_grid_named(tmp_path, capsys, ppc, hbar):
+@pytest.mark.parametrize("ppc, hbar, command", [
+    (4, 0.25, "params"), (8, 0.16, "params"), (12, 0.1, "params"),
+    (2, 0.25, "wannier"), (2, 0.25, "scan")],
+    ids=["4-0.25", "8-0.16", "12-0.1", "2-0.25-wannier", "2-0.25-scan"])
+def test_coarse_grid_named(tmp_path, capsys, ppc, hbar, command):
     # the domain's first band misses the Floquet band by more than half its
     # width: the grid is named, not the sign or band checks that follow
-    # (at ppc 8, hbar 0.16 the miss, 3.3e-4, is just below the width)
+    # (at ppc 8, hbar 0.16 the miss, 3.3e-4, is just below the width).
+    # Nothing was written, so no output directory was made either.
     text = GOOD.replace("points_per_cell = 32", f"points_per_cell = {ppc}")
     text = text.replace("hbar = 0.3, 0.25, 0.2, 0.15",
                         "hbar = 0.25, 0.2, 0.16, 0.1")
     path = _write(tmp_path, text)
-    assert cli.main(["--config", str(path), "params"]) == cli.EXIT_SOLVER
+    assert cli.main(["--config", str(path), command]) == cli.EXIT_SOLVER
     err = capsys.readouterr().err
     assert f"numerics.points_per_cell = {ppc} is too coarse" in err
     assert f"at hbar = {hbar:g}" in err
-    assert not (tmp_path / "out" / "params.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_hash_sensitivity(tmp_path, monkeypatch):

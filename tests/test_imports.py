@@ -193,6 +193,55 @@ def test_package_calls_no_svd_least_squares_qr_or_general_eigen():
     assert linalg_calls == NUMPY_LINALG_CALLS  # no stale allowlist entry
 
 
+# calls that write the file system; the package makes them only in
+# cache.write_file, the one writer, which makes the directory and renames a
+# finished file into place
+WRITE_CALLS = {f"{module}.{name}" for module in ("np", "numpy")
+               for name in ("save", "savez", "savez_compressed")}
+WRITE_CALLS |= {f"os.{name}" for name in ("makedirs", "mkdir", "replace", "rename")}
+
+
+def _calls_by_function(tree, prefix):
+    """(qualified name of the enclosing function or class, Call) of every
+    call in tree."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                found.append((where, child))
+            visit(child, where)
+
+    visit(tree, prefix)
+    return found
+
+
+def _opens_for_writing(call):
+    """True for a call of open whose mode is not a literal read mode."""
+    if _dotted(call.func) != "open":
+        return False
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    return any(not (isinstance(m, ast.Constant) and set(m.value) <= set("rbt"))
+               for m in modes)
+
+
+def test_every_file_is_written_by_the_one_writer():
+    # a file written anywhere else could be left torn under its name, or
+    # leave a directory behind that a run made before it failed
+    writes = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for where, call in _calls_by_function(tree, path.stem):
+            name = _dotted(call.func)
+            if name in WRITE_CALLS or _opens_for_writing(call):
+                writes.append(f"{where} {name}")
+    assert sorted(writes) == ["cache.write_file open", "cache.write_file os.makedirs",
+                              "cache.write_file os.replace"]
+
+
 def _loaded_after(code, modules):
     """Those of `modules` that a fresh interpreter has loaded after `code`."""
     code += f"; import sys; print(*(m for m in {modules!r} if m in sys.modules))"

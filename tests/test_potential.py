@@ -41,6 +41,16 @@ def test_double_well_cell_rejected():
         st.make_potential("cos-series", a=1.0, coeffs=[0.0, 1.0])
 
 
+@pytest.mark.parametrize("family, params, match", [
+    ("sin2", dict(v0=8.0, a=0.0), "period must be positive, got 0.0"),
+    ("cos-series", dict(a=-1.0, coeffs=[4.0]), "period must be positive, got -1.0"),
+    ("cos-series", dict(a=1.0, coeffs=[]), "nonempty coefficient list"),
+], ids=["sin2-a-zero", "cos-series-a-negative", "cos-series-empty"])
+def test_invalid_family_parameters_rejected(family, params, match):
+    with pytest.raises(PotentialError, match=match):
+        st.make_potential(family, **params)
+
+
 def test_unknown_family_rejected():
     # one spelling per family: near-miss spellings are unknown too
     for family in ("quartic", "cos_series", "Fourier", "custom-samples"):

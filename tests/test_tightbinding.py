@@ -63,6 +63,12 @@ def test_interaction_constant_degenerate_power(bundle_factory):
     assert abs(st.interaction_constant(bun.wb, bun.dom, 0.0) - 1.0) < 1e-10
 
 
+def test_interaction_constant_refuses_a_negative_power(bundle_factory):
+    bun = bundle_factory(0.2)
+    with pytest.raises(ValueError, match="sigma must be >= 0"):
+        st.interaction_constant(bun.wb, bun.dom, -0.5)
+
+
 def test_interaction_constant_scaling(bundle_factory):
     c2 = bundle_factory(0.2).tbp.c0 * np.sqrt(0.2)
     c1 = bundle_factory(0.1).tbp.c0 * np.sqrt(0.1)

@@ -290,6 +290,17 @@ def test_band_domain_mismatch_named(bundle_factory, ref_spec):
                           bd=bd)
 
 
+@pytest.mark.parametrize("hbar, cells, match", [
+    (0.25, 8, r"cells=8 too small for lag band 4"),
+    # the translates of a wide well overlap too much for a localized basis
+    (1.0, 16, r"overlap matrix ill-conditioned \(\|\|A\|\| >= 1\): hbar too large"),
+], ids=["short-domain", "hbar-too-large"])
+def test_basis_refusals_named(ref_spec, hbar, cells, match):
+    dom = PeriodicDomain(ref_spec, hbar, cells, 16)
+    with pytest.raises(BasisError, match=match):
+        st.build_orthonormal_basis(dom, lowdin_band=4)
+
+
 def test_small_domain_warns(ref_spec):
     dom = PeriodicDomain(ref_spec, 0.25, 8, 64)
     with pytest.warns(UserWarning, match="interior"):
