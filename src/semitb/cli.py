@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bloch, scan
 from .cache import CACHE_VERSION, BundleCache
-from .errors import ConfigError, Error, PotentialError, SolverError
+from .errors import ConfigError, Error, PotentialError
 from .potential import PotentialSpec, make_potential, tunneling_action
 
 log = logging.getLogger(__name__)
@@ -114,8 +114,9 @@ def _convert(section, key, kind, raw):
             return raw.strip()
         if kind is int:
             return int(raw)
-        value = (float(raw) if kind is float
-                 else tuple(float(t) for t in raw.replace(",", " ").split()))
+        # + 0.0 turns -0.0 into 0.0, so -0 is written as the 0 it counts as
+        value = (float(raw) + 0.0 if kind is float
+                 else tuple(float(t) + 0.0 for t in raw.replace(",", " ").split()))
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from exc
     if np.isfinite(value).all():
@@ -123,7 +124,7 @@ def _convert(section, key, kind, raw):
     raise ConfigError(f"{section}.{key}: {raw.strip()!r} is not finite")
 
 
-def parse_config(path: str, allow_low_sigma: bool = False) -> RunConfig:
+def parse_config(path: str) -> RunConfig:
     """Parse and validate a run configuration file."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -148,17 +149,14 @@ def parse_config(path: str, allow_low_sigma: bool = False) -> RunConfig:
         elif default is _REQUIRED:
             raise ConfigError(f"{section}.{key}: required field missing")
     cfg = RunConfig(**values)
-    _validate(cfg, allow_low_sigma)
+    _validate(cfg)
     return cfg
 
 
-def _validate(cfg: RunConfig, allow_low_sigma: bool):
-    if cfg.sigma <= 0:
-        raise ConfigError("sweep.sigma: must be positive")
-    if cfg.sigma < 0.5 and not allow_low_sigma:
-        raise ConfigError(
-            "sweep.sigma: below 1/2 needs --allow-low-sigma (reduced-model "
-            "regularity is not guaranteed there)")
+def _validate(cfg: RunConfig):
+    # the Newton and contraction steps need a Lipschitz Jacobian of |phi|^{2 sigma} phi
+    if cfg.sigma < 0.5:
+        raise ConfigError("sweep.sigma: must be >= 1/2")
     if cfg.delta0 <= 0:
         raise ConfigError("numerics.delta0: must be positive")
     if any(h <= 0 for h in cfg.hbar_ladder):
@@ -328,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "parameters, DNLS branches, continuum reconstruction.")
     p.add_argument("--config", default="run.ini", help="run configuration file")
     p.add_argument("--cache", default=None, help="override cache directory")
-    p.add_argument("--allow-low-sigma", action="store_true",
-                   help="permit sigma < 1/2 (exploratory lattice-only mode)")
     p.add_argument("-v", "--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
     for name, fn in _COMMANDS.items():
@@ -393,7 +389,7 @@ def main(argv=None) -> int:
         logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                             format="%(levelname)s %(name)s: %(message)s")
         try:
-            cfg = parse_config(args.config, allow_low_sigma=args.allow_low_sigma)
+            cfg = parse_config(args.config)
             if args.cache:
                 _refuse_non_directory("--cache", args.cache)
                 cfg = dataclasses.replace(cfg, cache_dir=args.cache)
@@ -404,9 +400,6 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"I/O error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        except SolverError as exc:
-            print(f"solver error: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
         except Error as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SOLVER

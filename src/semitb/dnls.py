@@ -1,4 +1,4 @@
-"""Stationary discrete NLS on a truncated lattice.
+"""Stationary discrete NLS on a truncated lattice with zero ends.
 
 Solves E F_k - (F_{k+1} + F_{k-1}) + eta |F_k|^{2 sigma} F_k = 0 with the
 unit-norm constraint by a bordered Newton iteration in (F, E), continued
@@ -23,6 +23,8 @@ NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DnlsProblem:
+    """The lattice equation on n_sites sites with zero ends; boundary is "zero" alone."""
+
     eta: float
     sigma: float = 1.0
     n_sites: int = 41
@@ -35,7 +37,7 @@ class DnlsProblem:
             raise ValueError("n_sites must be >= 3")
         if self.sigma <= 0:
             raise ValueError("sigma must be > 0")
-        if self.boundary not in ("zero", "periodic"):
+        if self.boundary != "zero":
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
 
@@ -59,35 +61,33 @@ class DnlsState:
         return float(np.linalg.norm(self.f))
 
 
-def neighbor_sum(f: np.ndarray, boundary: str) -> np.ndarray:
-    """T F along the last axis: the nearest-neighbor stencil, the one source of T."""
+def neighbor_sum(f: np.ndarray) -> np.ndarray:
+    """T F along the last axis: the nearest-neighbor stencil with zero ends,
+    the one source of T."""
     out = np.zeros_like(f)
     out[..., :-1] += f[..., 1:]
     out[..., 1:] += f[..., :-1]
-    if boundary == "periodic":
-        out[..., 0] += f[..., -1]
-        out[..., -1] += f[..., 0]
     return out
 
 
 @functools.cache
-def _stencil(n: int, boundary: str) -> np.ndarray:
-    """T as a read-only n x n matrix, built once per size and boundary."""
-    t = neighbor_sum(np.eye(n), boundary)
+def _stencil(n: int) -> np.ndarray:
+    """T as a read-only n x n matrix, built once per size."""
+    t = neighbor_sum(np.eye(n))
     t.flags.writeable = False
     return t
 
 
 def dnls_residual(f: np.ndarray, e, prob: DnlsProblem) -> np.ndarray:
     """Componentwise E F - (T F) + eta |F|^{2 sigma} F, per row of F (E one per row)."""
-    return (np.asarray(e)[..., None] * f - neighbor_sum(f, prob.boundary)
+    return (np.asarray(e)[..., None] * f - neighbor_sum(f)
             + prob.eta * np.abs(f) ** (2 * prob.sigma) * f)
 
 
 def linearization_lplus(f: np.ndarray, e, prob: DnlsProblem) -> np.ndarray:
     """Real linearization at F: E + eta (2 sigma + 1)|F|^{2 sigma} - T, per row of F."""
     n = np.shape(f)[-1]
-    out = np.zeros(np.shape(f) + (n,)) - _stencil(n, prob.boundary)
+    out = np.zeros(np.shape(f) + (n,)) - _stencil(n)
     idx = np.arange(n)
     out[..., idx, idx] = (np.asarray(e)[..., None] + prob.eta * (2 * prob.sigma + 1)
                           * np.abs(f) ** (2 * prob.sigma))
@@ -221,9 +221,9 @@ def solve_anticontinuum(prob: DnlsProblem, seed_site: int,
     return ContinuationResult(states=tuple(states), turning_point=turning)
 
 
-def _band_top(n_sites: int, boundary: str) -> float:
-    """lambda_max(T), the top of the linear band: 2 cos(pi/(n+1)), or 2 on a ring."""
-    return 2.0 if boundary == "periodic" else 2.0 * np.cos(np.pi / (n_sites + 1))
+def _band_top(n_sites: int) -> float:
+    """lambda_max(T), the top of the linear band: 2 cos(pi/(n+1))."""
+    return 2.0 * np.cos(np.pi / (n_sites + 1))
 
 
 def _continue_to(prob: DnlsProblem, f, e, start, target):
@@ -233,7 +233,7 @@ def _continue_to(prob: DnlsProblem, f, e, start, target):
     band, -sign(eta) E <= lambda_max(T): the localized branch lies outside
     it, so such a state belongs to another branch.
     """
-    top = _band_top(prob.n_sites, prob.boundary)
+    top = _band_top(prob.n_sites)
     eta = start
     step = target - start
     depth = 0
@@ -345,19 +345,16 @@ def brute_force_states(prob: DnlsProblem, n_starts: int = 200,
     return [s for s in _newton_stack(prob, f0, e0) if isinstance(s, DnlsState)]
 
 
-def linear_ground_state(n_sites: int, boundary: str = "zero") -> DnlsState:
+def linear_ground_state(n_sites: int) -> DnlsState:
     """The eta = 0 reference: top eigenvector of the neighbor-sum stencil.
 
-    It has a closed form, f_j = sin(pi j/(N+1)) for j = 1..N with zero
-    ends and the uniform 1/sqrt(N) on a ring, normalized; its eigenvalue
-    is _band_top, the one lambda_max(T) of the continuation's band test.
-    This is the state the focusing branch connects to as eta -> 0-, with
-    all positive amplitudes and participation proportional to N.
+    It has a closed form, f_j = sin(pi j/(N+1)) for j = 1..N, normalized;
+    its eigenvalue is _band_top, the one lambda_max(T) of the
+    continuation's band test.  This is the state the focusing branch
+    connects to as eta -> 0-, with all positive amplitudes and
+    participation proportional to N.
     """
-    if boundary == "periodic":
-        f = np.full(n_sites, 1.0 / np.sqrt(n_sites))
-    else:
-        f = np.sin(np.pi / (n_sites + 1) * np.arange(1, n_sites + 1))
-        f /= np.linalg.norm(f)
-    return DnlsState(eta=0.0, sigma=1.0, f=f, e=float(_band_top(n_sites, boundary)),
+    f = np.sin(np.pi / (n_sites + 1) * np.arange(1, n_sites + 1))
+    f /= np.linalg.norm(f)
+    return DnlsState(eta=0.0, sigma=1.0, f=f, e=float(_band_top(n_sites)),
                      residual_norm=0.0)

@@ -140,7 +140,7 @@ def _remainder_term(c, phi, tbp, dom, wb):
 
 
 def check_lattice_invertibility(c, e_param, tbp):
-    """Smallest singular value of the periodic lattice linearization.
+    """(lp, smin): the periodic lattice linearization and its least singular value.
 
     The linearization is that of the reduced equation: ring_coupling, the
     whole band-1 row over beta, plus the diagonal of E and the

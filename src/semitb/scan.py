@@ -184,14 +184,13 @@ def _dnls_ladder(cfg):
             continue
         anchor = sign * max(50.0, abs(branch[0]))
         path = [anchor] + [e for e in branch if abs(e) < abs(anchor)]
-        prob = dnls.DnlsProblem(eta=anchor, sigma=cfg.sigma,
-                                n_sites=cfg.n_sites, boundary="zero")
+        prob = dnls.DnlsProblem(eta=anchor, sigma=cfg.sigma, n_sites=cfg.n_sites)
         result = dnls.solve_anticontinuum(prob, cfg.seed_site, path)
         turning = turning or result.turning_point
         for s in result.states:
             if any(abs(s.eta - e) < 1e-12 for e in cfg.eta_values):
                 states[s.eta] = s
-    states[0.0] = dnls.linear_ground_state(cfg.n_sites, "zero")
+    states[0.0] = dnls.linear_ground_state(cfg.n_sites)
     return states, turning
 
 
@@ -301,19 +300,15 @@ def _sweep_row(cfg, hb, bun, lattice_states, state_dir):
 def _participation_crossing(lattice_states) -> float | None:
     """Interpolated |eta| where participation first drops below 1.5 sites.
 
-    A diagnostic convention, not a claimed critical point.
+    A diagnostic convention, not a claimed critical point.  The first
+    point, eta = 0, spans 2(N+1)/3 >= 8/3 sites, so it never crosses.
     """
     pts = sorted(((abs(e), s.participation) for e, s in lattice_states.items()),
                  key=lambda t: t[0])
-    prev = None
-    for ae, p in pts:
-        if p < PARTICIPATION_CROSSING and prev is not None:
-            ae0, p0 = prev
+    for (ae0, p0), (ae, p) in zip(pts, pts[1:]):
+        if p < PARTICIPATION_CROSSING:
             t = (p0 - PARTICIPATION_CROSSING) / (p0 - p)
             return float(ae0 + t * (ae - ae0))
-        if p < PARTICIPATION_CROSSING:
-            return float(ae)
-        prev = (ae, p)
     return None
 
 

@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import errno
 import functools
@@ -6,6 +7,7 @@ import importlib.util
 import io
 import json
 import logging
+import math
 import os
 import re
 import shutil
@@ -21,7 +23,7 @@ from conftest import REF_CFG, orbitals
 
 import semitb.cache as cache_module
 import semitb.cli as cli
-from semitb.errors import ConfigError, NonConvergenceError
+from semitb.errors import BasisError, ConfigError, GaugeError, NonConvergenceError
 from semitb.operators import PeriodicDomain
 
 GOOD = """\
@@ -70,7 +72,32 @@ def test_parse_and_roundtrip(tmp_path):
 
 def test_negative_zero_eta_is_the_linear_reference(tmp_path):
     path = _write(tmp_path, GOOD.replace("eta = 0, -2, -50", "eta = -0.0, -2, -50"))
-    assert cli.parse_config(str(path)).eta_values == (0.0, -2.0, -50.0)
+    etas = cli.parse_config(str(path)).eta_values
+    assert etas == (0.0, -2.0, -50.0)
+    assert math.copysign(1.0, etas[0]) == 1.0  # stored as 0.0, not -0.0
+
+
+def test_negative_zero_eta_writes_the_outputs_of_zero(tmp_path):
+    # -0 once reached params.csv and continuum.csv as -0.0, while the
+    # ladder and the state file names spelt it 0.0 and +0
+    outs = []
+    for name, eta in (("zero", "0"), ("negative-zero", "-0")):
+        run = tmp_path / name
+        run.mkdir()
+        text = GOOD.replace("eta = 0, -2, -50", f"eta = {eta}, -2, -50")
+        path = run / "run.ini"
+        path.write_text(text.format(out=run / "out", cache=tmp_path / "cache"))
+        assert cli.main(["--config", str(path), "scan"]) == cli.EXIT_OK
+        outs.append(run / "out")
+    names = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*")
+                           if p.is_file())
+    assert Path("states", "dnls_eta+0.npz") in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    for csv_name in ("params.csv", "continuum.csv"):
+        cells = (outs[1] / csv_name).read_text().replace("\n", ",").split(",")
+        assert "0.0" in cells and "-0.0" not in cells
 
 
 def test_delta0_defaults_to_the_reference_value(tmp_path):
@@ -119,13 +146,16 @@ def test_missing_required_field_named(tmp_path):
         cli.parse_config(str(_write(tmp_path, text)))
 
 
-def test_low_sigma_gate(tmp_path):
-    text = GOOD.replace("sigma = 1.0", "sigma = 0.3")
-    path = _write(tmp_path, text)
-    with pytest.raises(ConfigError, match="allow-low-sigma"):
+def test_low_sigma_gate(tmp_path, capsys):
+    # sigma < 1/2 is refused outright: no flag lifts the refusal
+    path = _write(tmp_path, GOOD.replace("sigma = 1.0", "sigma = 0.3"))
+    with pytest.raises(ConfigError, match=r"sweep\.sigma: must be >= 1/2"):
         cli.parse_config(str(path))
-    cfg = cli.parse_config(str(path), allow_low_sigma=True)
-    assert cfg.sigma == 0.3
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(path), "--allow-low-sigma", "dnls"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --allow-low-sigma" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_config_error_exit_code(tmp_path):
@@ -176,15 +206,15 @@ def test_a_value_error_is_a_program_fault_not_a_config_error(tmp_path, monkeypat
         cli.main(["--config", str(_write(tmp_path)), "dnls"])
 
 
-def test_a_solver_error_exits_3(tmp_path, monkeypatch, capsys):
-    # no config input reaches this: the continuation and the sweep record
-    # their solver failures, so the error is raised by hand
+@pytest.mark.parametrize("error", [NonConvergenceError, BasisError, GaugeError])
+def test_a_solver_error_exits_3(tmp_path, monkeypatch, capsys, error):
+    # every semitb error raised during a run exits 3 under one prefix
     def fault(cfg):
-        raise NonConvergenceError("budget exceeded")
+        raise error("budget exceeded")
 
     monkeypatch.setattr(cli.scan, "_dnls_ladder", fault)
     assert cli.main(["--config", str(_write(tmp_path)), "dnls"]) == cli.EXIT_SOLVER
-    assert capsys.readouterr().err == "solver error: budget exceeded\n"
+    assert capsys.readouterr().err == "error: budget exceeded\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -389,7 +419,9 @@ def test_a_write_cut_short_leaves_the_old_file_or_none(tmp_path, monkeypatch, ca
     # a family field that make_potential refuses: two equal wells per cell
     (("family = sin2\nv0 = 8.0", "family = cos-series\ncoeffs = 0, 1"),
      r"error: potential\.coeffs: 2 equally deep minima"),
-    (("sigma = 1.0", "sigma = 0"), r"sweep\.sigma: must be positive"),
+    (("sigma = 1.0", "sigma = 0"), r"sweep\.sigma: must be >= 1/2"),
+    # |phi|^{2 sigma} phi has a Lipschitz Jacobian only for sigma >= 1/2
+    (("sigma = 1.0", "sigma = 0.3"), r"sweep\.sigma: must be >= 1/2"),
     (("delta0 = 8.0", "delta0 = -1"), r"numerics\.delta0: must be positive"),
     (("hbar = 0.3, 0.25, 0.2, 0.15", "hbar = 0.3, 0.25, 0.2, 0"),
      r"sweep\.hbar: entries must be positive"),
@@ -401,7 +433,7 @@ def test_a_write_cut_short_leaves_the_old_file_or_none(tmp_path, monkeypatch, ca
         "lowdin-band", "n-pw-even", "n-pw-few", "n-kappa", "n-bands",
         "family-alias", "sin2-without-v0", "sin2-with-coeffs",
         "cos-series-with-v0", "cos-series-without-coeffs", "two-wells",
-        "sigma-zero", "delta0-negative", "hbar-zero", "a-zero"])
+        "sigma-zero", "sigma-low", "delta0-negative", "hbar-zero", "a-zero"])
 def test_config_errors_exit_before_any_build(tmp_path, capsys, edit, key):
     text = GOOD.replace("lowdin_band = 4\n", "") if "lowdin" in edit[1] else GOOD
     assert edit[0] in text
@@ -727,6 +759,18 @@ def test_every_subcommand_has_help():
     for name in cli._COMMANDS:
         line = next(ln for ln in lines if ln.split()[:1] == [name])
         assert len(line.split()) > 1, f"subcommand {name} has no help text"
+
+
+def test_the_parser_has_exactly_the_documented_options():
+    # a new flag must change this test and README's CLI section together
+    parser = cli.build_parser()
+    options = {tuple(a.option_strings) for a in parser._actions if a.option_strings}
+    assert options == {("-h", "--help"), ("--config",), ("--cache",),
+                       ("-v", "--verbose")}
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["bands", "wannier", "params", "dnls", "scan", "verify"]
+    assert all(not any(a.option_strings and a.dest != "help" for a in sp._actions)
+               for sp in sub.choices.values())
 
 
 SRC = Path(cli.__file__).resolve().parents[1]

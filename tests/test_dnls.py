@@ -29,15 +29,19 @@ def test_residual_decoupled_delta():
 
 
 def test_residual_plane_wave_linear_spectrum():
+    # the chain's standing waves sin(pi m j/(N+1)) have the exact
+    # eigenvalues 2cos(pi m/(N+1)) of T
     n = 16
-    prob = st.DnlsProblem(eta=0.0, sigma=1.0, n_sites=n, boundary="periodic")
-    j = np.arange(n)
+    prob = st.DnlsProblem(eta=0.0, sigma=1.0, n_sites=n)
+    j = np.arange(1, n + 1)
     for m in (1, 3, 5):
-        k = 2 * np.pi * m / n
-        f = np.exp(1j * k * j) / np.sqrt(n)
+        k = np.pi * m / (n + 1)
+        f = np.sin(k * j) * np.sqrt(2 / (n + 1))
+        assert abs(np.linalg.norm(f) - 1.0) < 1e-14
         assert np.abs(st.dnls_residual(f, 2 * np.cos(k), prob)).max() < 1e-14
-        # the same eigenvalue written as -2cos belongs to the staggered wave
-        fs = np.exp(1j * (k + np.pi) * j) / np.sqrt(n)
+        # the same eigenvalue written as -2cos belongs to the staggered wave,
+        # mode N + 1 - m
+        fs = (-1.0) ** (j + 1) * f
         assert np.abs(st.dnls_residual(fs, -2 * np.cos(k), prob)).max() < 1e-14
 
 
@@ -55,10 +59,10 @@ def test_rayleigh_orthogonality():
 
 def test_linearization_spectrum_linear_case():
     n = 16
-    prob = st.DnlsProblem(eta=0.0, sigma=1.0, n_sites=n, boundary="periodic")
+    prob = st.DnlsProblem(eta=0.0, sigma=1.0, n_sites=n)
     e = 0.7
     lp = st.linearization_lplus(np.zeros(n), e, prob)
-    expect = np.sort(e - 2 * np.cos(2 * np.pi * np.arange(n) / n))
+    expect = np.sort(e - 2 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)))
     assert np.abs(np.sort(np.linalg.eigvalsh(lp)) - expect).max() < 1e-12
 
 
@@ -76,25 +80,21 @@ def test_linearization_anticontinuum_diagonal():
 def test_stencil_matrices_match_explicit_tridiagonal():
     rng = np.random.default_rng(5)
     for n in (3, 7, 41):
-        for boundary in ("zero", "periodic"):
-            t = np.zeros((n, n))
-            idx = np.arange(n - 1)
-            t[idx, idx + 1] = t[idx + 1, idx] = 1.0
-            if boundary == "periodic":
-                t[0, -1] += 1.0
-                t[-1, 0] += 1.0
-            prob = st.DnlsProblem(eta=-2.5, sigma=1.0, n_sites=n, boundary=boundary)
-            f = rng.standard_normal(n)
-            lp = st.linearization_lplus(f, 0.7, prob)
-            assert np.array_equal(lp, np.diag(0.7 - 7.5 * f**2) - t)
-            # the closed-form reference state against eigh's top eigenpair
-            s = linear_ground_state(n, boundary)
-            assert s.e == dnls._band_top(n, boundary)
-            w, v = np.linalg.eigh(t)
-            assert abs(s.e - w[-1]) <= 4 * np.spacing(s.e)
-            top = v[:, -1] * np.sign(v[np.argmax(np.abs(v[:, -1])), -1])
-            assert np.abs(s.f - top).max() <= 1e-14
-            assert np.linalg.norm(t @ s.f - s.e * s.f) <= 1e-14
+        t = np.zeros((n, n))
+        idx = np.arange(n - 1)
+        t[idx, idx + 1] = t[idx + 1, idx] = 1.0
+        prob = st.DnlsProblem(eta=-2.5, sigma=1.0, n_sites=n)
+        f = rng.standard_normal(n)
+        lp = st.linearization_lplus(f, 0.7, prob)
+        assert np.array_equal(lp, np.diag(0.7 - 7.5 * f**2) - t)
+        # the closed-form reference state against eigh's top eigenpair
+        s = linear_ground_state(n)
+        assert s.e == dnls._band_top(n)
+        w, v = np.linalg.eigh(t)
+        assert abs(s.e - w[-1]) <= 4 * np.spacing(s.e)
+        top = v[:, -1] * np.sign(v[np.argmax(np.abs(v[:, -1])), -1])
+        assert np.abs(s.f - top).max() <= 1e-14
+        assert np.linalg.norm(t @ s.f - s.e * s.f) <= 1e-14
 
 
 def test_linearization_matches_finite_differences():
@@ -380,6 +380,10 @@ def test_problem_validation():
         st.DnlsProblem(eta=-1.0, sigma=1.0, n_sites=2)
     with pytest.raises(ValueError):
         st.DnlsProblem(eta=-1.0, sigma=1.0, boundary="absorbing")
+    # the zero-boundary chain is the only lattice; the ring stencil is gone
+    with pytest.raises(ValueError, match="unknown boundary 'periodic'"):
+        st.DnlsProblem(eta=-1.0, sigma=1.0, boundary="periodic")
+    assert st.DnlsProblem(eta=-1.0, boundary="zero") == st.DnlsProblem(eta=-1.0)
 
 
 def _ladder_state(cfg, eta, others=()):
@@ -419,7 +423,7 @@ def test_jump_above_the_band_stays_on_the_branch(ref_cfg):
 
 def test_persistent_rejection_names_the_band():
     # Newton from the second linear mode stays in the band at every step
-    w, v = np.linalg.eigh(dnls.neighbor_sum(np.eye(11), "zero"))
+    w, v = np.linalg.eigh(dnls.neighbor_sum(np.eye(11)))
     prob = st.DnlsProblem(eta=-1e-3, sigma=1.0, n_sites=11)
     with pytest.raises(SolverError, match=r"stalled between .* inside the linear "
                        r"band \(-sign\(eta\) E <= lambda_max\(T\) = 1\.93185\)"):
@@ -428,7 +432,6 @@ def test_persistent_rejection_names_the_band():
 
 def test_ladder_states_lie_above_the_band(ref_cfg):
     top = 2 * np.cos(np.pi / 42)
-    assert abs(dnls._band_top(41, "zero") - 1.99441) < 1e-5
-    assert dnls._band_top(41, "periodic") == 2.0
+    assert abs(dnls._band_top(41) - 1.99441) < 1e-5
     states = _dnls_ladder(ref_cfg)[0]
     assert all(s.e > top for eta, s in states.items() if eta != 0.0)

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import types
 import weakref
 
 import numpy as np
@@ -13,11 +14,12 @@ import pytest
 
 from semitb import nlse
 from semitb.cli import _validate
+from semitb.dnls import linear_ground_state
 from semitb.errors import ConfigError, Error
 from semitb.operators import l2_norm
 from semitb.wannier import synthesize
-from semitb.scan import (CONTINUUM_HEADER, _dnls_ladder, continuum_column,
-                         fit_exponential_law, run_sweep)
+from semitb.scan import (CONTINUUM_HEADER, _dnls_ladder, _participation_crossing,
+                         continuum_column, fit_exponential_law, run_sweep)
 
 ETAS = (0.0, -2.0, -3.0, -8.0, -50.0)
 LADDER = (0.25, 0.2, 0.16, 0.125)
@@ -80,8 +82,25 @@ def test_plan_validation(cfg):
             (dict(hbar_ladder=(0.25, 0.2, 0.16)), r"sweep\.hbar.*>= 4 points"),
             (dict(cells=13), r"numerics\.cells.*numerics\.lowdin_band = 6")):
         with pytest.raises(ConfigError, match=match):
-            _validate(dataclasses.replace(cfg, **bad), allow_low_sigma=False)
-    _validate(dataclasses.replace(cfg, cells=14), allow_low_sigma=False)
+            _validate(dataclasses.replace(cfg, **bad))
+    _validate(dataclasses.replace(cfg, cells=14))
+
+
+def test_participation_crossing_interpolates_or_is_none():
+    # participation falls with |eta|; the crossing of 1.5 sites is
+    # interpolated between the last point above it and the first below it
+    def states(parts):
+        return {eta: types.SimpleNamespace(participation=p) for eta, p in parts.items()}
+
+    assert _participation_crossing(states({0.0: 10.0, -1.0: 3.0, -2.0: 1.2, -5.0: 1.01})) \
+        == pytest.approx(1.0 + (3.0 - 1.5) / (3.0 - 1.2))
+    # the sort is by |eta|, whatever the sign or the dict order
+    assert _participation_crossing(states({-2.0: 1.2, 0.0: 10.0, 1.0: 3.0})) \
+        == pytest.approx(1.0 + (3.0 - 1.5) / (3.0 - 1.2))
+    assert _participation_crossing(states({0.0: 10.0, -1.0: 3.0, -2.0: 1.6})) is None
+    # the eta = 0 state, always first, spans 2(N+1)/3 >= 8/3 sites: never below 1.5
+    for n in (3, 4, 21, 41):
+        assert linear_ground_state(n).participation == pytest.approx(2 * (n + 1) / 3)
 
 
 def test_sweep_report_contents(cfg, mini_bundles, tmp_path):
