@@ -26,6 +26,7 @@ cells, so synthesis and analysis are circulant products on the
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import warnings
 
 import numpy as np
@@ -68,9 +69,14 @@ class WannierBasis:
         return domain_sites(self.cells)
 
 
-def _ring_lags(cells: int) -> np.ndarray:
+@functools.cache
+def _site_lags(cells: int) -> np.ndarray:
+    """(q - s_j) mod cells at (q, j), s_j the domain sites: the gather of
+    synthesize and analyze, read-only, built once per cell count."""
     q = np.arange(cells)
-    return (q[:, None] - q) % cells  # (q - p) mod cells
+    lags = (q[:, None] - domain_sites(cells)) % cells
+    lags.flags.writeable = False
+    return lags
 
 
 def synthesize(wb: WannierBasis, c: np.ndarray) -> np.ndarray:
@@ -79,8 +85,7 @@ def synthesize(wb: WannierBasis, c: np.ndarray) -> np.ndarray:
     Row q of u_j on the (cells, ppc) reshape is row q - s_j of u0's: the
     sum is the circulant of c (by site mod cells) times that reshape.
     """
-    ring = np.roll(c, wb.sites[0])
-    return (ring[_ring_lags(wb.cells)] @ wb.u0.reshape(wb.cells, -1)).ravel()
+    return (c[_site_lags(wb.cells)] @ wb.u0.reshape(wb.cells, -1)).ravel()
 
 
 def analyze(wb: WannierBasis, dx: float, f: np.ndarray) -> np.ndarray:
@@ -90,8 +95,7 @@ def analyze(wb: WannierBasis, dx: float, f: np.ndarray) -> np.ndarray:
     with row p of u0: site s_j sums those with q - p = s_j (mod cells).
     """
     pairs = f.reshape(wb.cells, -1) @ wb.u0.reshape(wb.cells, -1).T
-    ring = np.take_along_axis(pairs, _ring_lags(wb.cells), axis=1).sum(axis=0)
-    return dx * np.roll(ring, -wb.sites[0])
+    return dx * np.take_along_axis(pairs, _site_lags(wb.cells), axis=1).sum(axis=0)
 
 
 def fix_gauge(dom: PeriodicDomain) -> np.ndarray:

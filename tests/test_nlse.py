@@ -128,6 +128,66 @@ def test_reconstruction_is_independent_of_earlier_solves(bundle_factory,
     assert first.iterations == again.iterations
 
 
+def test_reconstruction_steps_the_perp_map_once_and_certifies_the_result(
+        bundle_factory, ladder_states, monkeypatch):
+    bun = bundle_factory(0.16)
+    tbp = with_eta(bun.tbp, -3.0)
+    starts = []  # of the certifying fixed point, the last solve of the call
+    calls = {"evaluations": 0, "loop": 0}
+    kernel = PeriodicDomain.resolvent_perp
+    perp_map = st.nlse._perp_map
+    fixed_point = st.nlse.solve_perp_fixed_point
+
+    def counted(self, phi, z):
+        calls["loop"] += not starts
+        return kernel(self, phi, z)
+
+    def counted_map(*args):
+        # the loop builds the map once per evaluation
+        calls["evaluations"] += not starts
+        return perp_map(*args)
+
+    def certify(*args, **kwargs):
+        starts.append(kwargs["start"])
+        return fixed_point(*args, **kwargs)
+
+    monkeypatch.setattr(PeriodicDomain, "resolvent_perp", counted)
+    monkeypatch.setattr(st.nlse, "_perp_map", counted_map)
+    monkeypatch.setattr(st.nlse, "solve_perp_fixed_point", certify)
+    cs = st.reconstruct_and_correct(ladder_states[-3.0], tbp, bun.dom, bun.wb,
+                                    delta0=8.0)
+    # one certifying fixed point, started from the loop's last phi_perp
+    assert len(starts) == 1 and starts[0] is not None
+    assert cs.iterations <= calls["evaluations"]
+    assert calls["loop"] <= calls["evaluations"]
+    # the reported phi_perp is a fixed point: one more step moves it by
+    # less than the fixed point's stop, and perp_h1 is its H1 norm
+    perp = cs.phi - synthesize(bun.wb, cs.c)
+    again = -tbp.gamma * kernel(bun.dom, _nonlinear_term(cs.phi, 1.0), cs.lam)
+    assert bun.dom.h1_norm(again - perp) < st.nlse.FIXED_POINT_TOL
+    assert abs(cs.perp_h1 - bun.dom.h1_norm(perp)) <= 1e-15 * cs.perp_h1
+
+
+def test_reconstruction_names_a_perp_map_that_does_not_contract(
+        bundle_factory, ladder_states, monkeypatch):
+    # a map whose iterates double: the loop's single steps cannot see it,
+    # the certifying fixed point at the final c does
+    bun = bundle_factory(0.16)
+    tbp = with_eta(bun.tbp, -3.0)
+    calls = []
+
+    def growing(self, phi, z):
+        calls.append(z)
+        return -(2.0 ** len(calls)) * 1e-12 / tbp.gamma * np.ones(self.n)
+
+    monkeypatch.setattr(PeriodicDomain, "resolvent_perp", growing)
+    with pytest.raises(SolverError, match="fixed point not contracting") as err:
+        st.reconstruct_and_correct(ladder_states[-3.0], tbp, bun.dom, bun.wb,
+                                   delta0=8.0)
+    assert not isinstance(err.value, NonConvergenceError)
+    assert "hbar=0.16, eta=-3.0" in str(err.value)
+
+
 def test_perp_not_contracting_names_its_cause(bundle_factory, ladder_states):
     bun = bundle_factory(0.25)
     tbp = with_eta(bun.tbp, -2000.0)
@@ -296,20 +356,21 @@ def test_lattice_invertibility_guard(bundle_factory):
     e_sing = -np.linalg.eigvalsh(ring_coupling(tbp))[3]
     c = np.zeros(bun.wb.cells)
     with pytest.raises(SolverError, match="singular"):
-        check_lattice_invertibility(c, e_sing, tbp)
+        check_lattice_invertibility(c, e_sing, tbp, ring_coupling(tbp))
     # c mirror-symmetric about the seed site (index 15): the nondegenerate
     # near-singular direction has equal peaks at the mirror indices 7 and
     # 23, and both are named, also after a 1-ulp change of c
     tbp = with_eta(bun.tbp, -3.0)
     c = np.exp(-np.abs(bun.wb.sites) / 2.0)
-    nu = np.linalg.eigvalsh(check_lattice_invertibility(c, 0.0, tbp)[0])
+    ring = ring_coupling(tbp)
+    nu = np.linalg.eigvalsh(check_lattice_invertibility(c, 0.0, tbp, ring)[0])
     assert np.diff(nu).min() > 1e-3
     bumped = c.copy()
     bumped[18] = np.nextafter(c[18], 2.0)
     messages = []
     for cv in (c, bumped):
         with pytest.raises(SolverError, match=r"site indices \[7, 23\]") as err:
-            check_lattice_invertibility(cv, 5e-7 - nu[12], tbp)
+            check_lattice_invertibility(cv, 5e-7 - nu[12], tbp, ring)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
 
@@ -339,15 +400,16 @@ def test_lattice_invertibility_matches_the_svd(bundle_factory):
         tbp = dataclasses.replace(with_eta(bun.tbp, -1.0), h_row=row,
                                   eta=rng.uniform(-5, 0))
         c = rng.standard_normal(bun.wb.cells)
-        lp, smin = check_lattice_invertibility(c, 0.0, tbp)
+        ring = ring_coupling(tbp)
+        lp, smin = check_lattice_invertibility(c, 0.0, tbp, ring)
         want, _ = _svd_guard(lp)
         assert abs(smin - want) <= 1e-12 * want
         nu = np.linalg.eigvalsh(lp)
         e_sing = 3e-7 - nu[rng.integers(nu.size)]
-        _, message = _svd_guard(check_lattice_invertibility(c, 0.0, tbp)[0]
+        _, message = _svd_guard(check_lattice_invertibility(c, 0.0, tbp, ring)[0]
                                 + e_sing * np.eye(nu.size))
         with pytest.raises(SolverError) as err:
-            check_lattice_invertibility(c, e_sing, tbp)
+            check_lattice_invertibility(c, e_sing, tbp, ring)
         assert str(err.value) == message
 
 
@@ -359,14 +421,15 @@ def test_reduced_jacobian_matches_finite_differences(bundle_factory,
     c = lattice_map(s, bun.wb)
     # the remainder is held fixed: the Jacobian is the lattice part only
     f_rem = _remainder_term(c, synthesize(bun.wb, c), tbp, bun.dom, bun.wb)
-    lp, _ = check_lattice_invertibility(c, s.e, tbp)
+    ring = ring_coupling(tbp)
+    lp, _ = check_lattice_invertibility(c, s.e, tbp, ring)
     rng = np.random.default_rng(13)
     for _ in range(20):
         v = rng.standard_normal(c.size)
         v /= np.linalg.norm(v)
         eps = 1e-6
-        fd = (_reduced_residual(c + eps * v, s.e, tbp, f_rem)
-              - _reduced_residual(c - eps * v, s.e, tbp, f_rem)) / (2 * eps)
+        fd = (_reduced_residual(c + eps * v, s.e, tbp, ring, f_rem)
+              - _reduced_residual(c - eps * v, s.e, tbp, ring, f_rem)) / (2 * eps)
         assert np.linalg.norm(fd - lp @ v) / np.linalg.norm(lp @ v) < 1e-6
 
 
