@@ -39,7 +39,6 @@ from .tightbinding import (
     with_eta,
 )
 from .dnls import (
-    ContinuationResult,
     DnlsProblem,
     DnlsState,
     decay_rate,

@@ -218,7 +218,7 @@ def check_dnls_solver(ctx: Context) -> tuple[bool, str]:
     small = dnls.DnlsProblem(eta=-8.0, sigma=1.0, n_sites=7)
     cont = dnls.solve_anticontinuum(
         dnls.DnlsProblem(eta=-50.0, sigma=1.0, n_sites=7), 0, [-50.0, -8.0])
-    target = cont.at_eta(-8.0)
+    target = cont[-8.0]
     candidates = dnls.brute_force_states(small, n_starts=200, seed=3)
     dist = np.inf
     for cand in candidates:
@@ -238,7 +238,7 @@ def check_dnls_solver(ctx: Context) -> tuple[bool, str]:
 def check_anticontinuum(ctx: Context) -> tuple[bool, str]:
     """Single-site regime at eta = -50 and the measured energy convention."""
     s = ctx.ladder_states[-50.0]
-    prob = dnls.DnlsProblem(eta=-50.0, sigma=1.0, n_sites=ctx.cfg.n_sites)
+    prob = dnls.DnlsProblem(eta=-50.0, sigma=ctx.cfg.sigma, n_sites=ctx.cfg.n_sites)
     lp = dnls.linearization_lplus(s.f, s.e, prob)
     inv_norm = dnls.operator_l1_norm(np.linalg.inv(lp))
     d_minus = abs(s.e - 50.0)      # distance to E = -eta

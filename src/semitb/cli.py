@@ -283,11 +283,9 @@ def cmd_params(cfg: RunConfig) -> int:
 
 def cmd_dnls(cfg: RunConfig) -> int:
     """Continue the DNLS branch into dnls_ladder.csv."""
-    states, turning = scan._dnls_ladder(cfg)
+    states = scan._dnls_ladder(cfg)
     out = os.path.join(cfg.output_dir, "dnls_ladder.csv")
     scan._write_csv(out, scan.dnls_header(cfg.n_sites), scan.dnls_rows(states))
-    if turning:
-        print("warning: continuation stopped at a turning point")
     print(f"wrote {out}")
     return EXIT_OK
 

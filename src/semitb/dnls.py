@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergenceError, SolverError, TailFitError
+
+log = logging.getLogger(__name__)
 
 RESIDUAL_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -173,26 +176,23 @@ def newton_solve(prob: DnlsProblem, f0: np.ndarray, e0: float) -> DnlsState:
     return out
 
 
-@dataclass(frozen=True)
-class ContinuationResult:
-    states: tuple
-    turning_point: bool
-
-    def at_eta(self, eta: float) -> DnlsState:
-        for s in self.states:
-            if abs(s.eta - eta) <= 1e-12 * max(1.0, abs(eta)):
-                return s
-        raise KeyError(f"no state at eta={eta}")
+def _band_top(n_sites: int) -> float:
+    """lambda_max(T), the top of the linear band: 2 cos(pi/(n+1))."""
+    return 2.0 * np.cos(np.pi / (n_sites + 1))
 
 
 def solve_anticontinuum(prob: DnlsProblem, seed_site: int,
-                        eta_path) -> ContinuationResult:
+                        eta_path) -> dict[float, DnlsState]:
     """Continue the single-site branch from the decoupled limit.
 
-    The path must start at |eta| >= 50 where F = delta is a good seed;
-    intermediate steps are inserted by halving whenever Newton fails or
-    lands in the linear band, off the branch.  On a persistent failure the
-    result carries the path so far and a turning-point flag.
+    The path must start at |eta| >= 50, where F = delta is a good seed.  A
+    step fails when Newton does, or when it converges into the linear band,
+    -sign(eta) E <= lambda_max(T): the localized branch lies outside it, so
+    such a state belongs to another branch.  A failed step is halved, at
+    most 40 times per path point, within a budget of 10000 steps.  Returns
+    {eta: DnlsState} for the path points reached, in path order; where the
+    branch is lost, one warning names the last eta reached, the target and
+    the cause.
     """
     eta_path = [float(v) for v in eta_path]
     if abs(eta_path[0]) < 50:
@@ -203,60 +203,39 @@ def solve_anticontinuum(prob: DnlsProblem, seed_site: int,
         raise ValueError("seed site outside the lattice")
 
     n = prob.n_sites
+    top = _band_top(n)
     f = np.zeros(n)
     f[seed_site + n // 2] = 1.0
-    e = -eta_path[0]
-
-    states = []
-    turning = False
-    current = eta_path[0]
-    for target in eta_path:
-        try:
-            state, f, e = _continue_to(prob, f, e, current, target)
-        except SolverError:
-            turning = True
-            break
-        states.append(state)
-        current = target
-    return ContinuationResult(states=tuple(states), turning_point=turning)
-
-
-def _band_top(n_sites: int) -> float:
-    """lambda_max(T), the top of the linear band: 2 cos(pi/(n+1))."""
-    return 2.0 * np.cos(np.pi / (n_sites + 1))
-
-
-def _continue_to(prob: DnlsProblem, f, e, start, target):
-    """March eta from start to target, halving the step at most 40 times.
-
-    A step fails when Newton does, or when it converges into the linear
-    band, -sign(eta) E <= lambda_max(T): the localized branch lies outside
-    it, so such a state belongs to another branch.
-    """
-    top = _band_top(prob.n_sites)
-    eta = start
-    step = target - start
-    depth = 0
-    for _ in range(10000):
-        nxt = target if abs(step) >= abs(target - eta) else eta + step
-        try:
-            state = newton_solve(dataclasses.replace(prob, eta=nxt), f, e)
-            if -np.sign(nxt) * state.e <= top:
-                raise SolverError(
-                    f"Newton converged to E={state.e:.6g} at eta={nxt}, inside the "
-                    f"linear band (-sign(eta) E <= lambda_max(T) = {top:.6g})")
-        except SolverError as exc:
-            depth += 1
-            step *= 0.5
-            if depth > 40 or abs(step) < 1e-9 * max(1.0, abs(target)):
-                raise SolverError(
-                    f"continuation stalled between eta={eta} and {target}: {exc}"
-                ) from exc
-            continue
-        f, e, eta = state.f, state.e, nxt
-        if eta == target:
-            return state, f, e
-    raise SolverError(f"continuation exceeded its step budget near eta={eta}")
+    eta = eta_path[0]
+    e = -eta
+    states = {}
+    try:
+        for target in eta_path:
+            step, depth = target - eta, 0
+            for _ in range(10000):
+                nxt = target if abs(step) >= abs(target - eta) else eta + step
+                try:
+                    state = newton_solve(dataclasses.replace(prob, eta=nxt), f, e)
+                    if -np.sign(nxt) * state.e <= top:
+                        raise SolverError(
+                            f"Newton converged to E={state.e:.6g} at eta={nxt}, inside "
+                            f"the linear band (-sign(eta) E <= lambda_max(T) = {top:.6g})")
+                except SolverError:
+                    depth += 1
+                    step *= 0.5
+                    if depth > 40 or abs(step) < 1e-9 * max(1.0, abs(target)):
+                        raise
+                    continue
+                f, e, eta = state.f, state.e, nxt
+                if eta == target:
+                    states[target] = state
+                    break
+            else:
+                raise SolverError("the step budget of 10000 steps ran out")
+    except SolverError as exc:
+        log.warning("single-site branch lost between eta=%.6g and %.6g: %s",
+                    eta, target, exc)
+    return states
 
 
 def decay_rate(f: np.ndarray) -> float:
@@ -345,8 +324,9 @@ def brute_force_states(prob: DnlsProblem, n_starts: int = 200,
     return [s for s in _newton_stack(prob, f0, e0) if isinstance(s, DnlsState)]
 
 
-def linear_ground_state(n_sites: int) -> DnlsState:
-    """The eta = 0 reference: top eigenvector of the neighbor-sum stencil.
+def linear_ground_state(n_sites: int, sigma: float) -> DnlsState:
+    """The eta = 0 reference: top eigenvector of the neighbor-sum stencil,
+    recorded with the sigma of the branch it closes.
 
     It has a closed form, f_j = sin(pi j/(N+1)) for j = 1..N, normalized;
     its eigenvalue is _band_top, the one lambda_max(T) of the
@@ -356,5 +336,5 @@ def linear_ground_state(n_sites: int) -> DnlsState:
     """
     f = np.sin(np.pi / (n_sites + 1) * np.arange(1, n_sites + 1))
     f /= np.linalg.norm(f)
-    return DnlsState(eta=0.0, sigma=1.0, f=f, e=float(_band_top(n_sites)),
+    return DnlsState(eta=0.0, sigma=sigma, f=f, e=float(_band_top(n_sites)),
                      residual_norm=0.0)

@@ -53,6 +53,12 @@ def _nonlinear_term(phi: np.ndarray, sigma: float) -> np.ndarray:
     return np.abs(phi) ** (2 * sigma) * phi
 
 
+def _continuum_residual(dom: PeriodicDomain, phi: np.ndarray, lam: float,
+                        gamma: float, sigma: float) -> np.ndarray:
+    """H phi + gamma |phi|^{2 sigma} phi - lambda phi on the grid."""
+    return dom.apply_h(phi) + gamma * _nonlinear_term(phi, sigma) - lam * phi
+
+
 def _perp_map(c: np.ndarray, lam: float, tbp: TBParams, dom: PeriodicDomain,
               wb: WannierBasis, delta0: float):
     """(phi_band, apply): sum_j c_j u_j and the out-of-band map at c.
@@ -219,8 +225,7 @@ def reconstruct_and_correct(state: DnlsState, tbp: TBParams,
     tol = RESIDUAL_FLOOR * max(abs(lam), tbp.hbar)
 
     def _residual(phi):
-        resid = dom.apply_h(phi) + gamma * _nonlinear_term(phi, sigma) - lam * phi
-        return l2_norm(dom.dx, resid)
+        return l2_norm(dom.dx, _continuum_residual(dom, phi, lam, gamma, sigma))
 
     def _evaluate(cv, perp):
         band, apply = _perp_map(cv, lam, tbp, dom, wb, delta0)
@@ -367,7 +372,7 @@ def direct_newton_oracle(dom: PeriodicDomain, lam: float, gamma: float,
     rnorm = np.inf
     minres_steps = 0
     for it in range(max_iter):
-        resid = dom.apply_h(phi) + gamma * _nonlinear_term(phi, sigma) - lam * phi
+        resid = _continuum_residual(dom, phi, lam, gamma, sigma)
         rnorm = l2_norm(dom.dx, resid)
         if rnorm <= ORACLE_TOL:
             break
@@ -384,7 +389,7 @@ def direct_newton_oracle(dom: PeriodicDomain, lam: float, gamma: float,
         scale = 1.0
         for _ in range(40):
             cand = phi + scale * step
-            r_new = dom.apply_h(cand) + gamma * _nonlinear_term(cand, sigma) - lam * cand
+            r_new = _continuum_residual(dom, cand, lam, gamma, sigma)
             if l2_norm(dom.dx, r_new) < rnorm or scale < 2**-30:
                 break
             scale *= 0.5

@@ -11,7 +11,6 @@ float formatting), so identical configurations reproduce identical bytes.
 from __future__ import annotations
 
 import json
-import logging
 import os
 from dataclasses import dataclass
 
@@ -25,8 +24,6 @@ from .operators import PeriodicDomain, l2_norm
 from .potential import tunneling_action
 from .wannier import (WannierBasis, build_orthonormal_basis, fix_gauge,
                       pair_overlap_l1, synthesize)
-
-log = logging.getLogger(__name__)
 
 PARTICIPATION_CROSSING = 1.5
 
@@ -99,8 +96,12 @@ class TransitionReport:
     params_rows: list
     continuum_rows: list
     fits: dict
-    gaps: list
     written: list
+
+    @property
+    def gaps(self) -> list:
+        """The sweep points that delivered no state: fits.json's gaps."""
+        return self.fits["gaps"]
 
 
 PARAMS_HEADER = ("hbar", "lambda1", "beta", "C0", "gamma", "eta", "D_norm",
@@ -171,12 +172,12 @@ def _write_csv(path, header, rows):
 def _dnls_ladder(cfg):
     """Continue the single-site branch through the eta values of a cli.RunConfig.
 
-    Returns ({eta: DnlsState}, turning) with the eta = 0 entry filled by
-    the delocalized linear reference state, which `cli.parse_config`
-    makes sure the eta list asks for.
+    Returns {eta: DnlsState}, with no entry for an eta the continuation did
+    not reach and the eta = 0 entry filled by the delocalized linear
+    reference state, which `cli.parse_config` makes sure the eta list asks
+    for.
     """
     states = {}
-    turning = False
     for sign in (-1.0, 1.0):
         branch = sorted({float(e) for e in cfg.eta_values if sign * e > 0},
                         key=abs, reverse=True)
@@ -185,13 +186,10 @@ def _dnls_ladder(cfg):
         anchor = sign * max(50.0, abs(branch[0]))
         path = [anchor] + [e for e in branch if abs(e) < abs(anchor)]
         prob = dnls.DnlsProblem(eta=anchor, sigma=cfg.sigma, n_sites=cfg.n_sites)
-        result = dnls.solve_anticontinuum(prob, cfg.seed_site, path)
-        turning = turning or result.turning_point
-        for s in result.states:
-            if any(abs(s.eta - e) < 1e-12 for e in cfg.eta_values):
-                states[s.eta] = s
-    states[0.0] = dnls.linear_ground_state(cfg.n_sites)
-    return states, turning
+        reached = dnls.solve_anticontinuum(prob, cfg.seed_site, path)
+        states.update((eta, s) for eta, s in reached.items() if eta in branch)
+    states[0.0] = dnls.linear_ground_state(cfg.n_sites, cfg.sigma)
+    return states
 
 
 def run_sweep(cfg, bundle_of, out_dir: str) -> TransitionReport:
@@ -207,10 +205,7 @@ def run_sweep(cfg, bundle_of, out_dir: str) -> TransitionReport:
     s0 = tunneling_action(cfg.potential())
     ladder = [float(h) for h in cfg.hbar_ladder]
 
-    lattice_states, turning = _dnls_ladder(cfg)
-    if turning:
-        log.warning("continuation hit a turning point; ladder incomplete")
-
+    lattice_states = _dnls_ladder(cfg)
     lattice_rows = dnls_rows(lattice_states)
 
     state_dir = os.path.join(out_dir, "states")
@@ -255,7 +250,7 @@ def run_sweep(cfg, bundle_of, out_dir: str) -> TransitionReport:
 
     return TransitionReport(
         lattice_states=lattice_states, params_rows=point_rows,
-        continuum_rows=continuum_rows, fits=fits, gaps=gaps, written=written,
+        continuum_rows=continuum_rows, fits=fits, written=written,
     )
 
 
@@ -276,7 +271,8 @@ def _sweep_row(cfg, hb, bun, lattice_states, state_dir):
         if eta == 0.0:
             # linear reference row: the reconstruction is the lattice lift
             lam = tbp.lambda1 - tbp.beta * state.e
-            rnorm = l2_norm(bun.dom.dx, bun.dom.apply_h(seed) - lam * seed)
+            rnorm = l2_norm(bun.dom.dx, nlse._continuum_residual(
+                bun.dom, seed, lam, tbp.gamma, tbp.sigma))
             mass = nlse.peak_cell_mass(seed, bun.wb)
             rows.append([hb, eta, lam, state.e, 0.0, 0.0, 0, rnorm, mass])
             continue

@@ -1,4 +1,5 @@
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,20 @@ def full_zone_eigh(dom):
     h = np.fft.fft(np.fft.ifft(dom.dense_h(), axis=1), axis=0)
     bi = dom.block_index
     return np.linalg.eigh(h[bi[:, :, None], bi[:, None, :]])
+
+
+# the fold in eta of the single-site branch at sigma = 2 and 3, to four
+# decimals: a localized state needs a least |eta| there (Weinstein,
+# Nonlinearity 12, 673 (1999)), and natural continuation steps stop at it
+FOLDS = {2.0: -4.0752, 3.0: -5.2004}
+
+
+def lost_interval(records):
+    """(last eta reached, target) of the one lost-branch warning in records."""
+    (message,) = [r.getMessage() for r in records if r.name == "semitb.dnls"]
+    m = re.match(r"single-site branch lost between eta=(\S+) and (\S+): ", message)
+    assert m, message
+    return float(m[1]), float(m[2])
 
 
 @pytest.fixture(scope="session")
@@ -108,6 +123,6 @@ def ladder_states():
     """Single-site branch states at the reference eta values."""
     prob = st.DnlsProblem(eta=-50.0, sigma=1.0, n_sites=41)
     path = [-50.0, -30.0, -20.0, -12.0, -8.0, -5.0, -3.0, -2.0]
-    cont = st.solve_anticontinuum(prob, 0, path)
-    assert not cont.turning_point
-    return {s.eta: s for s in cont.states}
+    states = st.solve_anticontinuum(prob, 0, path)
+    assert list(states) == path  # every point reached, in path order
+    return states

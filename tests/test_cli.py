@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import REF_CFG, orbitals
+from conftest import FOLDS, REF_CFG, lost_interval, orbitals
 
 import semitb.cache as cache_module
 import semitb.cli as cli
@@ -240,6 +240,33 @@ def test_dnls_command_writes_ladder(tmp_path, capsys):
     assert len(ladder) == 1 + 3  # three eta values
     assert {float(line.split(",")[0]) for line in ladder[1:]} == {-50.0, -2.0, 0.0}
     assert capsys.readouterr().out.count("wrote ") == 1
+
+
+def test_a_branch_lost_at_the_fold_leaves_named_gaps(tmp_path, caplog, capsys):
+    # at sigma = 2 the single-site branch folds at eta* = -4.0752: both
+    # commands warn once, name the interval that holds it, and exit 0, and
+    # scan records the eta past it as gaps at every hbar
+    path = _write(tmp_path, GOOD.replace("eta = 0, -2, -50", "eta = 0, -2, -3, -5, -50")
+                  .replace("sigma = 1.0", "sigma = 2.0"))
+    for command in ("dnls", "scan"):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="semitb.dnls"):
+            assert cli.main(["--config", str(path), command]) == 0
+        last, target = lost_interval(caplog.records)
+        assert last < FOLDS[2.0] < target == -3.0
+    out = tmp_path / "out"
+    ladder = (out / "dnls_ladder.csv").read_text().splitlines()[1:]
+    assert [float(line.split(",")[0]) for line in ladder] == [-50.0, -5.0, 0.0]
+    # the other gaps are this coarse grid's hbar = 0.3 reconstructions, which
+    # stall at sigma = 1 too
+    gaps = json.loads((out / "fits.json").read_text())["gaps"]
+    assert [g for g in gaps if g["reason"] == "no lattice state"] == [
+        {"hbar": hb, "eta": eta, "reason": "no lattice state"}
+        for hb in (0.3, 0.25, 0.2, 0.15) for eta in (-3.0, -2.0)]
+    assert "sweep points failed; see fits.json gaps" in capsys.readouterr().out
+    for name in ("dnls_eta-50.npz", "dnls_eta-5.npz", "dnls_eta+0.npz"):
+        with np.load(out / "states" / name) as z:
+            assert z["sigma"] == 2.0, name
 
 
 @functools.cache

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import semitb as st
-from conftest import REF_CFG
+from conftest import FOLDS, REF_CFG, lost_interval
 from semitb import dnls
 from semitb.dnls import (
     brute_force_states,
@@ -88,7 +89,7 @@ def test_stencil_matrices_match_explicit_tridiagonal():
         lp = st.linearization_lplus(f, 0.7, prob)
         assert np.array_equal(lp, np.diag(0.7 - 7.5 * f**2) - t)
         # the closed-form reference state against eigh's top eigenpair
-        s = linear_ground_state(n)
+        s = linear_ground_state(n, 1.0)
         assert s.e == dnls._band_top(n)
         w, v = np.linalg.eigh(t)
         assert abs(s.e - w[-1]) <= 4 * np.spacing(s.e)
@@ -130,8 +131,8 @@ def test_anticontinuum_inverse_bound(ladder_states):
 
 def test_translated_seed_gives_translated_branch():
     prob = st.DnlsProblem(eta=-50.0, sigma=1.0, n_sites=41)
-    s0 = st.solve_anticontinuum(prob, 0, [-50.0]).at_eta(-50.0)
-    s3 = st.solve_anticontinuum(prob, 3, [-50.0]).at_eta(-50.0)
+    s0 = st.solve_anticontinuum(prob, 0, [-50.0])[-50.0]
+    s3 = st.solve_anticontinuum(prob, 3, [-50.0])[-50.0]
     assert np.abs(np.roll(s0.f, 3) - s3.f).max() < 1e-10
 
 
@@ -144,7 +145,7 @@ def test_continuation_path_validation():
     with pytest.raises(ValueError):
         st.solve_anticontinuum(prob, 30, [-50.0])          # seed off lattice
     even = st.DnlsProblem(eta=-50.0, sigma=1.0, n_sites=20)  # sites -10..9
-    assert st.solve_anticontinuum(even, -10, [-50.0]).states[0].f.argmax() == 0
+    assert st.solve_anticontinuum(even, -10, [-50.0])[-50.0].f.argmax() == 0
     with pytest.raises(ValueError, match="seed site"):
         st.solve_anticontinuum(even, 10, [-50.0])
 
@@ -190,7 +191,7 @@ def test_fit_line_matches_polyfit_on_seeded_data():
 
 def test_decay_rate_error_paths():
     with pytest.raises(TailFitError, match=r"profile delocalized: participation .* >= N/4"):
-        st.decay_rate(linear_ground_state(41).f)
+        st.decay_rate(linear_ground_state(41, 1.0).f)
     f = np.zeros(41)
     f[20] = 1.0
     with pytest.raises(TailFitError, match=r"only 0 usable tail sites \(< 4\)"):
@@ -211,7 +212,7 @@ def test_brute_force_oracle_matches_continuation():
     prob = st.DnlsProblem(eta=-8.0, sigma=1.0, n_sites=7)
     target = st.solve_anticontinuum(
         st.DnlsProblem(eta=-50.0, sigma=1.0, n_sites=7), 0,
-        [-50.0, -8.0]).at_eta(-8.0)
+        [-50.0, -8.0])[-8.0]
     best = np.inf
     for cand in brute_force_states(prob, n_starts=200, seed=3):
         for sgn in (1.0, -1.0):
@@ -388,7 +389,7 @@ def test_problem_validation():
 
 def _ladder_state(cfg, eta, others=()):
     cfg = dataclasses.replace(cfg, eta_values=(0.0, eta, *others))
-    return _dnls_ladder(cfg)[0][eta]
+    return _dnls_ladder(cfg)[eta]
 
 
 def test_coarse_eta_list_stays_on_the_branch(ref_cfg):
@@ -396,7 +397,7 @@ def test_coarse_eta_list_stays_on_the_branch(ref_cfg):
     # P = 27.85); the band test halves it back onto the branch
     s = _ladder_state(ref_cfg, -1.0)
     assert abs(s.e - 2.06339) < 1e-5 and abs(s.participation - 11.79) < 1e-2
-    ref = _dnls_ladder(ref_cfg)[0][-1.0]
+    ref = _dnls_ladder(ref_cfg)[-1.0]
     assert np.abs(s.f - ref.f).max() <= 1e-10
 
 
@@ -421,17 +422,47 @@ def test_jump_above_the_band_stays_on_the_branch(ref_cfg):
     assert np.abs(s.f - ref.f).max() <= 1e-10
 
 
-def test_persistent_rejection_names_the_band():
-    # Newton from the second linear mode stays in the band at every step
+def test_persistent_rejection_names_the_band(monkeypatch, caplog):
+    # above |eta| = 30 Newton is the real one; below it lands on the second
+    # linear mode, inside the band, so the steps toward -20 are halved until
+    # they give up near -30, and the one warning gives the band as the cause
     w, v = np.linalg.eigh(dnls.neighbor_sum(np.eye(11)))
-    prob = st.DnlsProblem(eta=-1e-3, sigma=1.0, n_sites=11)
-    with pytest.raises(SolverError, match=r"stalled between .* inside the linear "
-                       r"band \(-sign\(eta\) E <= lambda_max\(T\) = 1\.93185\)"):
-        dnls._continue_to(prob, v[:, -2], w[-2], -1e-3, -2e-3)
+    real = dnls.newton_solve
+
+    def in_band_below_30(prob, f0, e0):
+        if prob.eta <= -30.0:
+            return real(prob, f0, e0)
+        return dnls.DnlsState(eta=prob.eta, sigma=prob.sigma, f=v[:, -2], e=w[-2],
+                              residual_norm=0.0)
+
+    monkeypatch.setattr(dnls, "newton_solve", in_band_below_30)
+    prob = st.DnlsProblem(eta=-50.0, sigma=1.0, n_sites=11)
+    with caplog.at_level("WARNING", logger="semitb.dnls"):
+        states = st.solve_anticontinuum(prob, 0, [-50.0, -20.0, -10.0])
+    assert list(states) == [-50.0]
+    (record,) = caplog.records
+    assert re.fullmatch(
+        r"single-site branch lost between eta=-30 and -20: Newton converged to "
+        r"E=1\.73205 at eta=-29\.9\d*, inside the linear band "
+        r"\(-sign\(eta\) E <= lambda_max\(T\) = 1\.93185\)", record.getMessage())
 
 
 def test_ladder_states_lie_above_the_band(ref_cfg):
     top = 2 * np.cos(np.pi / 42)
     assert abs(dnls._band_top(41) - 1.99441) < 1e-5
-    states = _dnls_ladder(ref_cfg)[0]
+    states = _dnls_ladder(ref_cfg)
     assert all(s.e > top for eta, s in states.items() if eta != 0.0)
+
+
+@pytest.mark.parametrize("sigma", sorted(FOLDS))
+def test_continuation_stops_at_the_fold_and_names_it(sigma, caplog):
+    path = [-50.0, -8.0, -5.5, -5.0, -4.0, -3.0, -2.0]
+    prob = st.DnlsProblem(eta=-50.0, sigma=sigma, n_sites=21)
+    with caplog.at_level("WARNING", logger="semitb.dnls"):
+        states = st.solve_anticontinuum(prob, 0, path)
+    fold = FOLDS[sigma]
+    assert list(states) == [eta for eta in path if eta < fold]
+    last, target = lost_interval(caplog.records)
+    assert abs(last - fold) < 5e-4 and fold < target
+    assert target == path[len(states)]  # the first point past the fold
+    assert "Newton stalled" in caplog.text

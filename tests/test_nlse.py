@@ -324,7 +324,7 @@ def test_linear_limit_reproduces_band_state(bundle_factory):
     # to a domain eigenstate
     bun = bundle_factory(0.16)
     tbp = bun.tbp
-    seed = lattice_map(linear_ground_state(41), bun.wb)
+    seed = lattice_map(linear_ground_state(41, 1.0), bun.wb)
     w, v = np.linalg.eigh(tbp.lambda1 * np.eye(bun.wb.cells)
                           + tbp.beta * ring_coupling(tbp))
     pick = int(np.argmax(np.abs(v.T @ seed)))
@@ -345,7 +345,7 @@ def test_reconstruction_refuses_zero_gamma(bundle_factory):
     # convergence; the eta = 0 state is the lattice lift instead
     bun = bundle_factory(0.16)
     with pytest.raises(ValueError, match="gamma != 0"):
-        st.reconstruct_and_correct(linear_ground_state(41), with_eta(bun.tbp, 0.0),
+        st.reconstruct_and_correct(linear_ground_state(41, 1.0), with_eta(bun.tbp, 0.0),
                                    bun.dom, bun.wb, delta0=8.0)
 
 
@@ -458,7 +458,7 @@ def test_continuum_jacobian_matches_finite_differences(bundle_factory,
 
 def test_state_tail_follows_action_rate(bundle_factory, ref_spec):
     prob = st.DnlsProblem(eta=-50.0, sigma=1.0, n_sites=41)
-    s50 = st.solve_anticontinuum(prob, 0, [-50.0]).at_eta(-50.0)
+    s50 = st.solve_anticontinuum(prob, 0, [-50.0])[-50.0]
     bun = bundle_factory(0.1)
     tbp = with_eta(bun.tbp, -50.0)
     cs = st.reconstruct_and_correct(s50, tbp, bun.dom, bun.wb, delta0=8.0)

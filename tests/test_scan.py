@@ -100,7 +100,7 @@ def test_participation_crossing_interpolates_or_is_none():
     assert _participation_crossing(states({0.0: 10.0, -1.0: 3.0, -2.0: 1.6})) is None
     # the eta = 0 state, always first, spans 2(N+1)/3 >= 8/3 sites: never below 1.5
     for n in (3, 4, 21, 41):
-        assert linear_ground_state(n).participation == pytest.approx(2 * (n + 1) / 3)
+        assert linear_ground_state(n, 1.0).participation == pytest.approx(2 * (n + 1) / 3)
 
 
 def test_sweep_report_contents(cfg, mini_bundles, tmp_path):
@@ -194,7 +194,7 @@ def test_linear_reference_row(cfg, mini_bundles, tmp_path):
     rep = run_sweep(cfg, mini_bundles.__getitem__, out_dir=str(tmp_path))
     rows = [r for r in rep.continuum_rows if r[1] == 0.0]
     assert len(rows) == len(LADDER)
-    state = _dnls_ladder(cfg)[0][0.0]
+    state = _dnls_ladder(cfg)[0.0]
     for r in rows:
         assert r[5] == 0.0  # H1 error against the linear reference is zero
         # the delocalized lift (participation 28 sites) spreads its mass
